@@ -13,6 +13,7 @@ from .errors import (
     CircuitError,
     GicircError,
     InstabilityError,
+    ModeError,
     NoSolutionError,
     PhysicalityError,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "__version__",
     # errors
     "GicircError", "PhysicalityError", "InstabilityError", "NoSolutionError", "CircuitError",
+    "ModeError",
     # states
     "GaussianState", "ElementMap", "QuadratureStats", "Vacuum", "Coherent", "Thermal",
     "symplectic_form", "make_state", "apply", "quadrature_stats", "wigner", "marginal",

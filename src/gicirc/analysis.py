@@ -13,12 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import propagate_mean, simulate
+from .circuits import simulate
 from .interferometers import (
     SqMziParams,
     TopologyParams,
     _build,
-    _set_point,
+    _phase_excursion,
     _with_phase,
     phase_variance_closed,
     sql_baseline,
@@ -165,10 +165,8 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
     peaks on the phase quadrature and vanishes a quarter turn away.
     """
     thetas = np.asarray(theta_grid, dtype=float)
-    phi0 = _set_point(params)
-    spec_plus, mode = _build(_with_phase(params, phi0 + dphi), None, None)
-    spec_minus, _ = _build(_with_phase(params, phi0 - dphi), None, None)
-    diff = propagate_mean(spec_plus) - propagate_mean(spec_minus)
+    _, mode, _, plus, minus = _phase_excursion(params, dphi)
+    diff = plus - minus
     dx = diff[2 * mode] / (2.0 * dphi)
     dp = diff[2 * mode + 1] / (2.0 * dphi)
     return np.cos(thetas) * dx + np.sin(thetas) * dp
@@ -200,7 +198,7 @@ def wigner_panel(params: TopologyParams, phi_values, L_e_values, x, p) -> Wigner
     for i, phi in enumerate(phis):
         for j, le in enumerate(les):
             varied = replace(_with_phase(params, phi), L_e=le)
-            spec, mode = _build(varied, None, None)
+            spec, mode = _build(varied)
             state = marginal(simulate(spec), [mode])
             density[i, j] = wigner(state, 0, xs[:, None], ps[None, :])
     return WignerPanel(phis, les, xs, ps, density)

@@ -3,19 +3,26 @@
 A circuit document is JSON with a required ``"schema": "gicirc/1"`` key, a
 mode count, one preparation per mode, an ordered element list, and exactly
 one detection block.  Parsing is strict: unknown keys are rejected so typos
-in physics parameters fail loudly, and semantic errors name the offending
-element index and constraint.
+in physics parameters fail loudly, mode indices must be JSON integers and
+numbers finite, and semantic errors name the offending element index and
+constraint.
+
+Every preparation and element kind is one row of a table below: its document
+``type``, its dataclass (whose fields and defaults give the required and
+optional document keys) and, for elements, its channel-map constructor.
+Parsing, serialization and :func:`element_map` are driven by those rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import CircuitError
+from .errors import CircuitError, ModeError
 from .states import (
     Coherent,
     ElementMap,
@@ -23,14 +30,17 @@ from .states import (
     QuadratureStats,
     Thermal,
     Vacuum,
+    _check_mode,
     apply,
     make_state,
     quadrature_stats,
 )
 from .elements import (
-    BS_CONVENTIONS,
     LossSpec,
     PaGain,
+    _check_convention,
+    _check_pair,
+    _check_transmission,
     beamsplitter,
     loss_channel,
     parametric_amplifier,
@@ -63,14 +73,6 @@ DEFAULT_THETA = math.pi / 2
 DEFAULT_BS_T = 0.5
 
 
-def _pair(modes) -> tuple[int, int]:
-    a, b = modes
-    a, b = int(a), int(b)
-    if a == b:
-        raise ValueError(f"pair modes must be distinct, got ({a}, {b})")
-    return a, b
-
-
 @dataclass(frozen=True)
 class PaElement:
     """Ideal two-mode parametric amplifier."""
@@ -79,7 +81,7 @@ class PaElement:
     g: float
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _pair(self.modes))
+        object.__setattr__(self, "modes", _check_pair(self.modes))
         object.__setattr__(self, "g", PaGain(self.g).g)
 
 
@@ -104,16 +106,9 @@ class BsElement:
     convention: str = "second_minus"
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _pair(self.modes))
-        T = float(self.T)
-        if not 0.0 <= T <= 1.0:
-            raise ValueError(f"beamsplitter transmission T must lie in [0, 1], got {T}")
-        object.__setattr__(self, "T", T)
-        if self.convention not in BS_CONVENTIONS:
-            raise ValueError(
-                f"unknown beamsplitter convention {self.convention!r}; "
-                f"expected one of {BS_CONVENTIONS}"
-            )
+        object.__setattr__(self, "modes", _check_pair(self.modes))
+        object.__setattr__(self, "T", _check_transmission(self.T))
+        _check_convention(self.convention)
 
 
 @dataclass(frozen=True)
@@ -153,14 +148,55 @@ class NoisyPaElement:
     epsilon2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _pair(self.modes))
+        object.__setattr__(self, "modes", _check_pair(self.modes))
         params = NoisyPaParams(self.rho, self.kappa, self.epsilon2)
         object.__setattr__(self, "rho", params.rho)
         object.__setattr__(self, "kappa", params.kappa)
         object.__setattr__(self, "epsilon2", params.epsilon2)
 
 
-Element = PaElement | SqueezerElement | BsElement | PhaseElement | LossElement | NoisyPaElement
+class _Kind(NamedTuple):
+    type: str
+    cls: type
+    fields: tuple[str, ...]
+    required: frozenset
+    optional: frozenset
+    build: Callable[..., ElementMap] | None
+
+
+def _kind(type_: str, cls: type, build: Callable[..., ElementMap] | None = None) -> _Kind:
+    names = tuple(f.name for f in fields(cls))
+    required = frozenset(f.name for f in fields(cls) if f.default is MISSING) | {"type"}
+    return _Kind(type_, cls, names, required, frozenset(names) - required, build)
+
+
+# document type -> kind; ``build(element, n_modes)`` makes the channel map.
+_INPUTS = {
+    k.type: k
+    for k in (_kind("vacuum", Vacuum), _kind("coherent", Coherent), _kind("thermal", Thermal))
+}
+_ELEMENTS = {
+    k.type: k
+    for k in (
+        _kind("pa", PaElement, lambda e, n: parametric_amplifier(e.modes, PaGain(e.g), n)),
+        _kind(
+            "single_mode_squeezer",
+            SqueezerElement,
+            lambda e, n: single_mode_squeezer(e.mode, PaGain(e.g), n),
+        ),
+        _kind("bs", BsElement, lambda e, n: beamsplitter(e.modes, e.T, n, e.convention)),
+        _kind("phase", PhaseElement, lambda e, n: phase_shift(e.mode, e.phi, n)),
+        _kind("loss", LossElement, lambda e, n: loss_channel(e.mode, LossSpec(e.L), n)),
+        _kind(
+            "noisy_pa",
+            NoisyPaElement,
+            lambda e, n: noisy_pa(e.modes, NoisyPaParams(e.rho, e.kappa, e.epsilon2), n),
+        ),
+    )
+}
+_KIND_OF = {k.cls: k for k in (*_INPUTS.values(), *_ELEMENTS.values())}
+_INPUT_CLASSES = tuple(k.cls for k in _INPUTS.values())
+_ELEMENT_CLASSES = tuple(k.cls for k in _ELEMENTS.values())
 
 
 @dataclass(frozen=True)
@@ -175,10 +211,12 @@ class Detection:
         object.__setattr__(self, "theta", float(self.theta))
 
 
-def _element_modes(element: Element) -> tuple[int, ...]:
-    if isinstance(element, (PaElement, BsElement, NoisyPaElement)):
-        return element.modes
-    return (element.mode,)
+def _check_modes(modes, n_modes: int, where: str):
+    try:
+        for m in modes:
+            _check_mode(m, n_modes)
+    except ModeError as exc:
+        raise CircuitError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -201,43 +239,26 @@ class CircuitSpec:
                 f"expected {n_modes} input preparations, got {len(inputs)}"
             )
         for k, prep in enumerate(inputs):
-            if not isinstance(prep, (Vacuum, Coherent, Thermal)):
+            if type(prep) not in _INPUT_CLASSES:
                 raise CircuitError(f"input {k}: unknown preparation {prep!r}")
         object.__setattr__(self, "inputs", inputs)
         elements = tuple(self.elements)
         for i, el in enumerate(elements):
-            if not isinstance(el, Element):
+            if type(el) not in _ELEMENT_CLASSES:
                 raise CircuitError(f"element {i}: not a circuit element: {el!r}")
-            for m in _element_modes(el):
-                if not 0 <= m < n_modes:
-                    raise CircuitError(
-                        f"element {i}: mode {m} out of range for {n_modes} modes"
-                    )
+            _check_modes(el.modes if hasattr(el, "modes") else (el.mode,), n_modes, f"element {i}")
         object.__setattr__(self, "elements", elements)
         if not isinstance(self.detect, Detection):
             raise CircuitError(f"detect block must be a Detection, got {self.detect!r}")
-        if not 0 <= self.detect.mode < n_modes:
-            raise CircuitError(
-                f"detect: mode {self.detect.mode} out of range for {n_modes} modes"
-            )
+        _check_modes((self.detect.mode,), n_modes, "detect")
 
 
-def element_map(element: Element, n_modes: int) -> ElementMap:
+def element_map(element, n_modes: int) -> ElementMap:
     """Concrete channel map of one element on an ``n_modes`` register."""
-    if isinstance(element, PaElement):
-        return parametric_amplifier(element.modes, PaGain(element.g), n_modes)
-    if isinstance(element, SqueezerElement):
-        return single_mode_squeezer(element.mode, PaGain(element.g), n_modes)
-    if isinstance(element, BsElement):
-        return beamsplitter(element.modes, element.T, n_modes, element.convention)
-    if isinstance(element, PhaseElement):
-        return phase_shift(element.mode, element.phi, n_modes)
-    if isinstance(element, LossElement):
-        return loss_channel(element.mode, LossSpec(element.L), n_modes)
-    if isinstance(element, NoisyPaElement):
-        params = NoisyPaParams(element.rho, element.kappa, element.epsilon2)
-        return noisy_pa(element.modes, params, n_modes)
-    raise TypeError(f"unknown element {element!r}")
+    kind = _KIND_OF.get(type(element))
+    if kind is None or kind.build is None:
+        raise TypeError(f"unknown element {element!r}")
+    return kind.build(element, n_modes)
 
 
 def simulate(spec: CircuitSpec) -> GaussianState:
@@ -249,16 +270,8 @@ def simulate(spec: CircuitSpec) -> GaussianState:
 
 
 def propagate_mean(spec: CircuitSpec) -> np.ndarray:
-    """Mean quadrature vector of the output state (covariance skipped)."""
-    mean = np.zeros(2 * spec.n_modes)
-    for k, prep in enumerate(spec.inputs):
-        if isinstance(prep, Coherent):
-            mean[2 * k] = 2.0 * prep.alpha.real
-            mean[2 * k + 1] = 2.0 * prep.alpha.imag
-    for el in spec.elements:
-        emap = element_map(el, spec.n_modes)
-        mean = emap.linear @ mean + emap.displacement
-    return mean
+    """Mean quadrature vector of the output state."""
+    return simulate(spec).mean
 
 
 def detect_stats(spec: CircuitSpec, state: GaussianState | None = None) -> QuadratureStats:
@@ -270,21 +283,6 @@ def detect_stats(spec: CircuitSpec, state: GaussianState | None = None) -> Quadr
 
 # --- document form -----------------------------------------------------
 
-_INPUT_KEYS = {
-    "vacuum": set(),
-    "coherent": {"alpha"},
-    "thermal": {"variance"},
-}
-
-_ELEMENT_KEYS = {
-    "pa": ({"modes", "g"}, set()),
-    "single_mode_squeezer": ({"mode", "g"}, set()),
-    "bs": ({"modes"}, {"T", "convention"}),
-    "phase": ({"mode", "phi"}, set()),
-    "loss": ({"mode", "L"}, set()),
-    "noisy_pa": ({"modes", "rho", "kappa", "epsilon2"}, set()),
-}
-
 
 def _require_keys(obj: dict, required: set, optional: set, where: str):
     missing = required - obj.keys()
@@ -295,83 +293,78 @@ def _require_keys(obj: dict, required: set, optional: set, where: str):
         raise CircuitError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _number(value, where: str) -> float:
+def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CircuitError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+        raise CircuitError(f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise CircuitError(f"expected a finite number, got {value!r}")
+    return number
 
 
-def _mode_list(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(m, int) and not isinstance(m, bool) for m in value
-    ):
-        raise CircuitError(f"{where}: expected a list of mode indices, got {value!r}")
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _mode_index(value) -> int:
+    if not _is_index(value):
+        raise CircuitError(f"expected an integer mode index, got {value!r}")
+    return value
+
+
+def _mode_list(value) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(map(_is_index, value)):
+        raise CircuitError(f"expected a list of mode indices, got {value!r}")
     return tuple(value)
 
 
-def _parse_input(obj, k: int):
-    where = f"input {k}"
-    if not isinstance(obj, dict):
-        raise CircuitError(f"{where}: expected an object, got {obj!r}")
-    kind = obj.get("type")
-    if kind not in _INPUT_KEYS:
-        raise CircuitError(
-            f"{where}: unknown input type {kind!r}; expected one of {sorted(_INPUT_KEYS)}"
-        )
-    _require_keys(obj, _INPUT_KEYS[kind] | {"type"}, set(), where)
-    try:
-        if kind == "vacuum":
-            return Vacuum()
-        if kind == "coherent":
-            alpha = obj["alpha"]
-            if isinstance(alpha, list):
-                if len(alpha) != 2:
-                    raise CircuitError(
-                        f"{where}: complex alpha must be a [re, im] pair, got {alpha!r}"
-                    )
-                return Coherent(complex(_number(alpha[0], where), _number(alpha[1], where)))
-            return Coherent(complex(_number(alpha, where), 0.0))
-        return Thermal(_number(obj["variance"], where))
-    except CircuitError:
-        raise
-    except ValueError as exc:
-        raise CircuitError(f"{where}: {exc}") from exc
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise CircuitError(f"expected a string, got {value!r}")
+    return value
 
 
-def _parse_element(obj, i: int) -> Element:
-    where = f"element {i}"
+def _amplitude(value) -> complex:
+    if isinstance(value, list):
+        if len(value) != 2:
+            raise CircuitError(f"expected a number or an [re, im] pair, got {value!r}")
+        return complex(_number(value[0]), _number(value[1]))
+    return complex(_number(value), 0.0)
+
+
+# Document value converters by key name; every other key holds a number.
+_FROM_DOC = {"modes": _mode_list, "mode": _mode_index, "convention": _string, "alpha": _amplitude}
+# Document form of field values that JSON cannot hold as they are.
+_TO_DOC = {"modes": list, "alpha": lambda a: a.real if a.imag == 0.0 else [a.real, a.imag]}
+
+
+def _convert(obj: dict, where: str) -> dict:
+    values = {}
+    for name, value in obj.items():
+        if name != "type":
+            try:
+                values[name] = _FROM_DOC.get(name, _number)(value)
+            except CircuitError as exc:
+                raise CircuitError(f"{where}: {name}: {exc}") from None
+    return values
+
+
+def _parse_entry(obj, where: str, what: str, table: dict):
     if not isinstance(obj, dict):
         raise CircuitError(f"{where}: expected an object, got {obj!r}")
-    kind = obj.get("type")
-    if kind not in _ELEMENT_KEYS:
+    name = obj.get("type")
+    if not isinstance(name, str) or name not in table:
         raise CircuitError(
-            f"{where}: unknown element type {kind!r}; expected one of {sorted(_ELEMENT_KEYS)}"
+            f"{where}: unknown {what} type {name!r}; expected one of {sorted(table)}"
         )
-    required, optional = _ELEMENT_KEYS[kind]
-    _require_keys(obj, required | {"type"}, optional, where)
+    kind = table[name]
+    _require_keys(obj, kind.required, kind.optional, where)
+    values = _convert(obj, where)
     try:
-        if kind == "pa":
-            return PaElement(_mode_list(obj["modes"], where), _number(obj["g"], where))
-        if kind == "single_mode_squeezer":
-            return SqueezerElement(int(obj["mode"]), _number(obj["g"], where))
-        if kind == "bs":
-            return BsElement(
-                _mode_list(obj["modes"], where),
-                _number(obj.get("T", DEFAULT_BS_T), where),
-                obj.get("convention", "second_minus"),
-            )
-        if kind == "phase":
-            return PhaseElement(int(obj["mode"]), _number(obj["phi"], where))
-        if kind == "loss":
-            return LossElement(int(obj["mode"]), _number(obj["L"], where))
-        return NoisyPaElement(
-            _mode_list(obj["modes"], where),
-            _number(obj["rho"], where),
-            _number(obj["kappa"], where),
-            _number(obj["epsilon2"], where),
-        )
-    except CircuitError:
-        raise
+        return kind.cls(**values)
     except ValueError as exc:
         raise CircuitError(f"{where}: {exc}") from exc
 
@@ -394,57 +387,33 @@ def parse_circuit(text: str) -> CircuitSpec:
     if doc["schema"] != SCHEMA:
         raise CircuitError(f"unsupported schema {doc['schema']!r}; expected {SCHEMA!r}")
     n_modes = doc["n_modes"]
-    if isinstance(n_modes, bool) or not isinstance(n_modes, int) or n_modes < 1:
+    if not _is_index(n_modes) or n_modes < 1:
         raise CircuitError(f"n_modes must be a positive integer, got {n_modes!r}")
     if not isinstance(doc["inputs"], list):
         raise CircuitError("inputs must be a list of preparations")
-    inputs = tuple(_parse_input(obj, k) for k, obj in enumerate(doc["inputs"]))
+    inputs = tuple(
+        _parse_entry(obj, f"input {k}", "input", _INPUTS) for k, obj in enumerate(doc["inputs"])
+    )
     if not isinstance(doc["elements"], list):
         raise CircuitError("elements must be a list")
-    elements = tuple(_parse_element(obj, i) for i, obj in enumerate(doc["elements"]))
+    elements = tuple(
+        _parse_entry(obj, f"element {i}", "element", _ELEMENTS)
+        for i, obj in enumerate(doc["elements"])
+    )
     det = doc["detect"]
     if not isinstance(det, dict):
         raise CircuitError(f"detect: expected an object, got {det!r}")
     _require_keys(det, {"mode"}, {"theta"}, "detect")
-    if isinstance(det["mode"], bool) or not isinstance(det["mode"], int):
-        raise CircuitError(f"detect: mode must be an integer, got {det['mode']!r}")
-    detect = Detection(det["mode"], _number(det.get("theta", DEFAULT_THETA), "detect"))
-    return CircuitSpec(n_modes, inputs, elements, detect)
+    return CircuitSpec(n_modes, inputs, elements, Detection(**_convert(det, "detect")))
 
 
-def _input_doc(prep) -> dict:
-    if isinstance(prep, Vacuum):
-        return {"type": "vacuum"}
-    if isinstance(prep, Coherent):
-        if prep.alpha.imag == 0.0:
-            return {"type": "coherent", "alpha": prep.alpha.real}
-        return {"type": "coherent", "alpha": [prep.alpha.real, prep.alpha.imag]}
-    return {"type": "thermal", "variance": prep.variance}
-
-
-def _element_doc(element: Element) -> dict:
-    if isinstance(element, PaElement):
-        return {"type": "pa", "modes": list(element.modes), "g": element.g}
-    if isinstance(element, SqueezerElement):
-        return {"type": "single_mode_squeezer", "mode": element.mode, "g": element.g}
-    if isinstance(element, BsElement):
-        return {
-            "type": "bs",
-            "modes": list(element.modes),
-            "T": element.T,
-            "convention": element.convention,
-        }
-    if isinstance(element, PhaseElement):
-        return {"type": "phase", "mode": element.mode, "phi": element.phi}
-    if isinstance(element, LossElement):
-        return {"type": "loss", "mode": element.mode, "L": element.L}
-    return {
-        "type": "noisy_pa",
-        "modes": list(element.modes),
-        "rho": element.rho,
-        "kappa": element.kappa,
-        "epsilon2": element.epsilon2,
-    }
+def _entry_doc(entry) -> dict:
+    kind = _KIND_OF[type(entry)]
+    doc = {"type": kind.type}
+    for name in kind.fields:
+        value = getattr(entry, name)
+        doc[name] = _TO_DOC[name](value) if name in _TO_DOC else value
+    return doc
 
 
 def serialize_circuit(spec: CircuitSpec, indent: int | None = 2) -> str:
@@ -452,8 +421,8 @@ def serialize_circuit(spec: CircuitSpec, indent: int | None = 2) -> str:
     doc = {
         "schema": SCHEMA,
         "n_modes": spec.n_modes,
-        "inputs": [_input_doc(p) for p in spec.inputs],
-        "elements": [_element_doc(e) for e in spec.elements],
+        "inputs": [_entry_doc(p) for p in spec.inputs],
+        "elements": [_entry_doc(e) for e in spec.elements],
         "detect": {"mode": spec.detect.mode, "theta": spec.detect.theta},
     }
     return json.dumps(doc, indent=indent)

@@ -124,17 +124,21 @@ def _resolve_params(args, *, losses=True):
     return SqMziParams(alpha=alpha, g=g, L_i=l_i, L_e=l_e, phi=args.phi, T=args.bs_t)
 
 
-def _echo(args, keys) -> dict:
-    out = {}
-    for key in keys:
-        value = getattr(args, key)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
+# Parsed options that select what runs or where output goes, not a parameter.
+_NOT_ECHOED = ("func", "command", "output", "format")
 
 
-def _result_doc(command: str, parameters: dict, outputs: dict) -> dict:
+def _echo(args) -> dict:
+    """Every parsed option that parametrizes the result."""
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in vars(args).items()
+        if key not in _NOT_ECHOED
+    }
+
+
+def _result_doc(args, outputs: dict) -> dict:
+    command, parameters = args.command, _echo(args)
     canonical = json.dumps(
         {"command": command, "parameters": parameters},
         sort_keys=True,
@@ -153,14 +157,21 @@ def _result_doc(command: str, parameters: dict, outputs: dict) -> dict:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"result holds a non-finite number ({value})")
         return "%.12g" % value
     return str(value)
 
 
-def _write(args, doc: dict, header, rows) -> int:
+def _write(args, outputs: dict, header, rows) -> int:
+    """Write the result document (JSON) or its table (CSV); non-finite numbers fail."""
     fmt = args.format or os.environ.get(FORMAT_ENV, "json")
     if fmt == "json":
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = _result_doc(args, outputs)
+        try:
+            payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ValueError("result holds a non-finite number (NaN or Infinity)") from exc
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
@@ -199,19 +210,11 @@ def _report_table(outputs: dict):
     return header, [tuple(rep[k] for k in header)]
 
 
-_TOPOLOGY_KEYS = (
-    "topology", "alpha2", "dphi", "phi", "bs_t",
-    "g", "qng_db", "g1", "g2", "qng1_db", "qng2_db", "phi_pump",
-)
-_LOSS_KEYS = ("l_i", "l_is", "l_ii", "l_e")
-
-
 def _cmd_snr(args) -> int:
     params = _resolve_params(args)
     report = mean_signal_and_variance(params, args.dphi)
     outputs = _report_outputs(report, args.dphi, "closed_form")
-    doc = _result_doc("snr", _echo(args, _TOPOLOGY_KEYS + _LOSS_KEYS), outputs)
-    return _write(args, doc, *_report_table(outputs))
+    return _write(args, outputs, *_report_table(outputs))
 
 
 def _cmd_simulate(args) -> int:
@@ -236,15 +239,13 @@ def _cmd_simulate(args) -> int:
                 "mean": state.mean.tolist(),
                 "cov": state.cov.tolist(),
             }
-        doc = _result_doc("simulate", {"circuit": args.circuit}, outputs)
         st = outputs["stats"]
         header = list(st.keys())
-        return _write(args, doc, header, [tuple(st[k] for k in header)])
+        return _write(args, outputs, header, [tuple(st[k] for k in header)])
     params = _resolve_params(args)
     report = engine_report(params, args.dphi)
     outputs = _report_outputs(report, args.dphi, "engine")
-    doc = _result_doc("simulate", _echo(args, _TOPOLOGY_KEYS + _LOSS_KEYS), outputs)
-    return _write(args, doc, *_report_table(outputs))
+    return _write(args, outputs, *_report_table(outputs))
 
 
 def _cmd_sweep(args) -> int:
@@ -266,14 +267,12 @@ def _cmd_sweep(args) -> int:
                    "stop": grid.x_axis.stop, "count": grid.x_axis.count},
         "values": grid.values.tolist(),
     }
-    keys = _TOPOLOGY_KEYS + ("internal", "external", "internal_target")
-    doc = _result_doc("sweep", _echo(args, keys), outputs)
     rows = [
         (yv, xv, grid.values[iy, ix])
         for iy, yv in enumerate(grid.y_axis.values)
         for ix, xv in enumerate(grid.x_axis.values)
     ]
-    return _write(args, doc, ("internal_loss", "external_loss", "advantage_db"), rows)
+    return _write(args, outputs, ("internal_loss", "external_loss", "advantage_db"), rows)
 
 
 def _cmd_slope(args) -> int:
@@ -281,8 +280,7 @@ def _cmd_slope(args) -> int:
     thetas = _linspace(args.thetas)
     slopes = slope_vs_theta(params, thetas, args.dphi)
     outputs = {"theta": thetas.tolist(), "slope": slopes.tolist()}
-    doc = _result_doc("slope", _echo(args, _TOPOLOGY_KEYS + _LOSS_KEYS + ("thetas",)), outputs)
-    return _write(args, doc, ("theta", "slope"), list(zip(thetas, slopes)))
+    return _write(args, outputs, ("theta", "slope"), list(zip(thetas, slopes)))
 
 
 def _cmd_wigner(args) -> int:
@@ -301,8 +299,6 @@ def _cmd_wigner(args) -> int:
         "p": panel.p.tolist(),
         "density": panel.density.tolist(),
     }
-    keys = _TOPOLOGY_KEYS + ("phis", "l_es", "xs", "ps")
-    doc = _result_doc("wigner", _echo(args, keys), outputs)
     rows = [
         (phi, le, xv, pv, panel.density[i, j, ix, ip])
         for i, phi in enumerate(panel.phi_values)
@@ -310,7 +306,7 @@ def _cmd_wigner(args) -> int:
         for ix, xv in enumerate(panel.x)
         for ip, pv in enumerate(panel.p)
     ]
-    return _write(args, doc, ("phi", "l_e", "x", "p", "density"), rows)
+    return _write(args, outputs, ("phi", "l_e", "x", "p", "density"), rows)
 
 
 def _cmd_advantage_curve(args) -> int:
@@ -325,9 +321,7 @@ def _cmd_advantage_curve(args) -> int:
         dphi=args.dphi,
     )
     outputs = {"qng1_db": args.qng1_db, "qng2_db": qng2.tolist(), "advantage_db": curve.tolist()}
-    keys = ("qng1_db", "qng2", "l_is", "l_ii", "l_e", "rho1", "eps1_sq", "rho2", "eps2_sq", "alpha2", "dphi")
-    doc = _result_doc("advantage-curve", _echo(args, keys), outputs)
-    return _write(args, doc, ("qng2_db", "advantage_db"), list(zip(qng2, curve)))
+    return _write(args, outputs, ("qng2_db", "advantage_db"), list(zip(qng2, curve)))
 
 
 def _cmd_fit(args) -> int:
@@ -354,12 +348,9 @@ def _cmd_fit(args) -> int:
         },
         "n_points": len(data),
     }
-    keys = ("data", "seed", "restarts", "max_evals", "l_is", "l_ii", "l_e",
-            "rho_max", "eps2_max", "alpha2", "dphi")
-    doc = _result_doc("fit", _echo(args, keys), outputs)
     fit = outputs["fit"]
     header = list(fit.keys())
-    return _write(args, doc, header, [tuple(fit[k] for k in header)])
+    return _write(args, outputs, header, [tuple(fit[k] for k in header)])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ElementMap
+from .states import ElementMap, _check_mode
 
 __all__ = [
     "PaGain",
@@ -75,20 +75,30 @@ def as_loss(value) -> LossSpec:
     return value if isinstance(value, LossSpec) else LossSpec(float(value))
 
 
-def _check_mode(mode: int, n_modes: int) -> int:
-    mode = int(mode)
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"mode {mode} out of range for {n_modes} modes")
-    return mode
-
-
-def _check_pair(pair, n_modes: int) -> tuple[int, int]:
+def _check_pair(pair, n_modes: int | None = None) -> tuple[int, int]:
+    """Two distinct mode indices, range-checked when ``n_modes`` is given."""
     a, b = pair
-    a = _check_mode(a, n_modes)
-    b = _check_mode(b, n_modes)
+    a, b = int(a), int(b)
+    if n_modes is not None:
+        a, b = _check_mode(a, n_modes), _check_mode(b, n_modes)
     if a == b:
         raise ValueError(f"pair modes must be distinct, got ({a}, {b})")
     return a, b
+
+
+def _check_transmission(T) -> float:
+    T = float(T)
+    if not 0.0 <= T <= 1.0:
+        raise ValueError(f"beamsplitter transmission T must lie in [0, 1], got {T}")
+    return T
+
+
+def _check_convention(convention: str) -> str:
+    if convention not in BS_CONVENTIONS:
+        raise ValueError(
+            f"unknown beamsplitter convention {convention!r}; expected one of {BS_CONVENTIONS}"
+        )
+    return convention
 
 
 def pair_coupling(ga: float, gb: float) -> np.ndarray:
@@ -170,34 +180,20 @@ def beamsplitter(pair, T: float, n_modes: int, convention: str = "second_minus")
     Composing elements built with different conventions shifts fringe
     positions, so interferometer builders use ``second_minus`` throughout.
     """
-    T = float(T)
-    if not 0.0 <= T <= 1.0:
-        raise ValueError(f"beamsplitter transmission T must lie in [0, 1], got {T}")
+    T = _check_transmission(T)
     pair = _check_pair(pair, n_modes)
     t = math.sqrt(T)
     r = math.sqrt(1.0 - T)
-    if convention == "second_minus":
-        mat = np.array(
-            [
-                [t, 0.0, r, 0.0],
-                [0.0, t, 0.0, r],
-                [-r, 0.0, t, 0.0],
-                [0.0, -r, 0.0, t],
-            ]
-        )
-    elif convention == "first_plus":
-        mat = np.array(
-            [
-                [t, 0.0, r, 0.0],
-                [0.0, t, 0.0, r],
-                [r, 0.0, -t, 0.0],
-                [0.0, r, 0.0, -t],
-            ]
-        )
-    else:
-        raise ValueError(
-            f"unknown beamsplitter convention {convention!r}; expected one of {BS_CONVENTIONS}"
-        )
+    # out_j = u in_i + v in_j
+    u, v = (-r, t) if _check_convention(convention) == "second_minus" else (r, -t)
+    mat = np.array(
+        [
+            [t, 0.0, r, 0.0],
+            [0.0, t, 0.0, r],
+            [u, 0.0, v, 0.0],
+            [0.0, u, 0.0, v],
+        ]
+    )
     return _lossless(embed_pair(mat, pair, n_modes))
 
 

@@ -19,3 +19,7 @@ class NoSolutionError(GicircError, ValueError):
 
 class CircuitError(GicircError, ValueError):
     """A circuit document is syntactically or semantically invalid."""
+
+
+class ModeError(GicircError, IndexError, ValueError):
+    """A mode index lies outside the register."""

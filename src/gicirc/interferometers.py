@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .elements import LossSpec, PaGain, as_gain, as_loss, phase_shift
+from .elements import LossSpec, PaGain, _check_transmission, as_gain, as_loss, phase_shift
 from .circuits import (
     BsElement,
     CircuitSpec,
@@ -36,7 +36,7 @@ from .circuits import (
     element_map,
 )
 from .noise_model import NoisyPaParams
-from .states import Coherent, Vacuum, apply, make_state, quadrature_stats
+from .states import Coherent, Vacuum, _check_mode, apply, make_state, quadrature_stats
 
 __all__ = [
     "DARK_FRINGE",
@@ -54,6 +54,13 @@ __all__ = [
 ]
 
 DARK_FRINGE = math.pi
+
+
+def _check_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if alpha < 0.0:
+        raise ValueError(f"bright-port amplitude alpha must be >= 0, got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -74,18 +81,12 @@ class SqMziParams:
     T: float = 0.5
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        if alpha < 0.0:
-            raise ValueError(f"bright-port amplitude alpha must be >= 0, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         object.__setattr__(self, "g", as_gain(self.g))
         object.__setattr__(self, "L_i", as_loss(self.L_i))
         object.__setattr__(self, "L_e", as_loss(self.L_e))
         object.__setattr__(self, "phi", float(self.phi))
-        T = float(self.T)
-        if not 0.0 <= T <= 1.0:
-            raise ValueError(f"beamsplitter transmission T must lie in [0, 1], got {T}")
-        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "T", _check_transmission(self.T))
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,7 @@ class SisniParams:
     T: float = 0.5
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        if alpha < 0.0:
-            raise ValueError(f"bright-port amplitude alpha must be >= 0, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         object.__setattr__(self, "g1", as_gain(self.g1))
         object.__setattr__(self, "g2", as_gain(self.g2))
         object.__setattr__(self, "L_is", as_loss(self.L_is))
@@ -121,10 +119,7 @@ class SisniParams:
         object.__setattr__(self, "L_e", as_loss(self.L_e))
         object.__setattr__(self, "phi_signal", float(self.phi_signal))
         object.__setattr__(self, "phi_pump", float(self.phi_pump))
-        T = float(self.T)
-        if not 0.0 <= T <= 1.0:
-            raise ValueError(f"beamsplitter transmission T must lie in [0, 1], got {T}")
-        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "T", _check_transmission(self.T))
 
 
 TopologyParams = SqMziParams | SisniParams
@@ -318,14 +313,10 @@ def _with_phase(params: TopologyParams, phi: float) -> TopologyParams:
     return replace(params, phi_signal=phi)
 
 
-def _set_point(params: TopologyParams) -> float:
-    return params.phi if isinstance(params, SqMziParams) else params.phi_signal
-
-
 def _build(
     params: TopologyParams,
-    noisy_pa1: NoisyPaParams | None,
-    noisy_pa2: NoisyPaParams | None,
+    noisy_pa1: NoisyPaParams | None = None,
+    noisy_pa2: NoisyPaParams | None = None,
 ) -> tuple[CircuitSpec, int]:
     if isinstance(params, SqMziParams):
         if noisy_pa1 is not None or noisy_pa2 is not None:
@@ -334,6 +325,45 @@ def _build(
     if isinstance(params, SisniParams):
         return build_sisni(params, noisy_pa1, noisy_pa2)
     raise TypeError(f"unknown topology parameters {params!r}")
+
+
+def _phase_excursion(
+    params: TopologyParams,
+    dphi: float,
+    noisy_pa1: NoisyPaParams | None = None,
+    noisy_pa2: NoisyPaParams | None = None,
+) -> tuple:
+    """Output means at the signal phase set point ``+/- dphi``.
+
+    Builds the circuit and its element maps once, then propagates the input
+    mean twice with only the signal-phase map swapped.  Returns the circuit,
+    its detected mode, the set-point maps and the two mean vectors.
+    """
+    dphi = float(dphi)
+    if dphi == 0.0 or not math.isfinite(dphi):
+        raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
+    spec, mode = _build(params, noisy_pa1, noisy_pa2)
+    n = spec.n_modes
+    if isinstance(params, SqMziParams):
+        signal_mode, phi0 = 1, params.phi
+    else:
+        signal_mode, phi0 = 2, params.phi_signal
+    phase_idx = next(
+        i
+        for i, el in enumerate(spec.elements)
+        if isinstance(el, PhaseElement) and el.mode == signal_mode
+    )
+    maps = [element_map(el, n) for el in spec.elements]
+    mean0 = make_state(n, spec.inputs).mean
+    means = []
+    for phi in (phi0 + dphi, phi0 - dphi):
+        swapped = phase_shift(signal_mode, phi, n)
+        vec = mean0
+        for i, emap in enumerate(maps):
+            active = swapped if i == phase_idx else emap
+            vec = active.linear @ vec + active.displacement
+        means.append(vec)
+    return (spec, mode, maps, *means)
 
 
 def engine_report(
@@ -356,39 +386,17 @@ def engine_report(
     than the default port and can be reported by passing ``detect_mode=1``.
     """
     _require_bright(params)
-    spec0, mode = _build(params, noisy_pa1, noisy_pa2)
+    spec, mode, maps, plus, minus = _phase_excursion(params, dphi, noisy_pa1, noisy_pa2)
     if detect_mode is not None:
-        if not 0 <= detect_mode < spec0.n_modes:
-            raise ValueError(
-                f"detect_mode {detect_mode} out of range for {spec0.n_modes} modes"
-            )
-        mode = detect_mode
-    n = spec0.n_modes
-    signal_mode = 1 if isinstance(params, SqMziParams) else 2
-    phase_idx = next(
-        i
-        for i, el in enumerate(spec0.elements)
-        if isinstance(el, PhaseElement) and el.mode == signal_mode
-    )
-    maps = [element_map(el, n) for el in spec0.elements]
-
-    state = make_state(n, spec0.inputs)
+        mode = _check_mode(detect_mode, spec.n_modes)
+    state = make_state(spec.n_modes, spec.inputs)
     for emap in maps:
         state = apply(state, emap)
-    theta = spec0.detect.theta
+    theta = spec.detect.theta
     var = quadrature_stats(state, mode, theta).variance
 
     c, s = math.cos(theta), math.sin(theta)
-    phi0 = _set_point(params)
-    mean0 = make_state(n, spec0.inputs).mean
-    means = []
-    for phi in (phi0 + dphi, phi0 - dphi):
-        swapped = phase_shift(signal_mode, phi, n)
-        vec = mean0
-        for i, emap in enumerate(maps):
-            active = swapped if i == phase_idx else emap
-            vec = active.linear @ vec + active.displacement
-        means.append(c * vec[2 * mode] + s * vec[2 * mode + 1])
+    means = [c * vec[2 * mode] + s * vec[2 * mode + 1] for vec in (plus, minus)]
     mean_signal = 0.5 * (means[0] - means[1])
     snr = mean_signal * mean_signal / var
     return OutputReport(

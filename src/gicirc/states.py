@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicalityError
+from .errors import ModeError, PhysicalityError
 
 __all__ = [
     "GaussianState",
@@ -110,12 +110,12 @@ class GaussianState:
 
     def mode_mean(self, mode: int) -> np.ndarray:
         """Mean (x, p) of one mode."""
-        _check_mode(self, mode)
+        _check_mode(mode, self.n_modes)
         return self.mean[2 * mode : 2 * mode + 2].copy()
 
     def mode_cov(self, mode: int) -> np.ndarray:
         """2x2 covariance block of one mode."""
-        _check_mode(self, mode)
+        _check_mode(mode, self.n_modes)
         return self.cov[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2].copy()
 
     def physicality_margin(self) -> float:
@@ -248,7 +248,7 @@ def quadrature_stats(state: GaussianState, mode: int, theta: float = math.pi / 2
     phase quadrature.  The angle is reduced modulo ``2 pi`` before evaluation
     so that full turns map onto identical statistics.
     """
-    _check_mode(state, mode)
+    _check_mode(mode, state.n_modes)
     reduced = math.remainder(theta, _TWO_PI)
     c, s = math.cos(reduced), math.sin(reduced)
     mx = state.mean[2 * mode]
@@ -265,7 +265,7 @@ def marginal(state: GaussianState, modes) -> GaussianState:
     if len(set(modes)) != len(modes):
         raise ValueError(f"marginal modes must be distinct, got {modes}")
     for m in modes:
-        _check_mode(state, m)
+        _check_mode(m, state.n_modes)
     idx = np.array([i for m in modes for i in (2 * m, 2 * m + 1)])
     return GaussianState(len(modes), state.mean[idx], state.cov[np.ix_(idx, idx)])
 
@@ -296,6 +296,9 @@ def wigner(state: GaussianState, mode: int, x, p):
     return density
 
 
-def _check_mode(state: GaussianState, mode: int):
-    if not 0 <= mode < state.n_modes:
-        raise IndexError(f"mode {mode} out of range for {state.n_modes} modes")
+def _check_mode(mode: int, n_modes: int) -> int:
+    """The mode index as an ``int``; :class:`ModeError` if outside the register."""
+    mode = int(mode)
+    if not 0 <= mode < n_modes:
+        raise ModeError(f"mode {mode} out of range for {n_modes} modes")
+    return mode

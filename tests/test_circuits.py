@@ -4,13 +4,17 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gicirc import (
     CircuitError,
     CircuitSpec,
+    Coherent,
     Detection,
     SisniParams,
     SqMziParams,
+    Thermal,
     Vacuum,
     build_sisni,
     build_sq_mzi,
@@ -222,3 +226,128 @@ class TestBuilderParserEquivalence:
         state = simulate(spec)
         assert state.n_modes == 2
         assert state.is_physical()
+
+
+def _document(elements, inputs=None, detect=None, n_modes=2):
+    return json.dumps(
+        {
+            "schema": "gicirc/1",
+            "n_modes": n_modes,
+            "inputs": inputs or [{"type": "vacuum"}] * n_modes,
+            "elements": elements,
+            "detect": detect or {"mode": 0},
+        }
+    )
+
+
+# One valid document entry per element kind, every optional key given.
+VALID_ELEMENTS = {
+    "pa": {"type": "pa", "modes": [0, 1], "g": 0.5},
+    "single_mode_squeezer": {"type": "single_mode_squeezer", "mode": 1, "g": 0.5},
+    "bs": {"type": "bs", "modes": [0, 1], "T": 0.4, "convention": "first_plus"},
+    "phase": {"type": "phase", "mode": 1, "phi": 0.3},
+    "loss": {"type": "loss", "mode": 1, "L": 0.2},
+    "noisy_pa": {"type": "noisy_pa", "modes": [0, 1], "rho": 1e-3, "kappa": 0.2, "epsilon2": 3.0},
+}
+NUMERIC_FIELDS = [
+    (kind, key)
+    for kind, entry in VALID_ELEMENTS.items()
+    for key, value in entry.items()
+    if isinstance(value, float)
+]
+SINGLE_MODE_KINDS = [kind for kind, entry in VALID_ELEMENTS.items() if "mode" in entry]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+LEAD = {"type": "phase", "mode": 0, "phi": 0.1}
+
+
+class TestStrictValues:
+    def test_valid_entries_parse(self):
+        spec = parse_circuit(_document([LEAD, *VALID_ELEMENTS.values()]))
+        assert len(spec.elements) == 1 + len(VALID_ELEMENTS)
+        again = json.loads(serialize_circuit(spec))["elements"][1:]
+        assert again == list(VALID_ELEMENTS.values())
+
+    @pytest.mark.parametrize("kind", SINGLE_MODE_KINDS)
+    @pytest.mark.parametrize("mode", [0.7, True, "1", 1.0, None])
+    def test_mode_must_be_an_integer(self, kind, mode):
+        entry = dict(VALID_ELEMENTS[kind], mode=mode)
+        with pytest.raises(CircuitError, match="element 1: mode: expected an integer"):
+            parse_circuit(_document([LEAD, entry]))
+
+    @pytest.mark.parametrize("mode", [0.0, False, "0"])
+    def test_detect_mode_must_be_an_integer(self, mode):
+        with pytest.raises(CircuitError, match="detect: mode: expected an integer"):
+            parse_circuit(_document([], detect={"mode": mode}))
+
+    @pytest.mark.parametrize("kind, key", NUMERIC_FIELDS)
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_element_numbers_must_be_finite(self, kind, key, value):
+        entry = dict(VALID_ELEMENTS[kind], **{key: value})
+        with pytest.raises(CircuitError, match=f"element 1: {key}: expected a finite number"):
+            parse_circuit(_document([LEAD, entry]))
+
+    @pytest.mark.parametrize(
+        "prep",
+        [
+            {"type": "thermal", "variance": math.inf},
+            {"type": "thermal", "variance": math.nan},
+            {"type": "coherent", "alpha": math.nan},
+            {"type": "coherent", "alpha": [1.0, -math.inf]},
+        ],
+    )
+    def test_input_numbers_must_be_finite(self, prep):
+        with pytest.raises(CircuitError, match="input 1: .*expected a finite number"):
+            parse_circuit(_document([], inputs=[{"type": "vacuum"}, prep]))
+
+    @pytest.mark.parametrize("value", NON_FINITE + [10**400])
+    def test_detect_theta_must_be_finite(self, value):
+        with pytest.raises(CircuitError, match="detect: theta: expected a finite number"):
+            parse_circuit(_document([], detect={"mode": 0, "theta": value}))
+
+    @pytest.mark.parametrize("kind", [[], {}, 3, None])
+    def test_type_must_be_a_known_string(self, kind):
+        with pytest.raises(CircuitError, match="element 0: unknown element type"):
+            parse_circuit(_document([{"type": kind}]))
+        with pytest.raises(CircuitError, match="input 0: unknown input type"):
+            parse_circuit(_document([], inputs=[{"type": kind}, {"type": "vacuum"}]))
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_circuits(draw):
+    """Valid circuits over every preparation and element kind."""
+    n = draw(st.integers(2, 4))
+    mode = st.integers(0, n - 1)
+    pair = st.lists(mode, min_size=2, max_size=2, unique=True).map(tuple)
+    gain = _finite(0.0, 3.0)
+    preps = st.one_of(
+        st.just(Vacuum()),
+        st.builds(Coherent, st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)),
+        st.builds(Thermal, _finite(1.0, 50.0)),
+    )
+    elements = st.one_of(
+        st.builds(PaElement, pair, gain),
+        st.builds(SqueezerElement, mode, gain),
+        st.builds(BsElement, pair, _finite(0.0, 1.0), st.sampled_from(["second_minus", "first_plus"])),
+        st.builds(PhaseElement, mode, _finite(-10.0, 10.0)),
+        st.builds(LossElement, mode, _finite(0.0, 1.0)),
+        st.builds(NoisyPaElement, pair, _finite(0.0, 0.01), _finite(0.0, 0.45), _finite(1.0, 300.0)),
+    )
+    return CircuitSpec(
+        n,
+        tuple(draw(preps) for _ in range(n)),
+        tuple(draw(st.lists(elements, max_size=8))),
+        Detection(draw(mode), draw(_finite(-7.0, 7.0))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuits())
+def test_random_circuits_round_trip(spec):
+    text = serialize_circuit(spec)
+    again = parse_circuit(text)
+    assert again == spec
+    assert serialize_circuit(again) == text

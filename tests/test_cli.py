@@ -266,3 +266,51 @@ class TestOutputPlumbing:
         )
         assert proc.returncode == 0
         assert "gicirc" in proc.stdout
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("alpha2", ["nan", "inf"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_is_an_error(self, capsys, alpha2, fmt):
+        code, out, err = run_cli(
+            capsys, "snr", "--topology", "mzi", "--alpha2", alpha2, "--format", fmt
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_zero_dphi_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--topology", "sq-mzi", "--dphi", "0")
+        assert code == 1
+        assert out == ""
+        assert "dphi" in json.loads(err)["error"]["message"]
+
+
+class TestParameterEcho:
+    def hash_of(self, capsys, *argv):
+        return run_json(capsys, *argv)["provenance"]["parameter_hash"]
+
+    def test_wigner_hash_covers_losses(self, capsys):
+        argv = (
+            "wigner", "--topology", "sq-mzi", "--phis", "3:3.2:2", "--l-es", "0:0.5:2",
+            "--xs=-1:1:3", "--ps=-1:1:3",
+        )
+        assert self.hash_of(capsys, *argv) != self.hash_of(capsys, *argv, "--l-i", "0.2")
+
+    def test_simulate_hash_covers_full_state(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"schema":"gicirc/1","n_modes":1,"inputs":[{"type":"vacuum"}],'
+            '"elements":[],"detect":{"mode":0}}'
+        )
+        plain = self.hash_of(capsys, "simulate", "--circuit", str(path))
+        full = self.hash_of(capsys, "simulate", "--circuit", str(path), "--full-state")
+        assert plain != full
+
+    def test_every_option_is_echoed(self, capsys):
+        doc = run_json(capsys, "slope", "--topology", "mzi", "--thetas", "0:1:2")
+        params = doc["command"]["parameters"]
+        assert params["thetas"] == [0.0, 1.0, 2]
+        assert {"topology", "alpha2", "dphi", "l_i", "l_e", "phi_pump"} <= params.keys()
+        assert not {"func", "command", "output", "format"} & params.keys()

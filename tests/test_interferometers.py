@@ -305,3 +305,32 @@ class TestSecondOutput:
     def test_detect_mode_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
             engine_report(SisniParams(alpha=6.0), 1e-3, detect_mode=3)
+
+
+class TestPhaseExcursion:
+    @pytest.mark.parametrize("dphi", [0.0, -0.0, math.nan, math.inf])
+    def test_degenerate_dphi_rejected(self, dphi):
+        from gicirc import slope_vs_theta
+
+        for params in (SqMziParams(alpha=6.0, g=0.75), paper_point()):
+            with pytest.raises(ValueError, match="dphi"):
+                engine_report(params, dphi)
+            with pytest.raises(ValueError, match="dphi"):
+                slope_vs_theta(params, [0.0, math.pi / 2], dphi)
+
+    def test_slope_matches_engine_mean_signal(self):
+        # Both go through one finite difference: the phase-quadrature slope
+        # times dphi is the engine's mean signal.
+        from gicirc import slope_vs_theta
+
+        dphi = 1e-3
+        for params in (SqMziParams(alpha=6.0, g=0.75, L_i=0.1), paper_point()):
+            slope = slope_vs_theta(params, [math.pi / 2], dphi)[0]
+            assert slope * dphi == pytest.approx(engine_report(params, dphi).mean_X2, rel=1e-12)
+
+    def test_detect_mode_error_is_index_and_value_error(self):
+        from gicirc import GicircError
+
+        with pytest.raises(GicircError) as info:
+            engine_report(SisniParams(alpha=6.0), 1e-3, detect_mode=-1)
+        assert isinstance(info.value, IndexError) and isinstance(info.value, ValueError)
