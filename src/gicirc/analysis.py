@@ -165,8 +165,9 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
     peaks on the phase quadrature and vanishes a quarter turn away.
     """
     thetas = np.asarray(theta_grid, dtype=float)
-    _, mode, _, plus, minus = _phase_excursion(params, dphi)
-    diff = plus - minus
+    spec, mode, phase_idx = _build(params)
+    mean, _ = _phase_excursion(spec, phase_idx, dphi)
+    diff = mean[0, 1] - mean[0, 2]
     dx = diff[2 * mode] / (2.0 * dphi)
     dp = diff[2 * mode + 1] / (2.0 * dphi)
     return np.cos(thetas) * dx + np.sin(thetas) * dp
@@ -198,7 +199,7 @@ def wigner_panel(params: TopologyParams, phi_values, L_e_values, x, p) -> Wigner
     for i, phi in enumerate(phis):
         for j, le in enumerate(les):
             varied = replace(_with_phase(params, phi), L_e=le)
-            spec, mode = _build(varied)
+            spec, mode, _ = _build(varied)
             state = marginal(simulate(spec), [mode])
             density[i, j] = wigner(state, 0, xs[:, None], ps[None, :])
     return WignerPanel(phis, les, xs, ps, density)

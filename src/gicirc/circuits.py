@@ -9,12 +9,18 @@ constraint.
 
 Every preparation and element kind is one row of a table below: its document
 ``type``, its dataclass (whose fields and defaults give the required and
-optional document keys) and, for elements, its channel-map constructor.
-Parsing, serialization and :func:`element_map` are driven by those rows.
+optional document keys) and, for elements, its local block function.
+Parsing, serialization, :func:`element_map` and propagation are driven by
+those rows.
+
+Propagation is block-local: each element updates only the mean entries and
+the covariance rows and columns of its own modes, on arrays that carry a
+leading batch axis, so one pass can run many variants of the same circuit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -30,24 +36,26 @@ from .states import (
     QuadratureStats,
     Thermal,
     Vacuum,
+    _check_finite,
     _check_mode,
-    apply,
-    make_state,
+    _prepare,
+    _quadrature_indices,
     quadrature_stats,
 )
 from .elements import (
     LossSpec,
     PaGain,
+    _bs_block,
     _check_convention,
     _check_pair,
     _check_transmission,
-    beamsplitter,
-    loss_channel,
-    parametric_amplifier,
-    phase_shift,
-    single_mode_squeezer,
+    _embed,
+    _loss_block,
+    _pa_block,
+    _phase_block,
+    _squeezer_block,
 )
-from .noise_model import NoisyPaParams, noisy_pa
+from .noise_model import NoisyPaParams, _noisy_pa_block
 
 __all__ = [
     "SCHEMA",
@@ -120,10 +128,7 @@ class PhaseElement:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", int(self.mode))
-        phi = float(self.phi)
-        if not math.isfinite(phi):
-            raise ValueError(f"phase phi must be finite, got {phi}")
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", _check_finite(self.phi, "phase phi"))
 
 
 @dataclass(frozen=True)
@@ -161,16 +166,18 @@ class _Kind(NamedTuple):
     fields: tuple[str, ...]
     required: frozenset
     optional: frozenset
-    build: Callable[..., ElementMap] | None
+    block: Callable | None
+    params: tuple[str, ...]  # the fields passed to ``block``: all but the modes
 
 
-def _kind(type_: str, cls: type, build: Callable[..., ElementMap] | None = None) -> _Kind:
+def _kind(type_: str, cls: type, block: Callable | None = None) -> _Kind:
     names = tuple(f.name for f in fields(cls))
     required = frozenset(f.name for f in fields(cls) if f.default is MISSING) | {"type"}
-    return _Kind(type_, cls, names, required, frozenset(names) - required, build)
+    params = tuple(n for n in names if n not in ("mode", "modes"))
+    return _Kind(type_, cls, names, required, frozenset(names) - required, block, params)
 
 
-# document type -> kind; ``build(element, n_modes)`` makes the channel map.
+# document type -> kind; ``block(**params)`` gives the local ``(S, N)``.
 _INPUTS = {
     k.type: k
     for k in (_kind("vacuum", Vacuum), _kind("coherent", Coherent), _kind("thermal", Thermal))
@@ -178,20 +185,12 @@ _INPUTS = {
 _ELEMENTS = {
     k.type: k
     for k in (
-        _kind("pa", PaElement, lambda e, n: parametric_amplifier(e.modes, PaGain(e.g), n)),
-        _kind(
-            "single_mode_squeezer",
-            SqueezerElement,
-            lambda e, n: single_mode_squeezer(e.mode, PaGain(e.g), n),
-        ),
-        _kind("bs", BsElement, lambda e, n: beamsplitter(e.modes, e.T, n, e.convention)),
-        _kind("phase", PhaseElement, lambda e, n: phase_shift(e.mode, e.phi, n)),
-        _kind("loss", LossElement, lambda e, n: loss_channel(e.mode, LossSpec(e.L), n)),
-        _kind(
-            "noisy_pa",
-            NoisyPaElement,
-            lambda e, n: noisy_pa(e.modes, NoisyPaParams(e.rho, e.kappa, e.epsilon2), n),
-        ),
+        _kind("pa", PaElement, _pa_block),
+        _kind("single_mode_squeezer", SqueezerElement, _squeezer_block),
+        _kind("bs", BsElement, _bs_block),
+        _kind("phase", PhaseElement, _phase_block),
+        _kind("loss", LossElement, _loss_block),
+        _kind("noisy_pa", NoisyPaElement, _noisy_pa_block),
     )
 }
 _KIND_OF = {k.cls: k for k in (*_INPUTS.values(), *_ELEMENTS.values())}
@@ -209,6 +208,10 @@ class Detection:
     def __post_init__(self):
         object.__setattr__(self, "mode", int(self.mode))
         object.__setattr__(self, "theta", float(self.theta))
+
+
+def _modes(element) -> tuple[int, ...]:
+    return element.modes if hasattr(element, "modes") else (element.mode,)
 
 
 def _check_modes(modes, n_modes: int, where: str):
@@ -246,7 +249,7 @@ class CircuitSpec:
         for i, el in enumerate(elements):
             if type(el) not in _ELEMENT_CLASSES:
                 raise CircuitError(f"element {i}: not a circuit element: {el!r}")
-            _check_modes(el.modes if hasattr(el, "modes") else (el.mode,), n_modes, f"element {i}")
+            _check_modes(_modes(el), n_modes, f"element {i}")
         object.__setattr__(self, "elements", elements)
         if not isinstance(self.detect, Detection):
             raise CircuitError(f"detect block must be a Detection, got {self.detect!r}")
@@ -256,17 +259,66 @@ class CircuitSpec:
 def element_map(element, n_modes: int) -> ElementMap:
     """Concrete channel map of one element on an ``n_modes`` register."""
     kind = _KIND_OF.get(type(element))
-    if kind is None or kind.build is None:
+    if kind is None or kind.block is None:
         raise TypeError(f"unknown element {element!r}")
-    return kind.build(element, n_modes)
+    modes = tuple(_check_mode(m, n_modes) for m in _modes(element))
+    return _embed(modes, n_modes, *kind.block(**{n: getattr(element, n) for n in kind.params}))
+
+
+def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Output means ``(B, 2n)`` and covariances ``(B, 2n, 2n)`` of a circuit batch.
+
+    ``vary`` maps an element index to ``{field: (B,) array}``: item ``b`` of
+    the batch runs the circuit with those fields of that element replaced by
+    their ``b``-th values.  Without it ``B = 1``.  The values are not
+    validated; callers pass only values that their element's dataclass
+    would accept.
+
+    Each element touches only its own modes' quadratures ``idx``:
+    ``mean[:, idx]``, the rows ``cov[:, idx, :]`` and, by symmetry, the
+    columns ``cov[:, :, idx]``, adding its noise block on ``idx x idx``.
+    """
+    vary = vary or {}
+    batch = max((len(v) for values in vary.values() for v in values.values()), default=1)
+    mean0, cov0 = _prepare(spec.n_modes, spec.inputs)
+    mean = np.repeat(mean0[None], batch, axis=0)
+    cov = np.repeat(cov0[None], batch, axis=0)
+    for i, el in enumerate(spec.elements):
+        kind = _KIND_OF[type(el)]
+        values = {n: getattr(el, n) for n in kind.params}
+        values.update(vary.get(i, {}))
+        linear, noise = kind.block(**values)
+        linear_t = linear.swapaxes(-1, -2)
+        idx, square = _block_index(_modes(el))
+        mean[:, idx] = (mean[:, None, idx] @ linear_t)[:, 0]
+        rows = linear @ cov[:, idx, :]
+        cov[:, idx, :] = rows
+        cov[:, :, idx] = rows.swapaxes(1, 2)
+        block = rows[:, :, idx] @ linear_t
+        block = 0.5 * (block + block.swapaxes(1, 2))
+        cov[square] = block if noise is None else block + noise
+    return mean, cov
+
+
+@functools.lru_cache(maxsize=None)
+def _block_index(modes: tuple[int, ...]):
+    """Index of the modes' quadratures along one axis, and of their square block.
+
+    A slice where the quadratures are contiguous and in order (basic
+    indexing is cheaper), an index array otherwise.
+    """
+    idx = _quadrature_indices(modes)
+    if np.all(np.diff(idx) == 1):
+        idx = slice(int(idx[0]), int(idx[-1]) + 1)
+        return idx, (slice(None), idx, idx)
+    idx.setflags(write=False)  # shared by every caller through the cache
+    return idx, (slice(None), idx[:, None], idx)
 
 
 def simulate(spec: CircuitSpec) -> GaussianState:
     """Run the circuit and return the output state."""
-    state = make_state(spec.n_modes, spec.inputs)
-    for el in spec.elements:
-        state = apply(state, element_map(el, spec.n_modes))
-    return state
+    mean, cov = _propagate(spec)
+    return GaussianState(spec.n_modes, mean[0], cov[0])
 
 
 def propagate_mean(spec: CircuitSpec) -> np.ndarray:

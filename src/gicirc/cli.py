@@ -67,7 +67,16 @@ def _add_output_args(sub):
     )
 
 
-def _add_topology_args(sub, *, losses=True):
+# Loss flags of the topology commands: flag -> help.
+_LOSS_FLAGS = {
+    "--l-i": "sq-mzi internal loss",
+    "--l-is": "sisni signal-arm internal loss",
+    "--l-ii": "sisni idler-arm internal loss",
+    "--l-e": "external loss",
+}
+
+
+def _add_topology_args(sub, losses=tuple(_LOSS_FLAGS)):
     sub.add_argument("--topology", choices=("mzi", "sq-mzi", "sisni"))
     sub.add_argument("--alpha2", type=float, default=36.0, help="bright-port photon number |alpha|^2")
     sub.add_argument("--dphi", type=float, default=1e-3, help="phase excursion (rad)")
@@ -80,11 +89,8 @@ def _add_topology_args(sub, *, losses=True):
     sub.add_argument("--qng1-db", type=float, default=None, help="sisni upstream QNG (dB)")
     sub.add_argument("--qng2-db", type=float, default=None, help="sisni downstream QNG (dB)")
     sub.add_argument("--phi-pump", type=float, default=math.pi, help="sisni pump phase (rad)")
-    if losses:
-        sub.add_argument("--l-i", type=float, default=0.0, help="sq-mzi internal loss")
-        sub.add_argument("--l-is", type=float, default=0.0, help="sisni signal-arm internal loss")
-        sub.add_argument("--l-ii", type=float, default=0.0, help="sisni idler-arm internal loss")
-        sub.add_argument("--l-e", type=float, default=0.0, help="external loss")
+    for flag in losses:
+        sub.add_argument(flag, type=float, default=0.0, help=_LOSS_FLAGS[flag])
 
 
 def _gain(direct, qng_db, what: str) -> float:
@@ -95,14 +101,12 @@ def _gain(direct, qng_db, what: str) -> float:
     return 0.0 if direct is None else float(direct)
 
 
-def _resolve_params(args, *, losses=True):
+def _resolve_params(args):
+    """Topology parameters from the flags; a loss flag the command lacks is 0."""
     if args.topology is None:
         raise ValueError("missing --topology (or --circuit where supported)")
     alpha = math.sqrt(args.alpha2)
-    l_i = getattr(args, "l_i", 0.0) if losses else 0.0
-    l_is = getattr(args, "l_is", 0.0) if losses else 0.0
-    l_ii = getattr(args, "l_ii", 0.0) if losses else 0.0
-    l_e = getattr(args, "l_e", 0.0) if losses else 0.0
+    l_i, l_is, l_ii, l_e = (getattr(args, name, 0.0) for name in ("l_i", "l_is", "l_ii", "l_e"))
     if args.topology == "sisni":
         return SisniParams(
             alpha=alpha,
@@ -249,7 +253,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    params = _resolve_params(args, losses=False)
+    params = _resolve_params(args)
     i_start, i_stop, i_count = args.internal
     e_start, e_stop, e_count = args.external
     grid = loss_plane(
@@ -374,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_simulate)
 
     sub = subs.add_parser("sweep", help="advantage map over the loss plane")
-    _add_topology_args(sub, losses=False)
+    _add_topology_args(sub, losses=())
     sub.add_argument("--internal", type=_range_type, default=(0.0, 0.9, 101),
                      help="internal loss range start:stop:count")
     sub.add_argument("--external", type=_range_type, default=(0.0, 0.9, 101),
@@ -391,8 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_slope)
 
-    sub = subs.add_parser("wigner", help="detected-mode Wigner density panels")
-    _add_topology_args(sub)
+    # --l-es sets the external loss; without abbreviations --l-e is refused
+    # instead of being read as --l-es.
+    sub = subs.add_parser("wigner", help="detected-mode Wigner density panels", allow_abbrev=False)
+    _add_topology_args(sub, losses=("--l-i", "--l-is", "--l-ii"))
     sub.add_argument("--phis", type=_range_type, default=(math.pi - 0.05, math.pi + 0.05, 3),
                      help="signal phase values start:stop:count")
     sub.add_argument("--l-es", type=_range_type, default=(0.0, 0.6, 3),

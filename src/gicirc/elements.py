@@ -2,7 +2,9 @@
 
 Each constructor returns a full-register :class:`~gicirc.states.ElementMap`
 acting on the designated mode(s) of an ``n_modes``-mode system and leaving
-the rest untouched.  Parametric amplifiers, beamsplitters and phase shifters
+the rest untouched: one embedding of the element's local 2x2 or 4x4 block,
+which the circuit engine applies directly to the rows and columns of those
+modes.  Parametric amplifiers, beamsplitters and phase shifters
 are lossless (symplectic, zero added noise); the loss channel contracts a
 vacuum environment into added noise.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ElementMap, _check_mode
+from .states import ElementMap, _check_finite, _check_mode, _quadrature_indices
 
 __all__ = [
     "PaGain",
@@ -44,7 +46,7 @@ class PaGain:
     g: float
 
     def __post_init__(self):
-        g = float(self.g)
+        g = _check_finite(self.g, "parametric gain g")
         if g < 0.0:
             raise ValueError(f"parametric gain g must be >= 0, got {g}")
         object.__setattr__(self, "g", g)
@@ -101,45 +103,85 @@ def _check_convention(convention: str) -> str:
     return convention
 
 
-def pair_coupling(ga: float, gb: float) -> np.ndarray:
+def _combine(*terms) -> np.ndarray:
+    """Sum of ``coefficient * matrix`` terms.
+
+    Coefficients are scalars or arrays; their shape becomes the leading
+    (batch) shape of the result, so a ``(B,)`` coefficient gives ``B``
+    blocks.
+    """
+    return sum(np.multiply.outer(c, m) for c, m in terms)
+
+
+_I2 = np.eye(2)
+_I4 = np.eye(4)
+_ROTATE = np.array([[0.0, -1.0], [1.0, 0.0]])
+_X_ONLY = np.diag([1.0, 0.0])
+_P_ONLY = np.diag([0.0, 1.0])
+_CROSS = np.array(
+    [
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, -1.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0],
+    ]
+)
+# convention -> (transmitted, reflected) pattern: S = t * first + r * second.
+_BS_PATTERNS = {
+    "second_minus": (_I4, np.block([[0 * _I2, _I2], [-_I2, 0 * _I2]])),
+    "first_plus": (np.diag([1.0, 1.0, -1.0, -1.0]), np.block([[0 * _I2, _I2], [_I2, 0 * _I2]])),
+}
+
+
+def pair_coupling(ga, gb) -> np.ndarray:
     """4x4 quadrature matrix of ``c = ga*b + gb*a^dag``, ``d = ga*a + gb*b^dag``.
 
     With real coefficients the x rows pick up ``+gb`` cross-coupling and the
-    p rows ``-gb``; ordering is ``(x_a, p_a, x_b, p_b)``.
+    p rows ``-gb``; ordering is ``(x_a, p_a, x_b, p_b)``.  Array coefficients
+    give a stack of matrices.
     """
-    return np.array(
-        [
-            [ga, 0.0, gb, 0.0],
-            [0.0, ga, 0.0, -gb],
-            [gb, 0.0, ga, 0.0],
-            [0.0, -gb, 0.0, ga],
-        ]
-    )
+    return _combine((ga, _I4), (gb, _CROSS))
 
 
-def embed_pair(mat4: np.ndarray, pair: tuple[int, int], n_modes: int, *, base: str = "eye") -> np.ndarray:
-    """Embed a 4x4 two-mode block into a full 2n x 2n matrix."""
-    full = np.eye(2 * n_modes) if base == "eye" else np.zeros((2 * n_modes, 2 * n_modes))
-    a, b = pair
-    sa = slice(2 * a, 2 * a + 2)
-    sb = slice(2 * b, 2 * b + 2)
-    full[sa, sa] = mat4[:2, :2]
-    full[sa, sb] = mat4[:2, 2:]
-    full[sb, sa] = mat4[2:, :2]
-    full[sb, sb] = mat4[2:, 2:]
-    return full
+# Local blocks.  Each takes an element's field values, scalars or ``(B,)``
+# arrays, and returns ``(S, N)``: the 2x2 (one mode) or 4x4 (mode pair)
+# linear block and added-noise block (``None`` for lossless elements) of the
+# channel on those modes' quadratures, with the field values' shape leading.
 
 
-def _embed_single(block: np.ndarray, mode: int, n_modes: int) -> np.ndarray:
-    full = np.eye(2 * n_modes)
-    s = slice(2 * mode, 2 * mode + 2)
-    full[s, s] = block
-    return full
+def _pa_block(g):
+    return pair_coupling(np.sqrt(1.0 + g * g), g), None
 
 
-def _lossless(linear: np.ndarray) -> ElementMap:
-    dim = linear.shape[0]
-    return ElementMap(linear, np.zeros((dim, dim)), np.zeros(dim))
+def _squeezer_block(g):
+    G = np.sqrt(1.0 + g * g)
+    return _combine((G + g, _X_ONLY), (G - g, _P_ONLY)), None
+
+
+def _bs_block(T, convention):
+    first, second = _BS_PATTERNS[convention]
+    return _combine((np.sqrt(T), first), (np.sqrt(1.0 - T), second)), None
+
+
+def _phase_block(phi):
+    return _combine((np.cos(phi), _I2), (np.sin(phi), _ROTATE)), None
+
+
+def _loss_block(L):
+    return _combine((np.sqrt(1.0 - L), _I2)), _combine((L, _I2))
+
+
+def _embed(modes, n_modes: int, linear: np.ndarray, noise: np.ndarray | None = None) -> ElementMap:
+    """Full-register channel map acting with a local block on ``modes``."""
+    idx = _quadrature_indices(modes)
+    block = np.ix_(idx, idx)
+    dim = 2 * n_modes
+    full_linear = np.eye(dim)
+    full_linear[block] = linear
+    full_noise = np.zeros((dim, dim))
+    if noise is not None:
+        full_noise[block] = noise
+    return ElementMap(full_linear, full_noise, np.zeros(dim))
 
 
 def parametric_amplifier(pair, gain, n_modes: int) -> ElementMap:
@@ -150,8 +192,7 @@ def parametric_amplifier(pair, gain, n_modes: int) -> ElementMap:
     quadrature variance ``G^2 + g^2`` at every angle.
     """
     gain = as_gain(gain)
-    pair = _check_pair(pair, n_modes)
-    return _lossless(embed_pair(pair_coupling(gain.G, gain.g), pair, n_modes))
+    return _embed(_check_pair(pair, n_modes), n_modes, *_pa_block(gain.g))
 
 
 def single_mode_squeezer(mode: int, gain, n_modes: int) -> ElementMap:
@@ -161,9 +202,7 @@ def single_mode_squeezer(mode: int, gain, n_modes: int) -> ElementMap:
     quadrature by ``G - g = 1/(G + g)``.
     """
     gain = as_gain(gain)
-    mode = _check_mode(mode, n_modes)
-    block = np.diag([gain.G + gain.g, gain.G - gain.g])
-    return _lossless(_embed_single(block, mode, n_modes))
+    return _embed((_check_mode(mode, n_modes),), n_modes, *_squeezer_block(gain.g))
 
 
 def beamsplitter(pair, T: float, n_modes: int, convention: str = "second_minus") -> ElementMap:
@@ -181,20 +220,8 @@ def beamsplitter(pair, T: float, n_modes: int, convention: str = "second_minus")
     positions, so interferometer builders use ``second_minus`` throughout.
     """
     T = _check_transmission(T)
-    pair = _check_pair(pair, n_modes)
-    t = math.sqrt(T)
-    r = math.sqrt(1.0 - T)
-    # out_j = u in_i + v in_j
-    u, v = (-r, t) if _check_convention(convention) == "second_minus" else (r, -t)
-    mat = np.array(
-        [
-            [t, 0.0, r, 0.0],
-            [0.0, t, 0.0, r],
-            [u, 0.0, v, 0.0],
-            [0.0, u, 0.0, v],
-        ]
-    )
-    return _lossless(embed_pair(mat, pair, n_modes))
+    convention = _check_convention(convention)
+    return _embed(_check_pair(pair, n_modes), n_modes, *_bs_block(T, convention))
 
 
 def phase_shift(mode: int, phi: float, n_modes: int) -> ElementMap:
@@ -203,10 +230,8 @@ def phase_shift(mode: int, phi: float, n_modes: int) -> ElementMap:
     In quadratures: ``x' = cos(phi) x - sin(phi) p``,
     ``p' = sin(phi) x + cos(phi) p``.
     """
-    mode = _check_mode(mode, n_modes)
-    c, s = math.cos(phi), math.sin(phi)
-    block = np.array([[c, -s], [s, c]])
-    return _lossless(_embed_single(block, mode, n_modes))
+    phi = _check_finite(phi, "phase phi")
+    return _embed((_check_mode(mode, n_modes),), n_modes, *_phase_block(phi))
 
 
 def loss_channel(mode: int, loss, n_modes: int) -> ElementMap:
@@ -218,15 +243,7 @@ def loss_channel(mode: int, loss, n_modes: int) -> ElementMap:
     added.  Losses compose as ``1 - (1-L1)(1-L2)``.
     """
     loss = as_loss(loss)
-    mode = _check_mode(mode, n_modes)
-    dim = 2 * n_modes
-    t = math.sqrt(1.0 - loss.L)
-    linear = np.eye(dim)
-    noise = np.zeros((dim, dim))
-    for i in (2 * mode, 2 * mode + 1):
-        linear[i, i] = t
-        noise[i, i] = loss.L
-    return ElementMap(linear, noise, np.zeros(dim))
+    return _embed((_check_mode(mode, n_modes),), n_modes, *_loss_block(loss.L))
 
 
 def qng_of(gain) -> float:

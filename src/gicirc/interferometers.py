@@ -23,7 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .elements import LossSpec, PaGain, _check_transmission, as_gain, as_loss, phase_shift
+import numpy as np
+
+from .elements import LossSpec, PaGain, _check_transmission, as_gain, as_loss
 from .circuits import (
     BsElement,
     CircuitSpec,
@@ -33,10 +35,10 @@ from .circuits import (
     PaElement,
     PhaseElement,
     SqueezerElement,
-    element_map,
+    _propagate,
 )
 from .noise_model import NoisyPaParams
-from .states import Coherent, Vacuum, _check_mode, apply, make_state, quadrature_stats
+from .states import Coherent, Vacuum, _check_finite, _check_mode, _quadrature
 
 __all__ = [
     "DARK_FRINGE",
@@ -57,7 +59,7 @@ DARK_FRINGE = math.pi
 
 
 def _check_alpha(alpha) -> float:
-    alpha = float(alpha)
+    alpha = _check_finite(alpha, "bright-port amplitude alpha")
     if alpha < 0.0:
         raise ValueError(f"bright-port amplitude alpha must be >= 0, got {alpha}")
     return alpha
@@ -85,7 +87,7 @@ class SqMziParams:
         object.__setattr__(self, "g", as_gain(self.g))
         object.__setattr__(self, "L_i", as_loss(self.L_i))
         object.__setattr__(self, "L_e", as_loss(self.L_e))
-        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "phi", _check_finite(self.phi, "phase set point phi"))
         object.__setattr__(self, "T", _check_transmission(self.T))
 
 
@@ -117,8 +119,8 @@ class SisniParams:
         object.__setattr__(self, "L_is", as_loss(self.L_is))
         object.__setattr__(self, "L_ii", as_loss(self.L_ii))
         object.__setattr__(self, "L_e", as_loss(self.L_e))
-        object.__setattr__(self, "phi_signal", float(self.phi_signal))
-        object.__setattr__(self, "phi_pump", float(self.phi_pump))
+        object.__setattr__(self, "phi_signal", _check_finite(self.phi_signal, "signal phase phi_signal"))
+        object.__setattr__(self, "phi_pump", _check_finite(self.phi_pump, "pump phase phi_pump"))
         object.__setattr__(self, "T", _check_transmission(self.T))
 
 
@@ -317,53 +319,52 @@ def _build(
     params: TopologyParams,
     noisy_pa1: NoisyPaParams | None = None,
     noisy_pa2: NoisyPaParams | None = None,
-) -> tuple[CircuitSpec, int]:
+) -> tuple[CircuitSpec, int, int]:
+    """The topology's circuit, its detected mode and its signal-phase element index."""
     if isinstance(params, SqMziParams):
         if noisy_pa1 is not None or noisy_pa2 is not None:
             raise ValueError("noisy amplifiers apply to the nested topology only")
-        return build_sq_mzi(params)
-    if isinstance(params, SisniParams):
-        return build_sisni(params, noisy_pa1, noisy_pa2)
-    raise TypeError(f"unknown topology parameters {params!r}")
-
-
-def _phase_excursion(
-    params: TopologyParams,
-    dphi: float,
-    noisy_pa1: NoisyPaParams | None = None,
-    noisy_pa2: NoisyPaParams | None = None,
-) -> tuple:
-    """Output means at the signal phase set point ``+/- dphi``.
-
-    Builds the circuit and its element maps once, then propagates the input
-    mean twice with only the signal-phase map swapped.  Returns the circuit,
-    its detected mode, the set-point maps and the two mean vectors.
-    """
-    dphi = float(dphi)
-    if dphi == 0.0 or not math.isfinite(dphi):
-        raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
-    spec, mode = _build(params, noisy_pa1, noisy_pa2)
-    n = spec.n_modes
-    if isinstance(params, SqMziParams):
-        signal_mode, phi0 = 1, params.phi
+        (spec, mode), signal_mode = build_sq_mzi(params), 1
+    elif isinstance(params, SisniParams):
+        (spec, mode), signal_mode = build_sisni(params, noisy_pa1, noisy_pa2), 2
     else:
-        signal_mode, phi0 = 2, params.phi_signal
+        raise TypeError(f"unknown topology parameters {params!r}")
     phase_idx = next(
         i
         for i, el in enumerate(spec.elements)
         if isinstance(el, PhaseElement) and el.mode == signal_mode
     )
-    maps = [element_map(el, n) for el in spec.elements]
-    mean0 = make_state(n, spec.inputs).mean
-    means = []
-    for phi in (phi0 + dphi, phi0 - dphi):
-        swapped = phase_shift(signal_mode, phi, n)
-        vec = mean0
-        for i, emap in enumerate(maps):
-            active = swapped if i == phase_idx else emap
-            vec = active.linear @ vec + active.displacement
-        means.append(vec)
-    return (spec, mode, maps, *means)
+    return spec, mode, phase_idx
+
+
+def _phase_excursion(
+    spec: CircuitSpec, phase_idx: int, dphi: float, vary: dict | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output means and covariances at the signal phase ``phi0``, ``phi0 +/- dphi``.
+
+    One batched propagation (see ``circuits._propagate``).  ``vary`` holds
+    ``R`` rows of element field values (one row without it); each row runs
+    at the three phases.  Returns means ``(R, 3, 2n)`` and covariances
+    ``(R, 3, 2n, 2n)``, the second axis ordered ``(phi0, phi0 + dphi,
+    phi0 - dphi)``.
+    """
+    dphi = float(dphi)
+    if dphi == 0.0 or not math.isfinite(dphi):
+        raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
+    vary = vary or {}
+    rows = max((len(v) for values in vary.values() for v in values.values()), default=1)
+    batch = {i: {k: np.repeat(v, 3) for k, v in values.items()} for i, values in vary.items()}
+    phi0 = spec.elements[phase_idx].phi
+    batch[phase_idx] = {"phi": np.tile([phi0, phi0 + dphi, phi0 - dphi], rows)}
+    mean, cov = _propagate(spec, batch)
+    dim = 2 * spec.n_modes
+    return mean.reshape(rows, 3, dim), cov.reshape(rows, 3, dim, dim)
+
+
+def _readout(spec: CircuitSpec, mode: int, mean: np.ndarray, cov: np.ndarray):
+    """Mean signal (half the ``+/- dphi`` difference) and set-point variance per row."""
+    signal, variance = _quadrature(mean, cov, mode, spec.detect.theta)
+    return 0.5 * (signal[:, 1] - signal[:, 2]), variance[:, 0]
 
 
 def engine_report(
@@ -386,18 +387,11 @@ def engine_report(
     than the default port and can be reported by passing ``detect_mode=1``.
     """
     _require_bright(params)
-    spec, mode, maps, plus, minus = _phase_excursion(params, dphi, noisy_pa1, noisy_pa2)
+    spec, mode, phase_idx = _build(params, noisy_pa1, noisy_pa2)
     if detect_mode is not None:
         mode = _check_mode(detect_mode, spec.n_modes)
-    state = make_state(spec.n_modes, spec.inputs)
-    for emap in maps:
-        state = apply(state, emap)
-    theta = spec.detect.theta
-    var = quadrature_stats(state, mode, theta).variance
-
-    c, s = math.cos(theta), math.sin(theta)
-    means = [c * vec[2 * mode] + s * vec[2 * mode + 1] for vec in (plus, minus)]
-    mean_signal = 0.5 * (means[0] - means[1])
+    mean_signal, var = _readout(spec, mode, *_phase_excursion(spec, phase_idx, dphi))
+    mean_signal, var = float(mean_signal[0]), float(var[0])
     snr = mean_signal * mean_signal / var
     return OutputReport(
         mean_X2=mean_signal,
@@ -406,6 +400,23 @@ def engine_report(
         phase_variance=dphi * dphi / snr,
         detected_mode=mode,
     )
+
+
+def _noisy_sisni_readout(
+    params: SisniParams, pa1: NoisyPaParams, pa2: NoisyPaParams, kappa1, kappa2, dphi: float
+):
+    """Mean signals and variances of the nested topology with lossy amplifiers.
+
+    ``pa1``/``pa2`` give each amplifier's ``rho`` and ``epsilon2``; their
+    ``kappa`` is replaced row by row with the equal-length arrays
+    ``kappa1``/``kappa2``, which must hold valid stable gains for them (as
+    ``noise_model._kappa`` returns).  All rows run in one batched
+    propagation; returns ``(mean_signal, var)`` arrays.
+    """
+    spec, mode, phase_idx = _build(params, pa1, pa2)
+    amp1, amp2 = (i for i, el in enumerate(spec.elements) if isinstance(el, NoisyPaElement))
+    vary = {amp1: {"kappa": kappa1}, amp2: {"kappa": kappa2}}
+    return _readout(spec, mode, *_phase_excursion(spec, phase_idx, dphi, vary))
 
 
 def sql_baseline(params: TopologyParams) -> SqMziParams:

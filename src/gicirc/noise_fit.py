@@ -22,8 +22,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InstabilityError, NoSolutionError
-from .interferometers import SisniParams, SqMziParams, engine_report
-from .noise_model import NoisyPaParams, kappa_from_qng
+from .interferometers import SisniParams, SqMziParams, _noisy_sisni_readout, engine_report
+from .noise_model import NoisyPaParams, _kappa
 
 __all__ = [
     "FitResult",
@@ -64,32 +64,22 @@ def _sql_snr(losses, alpha2: float, dphi: float) -> float:
     return engine_report(baseline, dphi).snr
 
 
-def _sisni_snr(
-    qng1_db: float,
-    qng2_db: float,
-    losses,
-    noise1,
-    noise2,
-    alpha2: float,
-    dphi: float,
-    kappa_cache: dict,
-) -> float:
+def _sisni_snr(qng1_db, qng2_db, losses, noise1, noise2, alpha2: float, dphi: float) -> np.ndarray:
+    """Nested-interferometer SNR with both lossy amplifiers, per ``(qng1, qng2)`` row.
+
+    ``qng1_db`` and ``qng2_db`` are scalars or arrays that broadcast to the
+    rows; every row runs in one batched engine call.  Raises
+    :class:`NoSolutionError`/:class:`InstabilityError` when some row's QNG
+    is out of reach.
+    """
     l_is, l_ii, l_e = losses
-
-    def lookup(qng_db, rho, eps2):
-        key = (qng_db, rho, eps2)
-        if key not in kappa_cache:
-            kappa_cache[key] = kappa_from_qng(qng_db, rho, eps2)
-        return kappa_cache[key]
-
-    rho1, eps1 = noise1
-    rho2, eps2 = noise2
-    pa1 = NoisyPaParams(rho1, lookup(qng1_db, rho1, eps1), eps1)
-    pa2 = NoisyPaParams(rho2, lookup(qng2_db, rho2, eps2), eps2)
-    params = SisniParams(
-        alpha=math.sqrt(alpha2), L_is=l_is, L_ii=l_ii, L_e=l_e
+    pa1, pa2 = (NoisyPaParams(rho, 0.0, eps2) for rho, eps2 in (noise1, noise2))
+    kappa1, kappa2 = np.broadcast_arrays(
+        _kappa(qng1_db, pa1.rho, pa1.epsilon2), _kappa(qng2_db, pa2.rho, pa2.epsilon2)
     )
-    return engine_report(params, dphi, noisy_pa1=pa1, noisy_pa2=pa2).snr
+    params = SisniParams(alpha=math.sqrt(alpha2), L_is=l_is, L_ii=l_ii, L_e=l_e)
+    mean, var = _noisy_sisni_readout(params, pa1, pa2, kappa1, kappa2, dphi)
+    return mean * mean / var
 
 
 def advantage_vs_qng(
@@ -118,12 +108,8 @@ def advantage_vs_qng(
     """
     grid = np.asarray(qng2_grid, dtype=float)
     base = _sql_snr(losses, alpha2, dphi)
-    cache: dict = {}
-    out = np.empty(grid.shape)
-    for i, q2 in enumerate(grid.flat):
-        snr = _sisni_snr(qng1_db, float(q2), losses, noise1, noise2, alpha2, dphi, cache)
-        out.flat[i] = 10.0 * math.log10(snr / base)
-    return out
+    snr = _sisni_snr(qng1_db, grid.ravel(), losses, noise1, noise2, alpha2, dphi)
+    return (10.0 * np.log10(snr / base)).reshape(grid.shape)
 
 
 def load_fit_data(source) -> list[tuple[float, float, float, float]]:
@@ -161,7 +147,7 @@ def load_fit_data(source) -> list[tuple[float, float, float, float]]:
 
 def _normalize_data(data) -> list[tuple[float, float, float, float]]:
     rows = []
-    for rec in data:
+    for i, rec in enumerate(data):
         rec = tuple(float(v) for v in rec)
         if len(rec) == 3:
             rec = rec + (1.0,)
@@ -169,6 +155,10 @@ def _normalize_data(data) -> list[tuple[float, float, float, float]]:
             raise ValueError(
                 f"data rows must be (qng1_db, qng2_db, advantage_db[, sigma_db]), got {rec}"
             )
+        if not all(map(math.isfinite, rec)):
+            raise ValueError(f"data row {i}: values must be finite, got {rec}")
+        if rec[3] <= 0.0:
+            raise ValueError(f"data row {i}: sigma_db must be > 0, got {rec[3]}")
         rows.append(rec)
     if len(rows) < 4:
         raise ValueError(f"need at least 4 data points, got {len(rows)}")
@@ -222,6 +212,7 @@ def fit_noise_model(
 
     base = _sql_snr(losses, alpha2, dphi)
     ln10_10 = 10.0 / math.log(10.0)
+    qng1, qng2, measured, sigma = np.array(rows).T
     evals = 0
 
     def objective(z) -> float:
@@ -229,19 +220,12 @@ def fit_noise_model(
         evals += 1
         rho1, rho2 = 10.0 ** z[0], 10.0 ** z[1]
         eps1, eps2 = 10.0 ** z[2], 10.0 ** z[3]
-        cache: dict = {}
-        total = 0.0
         try:
-            for q1, q2, adv, sigma in rows:
-                snr = _sisni_snr(
-                    q1, q2, losses, (rho1, eps1), (rho2, eps2), alpha2, dphi, cache
-                )
-                model = ln10_10 * math.log(snr / base)
-                r = (model - adv) / sigma
-                total += r * r
+            snr = _sisni_snr(qng1, qng2, losses, (rho1, eps1), (rho2, eps2), alpha2, dphi)
         except (NoSolutionError, InstabilityError):
             return _INFEASIBLE
-        return total
+        r = (ln10_10 * np.log(snr / base) - measured) / sigma
+        return sum((r * r).tolist())
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(lo, hi, size=(restarts, 4))

@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InstabilityError, NoSolutionError, PhysicalityError
-from .states import ElementMap
-from .elements import _check_pair, embed_pair, pair_coupling
+from .states import ElementMap, _check_finite
+from .elements import _check_pair, _embed, pair_coupling
 
 __all__ = [
     "NoisyPaParams",
@@ -50,9 +49,9 @@ class NoisyPaParams:
     epsilon2: float = 1.0
 
     def __post_init__(self):
-        rho = float(self.rho)
-        kappa = float(self.kappa)
-        epsilon2 = float(self.epsilon2)
+        rho = _check_finite(self.rho, "loss parameter rho")
+        kappa = _check_finite(self.kappa, "gain parameter kappa")
+        epsilon2 = _check_finite(self.epsilon2, "auxiliary thermal variance epsilon2")
         if rho < 0.0:
             raise ValueError(f"loss parameter rho must be >= 0, got {rho}")
         if kappa < 0.0:
@@ -99,17 +98,34 @@ class CouplingFactors:
         )
 
 
+def _coupling(rho, kappa):
+    """``(G_bar, g_bar, G_bar_prime, g_bar_prime)``; arrays broadcast."""
+    m = _stability(rho, kappa)
+    sqrt_rho = np.sqrt(rho)
+    return (
+        ((1.0 - rho * rho) / 4.0 + kappa * kappa) / m,
+        kappa / m,
+        sqrt_rho * (1.0 + rho) / (2.0 * m),
+        kappa * sqrt_rho / m,
+    )
+
+
 def coupling_factors(params: NoisyPaParams) -> CouplingFactors:
     """Evaluate the four coupling factors for given ``(rho, kappa)``."""
-    rho, kappa = params.rho, params.kappa
-    m = _stability(rho, kappa)
-    sqrt_rho = math.sqrt(rho)
-    return CouplingFactors(
-        G_bar=((1.0 - rho * rho) / 4.0 + kappa * kappa) / m,
-        g_bar=kappa / m,
-        G_bar_prime=sqrt_rho * (1.0 + rho) / (2.0 * m),
-        g_bar_prime=kappa * sqrt_rho / m,
-    )
+    return CouplingFactors(*map(float, _coupling(params.rho, params.kappa)))
+
+
+def _noisy_pa_block(rho, kappa, epsilon2):
+    """Local 4x4 ``(S, N)`` of the lossy amplifier; arrays broadcast.
+
+    ``S`` is the ideal-amplifier coupling with ``(G_bar, g_bar)``.  ``N`` is
+    ``epsilon2 * S' S'^T`` for the auxiliary coupling ``S'`` with
+    ``(G_bar_prime, g_bar_prime)``; ``S' S'^T`` is the same coupling pattern
+    with ``(G'^2 + g'^2, 2 G' g')``.
+    """
+    G, g, Gp, gp = _coupling(rho, kappa)
+    noise = pair_coupling(epsilon2 * (Gp * Gp + gp * gp), epsilon2 * (2.0 * Gp * gp))
+    return pair_coupling(G, g), noise
 
 
 def noisy_pa(pair, params: NoisyPaParams, n_modes: int) -> ElementMap:
@@ -122,11 +138,7 @@ def noisy_pa(pair, params: NoisyPaParams, n_modes: int) -> ElementMap:
     every ``epsilon2 >= 1``.
     """
     pair = _check_pair(pair, n_modes)
-    f = coupling_factors(params)
-    linear = embed_pair(pair_coupling(f.G_bar, f.g_bar), pair, n_modes)
-    aux = pair_coupling(f.G_bar_prime, f.g_bar_prime)
-    noise = embed_pair(params.epsilon2 * (aux @ aux.T), pair, n_modes, base="zeros")
-    return ElementMap(linear, noise, np.zeros(2 * n_modes))
+    return _embed(pair, n_modes, *_noisy_pa_block(params.rho, params.kappa, params.epsilon2))
 
 
 def quantum_noise_gain(params: NoisyPaParams) -> float:
@@ -147,27 +159,57 @@ def kappa_from_qng(qng_db: float, rho: float, epsilon2: float) -> float:
     """Solve for the ``kappa`` that realizes a target quantum noise gain.
 
     For fixed ``(rho, epsilon2)`` the noise gain increases monotonically from
-    its ``kappa = 0`` floor to infinity at the stability pole, so a bracketed
-    root search on ``kappa in [0, (1 + rho)/2)`` finds the unique solution.
-    Targets below the floor raise :class:`NoSolutionError`.
+    its ``kappa = 0`` floor to infinity at the stability pole; ``kappa^2`` is
+    the stable root of a quadratic (see :func:`_kappa`).  Targets below the
+    floor raise :class:`NoSolutionError`; targets that put ``kappa`` within a
+    relative ``1e-13`` of the pole, where a float ``kappa`` no longer fixes
+    the noise gain, raise :class:`InstabilityError`.
     """
-    qng_db = float(qng_db)
-    rho = float(rho)
-    epsilon2 = float(epsilon2)
-    if qng_db < 0.0:
-        raise ValueError(f"quantum noise gain must be >= 0 dB, got {qng_db}")
-    target = 10.0 ** (qng_db / 10.0)
+    params = NoisyPaParams(rho, 0.0, epsilon2)
+    return float(_kappa(qng_db, params.rho, params.epsilon2)[0])
+
+
+def _kappa(qng_db, rho: float, epsilon2: float) -> np.ndarray:
+    """``kappa`` for each target QNG in dB (a scalar or an array), as an array.
+
+    With ``u = kappa^2``, ``a = (1 - rho^2)/4`` and ``b = (1 + rho)^2/4``,
+    ``quantum_noise_gain = Q`` reads
+    ``(Q - 1) u^2 - (2 Q b + 2 a + 1 + epsilon2 rho) u + (Q b^2 - a^2 - epsilon2 rho b) = 0``.
+    Its stable root (``u < b``) is ``u = 2C / (-B + sqrt(B^2 - 4 A C))``.
+    ``rho`` and ``epsilon2`` must already be valid amplifier parameters (see
+    :func:`kappa_from_qng`).
+    """
+    qng_db = np.atleast_1d(np.asarray(qng_db, dtype=float))
+    if not np.isfinite(qng_db).all():
+        bad = qng_db[~np.isfinite(qng_db)][0]
+        raise ValueError(f"quantum noise gain must be finite, got {bad}")
+    if (qng_db < 0.0).any():
+        raise ValueError(f"quantum noise gain must be >= 0 dB, got {qng_db.min()}")
     floor = ((1.0 - rho) ** 2 + 4.0 * rho * epsilon2) / (1.0 + rho) ** 2
-    if target <= floor:
-        if target >= floor - 1e-12:
-            return 0.0
+    a = (1.0 - rho * rho) / 4.0
+    b = (1.0 + rho) ** 2 / 4.0
+    thermal = epsilon2 * rho
+    # B^2 - 4AC expanded to Q P + R with P, R > 0: the Q^2 terms cancel
+    # exactly, so large targets keep their precision.
+    p = 4.0 * b * (2.0 * a + 1.0 + 2.0 * thermal + b) + 4.0 * a * a
+    r = (1.0 + thermal) * (1.0 + thermal + 4.0 * a) - 4.0 * thermal * b
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = 10.0 ** (qng_db / 10.0)
+        c = target * b * b - a * a - thermal * b
+        minus_b = 2.0 * target * b + 2.0 * a + 1.0 + thermal
+        u = 2.0 * c / (minus_b + np.sqrt(target * p + r))
+        kappa = np.sqrt(np.where(target <= floor, 0.0, np.maximum(u, 0.0)))
+        # Within a relative 1e-13 of the pole a float kappa no longer fixes Q.
+        unstable = ~(kappa < (1.0 + rho) / 2.0 * (1.0 - 1e-13))
+    short = target < floor - 1e-12
+    if short.any():
         raise NoSolutionError(
-            f"QNG {qng_db} dB is unreachable: the kappa = 0 floor for "
+            f"QNG {qng_db[short][0]} dB is unreachable: the kappa = 0 floor for "
             f"rho = {rho}, epsilon2 = {epsilon2} is {10.0 * math.log10(floor):.6g} dB"
         )
-
-    def objective(kappa: float) -> float:
-        return quantum_noise_gain(NoisyPaParams(rho, kappa, epsilon2)) - target
-
-    hi = (1.0 + rho) / 2.0 * (1.0 - 1e-13)
-    return float(brentq(objective, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    if unstable.any():
+        raise InstabilityError(
+            f"QNG {qng_db[unstable][0]} dB puts kappa at the stability pole "
+            f"(1 + rho)/2 = {(1.0 + rho) / 2.0}"
+        )
+    return kappa

@@ -56,7 +56,10 @@ class Coherent:
     alpha: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        alpha = complex(self.alpha)
+        _check_finite(alpha.real, "coherent amplitude alpha (real part)")
+        _check_finite(alpha.imag, "coherent amplitude alpha (imaginary part)")
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class Thermal:
     variance: float
 
     def __post_init__(self):
-        variance = float(self.variance)
+        variance = _check_finite(self.variance, "thermal variance")
         if variance < 1.0:
             raise PhysicalityError(
                 f"thermal quadrature variance must be >= 1, got {variance}"
@@ -201,6 +204,11 @@ def make_state(n_modes: int, inputs) -> GaussianState:
     Returns:
         The corresponding product state.
     """
+    return GaussianState(n_modes, *_prepare(n_modes, inputs))
+
+
+def _prepare(n_modes: int, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """Mean vector and covariance matrix of the product of ``inputs``."""
     preps = list(inputs)
     if len(preps) != n_modes:
         raise ValueError(f"expected {n_modes} preparations, got {len(preps)}")
@@ -217,7 +225,7 @@ def make_state(n_modes: int, inputs) -> GaussianState:
             cov[2 * k + 1, 2 * k + 1] = prep.variance
         else:
             raise TypeError(f"unknown preparation {prep!r} for mode {k}")
-    return GaussianState(n_modes, mean, cov)
+    return mean, cov
 
 
 def apply(state: GaussianState, element: ElementMap) -> GaussianState:
@@ -249,14 +257,20 @@ def quadrature_stats(state: GaussianState, mode: int, theta: float = math.pi / 2
     so that full turns map onto identical statistics.
     """
     _check_mode(mode, state.n_modes)
+    mean, variance = _quadrature(state.mean, state.cov, mode, theta)
+    return QuadratureStats(float(mean), float(variance), float(theta))
+
+
+def _quadrature(mean, cov, mode: int, theta: float):
+    """Mean and variance of ``X(theta)`` on ``mode``, over any leading batch axes."""
     reduced = math.remainder(theta, _TWO_PI)
     c, s = math.cos(reduced), math.sin(reduced)
-    mx = state.mean[2 * mode]
-    mp = state.mean[2 * mode + 1]
-    block = state.cov[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2]
-    mean = c * mx + s * mp
-    variance = c * c * block[0, 0] + 2.0 * c * s * block[0, 1] + s * s * block[1, 1]
-    return QuadratureStats(float(mean), float(variance), float(theta))
+    x, p = 2 * mode, 2 * mode + 1
+    xp = cov[..., x, p] + cov[..., p, x]
+    return (
+        c * mean[..., x] + s * mean[..., p],
+        c * c * cov[..., x, x] + c * s * xp + s * s * cov[..., p, p],
+    )
 
 
 def marginal(state: GaussianState, modes) -> GaussianState:
@@ -266,7 +280,7 @@ def marginal(state: GaussianState, modes) -> GaussianState:
         raise ValueError(f"marginal modes must be distinct, got {modes}")
     for m in modes:
         _check_mode(m, state.n_modes)
-    idx = np.array([i for m in modes for i in (2 * m, 2 * m + 1)])
+    idx = _quadrature_indices(modes)
     return GaussianState(len(modes), state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
@@ -294,6 +308,19 @@ def wigner(state: GaussianState, mode: int, x, p):
     if np.ndim(density) == 0:
         return float(density)
     return density
+
+
+def _quadrature_indices(modes) -> np.ndarray:
+    """Positions of the ``(x, p)`` pairs of ``modes`` in a quadrature vector."""
+    return np.array([i for m in modes for i in (2 * m, 2 * m + 1)])
+
+
+def _check_finite(value, name: str) -> float:
+    """The value as a ``float``; ``ValueError`` naming ``name`` if NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _check_mode(mode: int, n_modes: int) -> int:

@@ -314,3 +314,28 @@ class TestParameterEcho:
         assert params["thetas"] == [0.0, 1.0, 2]
         assert {"topology", "alpha2", "dphi", "l_i", "l_e", "phi_pump"} <= params.keys()
         assert not {"func", "command", "output", "format"} & params.keys()
+
+
+class TestWignerFlags:
+    @pytest.mark.parametrize("value", ["0.5", "0:0.5:2"])
+    def test_external_loss_flag_is_refused(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["wigner", "--topology", "sq-mzi", "--l-e", value, "--xs=-1:1:3", "--ps=-1:1:3"])
+        assert exc.value.code == 2
+        assert "--l-e" in capsys.readouterr().err
+
+    def test_parameters_omit_l_e(self, capsys):
+        doc = run_json(capsys, "wigner", "--topology", "sq-mzi", "--xs=-1:1:3", "--ps=-1:1:3")
+        params = doc["command"]["parameters"]
+        assert "l_e" not in params
+        assert {"l_i", "l_is", "l_ii", "l_es"} <= params.keys()
+
+
+class TestFitDataErrors:
+    def test_nan_row_is_named(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("qng1_db,qng2_db,advantage_db\n4,3,1\n4,6,1.5\n8,3,nan\n8,6,1.2\n")
+        code, out, err = run_cli(capsys, "fit", "--data", str(path), "--restarts", "1", "--max-evals", "10")
+        assert code == 1
+        assert out == ""
+        assert "data row 2" in json.loads(err)["error"]["message"]

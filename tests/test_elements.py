@@ -271,3 +271,25 @@ class TestSymplecticSweep:
         ):
             st = apply(st, emap)
             assert st.physicality_margin() > -1e-9
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_gain_rejected(self, bad):
+        with pytest.raises(ValueError, match="gain g must be finite"):
+            PaGain(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_phase_rejected(self, bad):
+        with pytest.raises(ValueError, match="phase phi must be finite"):
+            phase_shift(0, bad, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_thermal_variance_rejected(self, bad):
+        with pytest.raises(ValueError, match="thermal variance must be finite"):
+            Thermal(bad)
+
+    @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(1.0, math.inf), math.inf])
+    def test_coherent_amplitude_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha .* must be finite"):
+            Coherent(alpha)

@@ -334,3 +334,25 @@ class TestPhaseExcursion:
         with pytest.raises(GicircError) as info:
             engine_report(SisniParams(alpha=6.0), 1e-3, detect_mode=-1)
         assert isinstance(info.value, IndexError) and isinstance(info.value, ValueError)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field, name", [
+        ("alpha", "alpha"), ("g", "gain g"), ("phi", "phi"),
+    ])
+    def test_sq_mzi_rejected(self, bad, field, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SqMziParams(**{"alpha": 6.0, field: bad})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field, name", [
+        ("alpha", "alpha"), ("g1", "gain g"), ("g2", "gain g"),
+        ("phi_signal", "phi_signal"), ("phi_pump", "phi_pump"),
+    ])
+    def test_sisni_rejected(self, bad, field, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SisniParams(**{"alpha": 6.0, field: bad})

@@ -103,3 +103,28 @@ class TestFitNoiseModel:
                 PAPER_LOSSES,
                 bounds=((0.5, 0.1), (1.0, 10.0)),
             )
+
+
+class TestFitDataValidation:
+    ROWS = [(4.0, 3.0, 1.0), (4.0, 6.0, 1.5), (8.0, 3.0, 0.8), (8.0, 6.0, 1.2)]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_value_names_the_row(self, bad, column):
+        rows = [list(r) for r in self.ROWS]
+        rows[2][column] = bad
+        with pytest.raises(ValueError, match="data row 2: values must be finite"):
+            fit_noise_model(rows, PAPER_LOSSES, restarts=1, max_evals=10)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_bad_sigma_names_the_row(self, sigma):
+        rows = [r + (1.0,) for r in self.ROWS]
+        rows[1] = rows[1][:3] + (sigma,)
+        with pytest.raises(ValueError, match="data row 1: .*"):
+            fit_noise_model(rows, PAPER_LOSSES, restarts=1, max_evals=10)
+
+    def test_csv_nan_names_the_row(self):
+        text = "qng1_db,qng2_db,advantage_db\n4,3,1\n4,6,nan\n8,3,0.8\n8,6,1.2\n"
+        rows = load_fit_data(io.StringIO(text))
+        with pytest.raises(ValueError, match="data row 1: values must be finite"):
+            fit_noise_model(rows, PAPER_LOSSES, restarts=1, max_evals=10)

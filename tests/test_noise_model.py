@@ -155,3 +155,67 @@ class TestKappaFromQng:
         kappas = np.linspace(0.0, 0.95 * (1 + rho) / 2, 40)
         qngs = [quantum_noise_gain(NoisyPaParams(rho, k, eps2)) for k in kappas]
         assert np.all(np.diff(qngs) > 0)
+
+
+def _floor(rho, eps2):
+    return ((1 - rho) ** 2 + 4 * rho * eps2) / (1 + rho) ** 2
+
+
+class TestKappaClosedForm:
+    def test_forward_round_trip(self, rng):
+        for _ in range(300):
+            rho = 10 ** rng.uniform(-8, -1)
+            eps2 = 10 ** rng.uniform(0, 4)
+            q = max(0.0, 10 * math.log10(_floor(rho, eps2))) + rng.uniform(1e-6, 30.0)
+            kappa = kappa_from_qng(q, rho, eps2)
+            gain = quantum_noise_gain(NoisyPaParams(rho, kappa, eps2))
+            assert gain == pytest.approx(10 ** (q / 10), rel=1e-12)
+
+    def test_near_the_stability_pole(self):
+        # 60 dB puts kappa within 1e-3 of the pole; the root stays below it
+        # and still reproduces the target gain.
+        rho, eps2 = 0.01, 2.0
+        kappa = kappa_from_qng(60.0, rho, eps2)
+        assert 0.0 < (1 + rho) / 2 - kappa < 1e-3
+        gain = quantum_noise_gain(NoisyPaParams(rho, kappa, eps2))
+        assert gain == pytest.approx(1e6, rel=1e-12)
+
+    @pytest.mark.parametrize("qng_db", [400.0, 4000.0])
+    def test_pole_out_of_reach(self, qng_db):
+        with pytest.raises(InstabilityError, match="pole"):
+            kappa_from_qng(qng_db, 0.01, 2.0)
+
+    @pytest.mark.parametrize("rho, eps2", [(0.0, 1.0), (4e-4, 208.0), (0.05, 3.0)])
+    def test_floor(self, rho, eps2):
+        floor = _floor(rho, eps2)
+        floor_db = 10 * math.log10(floor)
+        # At the floor kappa is (numerically) zero; just under it there is
+        # no solution.
+        kappa = kappa_from_qng(max(floor_db, 0.0), rho, eps2)
+        assert quantum_noise_gain(NoisyPaParams(rho, kappa, eps2)) == pytest.approx(
+            max(floor, 1.0), rel=1e-12
+        )
+        if floor_db > 0.01:
+            with pytest.raises(NoSolutionError, match="unreachable"):
+                kappa_from_qng(floor_db - 0.01, rho, eps2)
+
+    def test_negative_qng_rejected(self):
+        with pytest.raises(ValueError, match=">= 0 dB"):
+            kappa_from_qng(-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position, name", [(0, "quantum noise gain"), (1, "rho"), (2, "epsilon2")])
+    def test_non_finite_inputs_rejected(self, bad, position, name):
+        args = [6.0, 1e-3, 2.0]
+        args[position] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            kappa_from_qng(*args)
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["rho", "kappa", "epsilon2"])
+    def test_rejected(self, bad, field):
+        values = {"rho": 1e-3, "kappa": 0.2, "epsilon2": 2.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NoisyPaParams(**values)
