@@ -19,6 +19,7 @@ from .interferometers import (
     TopologyParams,
     _build,
     _phase_excursion,
+    _phase_variance,
     _with_phase,
     phase_variance_closed,
     sql_baseline,
@@ -116,16 +117,8 @@ def snr_gain_db(params: TopologyParams, baseline: SqMziParams | None = None) -> 
     return to_db(phase_variance_closed(baseline) / phase_variance_closed(params))
 
 
-def _with_losses(params: TopologyParams, internal: float, external: float, target: str) -> TopologyParams:
-    if isinstance(params, SqMziParams):
-        return replace(params, L_i=internal, L_e=external)
-    if target == "both":
-        return replace(params, L_is=internal, L_ii=internal, L_e=external)
-    if target == "signal":
-        return replace(params, L_is=internal, L_e=external)
-    if target == "idler":
-        return replace(params, L_ii=internal, L_e=external)
-    raise ValueError(f"unknown internal loss target {target!r}")
+# Internal loss fields of the nested topology that each loss_plane target drives.
+_INTERNAL_TARGETS = {"both": ("L_is", "L_ii"), "signal": ("L_is",), "idler": ("L_ii",)}
 
 
 def loss_plane(
@@ -150,10 +143,21 @@ def loss_plane(
     ny, nx = resolution if isinstance(resolution, tuple) else (resolution, resolution)
     y = Axis("internal_loss", *internal_range, ny)
     x = Axis("external_loss", *external_range, nx)
-    values = np.empty((y.count, x.count))
-    for iy, li in enumerate(y.values):
-        for ix, le in enumerate(x.values):
-            values[iy, ix] = advantage_db(_with_losses(fixed, li, le, internal_target))
+    internal, external = y.values[:, None], x.values[None, :]
+    if isinstance(fixed, SqMziParams):
+        losses = {"L_i": internal, "L_e": external}
+        baseline = losses
+    else:
+        arms = _INTERNAL_TARGETS.get(internal_target)
+        if arms is None:
+            raise ValueError(f"unknown internal loss target {internal_target!r}")
+        losses = dict.fromkeys(arms, internal) | {"L_e": external}
+        # sql_baseline maps the signal-arm internal loss onto the MZI's.
+        baseline = {"L_i": losses.get("L_is", fixed.L_is.L), "L_e": external}
+    ratio = _phase_variance(fixed, **losses) / _phase_variance(sql_baseline(fixed), **baseline)
+    # to_db per cell: numpy's vectorized log10 may differ from math.log10 in
+    # the last bit, which would move a CSV cell sitting on a rounding edge.
+    values = np.array([to_db(r) for r in ratio.ravel().tolist()]).reshape(ratio.shape)
     return SweepGrid(x_axis=x, y_axis=y, values=values)
 
 

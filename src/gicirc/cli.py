@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -167,13 +168,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _encode(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
+
+    With ``indent`` set, the standard library encodes in pure Python, one
+    type check per element.  Here a list of floats is written in one
+    ``join`` of ``float.__repr__`` (what ``json`` writes for a float or a
+    float subclass); dicts and other lists recurse, and every other value,
+    strings included, goes through ``json.dumps``.  Keys must be strings.
+    NaN or infinity raises ``ValueError``, an unsupported type ``TypeError``.
+    """
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("result keys must be strings")
+        items = (json.dumps(key) + ": " + _encode(obj[key], inner) for key in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            body = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # not a list of floats
+            body = ("," + inner).join(_encode(item, inner) for item in obj)
+        else:
+            if "n" in body:  # 'nan' or 'inf': no finite float's repr holds an 'n'
+                raise ValueError("Out of range float values are not JSON compliant")
+        return "[" + inner + body + newline + "]"
+    return json.dumps(obj, allow_nan=False)
+
+
 def _write(args, outputs: dict, header, rows) -> int:
-    """Write the result document (JSON) or its table (CSV); non-finite numbers fail."""
+    """Write the result document (JSON) or its table (CSV); non-finite numbers fail.
+
+    ``rows`` is any iterable of table rows; JSON output never reads it.
+    """
     fmt = args.format or os.environ.get(FORMAT_ENV, "json")
     if fmt == "json":
         doc = _result_doc(args, outputs)
         try:
-            payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            payload = _encode(doc) + "\n"
         except ValueError as exc:
             raise ValueError("result holds a non-finite number (NaN or Infinity)") from exc
     elif fmt == "csv":
@@ -271,11 +307,11 @@ def _cmd_sweep(args) -> int:
                    "stop": grid.x_axis.stop, "count": grid.x_axis.count},
         "values": grid.values.tolist(),
     }
-    rows = [
+    rows = (
         (yv, xv, grid.values[iy, ix])
         for iy, yv in enumerate(grid.y_axis.values)
         for ix, xv in enumerate(grid.x_axis.values)
-    ]
+    )
     return _write(args, outputs, ("internal_loss", "external_loss", "advantage_db"), rows)
 
 
@@ -303,13 +339,13 @@ def _cmd_wigner(args) -> int:
         "p": panel.p.tolist(),
         "density": panel.density.tolist(),
     }
-    rows = [
+    rows = (
         (phi, le, xv, pv, panel.density[i, j, ix, ip])
         for i, phi in enumerate(panel.phi_values)
         for j, le in enumerate(panel.L_e_values)
         for ix, xv in enumerate(panel.x)
         for ip, pv in enumerate(panel.p)
-    ]
+    )
     return _write(args, outputs, ("phi", "l_e", "x", "p", "density"), rows)
 
 
@@ -358,26 +394,30 @@ def _cmd_fit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviations anywhere: argparse would otherwise read a partial or
+    # mistyped flag (--alpha, --l-e on wigner) as the one flag it prefixes.
     parser = argparse.ArgumentParser(
         prog="gicirc",
         description="Gaussian-optics interferometer simulation and analysis.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"gicirc {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    sub = subs.add_parser("snr", help="closed-form SNR and phase variance")
+    sub = add_command("snr", help="closed-form SNR and phase variance")
     _add_topology_args(sub)
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_snr)
 
-    sub = subs.add_parser("simulate", help="run the covariance engine")
+    sub = add_command("simulate", help="run the covariance engine")
     sub.add_argument("--circuit", default=None, help="circuit document path ('-' = stdin)")
     sub.add_argument("--full-state", action="store_true", help="include output mean and covariance")
     _add_topology_args(sub)
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_simulate)
 
-    sub = subs.add_parser("sweep", help="advantage map over the loss plane")
+    sub = add_command("sweep", help="advantage map over the loss plane")
     _add_topology_args(sub, losses=())
     sub.add_argument("--internal", type=_range_type, default=(0.0, 0.9, 101),
                      help="internal loss range start:stop:count")
@@ -388,16 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_sweep)
 
-    sub = subs.add_parser("slope", help="signal slope versus local-oscillator angle")
+    sub = add_command("slope", help="signal slope versus local-oscillator angle")
     _add_topology_args(sub)
     sub.add_argument("--thetas", type=_range_type, default=(0.0, TWO_PI, 361),
                      help="angle grid start:stop:count (rad)")
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_slope)
 
-    # --l-es sets the external loss; without abbreviations --l-e is refused
-    # instead of being read as --l-es.
-    sub = subs.add_parser("wigner", help="detected-mode Wigner density panels", allow_abbrev=False)
+    # --l-es sets the external loss; --l-e is refused, not read as --l-es.
+    sub = add_command("wigner", help="detected-mode Wigner density panels")
     _add_topology_args(sub, losses=("--l-i", "--l-is", "--l-ii"))
     sub.add_argument("--phis", type=_range_type, default=(math.pi - 0.05, math.pi + 0.05, 3),
                      help="signal phase values start:stop:count")
@@ -408,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_wigner)
 
-    sub = subs.add_parser("advantage-curve", help="noise-model advantage versus downstream QNG")
+    sub = add_command("advantage-curve", help="noise-model advantage versus downstream QNG")
     sub.add_argument("--qng1-db", type=float, required=True)
     sub.add_argument("--qng2", type=_range_type, default=(0.5, 12.0, 24),
                      help="downstream QNG grid start:stop:count (dB)")
@@ -424,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_advantage_curve)
 
-    sub = subs.add_parser("fit", help="fit noise-model parameters to advantage data")
+    sub = add_command("fit", help="fit noise-model parameters to advantage data")
     sub.add_argument("--data", required=True, help="CSV with qng1_db,qng2_db,advantage_db[,sigma_db]")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--restarts", type=int, default=8)

@@ -210,24 +210,48 @@ def build_sisni(
     return CircuitSpec(3, inputs, elements, Detection(0)), 0
 
 
-def _sq_mzi_denominator(p: SqMziParams) -> float:
-    g, G = p.g.g, p.g.G
-    eta = (1.0 - p.L_i.L) * (1.0 - p.L_e.L)
-    return eta / (G + g) ** 2 + p.L_i.L * (1.0 - p.L_e.L) + p.L_e.L
+def _sq_mzi_terms(g, G, L_i, L_e):
+    """Closed-form terms ``(eta, 1, var)`` of the squeezed-light MZI.
+
+    Field values are floats or arrays that broadcast together.
+    """
+    eta = (1.0 - L_i) * (1.0 - L_e)
+    return eta, 1.0, eta / (G + g) ** 2 + L_i * (1.0 - L_e) + L_e
 
 
-def _sisni_denominator(p: SisniParams) -> float:
-    g1, G1 = p.g1.g, p.g1.G
-    g2, G2 = p.g2.g, p.g2.G
-    eta_s = (1.0 - p.L_is.L) * (1.0 - p.L_e.L)
-    eta_i = (1.0 - p.L_ii.L) * (1.0 - p.L_e.L)
-    loss_noise = (
-        p.L_e.L
-        + g2 * g2 * (1.0 - p.L_e.L) * p.L_ii.L
-        + G2 * G2 * (1.0 - p.L_e.L) * p.L_is.L
-    )
-    rs, ri = math.sqrt(eta_s), math.sqrt(eta_i)
-    return loss_noise + (rs * G1 * G2 - ri * g1 * g2) ** 2 + (rs * g1 * G2 - ri * G1 * g2) ** 2
+def _sisni_terms(g1, G1, g2, G2, L_is, L_ii, L_e):
+    """Closed-form terms ``(eta_s, G2, var)`` of the nested interferometer.
+
+    Field values are floats or arrays that broadcast together.
+    """
+    eta_s = (1.0 - L_is) * (1.0 - L_e)
+    eta_i = (1.0 - L_ii) * (1.0 - L_e)
+    loss_noise = L_e + g2 * g2 * (1.0 - L_e) * L_ii + G2 * G2 * (1.0 - L_e) * L_is
+    rs, ri = np.sqrt(eta_s), np.sqrt(eta_i)
+    return eta_s, G2, loss_noise + (rs * G1 * G2 - ri * g1 * g2) ** 2 + (rs * g1 * G2 - ri * G1 * g2) ** 2
+
+
+def _closed_terms(params: TopologyParams, **losses):
+    """First-order dark-fringe terms ``(eta, gain, var)`` of a topology.
+
+    The mean signal is ``-sqrt(eta) gain dphi alpha``, ``var`` the set-point
+    noise variance and ``SNR = eta gain^2 dphi^2 alpha^2 / var``.  Loss
+    fields named in ``losses`` (``L_i``; ``L_is``, ``L_ii``; ``L_e``)
+    replace the parameters' values and may be arrays; the terms broadcast
+    over them.
+    """
+    if isinstance(params, SqMziParams):
+        fields = {"L_i": params.L_i.L, "L_e": params.L_e.L} | losses
+        return _sq_mzi_terms(params.g.g, params.g.G, **fields)
+    if isinstance(params, SisniParams):
+        fields = {"L_is": params.L_is.L, "L_ii": params.L_ii.L, "L_e": params.L_e.L} | losses
+        return _sisni_terms(params.g1.g, params.g1.G, params.g2.g, params.g2.G, **fields)
+    raise TypeError(f"unknown topology parameters {params!r}")
+
+
+def _snr_closed(params: TopologyParams, dphi: float) -> float:
+    eta, gain, var = _closed_terms(params)
+    return float(eta * gain * gain * dphi * dphi * params.alpha**2 / var)
 
 
 def snr_sq_mzi_closed(params: SqMziParams, dphi: float) -> float:
@@ -238,8 +262,7 @@ def snr_sq_mzi_closed(params: SqMziParams, dphi: float) -> float:
     ``eta = (1 - L_i)(1 - L_e)``.  Assumes the dark-fringe set point and a
     small excursion (``|dphi| <= 0.1`` recommended).
     """
-    eta = (1.0 - params.L_i.L) * (1.0 - params.L_e.L)
-    return eta * dphi * dphi * params.alpha**2 / _sq_mzi_denominator(params)
+    return _snr_closed(params, dphi)
 
 
 def snr_sisni_closed(params: SisniParams, dphi: float) -> float:
@@ -252,9 +275,7 @@ def snr_sisni_closed(params: SisniParams, dphi: float) -> float:
     and ``L = L_e + g2^2 (1 - L_e) L_ii + G2^2 (1 - L_e) L_is``.  Assumes the
     dark fringe and pump phase locked to minimum net amplification.
     """
-    eta_s = (1.0 - params.L_is.L) * (1.0 - params.L_e.L)
-    G2 = params.g2.G
-    return eta_s * G2 * G2 * dphi * dphi * params.alpha**2 / _sisni_denominator(params)
+    return _snr_closed(params, dphi)
 
 
 def _require_bright(params: TopologyParams):
@@ -264,21 +285,20 @@ def _require_bright(params: TopologyParams):
         )
 
 
+def _phase_variance(params: TopologyParams, **losses):
+    """Closed-form phase variance; ``losses`` as in :func:`_closed_terms`."""
+    _require_bright(params)
+    eta, gain, var = _closed_terms(params, **losses)
+    return var / (eta * gain * gain * params.alpha**2)
+
+
 def phase_variance_closed(params: TopologyParams) -> float:
     """Closed-form dark-fringe phase readout variance (rad^2).
 
     Equals ``dphi^2 / SNR`` for every excursion ``dphi``; for the plain
     lossless MZI this is the shot-noise limit ``1/alpha^2``.
     """
-    _require_bright(params)
-    if isinstance(params, SqMziParams):
-        eta = (1.0 - params.L_i.L) * (1.0 - params.L_e.L)
-        return _sq_mzi_denominator(params) / (eta * params.alpha**2)
-    if isinstance(params, SisniParams):
-        eta_s = (1.0 - params.L_is.L) * (1.0 - params.L_e.L)
-        G2 = params.g2.G
-        return _sisni_denominator(params) / (eta_s * G2 * G2 * params.alpha**2)
-    raise TypeError(f"unknown topology parameters {params!r}")
+    return float(_phase_variance(params))
 
 
 def mean_signal_and_variance(params: TopologyParams, dphi: float = 1e-3) -> OutputReport:
@@ -289,21 +309,13 @@ def mean_signal_and_variance(params: TopologyParams, dphi: float = 1e-3) -> Outp
     ``-sqrt(eta_s) G2 dphi alpha`` for the nested interferometer.
     """
     _require_bright(params)
-    if isinstance(params, SqMziParams):
-        eta = (1.0 - params.L_i.L) * (1.0 - params.L_e.L)
-        mean = -math.sqrt(eta) * dphi * params.alpha
-        var = _sq_mzi_denominator(params)
-    elif isinstance(params, SisniParams):
-        eta_s = (1.0 - params.L_is.L) * (1.0 - params.L_e.L)
-        mean = -math.sqrt(eta_s) * params.g2.G * dphi * params.alpha
-        var = _sisni_denominator(params)
-    else:
-        raise TypeError(f"unknown topology parameters {params!r}")
-    snr = mean * mean / var
+    eta, gain, var = _closed_terms(params)
+    mean = float(-np.sqrt(eta) * gain * dphi * params.alpha)
+    var = float(var)
     return OutputReport(
         mean_X2=mean,
         var_X2=var,
-        snr=snr,
+        snr=mean * mean / var,
         phase_variance=phase_variance_closed(params),
         detected_mode=0,
     )

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InstabilityError, NoSolutionError
 from .interferometers import SisniParams, SqMziParams, _noisy_sisni_readout, engine_report
@@ -38,6 +37,14 @@ DEFAULT_BOUNDS = ((0.0, 0.1), (1.0, 1e4))
 
 _RHO_FLOOR = 1e-8  # stands in for rho = 0 in log-space search
 _INFEASIBLE = 1e12  # penalty when a data point's QNG is unreachable
+_PINNED = 1e-6  # log10 distance from a box edge within which the optimum is pinned to it
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call: only a fit needs scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,11 @@ class FitResult:
 
     ``residual_rms`` is the root-mean-square of the (sigma-weighted) dB
     residuals at the optimum; ``iterations`` counts objective evaluations
-    across all restarts and the polish stage.
+    across all restarts and the polish stage.  ``converged`` is false when
+    the simplex did not finish, no proposal was feasible, or the optimum
+    sits within ``1e-6`` (in log10 search coordinates) of a bound of the
+    search box other than the physical limits ``rho = 0`` and
+    ``eps2 = 1``.
     """
 
     rho1: float
@@ -260,12 +271,18 @@ def fit_noise_model(
     if polish.fun <= best.fun:
         best = polish
     z = best.x
+    # rho = 0 (stood in for by the floor) and eps2 = 1 are physical limits
+    # where the true minimum can lie, as it does for noise-free data; a point
+    # on any other edge of the box is held there by the box, not the data.
+    box_lo = np.array([rho_lo > 0.0] * 2 + [eps_lo > 1.0] * 2)
+    pinned = np.any(box_lo & (z - lo <= _PINNED)) or np.any(hi - z <= _PINNED)
+    rho1, rho2, eps1_sq, eps2_sq = (float(10.0**v) for v in z)
     return FitResult(
-        rho1=10.0 ** z[0],
-        rho2=10.0 ** z[1],
-        eps1_sq=10.0 ** z[2],
-        eps2_sq=10.0 ** z[3],
+        rho1=rho1,
+        rho2=rho2,
+        eps1_sq=eps1_sq,
+        eps2_sq=eps2_sq,
         residual_rms=math.sqrt(best.fun / len(rows)) if best.fun < _INFEASIBLE else math.inf,
         iterations=evals,
-        converged=bool(best.success and best.fun < _INFEASIBLE),
+        converged=bool(best.success and best.fun < _INFEASIBLE and not pinned),
     )

@@ -1,6 +1,7 @@
 """Tests for figure-level analysis: maps, slopes, Wigner panels, fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,37 @@ class TestLossPlane:
     def test_range_validation(self):
         with pytest.raises(ValueError, match="range"):
             loss_plane(lossless_sisni(), (0.0, 1.0), (0.0, 0.9))
+
+    NESTED = SisniParams(alpha=4.0, g1=0.7, g2=1.1, L_is=0.12, L_ii=0.07, L_e=0.2)
+
+    @pytest.mark.parametrize(
+        "params, target, fields",
+        [
+            (SqMziParams(alpha=5.0, g=0.6, L_i=0.2, L_e=0.3), "both", ("L_i",)),
+            (NESTED, "both", ("L_is", "L_ii")),
+            (NESTED, "signal", ("L_is",)),
+            (NESTED, "idler", ("L_ii",)),
+        ],
+    )
+    def test_matches_per_cell_advantage(self, params, target, fields):
+        # Reference: one advantage_db per cell, with the swept internal
+        # loss ``fields`` and the external loss set on the parameters.
+        grid = loss_plane(params, (0.05, 0.85), (0.0, 0.9), resolution=(7, 11), internal_target=target)
+        expected = [
+            [advantage_db(replace(params, L_e=le, **dict.fromkeys(fields, li))) for le in grid.x_axis.values]
+            for li in grid.y_axis.values
+        ]
+        assert grid.values.shape == (7, 11)
+        assert np.max(np.abs(grid.values - np.array(expected))) <= 1e-12
+
+    @pytest.mark.parametrize("params", [SqMziParams(alpha=0.0, g=0.5), lossless_sisni(alpha2=0.0)])
+    def test_dark_input_is_refused(self, params):
+        with pytest.raises(ValueError, match="alpha = 0"):
+            loss_plane(params, resolution=3)
+
+    def test_unknown_internal_target_is_refused(self):
+        with pytest.raises(ValueError, match="internal loss target"):
+            loss_plane(lossless_sisni(), resolution=3, internal_target="pump")
 
     def test_axis_metadata(self):
         grid = loss_plane(lossless_sisni(), (0.0, 0.4), (0.1, 0.5), resolution=(3, 4))

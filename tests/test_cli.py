@@ -2,18 +2,23 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gicirc import (
     SisniParams,
     gain_from_qng,
     snr_sisni_closed,
 )
-from gicirc.cli import main
+from gicirc.cli import _encode, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -339,3 +344,115 @@ class TestFitDataErrors:
         assert code == 1
         assert out == ""
         assert "data row 2" in json.loads(err)["error"]["message"]
+
+
+class TestFlagAbbreviations:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["snr", "--topology", "mzi", "--alpha", "6"],  # would be read as --alpha2 6
+            ["sweep", "--topology", "sq-mzi", "--internal-t", "signal"],
+            ["--vers"],  # would print the version
+        ],
+    )
+    def test_abbreviated_flag_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+        commands = [
+            shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("gicirc ")
+        ]
+        assert len(commands) >= 8
+        parser = build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv[1:])
+            flags = {arg.split("=")[0] for arg in argv if arg.startswith("--")}
+            assert {flag[2:].replace("-", "_") for flag in flags} <= vars(args).keys(), argv
+
+
+class TestWignerCsv:
+    def test_rows_match_json_density(self, capsys):
+        argv = ("wigner", "--topology", "sq-mzi", "--phis", "3:3.2:2", "--l-es", "0:0.5:2",
+                "--xs=-1:1:3", "--ps=-2:2:5")
+        density = np.array(run_json(capsys, *argv)["outputs"]["density"])
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.split("\r\n")
+        assert lines[0] == "phi,l_e,x,p,density"
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
+        assert table.shape == (2 * 2 * 3 * 5, 5)
+        assert np.allclose(table[:, 4], density.ravel(), rtol=1e-11, atol=0.0)
+
+
+# JSON trees like the result documents, and the corners of json's output:
+# -0.0, subnormals, 1e16, big ints, numpy floats, escaped and non-ASCII text.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = (
+    _FINITE
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.7976931348623157e308])
+    | _FINITE.map(np.float64)
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.booleans()
+    | st.none()
+    | st.text()
+)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves | st.lists(_FINITE | _FINITE.map(np.float64)),
+        lambda children: (
+            st.lists(children, max_size=5)
+            | st.tuples(children, children)
+            | st.dictionaries(st.text(max_size=8), children, max_size=5)
+        ),
+        max_leaves=40,
+    )
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+class TestJsonEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(_trees(_SCALARS))
+    def test_matches_json_dumps(self, tree):
+        assert _encode(tree) == _reference(tree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_trees(_SCALARS | _NON_FINITE))
+    def test_non_finite_values_raise(self, tree):
+        try:
+            expected = _reference(tree)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _encode(tree)
+        else:
+            assert _encode(tree) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    @pytest.mark.parametrize("where", ["scalar", "float list", "nested list", "mixed list"])
+    def test_non_finite_anywhere_raises(self, bad, where):
+        tree = {
+            "scalar": {"a": bad},
+            "float list": {"a": [1.0, bad, 2.0]},
+            "nested list": [[1.0, 2.0], [3.0, bad]],
+            "mixed list": [1, "x", bad],
+        }[where]
+        with pytest.raises(ValueError):
+            _encode(tree)
+
+    def test_unsupported_values_raise_type_error(self):
+        with pytest.raises(TypeError):
+            _encode({"a": [1.0, np.arange(2)]})
+        with pytest.raises(TypeError):
+            _encode({1: 2.0})

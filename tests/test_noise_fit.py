@@ -1,10 +1,14 @@
 """Tests for advantage curves and noise-model fitting."""
 
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gicirc
 from gicirc import (
     advantage_vs_qng,
     fit_noise_model,
@@ -92,6 +96,21 @@ class TestFitNoiseModel:
         result = fit_noise_model(corrupted, PAPER_LOSSES, seed=5, restarts=2, max_evals=400)
         assert result.residual_rms < 1e-3
 
+    @pytest.mark.parametrize("budget, recovered", [(dict(restarts=2, max_evals=600), False), ({}, True)])
+    def test_converged_only_off_the_box_edges(self, budget, recovered):
+        # Criterion-7 data.  On the short budget the search ends pinned at
+        # rho1 = 1e-8 (the floor) and eps1^2 = 1e4 (the upper bound), far
+        # from the truth; on the default budget it recovers the truth.
+        truth = (5e-4, 4e-4, 2.0, 208.0)
+        data = self.synthetic((5e-4, 2.0), (4e-4, 208.0), qng2s=(2.0, 4.0, 6.0, 8.0, 10.0, 12.0))
+        result = fit_noise_model(data, PAPER_LOSSES, seed=7, **budget)
+        fitted = (result.rho1, result.rho2, result.eps1_sq, result.eps2_sq)
+        assert all(type(v) is float for v in fitted)
+        assert all(abs(v / t - 1.0) < 0.1 for v, t in zip(fitted, truth)) is recovered
+        assert result.converged is recovered
+        if not recovered:
+            assert (result.rho1, result.eps1_sq) == pytest.approx((1e-8, 1e4), rel=1e-5)
+
     def test_data_validation(self):
         with pytest.raises(ValueError, match="at least 4"):
             fit_noise_model([(4, 6, 1.0)] * 3, PAPER_LOSSES)
@@ -128,3 +147,18 @@ class TestFitDataValidation:
         rows = load_fit_data(io.StringIO(text))
         with pytest.raises(ValueError, match="data row 1: values must be finite"):
             fit_noise_model(rows, PAPER_LOSSES, restarts=1, max_evals=10)
+
+
+def test_scipy_is_imported_only_by_a_fit():
+    code = (
+        "import sys, gicirc, gicirc.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+        "curve = gicirc.advantage_vs_qng(4.0, [3.0, 6.0, 9.0, 12.0], (0.16, 0.1, 0.15), (0.0, 1.0), (0.0, 1.0))\n"
+        "rows = [(4.0, q, float(a)) for q, a in zip([3.0, 6.0, 9.0, 12.0], curve)]\n"
+        "result = gicirc.fit_noise_model(rows, restarts=1, max_evals=50)\n"
+        "assert 'scipy.optimize' in sys.modules and result.iterations > 0\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gicirc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
