@@ -8,23 +8,24 @@ comparison as a positive-is-better SNR ratio.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import simulate
+from .circuits import _propagate
 from .interferometers import (
     SqMziParams,
     TopologyParams,
     _build,
     _phase_excursion,
     _phase_variance,
-    _with_phase,
+    _topology,
     phase_variance_closed,
     sql_baseline,
 )
-from .states import marginal, wigner
+from .states import GaussianState, wigner
 
 __all__ = [
     "to_db",
@@ -117,10 +118,6 @@ def snr_gain_db(params: TopologyParams, baseline: SqMziParams | None = None) -> 
     return to_db(phase_variance_closed(baseline) / phase_variance_closed(params))
 
 
-# Internal loss fields of the nested topology that each loss_plane target drives.
-_INTERNAL_TARGETS = {"both": ("L_is", "L_ii"), "signal": ("L_is",), "idler": ("L_ii",)}
-
-
 def loss_plane(
     fixed: TopologyParams,
     internal_range: tuple[float, float] = (0.0, 0.9),
@@ -135,7 +132,8 @@ def loss_plane(
     equal-loss baseline.  ``resolution`` is a point count shared by both
     axes or a ``(internal, external)`` pair.  For the nested topology,
     ``internal_target`` selects whether the internal sweep drives the
-    signal arm, the idler arm, or (default) both together.
+    signal arm, the idler arm, or (default) both together; the squeezed-light
+    MZI has only ``"both"``.
     """
     for name, (lo, hi) in (("internal", internal_range), ("external", external_range)):
         if not (0.0 <= lo <= hi <= 0.99):
@@ -144,16 +142,12 @@ def loss_plane(
     y = Axis("internal_loss", *internal_range, ny)
     x = Axis("external_loss", *external_range, nx)
     internal, external = y.values[:, None], x.values[None, :]
-    if isinstance(fixed, SqMziParams):
-        losses = {"L_i": internal, "L_e": external}
-        baseline = losses
-    else:
-        arms = _INTERNAL_TARGETS.get(internal_target)
-        if arms is None:
-            raise ValueError(f"unknown internal loss target {internal_target!r}")
-        losses = dict.fromkeys(arms, internal) | {"L_e": external}
-        # sql_baseline maps the signal-arm internal loss onto the MZI's.
-        baseline = {"L_i": losses.get("L_is", fixed.L_is.L), "L_e": external}
+    topo = _topology(fixed)
+    arms = topo.internal.get(internal_target)
+    if arms is None:
+        raise ValueError(f"unknown internal loss target {internal_target!r}")
+    losses = dict.fromkeys(arms, internal) | {"L_e": external}
+    baseline = {field: losses.get(own, getattr(fixed, own).L) for field, own in topo.baseline.items()}
     ratio = _phase_variance(fixed, **losses) / _phase_variance(sql_baseline(fixed), **baseline)
     # to_db per cell: numpy's vectorized log10 may differ from math.log10 in
     # the last bit, which would move a CSV cell sitting on a rounding edge.
@@ -169,11 +163,11 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
     peaks on the phase quadrature and vanishes a quarter turn away.
     """
     thetas = np.asarray(theta_grid, dtype=float)
-    spec, mode, phase_idx = _build(params)
-    mean, _ = _phase_excursion(spec, phase_idx, dphi)
+    topo, spec = _build(params)
+    mean, _ = _phase_excursion(spec, topo.phase, dphi)
     diff = mean[0, 1] - mean[0, 2]
-    dx = diff[2 * mode] / (2.0 * dphi)
-    dp = diff[2 * mode + 1] / (2.0 * dphi)
+    dx = diff[2 * spec.detect.mode] / (2.0 * dphi)
+    dp = diff[2 * spec.detect.mode + 1] / (2.0 * dphi)
     return np.cos(thetas) * dx + np.sin(thetas) * dp
 
 
@@ -194,18 +188,25 @@ class WignerPanel:
 
 
 def wigner_panel(params: TopologyParams, phi_values, L_e_values, x, p) -> WignerPanel:
-    """Detected-mode Wigner densities for each (phase, external loss) setting."""
+    """Detected-mode Wigner densities for each (phase, external loss) setting.
+
+    Settings are checked as the parameters check them, then run as the
+    phase-major rows of one batched propagation of the topology's circuit.
+    """
     phis = np.asarray(phi_values, dtype=float)
     les = np.asarray(L_e_values, dtype=float)
     xs = np.asarray(x, dtype=float)
     ps = np.asarray(p, dtype=float)
+    topo, spec = _build(params)
+    for phi, le in itertools.product(phis, les):
+        replace(replace(params, **{topo.phase_field: phi}), L_e=le)
+    vary = {topo.phase: {"phi": np.repeat(phis, les.size)}}
+    vary |= {i: {"L": np.tile(les, phis.size)} for i in topo.external}
+    mean, cov = _propagate(spec, vary)
     density = np.empty((phis.size, les.size, xs.size, ps.size))
-    for i, phi in enumerate(phis):
-        for j, le in enumerate(les):
-            varied = replace(_with_phase(params, phi), L_e=le)
-            spec, mode, _ = _build(varied)
-            state = marginal(simulate(spec), [mode])
-            density[i, j] = wigner(state, 0, xs[:, None], ps[None, :])
+    for row, (i, j) in enumerate(np.ndindex(phis.size, les.size)):
+        state = GaussianState(spec.n_modes, mean[row], cov[row])
+        density[i, j] = wigner(state, spec.detect.mode, xs[:, None], ps[None, :])
     return WignerPanel(phis, les, xs, ps, density)
 
 

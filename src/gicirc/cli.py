@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -28,6 +29,7 @@ from .circuits import detect_stats, parse_circuit, simulate
 from .elements import gain_from_qng
 from .errors import GicircError
 from .interferometers import (
+    _TOPOLOGIES,
     SisniParams,
     SqMziParams,
     engine_report,
@@ -68,30 +70,51 @@ def _add_output_args(sub):
     )
 
 
-# Loss flags of the topology commands: flag -> help.
-_LOSS_FLAGS = {
-    "--l-i": "sq-mzi internal loss",
-    "--l-is": "sisni signal-arm internal loss",
-    "--l-ii": "sisni idler-arm internal loss",
-    "--l-e": "external loss",
+# Topology flags: flag -> (default, help).
+_TOPOLOGY_FLAGS = {
+    "--alpha2": (36.0, "bright-port photon number |alpha|^2"),
+    "--dphi": (1e-3, "phase excursion (rad)"),
+    "--phi": (math.pi, "phase set point (rad)"),
+    "--bs-t": (0.5, "beamsplitter transmission"),
+    "--g": (None, "sq-mzi squeezer gain g"),
+    "--qng-db": (None, "sq-mzi squeezer QNG (dB)"),
+    "--g1": (None, "sisni upstream amplifier gain"),
+    "--g2": (None, "sisni downstream amplifier gain"),
+    "--qng1-db": (None, "sisni upstream QNG (dB)"),
+    "--qng2-db": (None, "sisni downstream QNG (dB)"),
+    "--phi-pump": (math.pi, "sisni pump phase (rad)"),
 }
+# Loss flags, chosen per command: flag -> (default, help).
+_LOSS_FLAGS = {
+    "--l-i": (0.0, "sq-mzi internal loss"),
+    "--l-is": (0.0, "sisni signal-arm internal loss"),
+    "--l-ii": (0.0, "sisni idler-arm internal loss"),
+    "--l-e": (0.0, "external loss"),
+}
+# Parsed name -> default of every topology flag.
+_TOPOLOGY_DEFAULTS = {
+    flag[2:].replace("-", "_"): default
+    for flag, (default, _) in (_TOPOLOGY_FLAGS | _LOSS_FLAGS).items()
+}
+_PARAMS = {"mzi": SqMziParams, "sq-mzi": SqMziParams, "sisni": SisniParams}
+# Gain field -> its direct and its QNG flag.  Every other parameter field is
+# set by the flag of its lowercased name (``L_is`` by ``--l-is``), if any.
+_GAIN_FLAGS = {"g": ("g", "qng_db"), "g1": ("g1", "qng1_db"), "g2": ("g2", "qng2_db")}
 
 
 def _add_topology_args(sub, losses=tuple(_LOSS_FLAGS)):
-    sub.add_argument("--topology", choices=("mzi", "sq-mzi", "sisni"))
-    sub.add_argument("--alpha2", type=float, default=36.0, help="bright-port photon number |alpha|^2")
-    sub.add_argument("--dphi", type=float, default=1e-3, help="phase excursion (rad)")
-    sub.add_argument("--phi", type=float, default=math.pi, help="phase set point (rad)")
-    sub.add_argument("--bs-t", type=float, default=0.5, help="beamsplitter transmission")
-    sub.add_argument("--g", type=float, default=None, help="sq-mzi squeezer gain g")
-    sub.add_argument("--qng-db", type=float, default=None, help="sq-mzi squeezer QNG (dB)")
-    sub.add_argument("--g1", type=float, default=None, help="sisni upstream amplifier gain")
-    sub.add_argument("--g2", type=float, default=None, help="sisni downstream amplifier gain")
-    sub.add_argument("--qng1-db", type=float, default=None, help="sisni upstream QNG (dB)")
-    sub.add_argument("--qng2-db", type=float, default=None, help="sisni downstream QNG (dB)")
-    sub.add_argument("--phi-pump", type=float, default=math.pi, help="sisni pump phase (rad)")
-    for flag in losses:
-        sub.add_argument(flag, type=float, default=0.0, help=_LOSS_FLAGS[flag])
+    sub.add_argument("--topology", choices=tuple(_PARAMS))
+    flags = _TOPOLOGY_FLAGS | {flag: _LOSS_FLAGS[flag] for flag in losses}
+    for flag, (default, help_) in flags.items():
+        sub.add_argument(flag, type=float, default=default, help=help_)
+
+
+def _refuse_unread(args, read, where: str):
+    """Refuse every topology flag the run does not ``read`` that is off its default."""
+    for dest, default in _TOPOLOGY_DEFAULTS.items():
+        if dest not in read and getattr(args, dest, default) != default:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"flag conflict: {flag} does not apply to {where}")
 
 
 def _gain(direct, qng_db, what: str) -> float:
@@ -103,30 +126,26 @@ def _gain(direct, qng_db, what: str) -> float:
 
 
 def _resolve_params(args):
-    """Topology parameters from the flags; a loss flag the command lacks is 0."""
+    """Topology parameters from the flags; a loss flag the command lacks is 0.
+
+    A flag for a field the topology's parameters lack must keep its default.
+    """
     if args.topology is None:
         raise ValueError("missing --topology (or --circuit where supported)")
-    alpha = math.sqrt(args.alpha2)
-    l_i, l_is, l_ii, l_e = (getattr(args, name, 0.0) for name in ("l_i", "l_is", "l_ii", "l_e"))
-    if args.topology == "sisni":
-        return SisniParams(
-            alpha=alpha,
-            g1=_gain(args.g1, args.qng1_db, "--g1"),
-            g2=_gain(args.g2, args.qng2_db, "--g2"),
-            L_is=l_is,
-            L_ii=l_ii,
-            L_e=l_e,
-            phi_signal=args.phi,
-            phi_pump=args.phi_pump,
-            T=args.bs_t,
-        )
-    if args.topology == "mzi":
-        if any(v is not None for v in (args.g, args.qng_db)):
-            raise ValueError("flag conflict: plain mzi takes no squeezer gain")
-        g = 0.0
-    else:
-        g = _gain(args.g, args.qng_db, "--g")
-    return SqMziParams(alpha=alpha, g=g, L_i=l_i, L_e=l_e, phi=args.phi, T=args.bs_t)
+    cls = _PARAMS[args.topology]
+    topo = _TOPOLOGIES[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    gain_flags = [flag for field in topo.gains for flag in _GAIN_FLAGS[field]]
+    read = {"alpha2", "dphi", "phi", "bs_t", *map(str.lower, names), *gain_flags}
+    _refuse_unread(args, read, f"--topology {args.topology}")
+    if args.topology == "mzi" and (args.g is not None or args.qng_db is not None):
+        raise ValueError("flag conflict: plain mzi takes no squeezer gain")
+    values = {"alpha": math.sqrt(args.alpha2), topo.phase_field: args.phi, "T": args.bs_t}
+    for field in topo.gains:
+        direct, qng_db = _GAIN_FLAGS[field]
+        values[field] = _gain(getattr(args, direct), getattr(args, qng_db), "--" + direct)
+    values |= {name: getattr(args, name.lower(), 0.0) for name in names if name not in values}
+    return cls(**values)
 
 
 # Parsed options that select what runs or where output goes, not a parameter.
@@ -261,6 +280,7 @@ def _cmd_simulate(args) -> int:
     if (args.circuit is None) == (args.topology is None):
         raise ValueError("flag conflict: give exactly one of --circuit or --topology")
     if args.circuit is not None:
+        _refuse_unread(args, (), "--circuit")
         text = sys.stdin.read() if args.circuit == "-" else open(args.circuit, encoding="utf-8").read()
         spec = parse_circuit(text)
         state = simulate(spec)

@@ -15,16 +15,19 @@ convention ``second_minus``), lock to the dark fringe at ``phi = pi`` and
 detect the phase quadrature on the dark output.  Closed forms for SNR,
 mean signal, variance, and phase variance are first order in the phase
 excursion ``dphi``; engine reports propagate the full covariance and use a
-symmetric finite difference for the mean signal.
+symmetric finite difference for the mean signal.  Each topology is one row
+of ``_TOPOLOGIES``, which every topology-dependent step reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import InstabilityError
 from .elements import LossSpec, PaGain, _check_transmission, as_gain, as_loss
 from .circuits import (
     BsElement,
@@ -157,9 +160,9 @@ def build_sq_mzi(params: SqMziParams) -> tuple[CircuitSpec, int]:
         BsElement((0, 1), p.T),
         LossElement(0, p.L_i.L),
         LossElement(1, p.L_i.L),
-        PhaseElement(1, p.phi),
+        PhaseElement(1, p.phi),  # 4: signal phase
         BsElement((0, 1), p.T),
-        LossElement(0, p.L_e.L),
+        LossElement(0, p.L_e.L),  # 6: external loss
     )
     inputs = (Vacuum(), Coherent(p.alpha))
     return CircuitSpec(2, inputs, elements, Detection(0)), 0
@@ -183,27 +186,21 @@ def build_sisni(
     gains are ignored for a replaced amplifier.
     """
     p = params
-    pa1 = (
-        PaElement((0, 1), p.g1.g)
-        if noisy_pa1 is None
-        else NoisyPaElement((0, 1), noisy_pa1.rho, noisy_pa1.kappa, noisy_pa1.epsilon2)
-    )
-    pa2 = (
-        PaElement((0, 1), p.g2.g)
-        if noisy_pa2 is None
-        else NoisyPaElement((0, 1), noisy_pa2.rho, noisy_pa2.kappa, noisy_pa2.epsilon2)
+    pa1, pa2 = (
+        PaElement((0, 1), gain.g) if pa is None else NoisyPaElement((0, 1), pa.rho, pa.kappa, pa.epsilon2)
+        for gain, pa in ((p.g1, noisy_pa1), (p.g2, noisy_pa2))
     )
     elements = (
-        pa1,
+        pa1,  # 0: upstream amplifier
         LossElement(1, p.L_ii.L),
         PhaseElement(1, p.phi_pump),
         BsElement((0, 2), p.T),
         LossElement(0, p.L_is.L),
         LossElement(2, p.L_is.L),
-        PhaseElement(2, p.phi_signal),
+        PhaseElement(2, p.phi_signal),  # 6: signal phase
         BsElement((0, 2), p.T),
-        pa2,
-        LossElement(0, p.L_e.L),
+        pa2,  # 8: downstream amplifier
+        LossElement(0, p.L_e.L),  # 9, 10: external loss
         LossElement(1, p.L_e.L),
     )
     inputs = (Vacuum(), Vacuum(), Coherent(p.alpha))
@@ -231,6 +228,52 @@ def _sisni_terms(g1, G1, g2, G2, L_is, L_ii, L_e):
     return eta_s, G2, loss_noise + (rs * G1 * G2 - ri * g1 * g2) ** 2 + (rs * g1 * G2 - ri * G1 * g2) ** 2
 
 
+class _Topology(NamedTuple):
+    """One built-in topology; element indices refer to its builder's element order."""
+
+    build: Callable  # (params, *noisy amplifier params) -> (CircuitSpec, detected mode)
+    phase: int  # the signal phase
+    phase_field: str  # the parameter field that sets it
+    external: tuple[int, ...]  # the external-loss elements
+    amplifiers: tuple[int, ...]  # the amplifiers a lossy model can replace, in builder order
+    kernel: Callable  # closed-form terms (eta, gain, var), see _closed_terms
+    gains: tuple[str, ...]  # gain fields, passed to the kernel as (g, G) pairs
+    losses: tuple[str, ...]  # loss fields, passed to the kernel by name
+    internal: dict  # loss_plane internal_target -> the loss fields it sweeps
+    baseline: dict  # loss field of the SQL-baseline MZI -> the loss field it copies
+
+
+_TOPOLOGIES = {
+    SqMziParams: _Topology(
+        build_sq_mzi, phase=4, phase_field="phi", external=(6,), amplifiers=(),
+        kernel=_sq_mzi_terms, gains=("g",), losses=("L_i", "L_e"),
+        internal={"both": ("L_i",)}, baseline={"L_i": "L_i", "L_e": "L_e"},
+    ),
+    SisniParams: _Topology(
+        build_sisni, phase=6, phase_field="phi_signal", external=(9, 10), amplifiers=(0, 8),
+        kernel=_sisni_terms, gains=("g1", "g2"), losses=("L_is", "L_ii", "L_e"),
+        internal={"both": ("L_is", "L_ii"), "signal": ("L_is",), "idler": ("L_ii",)},
+        baseline={"L_i": "L_is", "L_e": "L_e"},
+    ),
+}
+
+
+def _topology(params: TopologyParams) -> _Topology:
+    if type(params) not in _TOPOLOGIES:
+        raise TypeError(f"unknown topology parameters {params!r}")
+    return _TOPOLOGIES[type(params)]
+
+
+def _check_readout(stage: str, params: TopologyParams, signal, var, snr):
+    """Raise :class:`InstabilityError` unless ``var`` is finite and positive
+    and ``signal`` and ``snr`` are finite (floats or arrays).
+    """
+    ok = (0.0 < var) & (var < math.inf) & (abs(signal) < math.inf) & (abs(snr) < math.inf)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        gains = ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
+        raise InstabilityError(f"{stage}: the readout overflows at gains {gains}")
+
+
 def _closed_terms(params: TopologyParams, **losses):
     """First-order dark-fringe terms ``(eta, gain, var)`` of a topology.
 
@@ -238,15 +281,20 @@ def _closed_terms(params: TopologyParams, **losses):
     noise variance and ``SNR = eta gain^2 dphi^2 alpha^2 / var``.  Loss
     fields named in ``losses`` (``L_i``; ``L_is``, ``L_ii``; ``L_e``)
     replace the parameters' values and may be arrays; the terms broadcast
-    over them.
+    over them.  Raises :class:`InstabilityError` where the gains overflow
+    the readout.
     """
-    if isinstance(params, SqMziParams):
-        fields = {"L_i": params.L_i.L, "L_e": params.L_e.L} | losses
-        return _sq_mzi_terms(params.g.g, params.g.G, **fields)
-    if isinstance(params, SisniParams):
-        fields = {"L_is": params.L_is.L, "L_ii": params.L_ii.L, "L_e": params.L_e.L} | losses
-        return _sisni_terms(params.g1.g, params.g1.G, params.g2.g, params.g2.G, **fields)
-    raise TypeError(f"unknown topology parameters {params!r}")
+    topo = _topology(params)
+    gains = [x for gain in (getattr(params, name) for name in topo.gains) for x in (gain.g, gain.G)]
+    fields = {name: getattr(params, name).L for name in topo.losses} | losses
+    with np.errstate(all="ignore"):  # overflow is reported below
+        try:
+            eta, gain, var = topo.kernel(*gains, **fields)
+        except OverflowError:  # a float power past the double range
+            eta = gain = var = math.nan
+        signal = np.sqrt(eta) * gain * params.alpha
+        _check_readout("closed form", params, signal, var, signal * signal / var)
+    return eta, gain, var
 
 
 def _snr_closed(params: TopologyParams, dphi: float) -> float:
@@ -321,32 +369,13 @@ def mean_signal_and_variance(params: TopologyParams, dphi: float = 1e-3) -> Outp
     )
 
 
-def _with_phase(params: TopologyParams, phi: float) -> TopologyParams:
-    if isinstance(params, SqMziParams):
-        return replace(params, phi=phi)
-    return replace(params, phi_signal=phi)
-
-
-def _build(
-    params: TopologyParams,
-    noisy_pa1: NoisyPaParams | None = None,
-    noisy_pa2: NoisyPaParams | None = None,
-) -> tuple[CircuitSpec, int, int]:
-    """The topology's circuit, its detected mode and its signal-phase element index."""
-    if isinstance(params, SqMziParams):
-        if noisy_pa1 is not None or noisy_pa2 is not None:
-            raise ValueError("noisy amplifiers apply to the nested topology only")
-        (spec, mode), signal_mode = build_sq_mzi(params), 1
-    elif isinstance(params, SisniParams):
-        (spec, mode), signal_mode = build_sisni(params, noisy_pa1, noisy_pa2), 2
-    else:
-        raise TypeError(f"unknown topology parameters {params!r}")
-    phase_idx = next(
-        i
-        for i, el in enumerate(spec.elements)
-        if isinstance(el, PhaseElement) and el.mode == signal_mode
-    )
-    return spec, mode, phase_idx
+def _build(params: TopologyParams, *noisy: NoisyPaParams | None) -> tuple[_Topology, CircuitSpec]:
+    """The topology and its circuit; ``noisy`` replaces the topology's amplifiers in order."""
+    topo = _topology(params)
+    if any(pa is not None for pa in noisy[len(topo.amplifiers) :]):
+        raise ValueError("noisy amplifiers apply to the nested topology only")
+    spec, _ = topo.build(params, *noisy[: len(topo.amplifiers)])
+    return topo, spec
 
 
 def _phase_excursion(
@@ -392,18 +421,21 @@ def engine_report(
     The noise variance is evaluated at the set-point phase; the mean signal
     is the symmetric finite difference of the detected homodyne mean at
     ``set point +/- dphi``.  Matches the first-order closed forms up to the
-    ``sin(dphi)/dphi`` discretization factor.
+    ``sin(dphi)/dphi`` discretization factor.  Raises
+    :class:`InstabilityError` where the gains overflow the readout.
 
     ``detect_mode`` overrides the builder's detection target; the nested
     topology's second dark output (mode 1) carries a slightly weaker signal
     than the default port and can be reported by passing ``detect_mode=1``.
     """
     _require_bright(params)
-    spec, mode, phase_idx = _build(params, noisy_pa1, noisy_pa2)
-    if detect_mode is not None:
-        mode = _check_mode(detect_mode, spec.n_modes)
-    mean_signal, var = _readout(spec, mode, *_phase_excursion(spec, phase_idx, dphi))
-    mean_signal, var = float(mean_signal[0]), float(var[0])
+    topo, spec = _build(params, noisy_pa1, noisy_pa2)
+    mode = spec.detect.mode if detect_mode is None else _check_mode(detect_mode, spec.n_modes)
+    with np.errstate(all="ignore"):  # overflow is reported below
+        signal, var = _readout(spec, mode, *_phase_excursion(spec, topo.phase, dphi))
+        signal, var = signal[0], var[0]
+        _check_readout("engine", params, signal, var, signal * signal / var)
+    mean_signal, var = float(signal), float(var)
     snr = mean_signal * mean_signal / var
     return OutputReport(
         mean_X2=mean_signal,
@@ -425,27 +457,17 @@ def _noisy_sisni_readout(
     ``noise_model._kappa`` returns).  All rows run in one batched
     propagation; returns ``(mean_signal, var)`` arrays.
     """
-    spec, mode, phase_idx = _build(params, pa1, pa2)
-    amp1, amp2 = (i for i, el in enumerate(spec.elements) if isinstance(el, NoisyPaElement))
-    vary = {amp1: {"kappa": kappa1}, amp2: {"kappa": kappa2}}
-    return _readout(spec, mode, *_phase_excursion(spec, phase_idx, dphi, vary))
+    topo, spec = _build(params, pa1, pa2)
+    vary = {i: {"kappa": kappa} for i, kappa in zip(topo.amplifiers, (kappa1, kappa2))}
+    return _readout(spec, spec.detect.mode, *_phase_excursion(spec, topo.phase, dphi, vary))
 
 
 def sql_baseline(params: TopologyParams) -> SqMziParams:
     """Shot-noise-limit reference: the ``g = 0`` MZI at matched losses.
 
-    Keeps the bright-port amplitude and external loss, and maps the nested
-    topology's signal-arm internal loss onto the MZI internal loss.
+    Keeps the bright-port amplitude, transmission and signal phase, and maps
+    losses as the topology's row says (nested signal arm -> MZI internal).
     """
-    if isinstance(params, SqMziParams):
-        return replace(params, g=PaGain(0.0))
-    if isinstance(params, SisniParams):
-        return SqMziParams(
-            alpha=params.alpha,
-            g=PaGain(0.0),
-            L_i=params.L_is,
-            L_e=params.L_e,
-            phi=params.phi_signal,
-            T=params.T,
-        )
-    raise TypeError(f"unknown topology parameters {params!r}")
+    topo = _topology(params)
+    losses = {field: getattr(params, own) for field, own in topo.baseline.items()}
+    return SqMziParams(params.alpha, phi=getattr(params, topo.phase_field), T=params.T, **losses)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, NoSolutionError
-from .interferometers import SisniParams, SqMziParams, _noisy_sisni_readout, engine_report
+from .interferometers import SisniParams, _noisy_sisni_readout, engine_report, sql_baseline
 from .noise_model import NoisyPaParams, _kappa
 
 __all__ = [
@@ -69,10 +69,14 @@ class FitResult:
     converged: bool
 
 
+def _nested(losses, alpha2: float) -> SisniParams:
+    """The nested topology at losses ``(L_is, L_ii, L_e)``; its amplifiers are set per row."""
+    l_is, l_ii, l_e = losses
+    return SisniParams(alpha=math.sqrt(alpha2), L_is=l_is, L_ii=l_ii, L_e=l_e)
+
+
 def _sql_snr(losses, alpha2: float, dphi: float) -> float:
-    l_is, _, l_e = losses
-    baseline = SqMziParams(alpha=math.sqrt(alpha2), L_i=l_is, L_e=l_e)
-    return engine_report(baseline, dphi).snr
+    return engine_report(sql_baseline(_nested(losses, alpha2)), dphi).snr
 
 
 def _sisni_snr(qng1_db, qng2_db, losses, noise1, noise2, alpha2: float, dphi: float) -> np.ndarray:
@@ -83,13 +87,11 @@ def _sisni_snr(qng1_db, qng2_db, losses, noise1, noise2, alpha2: float, dphi: fl
     :class:`NoSolutionError`/:class:`InstabilityError` when some row's QNG
     is out of reach.
     """
-    l_is, l_ii, l_e = losses
     pa1, pa2 = (NoisyPaParams(rho, 0.0, eps2) for rho, eps2 in (noise1, noise2))
     kappa1, kappa2 = np.broadcast_arrays(
         _kappa(qng1_db, pa1.rho, pa1.epsilon2), _kappa(qng2_db, pa2.rho, pa2.epsilon2)
     )
-    params = SisniParams(alpha=math.sqrt(alpha2), L_is=l_is, L_ii=l_ii, L_e=l_e)
-    mean, var = _noisy_sisni_readout(params, pa1, pa2, kappa1, kappa2, dphi)
+    mean, var = _noisy_sisni_readout(_nested(losses, alpha2), pa1, pa2, kappa1, kappa2, dphi)
     return mean * mean / var
 
 

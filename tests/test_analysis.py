@@ -11,18 +11,25 @@ from gicirc import (
     SisniParams,
     SqMziParams,
     advantage_db,
+    build_sisni,
+    build_sq_mzi,
     engine_report,
     fit_snr_vs_power,
     from_db,
     gain_from_qng,
     loss_plane,
+    marginal,
+    simulate,
     slope_vs_theta,
     snr_gain_db,
     snr_sisni_closed,
     snr_sq_mzi_closed,
     to_db,
+    wigner,
     wigner_panel,
 )
+from gicirc import analysis
+from gicirc.circuits import _propagate
 
 
 def lossless_sisni(alpha2=36.0, qng_db=6.0):
@@ -125,6 +132,19 @@ class TestLossPlane:
         with pytest.raises(ValueError, match="internal loss target"):
             loss_plane(lossless_sisni(), resolution=3, internal_target="pump")
 
+    @pytest.mark.parametrize(
+        "params, target",
+        [
+            (SqMziParams(alpha=6.0, g=0.5), "signal"),
+            (SqMziParams(alpha=6.0, g=0.5), "idler"),
+            (SqMziParams(alpha=6.0, g=0.5), "pump"),
+            (lossless_sisni(), "pump"),
+        ],
+    )
+    def test_targets_the_topology_lacks_are_refused(self, params, target):
+        with pytest.raises(ValueError, match=f"unknown internal loss target '{target}'"):
+            loss_plane(params, resolution=3, internal_target=target)
+
     def test_axis_metadata(self):
         grid = loss_plane(lossless_sisni(), (0.0, 0.4), (0.1, 0.5), resolution=(3, 4))
         assert grid.y_axis == Axis("internal_loss", 0.0, 0.4, 3)
@@ -201,6 +221,44 @@ class TestWignerPanel:
             assert rep.snr / (1 - le) == pytest.approx(
                 engine_report(nested, 1e-3).snr, rel=1e-9
             )
+
+
+class TestWignerPanelBatch:
+    """The panel is one batched propagation; it matches one run per setting."""
+
+    CASES = [
+        SqMziParams(alpha=3.0, g=0.6, L_i=0.2, L_e=0.4, T=0.4),
+        SisniParams(alpha=2.5, g1=0.8, g2=1.3, L_is=0.1, L_ii=0.3, L_e=0.2, phi_pump=3.0),
+    ]
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_one_propagation_matches_per_setting_runs(self, params, monkeypatch):
+        calls = []
+
+        def counted(spec, vary=None):
+            calls.append(vary)
+            return _propagate(spec, vary)
+
+        monkeypatch.setattr(analysis, "_propagate", counted)
+        phis, les = [3.0, math.pi, 3.3], [0.0, 0.25, 0.5, 0.9]
+        xs, ps = np.linspace(-4.0, 4.0, 9), np.linspace(-3.0, 5.0, 7)
+        panel = wigner_panel(params, phis, les, xs, ps)
+        assert len(calls) == 1
+        phase = "phi" if isinstance(params, SqMziParams) else "phi_signal"
+        for i, phi in enumerate(phis):
+            for j, le in enumerate(les):
+                spec, mode = (build_sq_mzi if phase == "phi" else build_sisni)(
+                    replace(params, **{phase: phi, "L_e": le})
+                )
+                state = marginal(simulate(spec), [mode])
+                assert np.array_equal(panel.density[i, j], wigner(state, 0, xs[:, None], ps[None, :]))
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_settings_are_checked(self, params):
+        with pytest.raises(ValueError, match="phi.* must be finite, got nan"):
+            wigner_panel(params, [math.pi, math.nan], [0.0], [0.0], [0.0])
+        with pytest.raises(ValueError, match=r"loss L must lie in \[0, 1\], got 1.5"):
+            wigner_panel(params, [math.pi], [0.0, 1.5], [0.0], [0.0])
 
 
 class TestFitSnrVsPower:

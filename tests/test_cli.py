@@ -456,3 +456,73 @@ class TestJsonEncoder:
             _encode({"a": [1.0, np.arange(2)]})
         with pytest.raises(TypeError):
             _encode({1: 2.0})
+
+
+def run_error(capsys, *argv):
+    """Exit code 1, nothing on stdout and one line of JSON error on stderr."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    return json.loads(err)["error"]
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["snr", "--topology", "mzi", "--alpha2", "36", "--g1", "5"], "--g1"),
+            (["snr", "--topology", "mzi", "--l-is", "0.5"], "--l-is"),
+            (["snr", "--topology", "mzi", "--phi-pump", "1"], "--phi-pump"),
+            (["snr", "--topology", "sq-mzi", "--qng2-db", "3"], "--qng2-db"),
+            (["snr", "--topology", "sisni", "--alpha2", "36", "--g", "3"], "--g"),
+            (["snr", "--topology", "sisni", "--l-i", "0.5"], "--l-i"),
+            (["simulate", "--topology", "sisni", "--qng-db", "3"], "--qng-db"),
+            (["slope", "--topology", "sq-mzi", "--l-ii", "0.1"], "--l-ii"),
+            (["wigner", "--topology", "sq-mzi", "--l-is", "0.1"], "--l-is"),
+        ],
+    )
+    def test_flag_of_another_topology_is_refused(self, capsys, argv, flag):
+        error = run_error(capsys, *argv)
+        assert error["type"] == "ValueError"
+        assert f"{flag} does not apply to --topology" in error["message"]
+
+    @pytest.mark.parametrize(
+        "extra", [["--g1", "5"], ["--alpha2", "1"], ["--dphi", "0.01"], ["--l-e", "0.1"]]
+    )
+    def test_topology_flag_with_circuit_is_refused(self, capsys, tmp_path, extra):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"schema":"gicirc/1","n_modes":1,"inputs":[{"type":"vacuum"}],'
+            '"elements":[],"detect":{"mode":0}}'
+        )
+        error = run_error(capsys, "simulate", "--circuit", str(path), *extra)
+        assert f"{extra[0]} does not apply to --circuit" in error["message"]
+
+    def test_flags_at_their_defaults_change_nothing(self, capsys):
+        plain = run_cli(capsys, "snr", "--topology", "mzi", "--l-i", "0.1")
+        explicit = run_cli(
+            capsys, "snr", "--topology", "mzi", "--l-i", "0.1", "--l-is", "0", "--phi-pump", repr(math.pi)
+        )
+        assert plain[0] == 0 and plain == explicit
+
+    def test_sq_mzi_sweep_takes_only_both(self, capsys):
+        error = run_error(capsys, "sweep", "--topology", "sq-mzi", "--internal-target", "idler")
+        assert error["message"] == "unknown internal loss target 'idler'"
+
+
+class TestGainOverflow:
+    @pytest.mark.parametrize(
+        "argv, stage",
+        [
+            (["snr", "--topology", "sq-mzi", "--g", "1e200", "--alpha2", "36"], "closed form"),
+            (["snr", "--topology", "sisni", "--g1", "1e200", "--g2", "0.5"], "closed form"),
+            (["simulate", "--topology", "sq-mzi", "--g", "1e200"], "engine"),
+            (["simulate", "--topology", "sisni", "--g1", "1e200", "--g2", "0.5"], "engine"),
+        ],
+    )
+    def test_one_line_error(self, capsys, argv, stage):
+        error = run_error(capsys, *argv)
+        assert error["type"] == "InstabilityError"
+        assert error["message"].startswith(f"{stage}: ")
+        assert "1e+200" in error["message"]

@@ -208,3 +208,43 @@ class TestBatchedNoiseModel:
         for q2, value in zip((3.0, 6.0), snr):
             ideal = SisniParams(alpha=6.0, g1=gain_from_qng(4.0).g, g2=gain_from_qng(q2).g)
             assert value == pytest.approx(engine_report(ideal, 1e-3).snr, rel=1e-10)
+
+
+# Field ranges that keep covariance entries small enough for a 1e-9
+# eigenvalue margin to stand above rounding.
+PHYSICAL_NUMBERS = NUMBERS | {
+    "g": _finite(0.0, 1.0),
+    "rho": _finite(0.0, 0.05),
+    "kappa": _finite(0.0, 0.25),
+    "epsilon2": _finite(1.0, 10.0),
+}
+
+
+@st.composite
+def physical_circuits(draw):
+    """A valid circuit of one to five elements over all element kinds."""
+    n = draw(st.integers(1, 3)) + 1
+    mode = st.integers(0, n - 1)
+    where = {"mode": mode, "modes": st.lists(mode, min_size=2, max_size=2, unique=True).map(tuple)}
+    elements = []
+    for _ in range(draw(st.integers(1, 5))):
+        cls = draw(st.sampled_from(list(KINDS)))
+        target, numeric = KINDS[cls]
+        values = {name: draw(PHYSICAL_NUMBERS[name]) for name in numeric}
+        if cls is BsElement:
+            values["convention"] = draw(st.sampled_from(["second_minus", "first_plus"]))
+        elements.append(cls(draw(where[target]), **values))
+    preps = st.one_of(
+        st.just(Vacuum()),
+        st.builds(Coherent, st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)),
+        st.builds(Thermal, _finite(1.0, 4.0)),
+    )
+    return CircuitSpec(n, tuple(draw(preps) for _ in range(n)), tuple(elements), Detection(draw(mode)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(physical_circuits())
+def test_valid_circuits_stay_physical(spec):
+    assert simulate(spec).physicality_margin() >= -1e-9
+    for el in spec.elements:
+        assert element_map(el, spec.n_modes).channel_margin() >= -1e-9

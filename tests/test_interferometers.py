@@ -1,12 +1,16 @@
 """Tests for topology builders, closed forms, and the covariance engine."""
 
 import math
-from dataclasses import replace
+import re
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from gicirc import (
+    InstabilityError,
+    NoisyPaParams,
     SisniParams,
     SqMziParams,
     build_sisni,
@@ -14,6 +18,7 @@ from gicirc import (
     detect_stats,
     engine_report,
     gain_from_qng,
+    loss_plane,
     mean_signal_and_variance,
     phase_variance_closed,
     simulate,
@@ -21,6 +26,8 @@ from gicirc import (
     snr_sq_mzi_closed,
     sql_baseline,
 )
+from gicirc.circuits import LossElement, NoisyPaElement, PaElement, PhaseElement
+from gicirc.interferometers import _TOPOLOGIES
 
 PAPER_LOSSES = dict(L_is=0.16, L_ii=0.10, L_e=0.15)
 
@@ -356,3 +363,80 @@ class TestNonFiniteParams:
     def test_sisni_rejected(self, bad, field, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SisniParams(**{"alpha": 6.0, field: bad})
+
+
+class TestTopologyRows:
+    """Each row's element indices name the elements its builder puts there."""
+
+    CASES = [
+        SqMziParams(alpha=6.0, g=0.5, L_i=0.1, L_e=0.2, phi=3.0),
+        SisniParams(alpha=6.0, g1=0.5, g2=0.7, L_is=0.1, L_ii=0.2, L_e=0.3, phi_signal=3.0),
+    ]
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_indices_match_the_builder(self, params):
+        topo = _TOPOLOGIES[type(params)]
+        spec, _ = topo.build(params)
+        phase = spec.elements[topo.phase]
+        assert isinstance(phase, PhaseElement)
+        assert phase.phi == getattr(params, topo.phase_field) == 3.0
+        for i in topo.external:
+            assert spec.elements[i] == LossElement(spec.elements[i].mode, params.L_e.L)
+        assert spec.detect.mode in {spec.elements[i].mode for i in topo.external}
+        assert all(isinstance(spec.elements[i], PaElement) for i in topo.amplifiers)
+
+    def test_noisy_amplifiers_sit_at_the_row_indices(self):
+        topo = _TOPOLOGIES[SisniParams]
+        noisy = (NoisyPaParams(1e-3, 0.1, 2.0), NoisyPaParams(2e-3, 0.2, 3.0))
+        spec, _ = build_sisni(paper_point(), *noisy)
+        for i, pa in zip(topo.amplifiers, noisy, strict=True):
+            assert spec.elements[i] == NoisyPaElement((0, 1), pa.rho, pa.kappa, pa.epsilon2)
+
+    @pytest.mark.parametrize("cls", [SqMziParams, SisniParams])
+    def test_fields_exist(self, cls):
+        topo = _TOPOLOGIES[cls]
+        names = {f.name for f in fields(cls)}
+        assert {topo.phase_field, *topo.gains, *topo.losses} <= names
+        assert all(set(arms) <= set(topo.losses) for arms in topo.internal.values())
+        assert set(topo.baseline.values()) <= set(topo.losses)
+        assert set(topo.baseline) == {"L_i", "L_e"}
+
+
+class TestGainOverflow:
+    """Overflowing gains raise InstabilityError naming the stage, with no warning."""
+
+    CASES = [
+        (SisniParams(alpha=6.0, g1=1e200, g2=0.5), "g1 = 1e+200, g2 = 0.5"),
+        (SisniParams(alpha=6.0, g1=0.5, g2=1e200), "g1 = 0.5, g2 = 1e+200"),
+        (SqMziParams(alpha=6.0, g=1e200), "g = 1e+200"),
+        # (G + g)^2 overflows while G and g are finite.
+        (SqMziParams(alpha=6.0, g=1.2e154), "g = 1.2e+154"),
+    ]
+
+    @pytest.mark.parametrize("params, gains", CASES)
+    def test_closed_forms(self, params, gains):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            snr = snr_sq_mzi_closed if isinstance(params, SqMziParams) else snr_sisni_closed
+            for closed in (
+                lambda: snr(params, 1e-3),
+                lambda: mean_signal_and_variance(params, 1e-3),
+                lambda: phase_variance_closed(params),
+                lambda: loss_plane(params, resolution=3),
+            ):
+                with pytest.raises(InstabilityError, match=f"closed form: .*{re.escape(gains)}"):
+                    closed()
+
+    @pytest.mark.parametrize("params, gains", CASES)
+    def test_engine(self, params, gains):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=f"engine: .*{re.escape(gains)}"):
+                engine_report(params, 1e-3)
+
+    def test_large_finite_gains_still_report(self):
+        params = SisniParams(alpha=6.0, g1=1e3, g2=1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(snr_sisni_closed(params, 1e-3))
+            assert math.isfinite(engine_report(params, 1e-3).snr)

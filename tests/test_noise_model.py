@@ -185,6 +185,19 @@ class TestKappaClosedForm:
         with pytest.raises(InstabilityError, match="pole"):
             kappa_from_qng(qng_db, 0.01, 2.0)
 
+    @pytest.mark.parametrize("qng_db", [80.0, 120.0, 140.0])
+    def test_round_trip_holds_to_the_tolerance(self, qng_db):
+        kappa = kappa_from_qng(qng_db, 0.01, 2.0)
+        gain = quantum_noise_gain(NoisyPaParams(0.01, kappa, 2.0))
+        assert gain == pytest.approx(10 ** (qng_db / 10), rel=1e-9)
+
+    @pytest.mark.parametrize("qng_db", [150.0, 200.0, 250.0])
+    def test_missed_round_trip_near_the_pole(self, qng_db):
+        # A float kappa this close to the pole misses the target by more
+        # than a relative 1e-9.
+        with pytest.raises(InstabilityError, match="pole"):
+            kappa_from_qng(qng_db, 0.01, 2.0)
+
     @pytest.mark.parametrize("rho, eps2", [(0.0, 1.0), (4e-4, 208.0), (0.05, 3.0)])
     def test_floor(self, rho, eps2):
         floor = _floor(rho, eps2)
