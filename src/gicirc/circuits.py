@@ -8,10 +8,9 @@ numbers finite, and semantic errors name the offending element index and
 constraint.
 
 Every preparation and element kind is one row of a table below: its document
-``type``, its dataclass (whose fields and defaults give the required and
-optional document keys) and, for elements, its local block function.
-Parsing, serialization, :func:`element_map` and propagation are driven by
-those rows.
+``type`` and its dataclass, whose fields and defaults give the required and
+optional document keys and, for elements, whose ``block`` is its local block
+function.  Parsing, serialization and propagation are driven by those rows.
 
 Propagation is block-local: each element updates only the mean entries and
 the covariance rows and columns of its own modes, on arrays that carry a
@@ -31,31 +30,26 @@ import numpy as np
 from .errors import CircuitError, ModeError
 from .states import (
     Coherent,
-    ElementMap,
     GaussianState,
     QuadratureStats,
     Thermal,
     Vacuum,
-    _check_finite,
     _check_mode,
     _prepare,
     _quadrature_indices,
     quadrature_stats,
 )
 from .elements import (
-    LossSpec,
-    PaGain,
-    _bs_block,
-    _check_convention,
-    _check_pair,
-    _check_transmission,
-    _embed,
-    _loss_block,
-    _pa_block,
-    _phase_block,
-    _squeezer_block,
+    BsElement,
+    LossElement,
+    PaElement,
+    PhaseElement,
+    SqueezerElement,
+    _block_params,
+    _modes,
+    element_map,
 )
-from .noise_model import NoisyPaParams, _noisy_pa_block
+from .noise_model import NoisyPaElement
 
 __all__ = [
     "SCHEMA",
@@ -78,86 +72,6 @@ __all__ = [
 
 SCHEMA = "gicirc/1"
 DEFAULT_THETA = math.pi / 2
-DEFAULT_BS_T = 0.5
-
-
-@dataclass(frozen=True)
-class PaElement:
-    """Ideal two-mode parametric amplifier."""
-
-    modes: tuple[int, int]
-    g: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", _check_pair(self.modes))
-        object.__setattr__(self, "g", PaGain(self.g).g)
-
-
-@dataclass(frozen=True)
-class SqueezerElement:
-    """Single-mode (degenerate) squeezer."""
-
-    mode: int
-    g: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", int(self.mode))
-        object.__setattr__(self, "g", PaGain(self.g).g)
-
-
-@dataclass(frozen=True)
-class BsElement:
-    """Beamsplitter with intensity transmission ``T``."""
-
-    modes: tuple[int, int]
-    T: float = DEFAULT_BS_T
-    convention: str = "second_minus"
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", _check_pair(self.modes))
-        object.__setattr__(self, "T", _check_transmission(self.T))
-        _check_convention(self.convention)
-
-
-@dataclass(frozen=True)
-class PhaseElement:
-    """Optical phase shift on one mode."""
-
-    mode: int
-    phi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", int(self.mode))
-        object.__setattr__(self, "phi", _check_finite(self.phi, "phase phi"))
-
-
-@dataclass(frozen=True)
-class LossElement:
-    """Fractional intensity loss on one mode."""
-
-    mode: int
-    L: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", int(self.mode))
-        object.__setattr__(self, "L", LossSpec(self.L).L)
-
-
-@dataclass(frozen=True)
-class NoisyPaElement:
-    """Lossy parametric amplifier with thermal auxiliaries."""
-
-    modes: tuple[int, int]
-    rho: float
-    kappa: float
-    epsilon2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", _check_pair(self.modes))
-        params = NoisyPaParams(self.rho, self.kappa, self.epsilon2)
-        object.__setattr__(self, "rho", params.rho)
-        object.__setattr__(self, "kappa", params.kappa)
-        object.__setattr__(self, "epsilon2", params.epsilon2)
 
 
 class _Kind(NamedTuple):
@@ -170,11 +84,11 @@ class _Kind(NamedTuple):
     params: tuple[str, ...]  # the fields passed to ``block``: all but the modes
 
 
-def _kind(type_: str, cls: type, block: Callable | None = None) -> _Kind:
+def _kind(type_: str, cls: type) -> _Kind:
     names = tuple(f.name for f in fields(cls))
     required = frozenset(f.name for f in fields(cls) if f.default is MISSING) | {"type"}
-    params = tuple(n for n in names if n not in ("mode", "modes"))
-    return _Kind(type_, cls, names, required, frozenset(names) - required, block, params)
+    block = getattr(cls, "block", None)  # preparations have none
+    return _Kind(type_, cls, names, required, frozenset(names) - required, block, _block_params(cls))
 
 
 # document type -> kind; ``block(**params)`` gives the local ``(S, N)``.
@@ -185,12 +99,12 @@ _INPUTS = {
 _ELEMENTS = {
     k.type: k
     for k in (
-        _kind("pa", PaElement, _pa_block),
-        _kind("single_mode_squeezer", SqueezerElement, _squeezer_block),
-        _kind("bs", BsElement, _bs_block),
-        _kind("phase", PhaseElement, _phase_block),
-        _kind("loss", LossElement, _loss_block),
-        _kind("noisy_pa", NoisyPaElement, _noisy_pa_block),
+        _kind("pa", PaElement),
+        _kind("single_mode_squeezer", SqueezerElement),
+        _kind("bs", BsElement),
+        _kind("phase", PhaseElement),
+        _kind("loss", LossElement),
+        _kind("noisy_pa", NoisyPaElement),
     )
 }
 _KIND_OF = {k.cls: k for k in (*_INPUTS.values(), *_ELEMENTS.values())}
@@ -208,10 +122,6 @@ class Detection:
     def __post_init__(self):
         object.__setattr__(self, "mode", int(self.mode))
         object.__setattr__(self, "theta", float(self.theta))
-
-
-def _modes(element) -> tuple[int, ...]:
-    return element.modes if hasattr(element, "modes") else (element.mode,)
 
 
 def _check_modes(modes, n_modes: int, where: str):
@@ -254,15 +164,6 @@ class CircuitSpec:
         if not isinstance(self.detect, Detection):
             raise CircuitError(f"detect block must be a Detection, got {self.detect!r}")
         _check_modes((self.detect.mode,), n_modes, "detect")
-
-
-def element_map(element, n_modes: int) -> ElementMap:
-    """Concrete channel map of one element on an ``n_modes`` register."""
-    kind = _KIND_OF.get(type(element))
-    if kind is None or kind.block is None:
-        raise TypeError(f"unknown element {element!r}")
-    modes = tuple(_check_mode(m, n_modes) for m in _modes(element))
-    return _embed(modes, n_modes, *kind.block(**{n: getattr(element, n) for n in kind.params}))
 
 
 def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray, np.ndarray]:

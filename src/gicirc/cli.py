@@ -109,6 +109,15 @@ def _add_topology_args(sub, losses=tuple(_LOSS_FLAGS)):
         sub.add_argument(flag, type=float, default=default, help=help_)
 
 
+# Flags shared by the noise-model commands (advantage-curve, fit): flag -> default.
+_NOISE_MODEL_FLAGS = {"--l-is": 0.16, "--l-ii": 0.10, "--l-e": 0.15, "--alpha2": 36.0, "--dphi": 1e-3}
+
+
+def _add_noise_model_args(sub):
+    for flag, default in _NOISE_MODEL_FLAGS.items():
+        sub.add_argument(flag, type=float, default=default)
+
+
 def _refuse_unread(args, read, where: str):
     """Refuse every topology flag the run does not ``read`` that is off its default."""
     for dest, default in _TOPOLOGY_DEFAULTS.items():
@@ -125,10 +134,11 @@ def _gain(direct, qng_db, what: str) -> float:
     return 0.0 if direct is None else float(direct)
 
 
-def _resolve_params(args):
+def _resolve_params(args, unread=()):
     """Topology parameters from the flags; a loss flag the command lacks is 0.
 
-    A flag for a field the topology's parameters lack must keep its default.
+    A flag for a field the topology's parameters lack, and a flag named in
+    ``unread`` (one the command never reads), must keep its default.
     """
     if args.topology is None:
         raise ValueError("missing --topology (or --circuit where supported)")
@@ -138,6 +148,7 @@ def _resolve_params(args):
     gain_flags = [flag for field in topo.gains for flag in _GAIN_FLAGS[field]]
     read = {"alpha2", "dphi", "phi", "bs_t", *map(str.lower, names), *gain_flags}
     _refuse_unread(args, read, f"--topology {args.topology}")
+    _refuse_unread(args, _TOPOLOGY_DEFAULTS.keys() - set(unread), args.command)
     if args.topology == "mzi" and (args.g is not None or args.qng_db is not None):
         raise ValueError("flag conflict: plain mzi takes no squeezer gain")
     values = {"alpha": math.sqrt(args.alpha2), topo.phase_field: args.phi, "T": args.bs_t}
@@ -263,17 +274,16 @@ def _report_outputs(report, dphi: float, method: str) -> dict:
     }
 
 
-def _report_table(outputs: dict):
-    rep = outputs["report"]
-    header = list(rep.keys())
-    return header, [tuple(rep[k] for k in header)]
+def _one_row(record: dict):
+    """CSV header and single row of a flat result record."""
+    return list(record), [tuple(record.values())]
 
 
 def _cmd_snr(args) -> int:
     params = _resolve_params(args)
     report = mean_signal_and_variance(params, args.dphi)
     outputs = _report_outputs(report, args.dphi, "closed_form")
-    return _write(args, outputs, *_report_table(outputs))
+    return _write(args, outputs, *_one_row(outputs["report"]))
 
 
 def _cmd_simulate(args) -> int:
@@ -281,7 +291,11 @@ def _cmd_simulate(args) -> int:
         raise ValueError("flag conflict: give exactly one of --circuit or --topology")
     if args.circuit is not None:
         _refuse_unread(args, (), "--circuit")
-        text = sys.stdin.read() if args.circuit == "-" else open(args.circuit, encoding="utf-8").read()
+        if args.circuit == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.circuit, encoding="utf-8") as fh:
+                text = fh.read()
         spec = parse_circuit(text)
         state = simulate(spec)
         stats = detect_stats(spec, state)
@@ -299,17 +313,15 @@ def _cmd_simulate(args) -> int:
                 "mean": state.mean.tolist(),
                 "cov": state.cov.tolist(),
             }
-        st = outputs["stats"]
-        header = list(st.keys())
-        return _write(args, outputs, header, [tuple(st[k] for k in header)])
+        return _write(args, outputs, *_one_row(outputs["stats"]))
     params = _resolve_params(args)
     report = engine_report(params, args.dphi)
     outputs = _report_outputs(report, args.dphi, "engine")
-    return _write(args, outputs, *_report_table(outputs))
+    return _write(args, outputs, *_one_row(outputs["report"]))
 
 
 def _cmd_sweep(args) -> int:
-    params = _resolve_params(args)
+    params = _resolve_params(args, unread=("dphi",))
     i_start, i_stop, i_count = args.internal
     e_start, e_stop, e_count = args.external
     grid = loss_plane(
@@ -321,10 +333,8 @@ def _cmd_sweep(args) -> int:
     )
     outputs = {
         "quantity": "advantage_db",
-        "y_axis": {"name": grid.y_axis.name, "start": grid.y_axis.start,
-                   "stop": grid.y_axis.stop, "count": grid.y_axis.count},
-        "x_axis": {"name": grid.x_axis.name, "start": grid.x_axis.start,
-                   "stop": grid.x_axis.stop, "count": grid.x_axis.count},
+        "y_axis": dataclasses.asdict(grid.y_axis),
+        "x_axis": dataclasses.asdict(grid.x_axis),
         "values": grid.values.tolist(),
     }
     rows = (
@@ -344,7 +354,7 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_wigner(args) -> int:
-    params = _resolve_params(args)
+    params = _resolve_params(args, unread=("dphi", "phi"))
     panel = wigner_panel(
         params,
         _linspace(args.phis),
@@ -396,21 +406,8 @@ def _cmd_fit(args) -> int:
         alpha2=args.alpha2,
         dphi=args.dphi,
     )
-    outputs = {
-        "fit": {
-            "rho1": result.rho1,
-            "rho2": result.rho2,
-            "eps1_sq": result.eps1_sq,
-            "eps2_sq": result.eps2_sq,
-            "residual_rms": result.residual_rms,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        },
-        "n_points": len(data),
-    }
-    fit = outputs["fit"]
-    header = list(fit.keys())
-    return _write(args, outputs, header, [tuple(fit[k] for k in header)])
+    outputs = {"fit": dataclasses.asdict(result), "n_points": len(data)}
+    return _write(args, outputs, *_one_row(outputs["fit"]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,15 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--qng1-db", type=float, required=True)
     sub.add_argument("--qng2", type=_range_type, default=(0.5, 12.0, 24),
                      help="downstream QNG grid start:stop:count (dB)")
-    sub.add_argument("--l-is", type=float, default=0.16)
-    sub.add_argument("--l-ii", type=float, default=0.10)
-    sub.add_argument("--l-e", type=float, default=0.15)
     sub.add_argument("--rho1", type=float, default=0.0)
     sub.add_argument("--eps1-sq", type=float, default=1.0)
     sub.add_argument("--rho2", type=float, default=0.0)
     sub.add_argument("--eps2-sq", type=float, default=1.0)
-    sub.add_argument("--alpha2", type=float, default=36.0)
-    sub.add_argument("--dphi", type=float, default=1e-3)
+    _add_noise_model_args(sub)
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_advantage_curve)
 
@@ -488,13 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--restarts", type=int, default=8)
     sub.add_argument("--max-evals", type=int, default=2000)
-    sub.add_argument("--l-is", type=float, default=0.16)
-    sub.add_argument("--l-ii", type=float, default=0.10)
-    sub.add_argument("--l-e", type=float, default=0.15)
     sub.add_argument("--rho-max", type=float, default=0.1)
     sub.add_argument("--eps2-max", type=float, default=1e4)
-    sub.add_argument("--alpha2", type=float, default=36.0)
-    sub.add_argument("--dphi", type=float, default=1e-3)
+    _add_noise_model_args(sub)
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_fit)
 

@@ -1,18 +1,19 @@
-"""Constructors for the Gaussian channels of the optical toolbox.
+"""Element kinds and constructors for the Gaussian channels of the optical toolbox.
 
-Each constructor returns a full-register :class:`~gicirc.states.ElementMap`
-acting on the designated mode(s) of an ``n_modes``-mode system and leaving
-the rest untouched: one embedding of the element's local 2x2 or 4x4 block,
-which the circuit engine applies directly to the rows and columns of those
-modes.  Parametric amplifiers, beamsplitters and phase shifters
-are lossless (symplectic, zero added noise); the loss channel contracts a
-vacuum environment into added noise.
+Each element kind is a dataclass of its modes and checked parameters whose
+``block`` gives its local 2x2 or 4x4 channel block, which the circuit engine
+applies directly to the rows and columns of those modes.  Each constructor
+is :func:`element_map`, the one embedding of a block into a full-register
+:class:`~gicirc.states.ElementMap`, of its kind.  Amplifiers, beamsplitters
+and phase shifters are lossless (symplectic, zero added noise); the loss
+channel contracts a vacuum environment into added noise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +24,12 @@ __all__ = [
     "LossSpec",
     "as_gain",
     "as_loss",
+    "PaElement",
+    "SqueezerElement",
+    "BsElement",
+    "PhaseElement",
+    "LossElement",
+    "element_map",
     "parametric_amplifier",
     "single_mode_squeezer",
     "beamsplitter",
@@ -33,6 +40,7 @@ __all__ = [
 ]
 
 BS_CONVENTIONS = ("second_minus", "first_plus")
+DEFAULT_BS_T = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,12 +85,10 @@ def as_loss(value) -> LossSpec:
     return value if isinstance(value, LossSpec) else LossSpec(float(value))
 
 
-def _check_pair(pair, n_modes: int | None = None) -> tuple[int, int]:
-    """Two distinct mode indices, range-checked when ``n_modes`` is given."""
+def _check_pair(pair) -> tuple[int, int]:
+    """Two distinct mode indices."""
     a, b = pair
     a, b = int(a), int(b)
-    if n_modes is not None:
-        a, b = _check_mode(a, n_modes), _check_mode(b, n_modes)
     if a == b:
         raise ValueError(f"pair modes must be distinct, got ({a}, {b})")
     return a, b
@@ -93,14 +99,6 @@ def _check_transmission(T) -> float:
     if not 0.0 <= T <= 1.0:
         raise ValueError(f"beamsplitter transmission T must lie in [0, 1], got {T}")
     return T
-
-
-def _check_convention(convention: str) -> str:
-    if convention not in BS_CONVENTIONS:
-        raise ValueError(
-            f"unknown beamsplitter convention {convention!r}; expected one of {BS_CONVENTIONS}"
-        )
-    return convention
 
 
 def _combine(*terms) -> np.ndarray:
@@ -171,16 +169,100 @@ def _loss_block(L):
     return _combine((np.sqrt(1.0 - L), _I2)), _combine((L, _I2))
 
 
-def _embed(modes, n_modes: int, linear: np.ndarray, noise: np.ndarray | None = None) -> ElementMap:
-    """Full-register channel map acting with a local block on ``modes``."""
-    idx = _quadrature_indices(modes)
-    block = np.ix_(idx, idx)
+@dataclass(frozen=True)
+class PaElement:
+    """Ideal two-mode parametric amplifier."""
+
+    modes: tuple[int, int]
+    g: float
+    block = staticmethod(_pa_block)
+
+    def __post_init__(self):
+        object.__setattr__(self, "modes", _check_pair(self.modes))
+        object.__setattr__(self, "g", PaGain(self.g).g)
+
+
+@dataclass(frozen=True)
+class SqueezerElement:
+    """Single-mode (degenerate) squeezer."""
+
+    mode: int
+    g: float
+    block = staticmethod(_squeezer_block)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode", int(self.mode))
+        object.__setattr__(self, "g", PaGain(self.g).g)
+
+
+@dataclass(frozen=True)
+class BsElement:
+    """Beamsplitter with intensity transmission ``T``."""
+
+    modes: tuple[int, int]
+    T: float = DEFAULT_BS_T
+    convention: str = "second_minus"
+    block = staticmethod(_bs_block)
+
+    def __post_init__(self):
+        object.__setattr__(self, "modes", _check_pair(self.modes))
+        object.__setattr__(self, "T", _check_transmission(self.T))
+        if self.convention not in BS_CONVENTIONS:
+            raise ValueError(
+                f"unknown beamsplitter convention {self.convention!r}; expected one of {BS_CONVENTIONS}"
+            )
+
+
+@dataclass(frozen=True)
+class PhaseElement:
+    """Optical phase shift on one mode."""
+
+    mode: int
+    phi: float
+    block = staticmethod(_phase_block)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode", int(self.mode))
+        object.__setattr__(self, "phi", _check_finite(self.phi, "phase phi"))
+
+
+@dataclass(frozen=True)
+class LossElement:
+    """Fractional intensity loss on one mode."""
+
+    mode: int
+    L: float
+    block = staticmethod(_loss_block)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode", int(self.mode))
+        object.__setattr__(self, "L", LossSpec(self.L).L)
+
+
+def _modes(element) -> tuple[int, ...]:
+    return element.modes if hasattr(element, "modes") else (element.mode,)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_params(cls) -> tuple[str, ...]:
+    """The fields of an element kind that its ``block`` takes: all but the modes."""
+    return tuple(f.name for f in fields(cls) if f.name not in ("mode", "modes"))
+
+
+def element_map(element, n_modes: int) -> ElementMap:
+    """Full-register channel map of one element: its block on its modes, identity elsewhere."""
+    block = getattr(type(element), "block", None)
+    if block is None:
+        raise TypeError(f"unknown element {element!r}")
+    idx = _quadrature_indices([_check_mode(m, n_modes) for m in _modes(element)])
+    linear, noise = block(**{n: getattr(element, n) for n in _block_params(type(element))})
+    square = np.ix_(idx, idx)
     dim = 2 * n_modes
     full_linear = np.eye(dim)
-    full_linear[block] = linear
+    full_linear[square] = linear
     full_noise = np.zeros((dim, dim))
     if noise is not None:
-        full_noise[block] = noise
+        full_noise[square] = noise
     return ElementMap(full_linear, full_noise, np.zeros(dim))
 
 
@@ -191,8 +273,7 @@ def parametric_amplifier(pair, gain, n_modes: int) -> ElementMap:
     swapping the pair).  Lossless; on vacuum each output mode acquires
     quadrature variance ``G^2 + g^2`` at every angle.
     """
-    gain = as_gain(gain)
-    return _embed(_check_pair(pair, n_modes), n_modes, *_pa_block(gain.g))
+    return element_map(PaElement(pair, gain.g if isinstance(gain, PaGain) else gain), n_modes)
 
 
 def single_mode_squeezer(mode: int, gain, n_modes: int) -> ElementMap:
@@ -201,8 +282,7 @@ def single_mode_squeezer(mode: int, gain, n_modes: int) -> ElementMap:
     Stretches the amplitude quadrature by ``G + g`` and squeezes the phase
     quadrature by ``G - g = 1/(G + g)``.
     """
-    gain = as_gain(gain)
-    return _embed((_check_mode(mode, n_modes),), n_modes, *_squeezer_block(gain.g))
+    return element_map(SqueezerElement(mode, gain.g if isinstance(gain, PaGain) else gain), n_modes)
 
 
 def beamsplitter(pair, T: float, n_modes: int, convention: str = "second_minus") -> ElementMap:
@@ -219,9 +299,7 @@ def beamsplitter(pair, T: float, n_modes: int, convention: str = "second_minus")
     Composing elements built with different conventions shifts fringe
     positions, so interferometer builders use ``second_minus`` throughout.
     """
-    T = _check_transmission(T)
-    convention = _check_convention(convention)
-    return _embed(_check_pair(pair, n_modes), n_modes, *_bs_block(T, convention))
+    return element_map(BsElement(pair, T, convention), n_modes)
 
 
 def phase_shift(mode: int, phi: float, n_modes: int) -> ElementMap:
@@ -230,8 +308,7 @@ def phase_shift(mode: int, phi: float, n_modes: int) -> ElementMap:
     In quadratures: ``x' = cos(phi) x - sin(phi) p``,
     ``p' = sin(phi) x + cos(phi) p``.
     """
-    phi = _check_finite(phi, "phase phi")
-    return _embed((_check_mode(mode, n_modes),), n_modes, *_phase_block(phi))
+    return element_map(PhaseElement(mode, phi), n_modes)
 
 
 def loss_channel(mode: int, loss, n_modes: int) -> ElementMap:
@@ -242,8 +319,7 @@ def loss_channel(mode: int, loss, n_modes: int) -> ElementMap:
     ``sqrt(1 - L)`` and the covariance block by ``(1 - L)`` with ``L * I``
     added.  Losses compose as ``1 - (1-L1)(1-L2)``.
     """
-    loss = as_loss(loss)
-    return _embed((_check_mode(mode, n_modes),), n_modes, *_loss_block(loss.L))
+    return element_map(LossElement(mode, loss.L if isinstance(loss, LossSpec) else loss), n_modes)
 
 
 def qng_of(gain) -> float:

@@ -241,6 +241,7 @@ class _Topology(NamedTuple):
     losses: tuple[str, ...]  # loss fields, passed to the kernel by name
     internal: dict  # loss_plane internal_target -> the loss fields it sweeps
     baseline: dict  # loss field of the SQL-baseline MZI -> the loss field it copies
+    closed_point: dict  # parameter field -> the only value at which the closed form holds
 
 
 _TOPOLOGIES = {
@@ -248,12 +249,14 @@ _TOPOLOGIES = {
         build_sq_mzi, phase=4, phase_field="phi", external=(6,), amplifiers=(),
         kernel=_sq_mzi_terms, gains=("g",), losses=("L_i", "L_e"),
         internal={"both": ("L_i",)}, baseline={"L_i": "L_i", "L_e": "L_e"},
+        closed_point={"T": 0.5, "phi": DARK_FRINGE},
     ),
     SisniParams: _Topology(
         build_sisni, phase=6, phase_field="phi_signal", external=(9, 10), amplifiers=(0, 8),
         kernel=_sisni_terms, gains=("g1", "g2"), losses=("L_is", "L_ii", "L_e"),
         internal={"both": ("L_is", "L_ii"), "signal": ("L_is",), "idler": ("L_ii",)},
         baseline={"L_i": "L_is", "L_e": "L_e"},
+        closed_point={"T": 0.5, "phi_signal": DARK_FRINGE, "phi_pump": math.pi},
     ),
 }
 
@@ -281,10 +284,18 @@ def _closed_terms(params: TopologyParams, **losses):
     noise variance and ``SNR = eta gain^2 dphi^2 alpha^2 / var``.  Loss
     fields named in ``losses`` (``L_i``; ``L_is``, ``L_ii``; ``L_e``)
     replace the parameters' values and may be arrays; the terms broadcast
-    over them.  Raises :class:`InstabilityError` where the gains overflow
-    the readout.
+    over them.  Raises ``ValueError`` for parameters off the point the
+    closed form models (balanced beamsplitters, the dark fringe and, for the
+    nested topology, the pump phase at ``pi``) and
+    :class:`InstabilityError` where the gains overflow the readout.
     """
     topo = _topology(params)
+    for name, value in topo.closed_point.items():
+        if getattr(params, name) != value:
+            raise ValueError(
+                f"closed form holds only at {name} = {value!r}, got {name} = "
+                f"{getattr(params, name)!r}; engine_report models other values"
+            )
     gains = [x for gain in (getattr(params, name) for name in topo.gains) for x in (gain.g, gain.G)]
     fields = {name: getattr(params, name).L for name in topo.losses} | losses
     with np.errstate(all="ignore"):  # overflow is reported below
@@ -307,8 +318,9 @@ def snr_sq_mzi_closed(params: SqMziParams, dphi: float) -> float:
 
     ``eta * dphi^2 * alpha^2`` over
     ``eta/(G + g)^2 + L_i (1 - L_e) + L_e`` with
-    ``eta = (1 - L_i)(1 - L_e)``.  Assumes the dark-fringe set point and a
-    small excursion (``|dphi| <= 0.1`` recommended).
+    ``eta = (1 - L_i)(1 - L_e)``.  Holds at the dark-fringe set point with
+    balanced beamsplitters (other values raise ``ValueError``) for a small
+    excursion (``|dphi| <= 0.1`` recommended).
     """
     return _snr_closed(params, dphi)
 
@@ -320,8 +332,10 @@ def snr_sisni_closed(params: SisniParams, dphi: float) -> float:
     ``L + (sqrt(eta_s) G1 G2 - sqrt(eta_i) g1 g2)^2
        + (sqrt(eta_s) g1 G2 - sqrt(eta_i) G1 g2)^2``
     with ``eta_s = (1 - L_is)(1 - L_e)``, ``eta_i = (1 - L_ii)(1 - L_e)``
-    and ``L = L_e + g2^2 (1 - L_e) L_ii + G2^2 (1 - L_e) L_is``.  Assumes the
-    dark fringe and pump phase locked to minimum net amplification.
+    and ``L = L_e + g2^2 (1 - L_e) L_ii + G2^2 (1 - L_e) L_is``.  Holds at
+    the dark fringe with balanced beamsplitters and the pump phase locked to
+    minimum net amplification (``phi_pump = pi``); other values raise
+    ``ValueError``.
     """
     return _snr_closed(params, dphi)
 
@@ -333,11 +347,26 @@ def _require_bright(params: TopologyParams):
         )
 
 
-def _phase_variance(params: TopologyParams, **losses):
-    """Closed-form phase variance; ``losses`` as in :func:`_closed_terms`."""
+def _require_signal(signal):
+    """Refuse a readout whose mean signal (a float or an array) is zero somewhere."""
+    zero = signal == 0.0
+    if zero.any() if isinstance(zero, np.ndarray) else zero:
+        raise ValueError(
+            "degenerate readout: no signal reaches the detector, so the phase variance is undefined"
+        )
+
+
+def _phase_terms(params: TopologyParams, **losses):
+    """``(eta, gain, var, phase variance)``; ``losses`` as in :func:`_closed_terms`."""
     _require_bright(params)
     eta, gain, var = _closed_terms(params, **losses)
-    return var / (eta * gain * gain * params.alpha**2)
+    _require_signal(eta * gain)
+    return eta, gain, var, var / (eta * gain * gain * params.alpha**2)
+
+
+def _phase_variance(params: TopologyParams, **losses):
+    """Closed-form phase variance; ``losses`` as in :func:`_closed_terms`."""
+    return _phase_terms(params, **losses)[3]
 
 
 def phase_variance_closed(params: TopologyParams) -> float:
@@ -356,15 +385,14 @@ def mean_signal_and_variance(params: TopologyParams, dphi: float = 1e-3) -> Outp
     ``-sqrt(eta) dphi alpha`` for the squeezed-light MZI and
     ``-sqrt(eta_s) G2 dphi alpha`` for the nested interferometer.
     """
-    _require_bright(params)
-    eta, gain, var = _closed_terms(params)
+    eta, gain, var, phase_variance = _phase_terms(params)
     mean = float(-np.sqrt(eta) * gain * dphi * params.alpha)
     var = float(var)
     return OutputReport(
         mean_X2=mean,
         var_X2=var,
         snr=mean * mean / var,
-        phase_variance=phase_variance_closed(params),
+        phase_variance=float(phase_variance),
         detected_mode=0,
     )
 
@@ -435,6 +463,7 @@ def engine_report(
         signal, var = _readout(spec, mode, *_phase_excursion(spec, topo.phase, dphi))
         signal, var = signal[0], var[0]
         _check_readout("engine", params, signal, var, signal * signal / var)
+    _require_signal(signal)
     mean_signal, var = float(signal), float(var)
     snr = mean_signal * mean_signal / var
     return OutputReport(

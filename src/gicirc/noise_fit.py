@@ -240,36 +240,23 @@ def fit_noise_model(
         r = (ln10_10 * np.log(snr / base) - measured) / sigma
         return sum((r * r).tolist())
 
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(lo, hi, size=(restarts, 4))
-    best = None
-    for z0 in starts:
-        res = minimize(
+    def simplex(z0, maxfev: int, xatol: float, fatol: float):
+        return minimize(
             objective,
             z0,
             method="Nelder-Mead",
             bounds=box,
-            options={
-                "maxfev": max_evals,
-                "xatol": 1e-4,
-                "fatol": 1e-10,
-                "adaptive": True,
-            },
+            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol, "adaptive": True},
         )
+
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(lo, hi, size=(restarts, 4))
+    best = None
+    for z0 in starts:
+        res = simplex(z0, max_evals, 1e-4, 1e-10)
         if best is None or res.fun < best.fun:
             best = res
-    polish = minimize(
-        objective,
-        best.x,
-        method="Nelder-Mead",
-        bounds=box,
-        options={
-            "maxfev": 2 * max_evals,
-            "xatol": 1e-7,
-            "fatol": 1e-16,
-            "adaptive": True,
-        },
-    )
+    polish = simplex(best.x, 2 * max_evals, 1e-7, 1e-16)
     if polish.fun <= best.fun:
         best = polish
     z = best.x

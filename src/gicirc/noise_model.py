@@ -28,12 +28,13 @@ import numpy as np
 
 from .errors import InstabilityError, NoSolutionError, PhysicalityError
 from .states import ElementMap, _check_finite
-from .elements import _check_pair, _embed, pair_coupling
+from .elements import _check_pair, element_map, pair_coupling
 
 __all__ = [
     "NoisyPaParams",
     "CouplingFactors",
     "coupling_factors",
+    "NoisyPaElement",
     "noisy_pa",
     "quantum_noise_gain",
     "kappa_from_qng",
@@ -128,6 +129,24 @@ def _noisy_pa_block(rho, kappa, epsilon2):
     return pair_coupling(G, g), noise
 
 
+@dataclass(frozen=True)
+class NoisyPaElement:
+    """Lossy parametric amplifier with thermal auxiliaries."""
+
+    modes: tuple[int, int]
+    rho: float
+    kappa: float
+    epsilon2: float
+    block = staticmethod(_noisy_pa_block)
+
+    def __post_init__(self):
+        object.__setattr__(self, "modes", _check_pair(self.modes))
+        params = NoisyPaParams(self.rho, self.kappa, self.epsilon2)
+        object.__setattr__(self, "rho", params.rho)
+        object.__setattr__(self, "kappa", params.kappa)
+        object.__setattr__(self, "epsilon2", params.epsilon2)
+
+
 def noisy_pa(pair, params: NoisyPaParams, n_modes: int) -> ElementMap:
     """Gaussian channel of the lossy amplifier on a mode pair.
 
@@ -137,8 +156,7 @@ def noisy_pa(pair, params: NoisyPaParams, n_modes: int) -> ElementMap:
     from ``(G_bar_prime, g_bar_prime)``.  Physical (completely positive) for
     every ``epsilon2 >= 1``.
     """
-    pair = _check_pair(pair, n_modes)
-    return _embed(pair, n_modes, *_noisy_pa_block(params.rho, params.kappa, params.epsilon2))
+    return element_map(NoisyPaElement(pair, params.rho, params.kappa, params.epsilon2), n_modes)
 
 
 def quantum_noise_gain(params: NoisyPaParams) -> float:

@@ -40,9 +40,16 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), omega)
 
 
+# Each preparation gives its mode's mean pair ``mode_mean`` and its quadrature
+# ``variance`` (the same for x and p), which ``_prepare`` reads.
+
+
 @dataclass(frozen=True)
 class Vacuum:
     """Vacuum preparation for one mode."""
+
+    mode_mean = (0.0, 0.0)
+    variance = 1.0
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,7 @@ class Coherent:
     """
 
     alpha: complex
+    variance = 1.0
 
     def __post_init__(self):
         alpha = complex(self.alpha)
@@ -61,12 +69,17 @@ class Coherent:
         _check_finite(alpha.imag, "coherent amplitude alpha (imaginary part)")
         object.__setattr__(self, "alpha", alpha)
 
+    @property
+    def mode_mean(self) -> tuple[float, float]:
+        return 2.0 * self.alpha.real, 2.0 * self.alpha.imag
+
 
 @dataclass(frozen=True)
 class Thermal:
     """Thermal preparation with quadrature variance >= 1 (1 recovers vacuum)."""
 
     variance: float
+    mode_mean = (0.0, 0.0)
 
     def __post_init__(self):
         variance = _check_finite(self.variance, "thermal variance")
@@ -75,9 +88,6 @@ class Thermal:
                 f"thermal quadrature variance must be >= 1, got {variance}"
             )
         object.__setattr__(self, "variance", variance)
-
-
-Preparation = Vacuum | Coherent | Thermal
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,16 +225,11 @@ def _prepare(n_modes: int, inputs) -> tuple[np.ndarray, np.ndarray]:
     mean = np.zeros(2 * n_modes)
     cov = np.eye(2 * n_modes)
     for k, prep in enumerate(preps):
-        if isinstance(prep, Vacuum):
-            continue
-        if isinstance(prep, Coherent):
-            mean[2 * k] = 2.0 * prep.alpha.real
-            mean[2 * k + 1] = 2.0 * prep.alpha.imag
-        elif isinstance(prep, Thermal):
-            cov[2 * k, 2 * k] = prep.variance
-            cov[2 * k + 1, 2 * k + 1] = prep.variance
-        else:
-            raise TypeError(f"unknown preparation {prep!r} for mode {k}")
+        try:
+            mean[2 * k], mean[2 * k + 1] = prep.mode_mean
+            cov[2 * k, 2 * k] = cov[2 * k + 1, 2 * k + 1] = prep.variance
+        except AttributeError:
+            raise TypeError(f"unknown preparation {prep!r} for mode {k}") from None
     return mean, cov
 
 
