@@ -163,11 +163,9 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
     peaks on the phase quadrature and vanishes a quarter turn away.
     """
     thetas = np.asarray(theta_grid, dtype=float)
-    topo, spec = _build(params)
-    mean, _ = _phase_excursion(spec, topo.phase, dphi)
-    diff = mean[0, 1] - mean[0, 2]
-    dx = diff[2 * spec.detect.mode] / (2.0 * dphi)
-    dp = diff[2 * spec.detect.mode + 1] / (2.0 * dphi)
+    excursion = _phase_excursion(params, dphi)
+    mode = excursion.spec.detect.mode
+    dx, dp = (excursion.plus - excursion.minus)[2 * mode : 2 * mode + 2] / (2.0 * dphi)
     return np.cos(thetas) * dx + np.sin(thetas) * dp
 
 
@@ -190,8 +188,8 @@ class WignerPanel:
 def wigner_panel(params: TopologyParams, phi_values, L_e_values, x, p) -> WignerPanel:
     """Detected-mode Wigner densities for each (phase, external loss) setting.
 
-    Settings are checked as the parameters check them, then run as the
-    phase-major rows of one batched propagation of the topology's circuit.
+    Settings are checked as the parameters check them, then run as one
+    (phase x external loss) grid pass of the topology's circuit.
     """
     phis = np.asarray(phi_values, dtype=float)
     les = np.asarray(L_e_values, dtype=float)
@@ -200,12 +198,11 @@ def wigner_panel(params: TopologyParams, phi_values, L_e_values, x, p) -> Wigner
     topo, spec = _build(params)
     for phi, le in itertools.product(phis, les):
         replace(replace(params, **{topo.phase_field: phi}), L_e=le)
-    vary = {topo.phase: {"phi": np.repeat(phis, les.size)}}
-    vary |= {i: {"L": np.tile(les, phis.size)} for i in topo.external}
+    vary = {topo.phase: {"phi": phis[:, None]}} | {i: {"L": les} for i in topo.external}
     mean, cov = _propagate(spec, vary)
     density = np.empty((phis.size, les.size, xs.size, ps.size))
-    for row, (i, j) in enumerate(np.ndindex(phis.size, les.size)):
-        state = GaussianState(spec.n_modes, mean[row], cov[row])
+    for i, j in np.ndindex(phis.size, les.size):
+        state = GaussianState(spec.n_modes, mean[i, j], cov[i, j])
         density[i, j] = wigner(state, spec.detect.mode, xs[:, None], ps[None, :])
     return WignerPanel(phis, les, xs, ps, density)
 

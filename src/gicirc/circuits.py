@@ -13,8 +13,8 @@ optional document keys and, for elements, whose ``block`` is its local block
 function.  Parsing, serialization and propagation are driven by those rows.
 
 Propagation is block-local: each element updates only the mean entries and
-the covariance rows and columns of its own modes, on arrays that carry a
-leading batch axis, so one pass can run many variants of the same circuit.
+the covariance rows and columns of its own modes, on arrays with leading
+grid axes, so one pass can run a whole grid of variants of the same circuit.
 """
 
 from __future__ import annotations
@@ -167,36 +167,41 @@ class CircuitSpec:
 
 
 def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Output means ``(B, 2n)`` and covariances ``(B, 2n, 2n)`` of a circuit batch.
+    """Output means ``(*grid, 2n)`` and covariances ``(*grid, 2n, 2n)`` of a grid of circuits.
 
-    ``vary`` maps an element index to ``{field: (B,) array}``: item ``b`` of
-    the batch runs the circuit with those fields of that element replaced by
-    their ``b``-th values.  Without it ``B = 1``.  The values are not
-    validated; callers pass only values that their element's dataclass
-    would accept.
+    ``vary`` maps an element index to ``{field: array}``; the arrays of all
+    elements broadcast together to the grid shape (``(1,)`` without
+    ``vary``), and each grid point runs the circuit with those fields set to
+    its values.  The state widens only at a varied element whose values
+    need a larger grid, so the elements before the first varied one run
+    once.  The values are not validated; callers pass only values that
+    their element's dataclass would accept.
 
     Each element touches only its own modes' quadratures ``idx``:
-    ``mean[:, idx]``, the rows ``cov[:, idx, :]`` and, by symmetry, the
-    columns ``cov[:, :, idx]``, adding its noise block on ``idx x idx``.
+    ``mean[..., idx]``, the rows ``cov[..., idx, :]`` and, by symmetry, the
+    columns ``cov[..., idx]``, adding its noise block on ``idx x idx``.
     """
     vary = vary or {}
-    batch = max((len(v) for values in vary.values() for v in values.values()), default=1)
-    mean0, cov0 = _prepare(spec.n_modes, spec.inputs)
-    mean = np.repeat(mean0[None], batch, axis=0)
-    cov = np.repeat(cov0[None], batch, axis=0)
+    mean, cov = _prepare(spec.n_modes, spec.inputs)
+    mean, cov = mean[None], cov[None]
     for i, el in enumerate(spec.elements):
         kind = _KIND_OF[type(el)]
         values = {n: getattr(el, n) for n in kind.params}
-        values.update(vary.get(i, {}))
+        if i in vary:
+            values |= vary[i]
+            grid = np.broadcast_shapes(mean.shape[:-1], *map(np.shape, vary[i].values()))
+            if grid != mean.shape[:-1]:
+                mean = np.broadcast_to(mean, grid + mean.shape[-1:]).copy()
+                cov = np.broadcast_to(cov, grid + cov.shape[-2:]).copy()
         linear, noise = kind.block(**values)
         linear_t = linear.swapaxes(-1, -2)
         idx, square = _block_index(_modes(el))
-        mean[:, idx] = (mean[:, None, idx] @ linear_t)[:, 0]
-        rows = linear @ cov[:, idx, :]
-        cov[:, idx, :] = rows
-        cov[:, :, idx] = rows.swapaxes(1, 2)
-        block = rows[:, :, idx] @ linear_t
-        block = 0.5 * (block + block.swapaxes(1, 2))
+        mean[..., idx] = (mean[..., None, idx] @ linear_t)[..., 0, :]
+        rows = linear @ cov[..., idx, :]
+        cov[..., idx, :] = rows
+        cov[..., idx] = rows.swapaxes(-1, -2)
+        block = rows[..., idx] @ linear_t
+        block = 0.5 * (block + block.swapaxes(-1, -2))
         cov[square] = block if noise is None else block + noise
     return mean, cov
 
@@ -211,9 +216,9 @@ def _block_index(modes: tuple[int, ...]):
     idx = _quadrature_indices(modes)
     if np.all(np.diff(idx) == 1):
         idx = slice(int(idx[0]), int(idx[-1]) + 1)
-        return idx, (slice(None), idx, idx)
+        return idx, (..., idx, idx)
     idx.setflags(write=False)  # shared by every caller through the cache
-    return idx, (slice(None), idx[:, None], idx)
+    return idx, (..., idx[:, None], idx)
 
 
 def simulate(spec: CircuitSpec) -> GaussianState:

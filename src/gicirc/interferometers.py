@@ -406,34 +406,42 @@ def _build(params: TopologyParams, *noisy: NoisyPaParams | None) -> tuple[_Topol
     return topo, spec
 
 
-def _phase_excursion(
-    spec: CircuitSpec, phase_idx: int, dphi: float, vary: dict | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output means and covariances at the signal phase ``phi0``, ``phi0 +/- dphi``.
+class _Excursion(NamedTuple):
+    """A circuit's means at its signal phase ``phi0 +/- dphi`` and covariance at ``phi0``, rows leading."""
 
-    One batched propagation (see ``circuits._propagate``).  ``vary`` holds
-    ``R`` rows of element field values (one row without it); each row runs
-    at the three phases.  Returns means ``(R, 3, 2n)`` and covariances
-    ``(R, 3, 2n, 2n)``, the second axis ordered ``(phi0, phi0 + dphi,
-    phi0 - dphi)``.
+    spec: CircuitSpec
+    plus: np.ndarray
+    minus: np.ndarray
+    cov: np.ndarray
+
+
+def _phase_excursion(
+    params: TopologyParams, dphi: float, *noisy: NoisyPaParams | None, vary: dict | None = None
+) -> _Excursion:
+    """The topology's circuit at its signal phase ``phi0`` and ``phi0 +/- dphi``, in one pass.
+
+    ``noisy`` replaces the topology's amplifiers (see :func:`_build`).
+    ``vary`` maps element indices to ``{field: array}`` rows that broadcast
+    together (no rows without it); the phase axis trails them, so the
+    elements before the signal phase run once per row.
     """
     dphi = float(dphi)
     if dphi == 0.0 or not math.isfinite(dphi):
         raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
-    vary = vary or {}
-    rows = max((len(v) for values in vary.values() for v in values.values()), default=1)
-    batch = {i: {k: np.repeat(v, 3) for k, v in values.items()} for i, values in vary.items()}
-    phi0 = spec.elements[phase_idx].phi
-    batch[phase_idx] = {"phi": np.tile([phi0, phi0 + dphi, phi0 - dphi], rows)}
-    mean, cov = _propagate(spec, batch)
-    dim = 2 * spec.n_modes
-    return mean.reshape(rows, 3, dim), cov.reshape(rows, 3, dim, dim)
+    topo, spec = _build(params, *noisy)
+    grid = {i: {k: v[..., None] for k, v in values.items()} for i, values in (vary or {}).items()}
+    phi0 = spec.elements[topo.phase].phi
+    grid[topo.phase] = {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}
+    mean, cov = _propagate(spec, grid)
+    return _Excursion(spec, mean[..., 1, :], mean[..., 2, :], cov[..., 0, :, :])
 
 
-def _readout(spec: CircuitSpec, mode: int, mean: np.ndarray, cov: np.ndarray):
+def _readout(excursion: _Excursion, mode: int):
     """Mean signal (half the ``+/- dphi`` difference) and set-point variance per row."""
-    signal, variance = _quadrature(mean, cov, mode, spec.detect.theta)
-    return 0.5 * (signal[:, 1] - signal[:, 2]), variance[:, 0]
+    theta = excursion.spec.detect.theta
+    plus, variance = _quadrature(excursion.plus, excursion.cov, mode, theta)
+    minus, _ = _quadrature(excursion.minus, excursion.cov, mode, theta)
+    return 0.5 * (plus - minus), variance
 
 
 def engine_report(
@@ -457,11 +465,11 @@ def engine_report(
     than the default port and can be reported by passing ``detect_mode=1``.
     """
     _require_bright(params)
-    topo, spec = _build(params, noisy_pa1, noisy_pa2)
-    mode = spec.detect.mode if detect_mode is None else _check_mode(detect_mode, spec.n_modes)
     with np.errstate(all="ignore"):  # overflow is reported below
-        signal, var = _readout(spec, mode, *_phase_excursion(spec, topo.phase, dphi))
-        signal, var = signal[0], var[0]
+        excursion = _phase_excursion(params, dphi, noisy_pa1, noisy_pa2)
+        spec = excursion.spec
+        mode = spec.detect.mode if detect_mode is None else _check_mode(detect_mode, spec.n_modes)
+        signal, var = _readout(excursion, mode)
         _check_readout("engine", params, signal, var, signal * signal / var)
     _require_signal(signal)
     mean_signal, var = float(signal), float(var)
@@ -473,22 +481,6 @@ def engine_report(
         phase_variance=dphi * dphi / snr,
         detected_mode=mode,
     )
-
-
-def _noisy_sisni_readout(
-    params: SisniParams, pa1: NoisyPaParams, pa2: NoisyPaParams, kappa1, kappa2, dphi: float
-):
-    """Mean signals and variances of the nested topology with lossy amplifiers.
-
-    ``pa1``/``pa2`` give each amplifier's ``rho`` and ``epsilon2``; their
-    ``kappa`` is replaced row by row with the equal-length arrays
-    ``kappa1``/``kappa2``, which must hold valid stable gains for them (as
-    ``noise_model._kappa`` returns).  All rows run in one batched
-    propagation; returns ``(mean_signal, var)`` arrays.
-    """
-    topo, spec = _build(params, pa1, pa2)
-    vary = {i: {"kappa": kappa} for i, kappa in zip(topo.amplifiers, (kappa1, kappa2))}
-    return _readout(spec, spec.detect.mode, *_phase_excursion(spec, topo.phase, dphi, vary))
 
 
 def sql_baseline(params: TopologyParams) -> SqMziParams:

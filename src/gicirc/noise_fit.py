@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, NoSolutionError
-from .interferometers import SisniParams, _noisy_sisni_readout, engine_report, sql_baseline
+from .interferometers import SisniParams, _phase_excursion, _readout, _topology, engine_report, sql_baseline
 from .noise_model import NoisyPaParams, _kappa
 
 __all__ = [
@@ -83,15 +83,17 @@ def _sisni_snr(qng1_db, qng2_db, losses, noise1, noise2, alpha2: float, dphi: fl
     """Nested-interferometer SNR with both lossy amplifiers, per ``(qng1, qng2)`` row.
 
     ``qng1_db`` and ``qng2_db`` are scalars or arrays that broadcast to the
-    rows; every row runs in one batched engine call.  Raises
+    rows; the ``kappa`` of each amplifier is set row by row, and every row
+    runs in one engine pass.  Raises
     :class:`NoSolutionError`/:class:`InstabilityError` when some row's QNG
     is out of reach.
     """
     pa1, pa2 = (NoisyPaParams(rho, 0.0, eps2) for rho, eps2 in (noise1, noise2))
-    kappa1, kappa2 = np.broadcast_arrays(
-        _kappa(qng1_db, pa1.rho, pa1.epsilon2), _kappa(qng2_db, pa2.rho, pa2.epsilon2)
-    )
-    mean, var = _noisy_sisni_readout(_nested(losses, alpha2), pa1, pa2, kappa1, kappa2, dphi)
+    kappa = (_kappa(qng, pa.rho, pa.epsilon2) for qng, pa in ((qng1_db, pa1), (qng2_db, pa2)))
+    params = _nested(losses, alpha2)
+    vary = {i: {"kappa": k} for i, k in zip(_topology(params).amplifiers, kappa)}
+    excursion = _phase_excursion(params, dphi, pa1, pa2, vary=vary)
+    mean, var = _readout(excursion, excursion.spec.detect.mode)
     return mean * mean / var
 
 
@@ -121,7 +123,7 @@ def advantage_vs_qng(
     """
     grid = np.asarray(qng2_grid, dtype=float)
     base = _sql_snr(losses, alpha2, dphi)
-    snr = _sisni_snr(qng1_db, grid.ravel(), losses, noise1, noise2, alpha2, dphi)
+    snr = _sisni_snr(qng1_db, grid, losses, noise1, noise2, alpha2, dphi)
     return (10.0 * np.log10(snr / base)).reshape(grid.shape)
 
 

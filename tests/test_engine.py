@@ -5,6 +5,7 @@ element applied to the state with ``apply``.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from gicirc import (
     make_state,
     simulate,
 )
+from gicirc import circuits
 from gicirc.circuits import (
     BsElement,
     LossElement,
@@ -140,6 +142,37 @@ def test_batch_equals_separate_runs(case):
         assert_close(cov[b], reference.cov, scale=scale)
 
 
+@st.composite
+def grid_circuits(draw):
+    """A circuit of ``varied_circuits`` with a second varied element: ``(R, 1)`` and ``(E,)`` values."""
+    spec, first, rows = draw(varied_circuits().filter(lambda case: len(case[0].elements) > 1))
+    second = draw(st.integers(0, len(spec.elements) - 2))
+    second += second >= first
+    _, numeric = KINDS[type(spec.elements[second])]
+    cols = [{name: draw(NUMBERS[name]) for name in numeric} for _ in range(draw(st.integers(1, 4)))]
+    return spec, (first, rows), (second, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_circuits())
+def test_grid_equals_pointwise_runs(case):
+    spec, (first, rows), (second, cols) = case
+    vary = {
+        first: {name: np.array([[row[name]] for row in rows]) for name in rows[0]},
+        second: {name: np.array([col[name] for col in cols]) for name in cols[0]},
+    }
+    mean, cov = _propagate(spec, vary)
+    dim = 2 * spec.n_modes
+    assert mean.shape == (len(rows), len(cols), dim) and cov.shape == (len(rows), len(cols), dim, dim)
+    for (r, row), (c, col) in itertools.product(enumerate(rows), enumerate(cols)):
+        elements = list(spec.elements)
+        elements[first] = dataclasses.replace(elements[first], **row)
+        elements[second] = dataclasses.replace(elements[second], **col)
+        point_mean, point_cov = _propagate(dataclasses.replace(spec, elements=tuple(elements)))
+        assert np.array_equal(mean[r, c], point_mean[0])
+        assert np.array_equal(cov[r, c], point_cov[0])
+
+
 class TestPropagate:
     def test_unvaried_batch_of_one(self):
         spec, _ = build_sisni(SisniParams(alpha=6.0, g1=0.8, g2=1.2, L_is=0.16, L_ii=0.1, L_e=0.15))
@@ -154,6 +187,26 @@ class TestPropagate:
         phis = rng.uniform(0.0, 2.0 * math.pi, 5)
         _, cov = _propagate(spec, {6: {"phi": phis}})
         assert np.array_equal(cov, cov.swapaxes(1, 2))
+
+    def test_elements_before_the_first_varied_one_run_once(self, monkeypatch):
+        """Each block runs once: the prefix with its scalar fields, the varied element with the grid."""
+        calls = {PaElement: [], PhaseElement: []}
+        for cls in calls:
+            kind = circuits._KIND_OF[cls]
+
+            def spy(_block=kind.block, _calls=calls[cls], **values):
+                _calls.append(values)
+                return _block(**values)
+
+            monkeypatch.setitem(circuits._KIND_OF, cls, kind._replace(block=spy))
+        spec, _ = build_sisni(SisniParams(alpha=3.0, g1=0.9, g2=0.4, L_is=0.2, L_ii=0.1, L_e=0.3))
+        phis = np.array([3.0, 3.1, 3.2])
+        mean, cov = _propagate(spec, {6: {"phi": phis}})
+        upstream, pump, signal = calls[PaElement][0], calls[PhaseElement][0], calls[PhaseElement][1]
+        assert len(calls[PaElement]) == 2 and len(calls[PhaseElement]) == 2
+        assert upstream == {"g": 0.9} and pump == {"phi": math.pi}
+        assert signal["phi"] is phis
+        assert mean.shape == (3, 6) and cov.shape == (3, 6, 6)
 
     def test_simulate_is_the_batch_of_one(self):
         spec, _ = build_sq_mzi(SqMziParams(alpha=5.0, g=0.9, L_i=0.1, L_e=0.2))
