@@ -15,10 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import _propagate
+from .errors import InstabilityError
 from .interferometers import (
     SqMziParams,
     TopologyParams,
     _build,
+    _overflow,
     _phase_excursion,
     _phase_variance,
     _topology,
@@ -199,7 +201,10 @@ def wigner_panel(params: TopologyParams, phi_values, L_e_values, x, p) -> Wigner
     for phi, le in itertools.product(phis, les):
         replace(replace(params, **{topo.phase_field: phi}), L_e=le)
     vary = {topo.phase: {"phi": phis[:, None]}} | {i: {"L": les} for i in topo.external}
-    mean, cov = _propagate(spec, vary)
+    try:
+        mean, cov = _propagate(spec, vary)
+    except InstabilityError:
+        raise _overflow("engine", params) from None
     density = np.empty((phis.size, les.size, xs.size, ps.size))
     for i, j in np.ndindex(phis.size, les.size):
         state = GaussianState(spec.n_modes, mean[i, j], cov[i, j])

@@ -27,13 +27,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import CircuitError, ModeError
+from .errors import CircuitError, InstabilityError, ModeError
 from .states import (
     Coherent,
     GaussianState,
     QuadratureStats,
     Thermal,
     Vacuum,
+    _check_finite,
+    _check_index,
     _check_mode,
     _prepare,
     _quadrature_indices,
@@ -120,8 +122,8 @@ class Detection:
     theta: float = DEFAULT_THETA
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", int(self.mode))
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "mode", _check_index(self.mode))
+        object.__setattr__(self, "theta", _check_finite(self.theta, "local-oscillator angle theta"))
 
 
 def _check_modes(modes, n_modes: int, where: str):
@@ -142,7 +144,7 @@ class CircuitSpec:
     detect: Detection
 
     def __post_init__(self):
-        n_modes = int(self.n_modes)
+        n_modes = _check_index(self.n_modes, "n_modes")
         if n_modes < 1:
             raise CircuitError(f"n_modes must be a positive integer, got {self.n_modes}")
         object.__setattr__(self, "n_modes", n_modes)
@@ -180,29 +182,35 @@ def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray,
     Each element touches only its own modes' quadratures ``idx``:
     ``mean[..., idx]``, the rows ``cov[..., idx, :]`` and, by symmetry, the
     columns ``cov[..., idx]``, adding its noise block on ``idx x idx``.
+    Raises :class:`InstabilityError` naming the element where the state
+    leaves the float range.
     """
     vary = vary or {}
     mean, cov = _prepare(spec.n_modes, spec.inputs)
     mean, cov = mean[None], cov[None]
-    for i, el in enumerate(spec.elements):
-        kind = _KIND_OF[type(el)]
-        values = {n: getattr(el, n) for n in kind.params}
-        if i in vary:
-            values |= vary[i]
-            grid = np.broadcast_shapes(mean.shape[:-1], *map(np.shape, vary[i].values()))
-            if grid != mean.shape[:-1]:
-                mean = np.broadcast_to(mean, grid + mean.shape[-1:]).copy()
-                cov = np.broadcast_to(cov, grid + cov.shape[-2:]).copy()
-        linear, noise = kind.block(**values)
-        linear_t = linear.swapaxes(-1, -2)
-        idx, square = _block_index(_modes(el))
-        mean[..., idx] = (mean[..., None, idx] @ linear_t)[..., 0, :]
-        rows = linear @ cov[..., idx, :]
-        cov[..., idx, :] = rows
-        cov[..., idx] = rows.swapaxes(-1, -2)
-        block = rows[..., idx] @ linear_t
-        block = 0.5 * (block + block.swapaxes(-1, -2))
-        cov[square] = block if noise is None else block + noise
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for i, el in enumerate(spec.elements):
+                kind = _KIND_OF[type(el)]
+                values = {n: getattr(el, n) for n in kind.params}
+                if i in vary:
+                    values |= vary[i]
+                    grid = np.broadcast_shapes(mean.shape[:-1], *map(np.shape, vary[i].values()))
+                    if grid != mean.shape[:-1]:
+                        mean = np.broadcast_to(mean, grid + mean.shape[-1:]).copy()
+                        cov = np.broadcast_to(cov, grid + cov.shape[-2:]).copy()
+                linear, noise = kind.block(**values)
+                linear_t = linear.swapaxes(-1, -2)
+                idx, square = _block_index(_modes(el))
+                mean[..., idx] = (mean[..., None, idx] @ linear_t)[..., 0, :]
+                rows = linear @ cov[..., idx, :]
+                cov[..., idx, :] = rows
+                cov[..., idx] = rows.swapaxes(-1, -2)
+                block = rows[..., idx] @ linear_t
+                block = 0.5 * (block + block.swapaxes(-1, -2))
+                cov[square] = block if noise is None else block + noise
+        except FloatingPointError:
+            raise InstabilityError(f"engine: the state overflows at element {i} ({kind.type})") from None
     return mean, cov
 
 

@@ -32,6 +32,7 @@ from .interferometers import (
     _TOPOLOGIES,
     SisniParams,
     SqMziParams,
+    _amplitude,
     engine_report,
     mean_signal_and_variance,
 )
@@ -151,7 +152,7 @@ def _resolve_params(args, unread=()):
     _refuse_unread(args, _TOPOLOGY_DEFAULTS.keys() - set(unread), args.command)
     if args.topology == "mzi" and (args.g is not None or args.qng_db is not None):
         raise ValueError("flag conflict: plain mzi takes no squeezer gain")
-    values = {"alpha": math.sqrt(args.alpha2), topo.phase_field: args.phi, "T": args.bs_t}
+    values = {"alpha": _amplitude(args.alpha2), topo.phase_field: args.phi, "T": args.bs_t}
     for field in topo.gains:
         direct, qng_db = _GAIN_FLAGS[field]
         values[field] = _gain(getattr(args, direct), getattr(args, qng_db), "--" + direct)
@@ -322,6 +323,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _resolve_params(args, unread=("dphi",))
+    swept = {name.lower() for name in _TOPOLOGIES[type(params)].internal.get(args.internal_target, ())}
+    _refuse_unread(args, _TOPOLOGY_DEFAULTS.keys() - swept, f"--internal-target {args.internal_target}")
     i_start, i_stop, i_count = args.internal
     e_start, e_stop, e_count = args.external
     grid = loss_plane(
@@ -434,8 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_simulate)
 
+    # The internal loss the sweep drives comes from --internal; --l-is/--l-ii
+    # set the arm it does not drive (sisni).
     sub = add_command("sweep", help="advantage map over the loss plane")
-    _add_topology_args(sub, losses=())
+    _add_topology_args(sub, losses=("--l-is", "--l-ii"))
     sub.add_argument("--internal", type=_range_type, default=(0.0, 0.9, 101),
                      help="internal loss range start:stop:count")
     sub.add_argument("--external", type=_range_type, default=(0.0, 0.9, 101),

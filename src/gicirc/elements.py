@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .states import ElementMap, _check_finite, _check_mode, _quadrature_indices
+from .states import ElementMap, _check_finite, _check_index, _check_mode, _quadrature_indices
 
 __all__ = [
     "PaGain",
@@ -88,7 +88,7 @@ def as_loss(value) -> LossSpec:
 def _check_pair(pair) -> tuple[int, int]:
     """Two distinct mode indices."""
     a, b = pair
-    a, b = int(a), int(b)
+    a, b = _check_index(a), _check_index(b)
     if a == b:
         raise ValueError(f"pair modes must be distinct, got ({a}, {b})")
     return a, b
@@ -191,7 +191,7 @@ class SqueezerElement:
     block = staticmethod(_squeezer_block)
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", int(self.mode))
+        object.__setattr__(self, "mode", _check_index(self.mode))
         object.__setattr__(self, "g", PaGain(self.g).g)
 
 
@@ -222,7 +222,7 @@ class PhaseElement:
     block = staticmethod(_phase_block)
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", int(self.mode))
+        object.__setattr__(self, "mode", _check_index(self.mode))
         object.__setattr__(self, "phi", _check_finite(self.phi, "phase phi"))
 
 
@@ -235,7 +235,7 @@ class LossElement:
     block = staticmethod(_loss_block)
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", int(self.mode))
+        object.__setattr__(self, "mode", _check_index(self.mode))
         object.__setattr__(self, "L", LossSpec(self.L).L)
 
 

@@ -61,6 +61,13 @@ __all__ = [
 DARK_FRINGE = math.pi
 
 
+def _amplitude(alpha2) -> float:
+    """The bright-port amplitude ``sqrt(alpha2)``; ``ValueError`` naming ``alpha2`` if negative."""
+    if alpha2 < 0.0:
+        raise ValueError(f"bright-port photon number alpha2 must be >= 0, got {alpha2}")
+    return math.sqrt(alpha2)
+
+
 def _check_alpha(alpha) -> float:
     alpha = _check_finite(alpha, "bright-port amplitude alpha")
     if alpha < 0.0:
@@ -267,14 +274,18 @@ def _topology(params: TopologyParams) -> _Topology:
     return _TOPOLOGIES[type(params)]
 
 
+def _overflow(stage: str, params: TopologyParams) -> InstabilityError:
+    gains = ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
+    return InstabilityError(f"{stage}: the readout overflows at gains {gains}")
+
+
 def _check_readout(stage: str, params: TopologyParams, signal, var, snr):
     """Raise :class:`InstabilityError` unless ``var`` is finite and positive
     and ``signal`` and ``snr`` are finite (floats or arrays).
     """
     ok = (0.0 < var) & (var < math.inf) & (abs(signal) < math.inf) & (abs(snr) < math.inf)
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        gains = ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
-        raise InstabilityError(f"{stage}: the readout overflows at gains {gains}")
+        raise _overflow(stage, params)
 
 
 def _closed_terms(params: TopologyParams, **losses):
@@ -432,7 +443,10 @@ def _phase_excursion(
     grid = {i: {k: v[..., None] for k, v in values.items()} for i, values in (vary or {}).items()}
     phi0 = spec.elements[topo.phase].phi
     grid[topo.phase] = {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}
-    mean, cov = _propagate(spec, grid)
+    try:
+        mean, cov = _propagate(spec, grid)
+    except InstabilityError:
+        raise _overflow("engine", params) from None
     return _Excursion(spec, mean[..., 1, :], mean[..., 2, :], cov[..., 0, :, :])
 
 
@@ -465,17 +479,16 @@ def engine_report(
     than the default port and can be reported by passing ``detect_mode=1``.
     """
     _require_bright(params)
-    with np.errstate(all="ignore"):  # overflow is reported below
-        excursion = _phase_excursion(params, dphi, noisy_pa1, noisy_pa2)
-        spec = excursion.spec
-        mode = spec.detect.mode if detect_mode is None else _check_mode(detect_mode, spec.n_modes)
-        signal, var = _readout(excursion, mode)
-        _check_readout("engine", params, signal, var, signal * signal / var)
+    excursion = _phase_excursion(params, dphi, noisy_pa1, noisy_pa2)
+    spec = excursion.spec
+    mode = spec.detect.mode if detect_mode is None else _check_mode(detect_mode, spec.n_modes)
+    # Python floats overflow to inf without a warning; the check reports it.
+    signal, var = (float(v) for v in _readout(excursion, mode))
+    snr = signal * signal / var if var > 0.0 else math.nan
+    _check_readout("engine", params, signal, var, snr)
     _require_signal(signal)
-    mean_signal, var = float(signal), float(var)
-    snr = mean_signal * mean_signal / var
     return OutputReport(
-        mean_X2=mean_signal,
+        mean_X2=signal,
         var_X2=var,
         snr=snr,
         phase_variance=dphi * dphi / snr,

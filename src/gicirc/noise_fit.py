@@ -21,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, NoSolutionError
-from .interferometers import SisniParams, _phase_excursion, _readout, _topology, engine_report, sql_baseline
+from .interferometers import (
+    SisniParams,
+    _amplitude,
+    _phase_excursion,
+    _readout,
+    _topology,
+    engine_report,
+    sql_baseline,
+)
 from .noise_model import NoisyPaParams, _kappa
 
 __all__ = [
@@ -72,7 +80,7 @@ class FitResult:
 def _nested(losses, alpha2: float) -> SisniParams:
     """The nested topology at losses ``(L_is, L_ii, L_e)``; its amplifiers are set per row."""
     l_is, l_ii, l_e = losses
-    return SisniParams(alpha=math.sqrt(alpha2), L_is=l_is, L_ii=l_ii, L_e=l_e)
+    return SisniParams(alpha=_amplitude(alpha2), L_is=l_is, L_ii=l_ii, L_e=l_e)
 
 
 def _sql_snr(losses, alpha2: float, dphi: float) -> float:
@@ -215,8 +223,13 @@ def fit_noise_model(
     """
     rows = _normalize_data(data)
     (rho_lo, rho_hi), (eps_lo, eps_hi) = bounds
-    if not (0.0 <= rho_lo < rho_hi and 1.0 <= eps_lo < eps_hi):
-        raise ValueError(f"unusable bounds {bounds}")
+    if not (0.0 <= rho_lo < rho_hi < math.inf and 1.0 <= eps_lo < eps_hi < math.inf):
+        raise ValueError(
+            f"unusable bounds {bounds}: need finite 0 <= rho_lo < rho_hi and 1 <= eps2_lo < eps2_hi"
+        )
+    for name, value in (("restarts", restarts), ("max_evals", max_evals)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     w_lo = math.log10(max(rho_lo, _RHO_FLOOR))
     w_hi = math.log10(rho_hi)
     v_lo = math.log10(eps_lo)

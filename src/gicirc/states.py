@@ -262,8 +262,9 @@ def quadrature_stats(state: GaussianState, mode: int, theta: float = math.pi / 2
     so that full turns map onto identical statistics.
     """
     _check_mode(mode, state.n_modes)
+    theta = _check_finite(theta, "local-oscillator angle theta")
     mean, variance = _quadrature(state.mean, state.cov, mode, theta)
-    return QuadratureStats(float(mean), float(variance), float(theta))
+    return QuadratureStats(float(mean), float(variance), theta)
 
 
 def _quadrature(mean, cov, mode: int, theta: float):
@@ -328,9 +329,18 @@ def _check_finite(value, name: str) -> float:
     return value
 
 
+def _check_index(value, name: str = "mode index") -> int:
+    """The value as an ``int``; :class:`ModeError` naming ``name`` unless it is a
+    Python or numpy integer (a bool is not).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ModeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_mode(mode: int, n_modes: int) -> int:
-    """The mode index as an ``int``; :class:`ModeError` if outside the register."""
-    mode = int(mode)
+    """The mode index as an ``int``; :class:`ModeError` if not an integer or outside the register."""
+    mode = _check_index(mode)
     if not 0 <= mode < n_modes:
         raise ModeError(f"mode {mode} out of range for {n_modes} modes")
     return mode

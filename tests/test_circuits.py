@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from gicirc import (
     CircuitError,
     CircuitSpec,
+    GaussianState,
+    ModeError,
     Coherent,
     Detection,
     SisniParams,
@@ -22,6 +25,7 @@ from gicirc import (
     engine_report,
     gain_from_qng,
     parse_circuit,
+    quadrature_stats,
     serialize_circuit,
     simulate,
 )
@@ -351,3 +355,43 @@ def test_random_circuits_round_trip(spec):
     again = parse_circuit(text)
     assert again == spec
     assert serialize_circuit(again) == text
+
+
+class TestStrictLibraryValues:
+    """Library constructors refuse what circuit documents refuse."""
+
+    NESTED = SisniParams(alpha=3.0, g1=0.5, g2=0.8)
+
+    @pytest.mark.parametrize("mode", [True, np.True_, 0.7, 1.0, "0"])
+    def test_mode_must_be_an_integer(self, mode):
+        with pytest.raises(ModeError, match="mode index must be an integer"):
+            Detection(mode)
+        with pytest.raises(ModeError, match="mode index must be an integer"):
+            engine_report(self.NESTED, detect_mode=mode)
+        with pytest.raises(ModeError, match="mode index must be an integer"):
+            quadrature_stats(GaussianState.vacuum(2), mode)
+        with pytest.raises(ModeError, match="mode index must be an integer"):
+            PhaseElement(mode, 1.0)
+        with pytest.raises(ModeError, match="mode index must be an integer"):
+            BsElement((mode, 2))
+
+    @pytest.mark.parametrize("n_modes", [1.5, 2.0, True])
+    def test_n_modes_must_be_an_integer(self, n_modes):
+        with pytest.raises(ModeError, match="n_modes must be an integer"):
+            CircuitSpec(n_modes, (Vacuum(), Vacuum()), (), Detection(0))
+
+    @pytest.mark.parametrize("mode", [1, np.int64(1), np.int32(1), np.uint8(1)])
+    def test_python_and_numpy_integers_are_accepted(self, mode):
+        assert type(Detection(mode).mode) is int and Detection(mode).mode == 1
+        report = engine_report(self.NESTED, detect_mode=mode)
+        assert report == engine_report(self.NESTED, detect_mode=1)
+        assert type(report.detected_mode) is int
+        spec = CircuitSpec(np.int64(2), (Vacuum(), Vacuum()), (PhaseElement(mode, 1.0),), Detection(mode))
+        assert spec.n_modes == 2 and spec.elements[0].mode == 1
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_theta_must_be_finite(self, theta):
+        with pytest.raises(ValueError, match="local-oscillator angle theta must be finite"):
+            Detection(0, theta)
+        with pytest.raises(ValueError, match="local-oscillator angle theta must be finite"):
+            quadrature_stats(GaussianState.vacuum(1), 0, theta)

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from gicirc import (
     SisniParams,
     gain_from_qng,
+    loss_plane,
     snr_sisni_closed,
 )
 from gicirc.cli import _encode, build_parser, main
@@ -526,3 +528,86 @@ class TestGainOverflow:
         assert error["type"] == "InstabilityError"
         assert error["message"].startswith(f"{stage}: ")
         assert "1e+200" in error["message"]
+
+
+class TestEngineOverflow:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slope", "--topology", "sisni", "--g1", "1e200", "--g2", "0.5"],
+            ["wigner", "--topology", "sq-mzi", "--g", "1.2e154", "--xs=-1:1:3", "--ps=-1:1:3"],
+        ],
+    )
+    def test_analyses_give_one_line_error(self, capsys, argv):
+        error = run_error(capsys, *argv)
+        assert error["type"] == "InstabilityError"
+        assert error["message"].startswith("engine: the readout overflows at gains")
+
+    def test_circuit_document_gives_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"schema":"gicirc/1","n_modes":2,"inputs":[{"type":"vacuum"},{"type":"coherent","alpha":1.0}],'
+            '"elements":[{"type":"pa","modes":[0,1],"g":1e200}],"detect":{"mode":0}}'
+        )
+        error = run_error(capsys, "simulate", "--circuit", str(path))
+        assert error == {"type": "InstabilityError", "message": "engine: the state overflows at element 0 (pa)"}
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--restarts", "0"], "restarts must be a positive integer, got 0"),
+            (["--restarts", "-1"], "restarts must be a positive integer, got -1"),
+            (["--max-evals", "0"], "max_evals must be a positive integer, got 0"),
+            (["--eps2-max", "inf"], "unusable bounds ((0.0, 0.1), (1.0, inf))"),
+            (["--rho-max", "inf"], "unusable bounds ((0.0, inf), (1.0, 10000.0))"),
+            (["--alpha2", "-1"], "photon number alpha2 must be >= 0, got -1.0"),
+        ],
+    )
+    def test_fit_arguments_are_named(self, capsys, tmp_path, flags, message):
+        path = tmp_path / "d.csv"
+        path.write_text("qng1_db,qng2_db,advantage_db\n4,3,1\n4,6,1.5\n8,3,0.8\n8,6,1.2\n")
+        error = run_error(capsys, "fit", "--data", str(path), *flags)
+        assert error["type"] == "ValueError" and message in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["snr", "--topology", "mzi"],
+            ["simulate", "--topology", "sisni"],
+            ["advantage-curve", "--qng1-db", "4"],
+        ],
+    )
+    def test_negative_alpha2_is_named(self, capsys, argv):
+        error = run_error(capsys, *argv, "--alpha2", "-1")
+        assert error == {"type": "ValueError", "message": "bright-port photon number alpha2 must be >= 0, got -1.0"}
+
+
+class TestSweepLossFlags:
+    GRID = ("--internal", "0:0.5:3", "--external", "0:0.5:2")
+    NESTED = SisniParams(alpha=6.0, g1=1.0, g2=1.2)
+
+    @pytest.mark.parametrize("target, flag, field", [("signal", "--l-ii", "L_ii"), ("idler", "--l-is", "L_is")])
+    def test_the_unswept_arm_is_read(self, capsys, target, flag, field):
+        doc = run_json(
+            capsys, "sweep", "--topology", "sisni", "--g1", "1", "--g2", "1.2", *self.GRID,
+            "--internal-target", target, flag, "0.2",
+        )
+        fixed = replace(self.NESTED, **{field: 0.2})
+        expected = loss_plane(fixed, (0.0, 0.5), (0.0, 0.5), (3, 2), internal_target=target)
+        assert doc["outputs"]["values"] == expected.values.tolist()
+        assert doc["command"]["parameters"][flag[2:].replace("-", "_")] == 0.2
+
+    @pytest.mark.parametrize(
+        "target, flag", [("signal", "--l-is"), ("idler", "--l-ii"), ("both", "--l-is"), ("both", "--l-ii")]
+    )
+    def test_a_swept_arm_flag_is_refused(self, capsys, target, flag):
+        error = run_error(
+            capsys, "sweep", "--topology", "sisni", *self.GRID, "--internal-target", target, flag, "0.1"
+        )
+        assert error["message"] == f"flag conflict: {flag} does not apply to --internal-target {target}"
+
+    def test_parameters_echo_both_arm_losses(self, capsys):
+        doc = run_json(capsys, "sweep", "--topology", "sq-mzi", *self.GRID)
+        assert doc["command"]["parameters"]["l_is"] == doc["command"]["parameters"]["l_ii"] == 0.0

@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 from gicirc import (
+    CircuitSpec,
+    Coherent,
+    Detection,
     InstabilityError,
     NoisyPaParams,
     SisniParams,
     SqMziParams,
+    Vacuum,
     build_sisni,
     build_sq_mzi,
     detect_stats,
@@ -24,7 +28,9 @@ from gicirc import (
     simulate,
     snr_sisni_closed,
     snr_sq_mzi_closed,
+    slope_vs_theta,
     sql_baseline,
+    wigner_panel,
 )
 from gicirc.circuits import LossElement, NoisyPaElement, PaElement, PhaseElement
 from gicirc.interferometers import _TOPOLOGIES
@@ -433,6 +439,24 @@ class TestGainOverflow:
             warnings.simplefilter("error")
             with pytest.raises(InstabilityError, match=f"engine: .*{re.escape(gains)}"):
                 engine_report(params, 1e-3)
+
+    @pytest.mark.parametrize("params, gains", CASES)
+    def test_analyses(self, params, gains):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for analysis in (
+                lambda: slope_vs_theta(params, [0.0, 1.0]),
+                lambda: wigner_panel(params, [math.pi, 3.0], [0.0, 0.5], [0.0], [0.0]),
+            ):
+                with pytest.raises(InstabilityError, match=f"engine: .*{re.escape(gains)}"):
+                    analysis()
+
+    def test_circuit_document(self):
+        spec = CircuitSpec(2, (Vacuum(), Coherent(1.0)), (PaElement((0, 1), 1e200),), Detection(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=r"^engine: the state overflows at element 0 \(pa\)$"):
+                simulate(spec)
 
     def test_large_finite_gains_still_report(self):
         params = SisniParams(alpha=6.0, g1=1e3, g2=1e3)

@@ -149,6 +149,30 @@ class TestFitDataValidation:
             fit_noise_model(rows, PAPER_LOSSES, restarts=1, max_evals=10)
 
 
+class TestFitArguments:
+    ROWS = TestFitDataValidation.ROWS
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"restarts": 0}, "restarts must be a positive integer, got 0"),
+            ({"restarts": -1}, "restarts must be a positive integer, got -1"),
+            ({"restarts": 1.5}, "restarts must be a positive integer, got 1.5"),
+            ({"max_evals": 0}, "max_evals must be a positive integer, got 0"),
+            ({"bounds": ((0.0, float("inf")), (1.0, 10.0))}, "unusable bounds .*: need finite"),
+            ({"bounds": ((0.0, 0.1), (1.0, float("inf")))}, "unusable bounds .*: need finite"),
+            ({"alpha2": -1.0}, "photon number alpha2 must be >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_argument_is_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fit_noise_model(self.ROWS, PAPER_LOSSES, **({"restarts": 1, "max_evals": 10} | kwargs))
+
+    def test_negative_alpha2_in_advantage_curve(self):
+        with pytest.raises(ValueError, match="photon number alpha2 must be >= 0, got -4.0"):
+            advantage_vs_qng(4.0, [3.0], PAPER_LOSSES, NOISE_OFF, NOISE_OFF, alpha2=-4.0)
+
+
 def test_scipy_is_imported_only_by_a_fit():
     code = (
         "import sys, gicirc, gicirc.cli\n"
