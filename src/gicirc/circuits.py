@@ -195,10 +195,10 @@ def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray,
                 values = {n: getattr(el, n) for n in kind.params}
                 if i in vary:
                     values |= vary[i]
-                    grid = np.broadcast_shapes(mean.shape[:-1], *map(np.shape, vary[i].values()))
+                    grid = np.broadcast(mean[..., 0], *vary[i].values()).shape
                     if grid != mean.shape[:-1]:
-                        mean = np.broadcast_to(mean, grid + mean.shape[-1:]).copy()
-                        cov = np.broadcast_to(cov, grid + cov.shape[-2:]).copy()
+                        mean = _widen(mean, grid + mean.shape[-1:])
+                        cov = _widen(cov, grid + cov.shape[-2:])
                 linear, noise = kind.block(**values)
                 linear_t = linear.swapaxes(-1, -2)
                 idx, square = _block_index(_modes(el))
@@ -212,6 +212,13 @@ def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray,
         except FloatingPointError:
             raise InstabilityError(f"engine: the state overflows at element {i} ({kind.type})") from None
     return mean, cov
+
+
+def _widen(state: np.ndarray, shape: tuple) -> np.ndarray:
+    """A copy of ``state`` broadcast to ``shape`` (cheaper than ``np.broadcast_to(...).copy()``)."""
+    wide = np.empty(shape)
+    wide[...] = state
+    return wide
 
 
 @functools.lru_cache(maxsize=None)

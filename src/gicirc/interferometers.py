@@ -275,6 +275,7 @@ def _topology(params: TopologyParams) -> _Topology:
 
 
 def _overflow(stage: str, params: TopologyParams) -> InstabilityError:
+    """The error of a readout that overflows: the stage and the topology's gains."""
     gains = ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
     return InstabilityError(f"{stage}: the readout overflows at gains {gains}")
 
