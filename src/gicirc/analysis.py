@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import _propagate
-from .errors import InstabilityError
 from .interferometers import (
     SqMziParams,
     TopologyParams,
     _build,
-    _overflow,
+    _guard,
     _phase_excursion,
     _phase_variance,
     _topology,
@@ -150,7 +149,8 @@ def loss_plane(
         raise ValueError(f"unknown internal loss target {internal_target!r}")
     losses = dict.fromkeys(arms, internal) | {"L_e": external}
     baseline = {field: losses.get(own, getattr(fixed, own).L) for field, own in topo.baseline.items()}
-    ratio = _phase_variance(fixed, **losses) / _phase_variance(sql_baseline(fixed), **baseline)
+    with _guard("closed form", fixed):
+        ratio = _phase_variance(fixed, **losses) / _phase_variance(sql_baseline(fixed), **baseline)
     # to_db per cell: numpy's vectorized log10 may differ from math.log10 in
     # the last bit, which would move a CSV cell sitting on a rounding edge.
     values = np.array([to_db(r) for r in ratio.ravel().tolist()]).reshape(ratio.shape)
@@ -165,10 +165,11 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
     peaks on the phase quadrature and vanishes a quarter turn away.
     """
     thetas = np.asarray(theta_grid, dtype=float)
-    excursion = _phase_excursion(params, dphi)
-    mode = excursion.spec.detect.mode
-    dx, dp = (excursion.plus - excursion.minus)[2 * mode : 2 * mode + 2] / (2.0 * dphi)
-    return np.cos(thetas) * dx + np.sin(thetas) * dp
+    with _guard("engine", params):
+        excursion = _phase_excursion(params, dphi)
+        mode = excursion.spec.detect.mode
+        dx, dp = (excursion.plus - excursion.minus)[2 * mode : 2 * mode + 2] / (2.0 * dphi)
+        return np.cos(thetas) * dx + np.sin(thetas) * dp
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,14 +202,12 @@ def wigner_panel(params: TopologyParams, phi_values, L_e_values, x, p) -> Wigner
     for phi, le in itertools.product(phis, les):
         replace(replace(params, **{topo.phase_field: phi}), L_e=le)
     vary = {topo.phase: {"phi": phis[:, None]}} | {i: {"L": les} for i in topo.external}
-    try:
+    with _guard("engine", params):
         mean, cov = _propagate(spec, vary)
-    except InstabilityError:
-        raise _overflow("engine", params) from None
-    density = np.empty((phis.size, les.size, xs.size, ps.size))
-    for i, j in np.ndindex(phis.size, les.size):
-        state = GaussianState(spec.n_modes, mean[i, j], cov[i, j])
-        density[i, j] = wigner(state, spec.detect.mode, xs[:, None], ps[None, :])
+        density = np.empty((phis.size, les.size, xs.size, ps.size))
+        for i, j in np.ndindex(phis.size, les.size):
+            state = GaussianState(spec.n_modes, mean[i, j], cov[i, j])
+            density[i, j] = wigner(state, spec.detect.mode, xs[:, None], ps[None, :])
     return WignerPanel(phis, les, xs, ps, density)
 
 

@@ -21,6 +21,7 @@ of ``_TOPOLOGIES``, which every topology-dependent step reads.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -274,19 +275,25 @@ def _topology(params: TopologyParams) -> _Topology:
     return _TOPOLOGIES[type(params)]
 
 
-def _overflow(stage: str, params: TopologyParams) -> InstabilityError:
-    """The error of a readout that overflows: the stage and the topology's gains."""
-    gains = ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
-    return InstabilityError(f"{stage}: the readout overflows at gains {gains}")
-
-
-def _check_readout(stage: str, params: TopologyParams, signal, var, snr):
-    """Raise :class:`InstabilityError` unless ``var`` is finite and positive
-    and ``signal`` and ``snr`` are finite (floats or arrays).
+@contextlib.contextmanager
+def _guard(stage: str, params: TopologyParams):
+    """Run a readout with numpy raising on overflow, invalid values and division by zero;
+    those and an engine pass's :class:`InstabilityError` leave as one naming the stage and
+    the gains.  Values must be numpy floats: a Python float overflows to inf without an error.
     """
-    ok = (0.0 < var) & (var < math.inf) & (abs(signal) < math.inf) & (abs(snr) < math.inf)
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise _overflow(stage, params)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (FloatingPointError, InstabilityError):
+        gains = ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
+        raise InstabilityError(f"{stage}: the readout overflows at gains {gains}") from None
+
+
+def _positive(var):
+    """The noise variance; one that cancellation at huge gains leaves <= 0 fails as an overflow."""
+    if not (var > 0.0).all():
+        raise InstabilityError("the noise variance is not positive")
+    return var
 
 
 def _closed_terms(params: TopologyParams, **losses):
@@ -298,8 +305,8 @@ def _closed_terms(params: TopologyParams, **losses):
     replace the parameters' values and may be arrays; the terms broadcast
     over them.  Raises ``ValueError`` for parameters off the point the
     closed form models (balanced beamsplitters, the dark fringe and, for the
-    nested topology, the pump phase at ``pi``) and
-    :class:`InstabilityError` where the gains overflow the readout.
+    nested topology, the pump phase at ``pi``).  Run it inside
+    :func:`_guard`: the gains enter as numpy floats, so an overflow raises.
     """
     topo = _topology(params)
     for name, value in topo.closed_point.items():
@@ -308,21 +315,18 @@ def _closed_terms(params: TopologyParams, **losses):
                 f"closed form holds only at {name} = {value!r}, got {name} = "
                 f"{getattr(params, name)!r}; engine_report models other values"
             )
-    gains = [x for gain in (getattr(params, name) for name in topo.gains) for x in (gain.g, gain.G)]
+    gs = [np.float64(getattr(params, name).g) for name in topo.gains]
+    gains = [x for g in gs for x in (g, np.sqrt(1.0 + g * g))]
     fields = {name: getattr(params, name).L for name in topo.losses} | losses
-    with np.errstate(all="ignore"):  # overflow is reported below
-        try:
-            eta, gain, var = topo.kernel(*gains, **fields)
-        except OverflowError:  # a float power past the double range
-            eta = gain = var = math.nan
-        signal = np.sqrt(eta) * gain * params.alpha
-        _check_readout("closed form", params, signal, var, signal * signal / var)
-    return eta, gain, var
+    eta, gain, var = topo.kernel(*gains, **fields)
+    return eta, gain, _positive(var)
 
 
 def _snr_closed(params: TopologyParams, dphi: float) -> float:
-    eta, gain, var = _closed_terms(params)
-    return float(eta * gain * gain * dphi * dphi * params.alpha**2 / var)
+    dphi = np.float64(dphi)
+    with _guard("closed form", params):
+        eta, gain, var = _closed_terms(params)
+        return float(eta * gain * gain * dphi * dphi * np.float64(params.alpha) ** 2 / var)
 
 
 def snr_sq_mzi_closed(params: SqMziParams, dphi: float) -> float:
@@ -369,15 +373,15 @@ def _require_signal(signal):
 
 
 def _phase_terms(params: TopologyParams, **losses):
-    """``(eta, gain, var, phase variance)``; ``losses`` as in :func:`_closed_terms`."""
+    """``(eta, gain, var, phase variance)``; ``losses`` and the guard as in :func:`_closed_terms`."""
     _require_bright(params)
     eta, gain, var = _closed_terms(params, **losses)
     _require_signal(eta * gain)
-    return eta, gain, var, var / (eta * gain * gain * params.alpha**2)
+    return eta, gain, var, var / (eta * gain * gain * np.float64(params.alpha) ** 2)
 
 
 def _phase_variance(params: TopologyParams, **losses):
-    """Closed-form phase variance; ``losses`` as in :func:`_closed_terms`."""
+    """Closed-form phase variance; ``losses`` and the guard as in :func:`_closed_terms`."""
     return _phase_terms(params, **losses)[3]
 
 
@@ -387,7 +391,8 @@ def phase_variance_closed(params: TopologyParams) -> float:
     Equals ``dphi^2 / SNR`` for every excursion ``dphi``; for the plain
     lossless MZI this is the shot-noise limit ``1/alpha^2``.
     """
-    return float(_phase_variance(params))
+    with _guard("closed form", params):
+        return float(_phase_variance(params))
 
 
 def mean_signal_and_variance(params: TopologyParams, dphi: float = 1e-3) -> OutputReport:
@@ -397,16 +402,12 @@ def mean_signal_and_variance(params: TopologyParams, dphi: float = 1e-3) -> Outp
     ``-sqrt(eta) dphi alpha`` for the squeezed-light MZI and
     ``-sqrt(eta_s) G2 dphi alpha`` for the nested interferometer.
     """
-    eta, gain, var, phase_variance = _phase_terms(params)
-    mean = float(-np.sqrt(eta) * gain * dphi * params.alpha)
-    var = float(var)
-    return OutputReport(
-        mean_X2=mean,
-        var_X2=var,
-        snr=mean * mean / var,
-        phase_variance=float(phase_variance),
-        detected_mode=0,
-    )
+    dphi = np.float64(dphi)
+    with _guard("closed form", params):
+        eta, gain, var, phase_variance = _phase_terms(params)
+        mean = -np.sqrt(eta) * gain * dphi * params.alpha
+        snr = mean * mean / var
+    return OutputReport(*(float(v) for v in (mean, var, snr, phase_variance)), detected_mode=0)
 
 
 def _build(params: TopologyParams, *noisy: NoisyPaParams | None) -> tuple[_Topology, CircuitSpec]:
@@ -444,10 +445,7 @@ def _phase_excursion(
     grid = {i: {k: v[..., None] for k, v in values.items()} for i, values in (vary or {}).items()}
     phi0 = spec.elements[topo.phase].phi
     grid[topo.phase] = {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}
-    try:
-        mean, cov = _propagate(spec, grid)
-    except InstabilityError:
-        raise _overflow("engine", params) from None
+    mean, cov = _propagate(spec, grid)
     return _Excursion(spec, mean[..., 1, :], mean[..., 2, :], cov[..., 0, :, :])
 
 
@@ -456,7 +454,7 @@ def _readout(excursion: _Excursion, mode: int):
     theta = excursion.spec.detect.theta
     plus, variance = _quadrature(excursion.plus, excursion.cov, mode, theta)
     minus, _ = _quadrature(excursion.minus, excursion.cov, mode, theta)
-    return 0.5 * (plus - minus), variance
+    return 0.5 * (plus - minus), _positive(variance)
 
 
 def engine_report(
@@ -480,21 +478,16 @@ def engine_report(
     than the default port and can be reported by passing ``detect_mode=1``.
     """
     _require_bright(params)
-    excursion = _phase_excursion(params, dphi, noisy_pa1, noisy_pa2)
-    spec = excursion.spec
-    mode = spec.detect.mode if detect_mode is None else _check_mode(detect_mode, spec.n_modes)
-    # Python floats overflow to inf without a warning; the check reports it.
-    signal, var = (float(v) for v in _readout(excursion, mode))
-    snr = signal * signal / var if var > 0.0 else math.nan
-    _check_readout("engine", params, signal, var, snr)
-    _require_signal(signal)
-    return OutputReport(
-        mean_X2=signal,
-        var_X2=var,
-        snr=snr,
-        phase_variance=dphi * dphi / snr,
-        detected_mode=mode,
-    )
+    with _guard("engine", params):
+        excursion = _phase_excursion(params, dphi, noisy_pa1, noisy_pa2)
+        spec = excursion.spec
+        mode = spec.detect.mode if detect_mode is None else _check_mode(detect_mode, spec.n_modes)
+        signal, var = _readout(excursion, mode)
+        snr = signal * signal / var
+        _require_signal(signal)
+        dphi = np.float64(dphi)
+        phase_variance = dphi * dphi / snr
+    return OutputReport(*(float(v) for v in (signal, var, snr, phase_variance)), detected_mode=mode)
 
 
 def sql_baseline(params: TopologyParams) -> SqMziParams:

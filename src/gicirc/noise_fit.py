@@ -24,6 +24,7 @@ from .errors import InstabilityError, NoSolutionError
 from .interferometers import (
     SisniParams,
     _amplitude,
+    _guard,
     _phase_excursion,
     _readout,
     _topology,
@@ -100,9 +101,10 @@ def _sisni_snr(qng1_db, qng2_db, losses, noise1, noise2, alpha2: float, dphi: fl
     kappa = (_kappa(qng, pa.rho, pa.epsilon2) for qng, pa in ((qng1_db, pa1), (qng2_db, pa2)))
     params = _nested(losses, alpha2)
     vary = {i: {"kappa": k} for i, k in zip(_topology(params).amplifiers, kappa)}
-    excursion = _phase_excursion(params, dphi, pa1, pa2, vary=vary)
-    mean, var = _readout(excursion, excursion.spec.detect.mode)
-    return mean * mean / var
+    with _guard("engine", params):
+        excursion = _phase_excursion(params, dphi, pa1, pa2, vary=vary)
+        mean, var = _readout(excursion, excursion.spec.detect.mode)
+        return mean * mean / var
 
 
 def advantage_vs_qng(
