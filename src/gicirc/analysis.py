@@ -26,7 +26,7 @@ from .interferometers import (
     phase_variance_closed,
     sql_baseline,
 )
-from .states import GaussianState, wigner
+from .states import GaussianState, _check_index, wigner
 
 __all__ = [
     "to_db",
@@ -64,7 +64,7 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        if int(self.count) < 2:
+        if _check_index(self.count, f"axis {self.name!r} point count", ValueError) < 2:
             raise ValueError(f"axis {self.name!r} needs at least 2 points, got {self.count}")
         object.__setattr__(self, "count", int(self.count))
         object.__setattr__(self, "start", float(self.start))
@@ -99,6 +99,14 @@ class LinearFit:
 
     A: float
     residual_rms: float
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` naming ``name`` if one is NaN or infinite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got {values}")
+    return values
 
 
 def advantage_db(params: TopologyParams, baseline: SqMziParams | None = None) -> float:
@@ -164,7 +172,7 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
     phase set point ``+/- dphi``.  For lossless parameters the magnitude
     peaks on the phase quadrature and vanishes a quarter turn away.
     """
-    thetas = np.asarray(theta_grid, dtype=float)
+    thetas = _finite(theta_grid, "local-oscillator angles theta")
     with _guard("engine", params):
         excursion = _phase_excursion(params, dphi)
         mode = excursion.spec.detect.mode
@@ -196,8 +204,8 @@ def wigner_panel(params: TopologyParams, phi_values, L_e_values, x, p) -> Wigner
     """
     phis = np.asarray(phi_values, dtype=float)
     les = np.asarray(L_e_values, dtype=float)
-    xs = np.asarray(x, dtype=float)
-    ps = np.asarray(p, dtype=float)
+    xs = _finite(x, "Wigner coordinates x")
+    ps = _finite(p, "Wigner coordinates p")
     topo, spec = _build(params)
     for phi, le in itertools.product(phis, les):
         replace(replace(params, **{topo.phase_field: phi}), L_e=le)

@@ -323,7 +323,7 @@ def _closed_terms(params: TopologyParams, **losses):
 
 
 def _snr_closed(params: TopologyParams, dphi: float) -> float:
-    dphi = np.float64(dphi)
+    dphi = np.float64(_check_finite(dphi, "phase excursion dphi"))
     with _guard("closed form", params):
         eta, gain, var = _closed_terms(params)
         return float(eta * gain * gain * dphi * dphi * np.float64(params.alpha) ** 2 / var)
@@ -402,7 +402,7 @@ def mean_signal_and_variance(params: TopologyParams, dphi: float = 1e-3) -> Outp
     ``-sqrt(eta) dphi alpha`` for the squeezed-light MZI and
     ``-sqrt(eta_s) G2 dphi alpha`` for the nested interferometer.
     """
-    dphi = np.float64(dphi)
+    dphi = np.float64(_check_finite(dphi, "phase excursion dphi"))
     with _guard("closed form", params):
         eta, gain, var, phase_variance = _phase_terms(params)
         mean = -np.sqrt(eta) * gain * dphi * params.alpha

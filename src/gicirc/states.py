@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModeError, PhysicalityError
+from .errors import InstabilityError, ModeError, PhysicalityError
 
 __all__ = [
     "GaussianState",
@@ -104,7 +104,7 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
-        if int(self.n_modes) < 1:
+        if _check_index(self.n_modes, "n_modes") < 1:
             raise ValueError(f"n_modes must be a positive integer, got {self.n_modes}")
         object.__setattr__(self, "n_modes", int(self.n_modes))
         dim = 2 * self.n_modes
@@ -296,13 +296,18 @@ def wigner(state: GaussianState, mode: int, x, p):
     Accepts scalars or broadcastable arrays.  For a Gaussian state the
     density is ``exp(-(1/2) d^T Sigma^-1 d) / (2 pi sqrt(det Sigma))`` with
     ``d = (x, p) - mean`` and ``Sigma`` the 2x2 covariance block; it is
-    normalized to unit integral over the plane.
+    normalized to unit integral over the plane.  A determinant past the
+    float range raises :class:`InstabilityError`.
     """
     sub = marginal(state, [mode])
     sxx = sub.cov[0, 0]
     sxp = sub.cov[0, 1]
     spp = sub.cov[1, 1]
-    det = sxx * spp - sxp * sxp
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            det = sxx * spp - sxp * sxp
+    except FloatingPointError:
+        raise InstabilityError("Wigner density: the covariance determinant overflows") from None
     if det < 1e-300:
         raise PhysicalityError(
             "degenerate single-mode covariance: Wigner density is not defined"
@@ -329,12 +334,12 @@ def _check_finite(value, name: str) -> float:
     return value
 
 
-def _check_index(value, name: str = "mode index") -> int:
-    """The value as an ``int``; :class:`ModeError` naming ``name`` unless it is a
-    Python or numpy integer (a bool is not).
+def _check_index(value, name: str = "mode index", error: type = ModeError) -> int:
+    """The value as an ``int``; ``error`` naming ``name`` unless it is a Python
+    or numpy integer (a bool is not).
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ModeError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
