@@ -10,11 +10,13 @@ constraint.
 Every preparation and element kind is one row of a table below: its document
 ``type`` and its dataclass, whose fields and defaults give the required and
 optional document keys and, for elements, whose ``block`` is its local block
-function.  Parsing, serialization and propagation are driven by those rows.
+function and whose ``update`` applies it to the state.  Parsing,
+serialization and propagation are driven by those rows.
 
-Propagation is block-local: each element updates only the mean entries and
-the covariance rows and columns of its own modes, on arrays with leading
-grid axes, so one pass can run a whole grid of variants of the same circuit.
+Propagation is block-local: the state is one array ``[cov | mean]`` with
+leading grid axes, and each element updates only the rows (mean entries
+included) and the covariance columns of its own modes, so one pass can run a
+whole grid of variants of the same circuit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -84,16 +87,67 @@ class _Kind(NamedTuple):
     optional: frozenset
     block: Callable | None
     params: tuple[str, ...]  # the fields passed to ``block``: all but the modes
+    update: Callable | None  # (state, block index, block, values): applies the element in place
 
 
-def _kind(type_: str, cls: type) -> _Kind:
+def _transform(state: np.ndarray, index, block: Callable, values: dict):
+    """Apply the element's ``(S, N) = block(**values)`` to ``state`` in place.
+
+    ``S`` moves the covariance rows ``idx`` and their mean entries, then,
+    transposed, the covariance columns ``idx``; the square block is
+    symmetrized against rounding and ``N`` added to it.  The mean goes
+    through its own matrix-vector product: BLAS sums a matrix product over
+    whole ``[cov | mean]`` rows in another order, which moves its last bits.
+    """
+    idx, square, _ = index
+    linear, noise = block(**values)
+    state[..., idx, -1:] = linear @ state[..., idx, -1:]
+    rows = linear @ state[..., idx, :-1]
+    state[..., idx, :-1] = rows
+    state[..., idx] = rows.swapaxes(-1, -2)
+    cov = rows[..., idx] @ linear.swapaxes(-1, -2)
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    state[square] = cov if noise is None else cov + noise
+
+
+def _attenuate(state: np.ndarray, index, block: Callable, values: dict):
+    """A loss ``L`` in place, without a matrix product.
+
+    ``S = sqrt(1 - L) I`` scales the mode's rows (mean entries included) and
+    covariance columns, and ``N = L I`` adds ``L`` on the mode's diagonal:
+    the bits of the product.  A total loss still goes through the product,
+    whose exact zeros take their sign from both of the mode's quadratures.
+    """
+    idx, _, diagonal = index
+    loss = values["L"]
+    if isinstance(loss, np.ndarray):
+        total = (loss == 1.0).any()
+        scale = np.sqrt(1.0 - loss)[..., None, None]
+    else:
+        total = loss == 1.0
+        scale = np.sqrt(1.0 - loss)
+    if total:
+        _transform(state, index, block, values)
+        return
+    for view in (state[..., idx, :], state[..., idx]):
+        view *= scale
+    for d in diagonal:
+        view = state[d]
+        view += loss
+
+
+def _kind(type_: str, cls: type, update: Callable | None = _transform) -> _Kind:
     names = tuple(f.name for f in fields(cls))
     required = frozenset(f.name for f in fields(cls) if f.default is MISSING) | {"type"}
-    block = getattr(cls, "block", None)  # preparations have none
-    return _Kind(type_, cls, names, required, frozenset(names) - required, block, _block_params(cls))
+    block = getattr(cls, "block", None)  # preparations have neither a block nor an update
+    update = update if block else None
+    return _Kind(
+        type_, cls, names, required, frozenset(names) - required, block, _block_params(cls), update
+    )
 
 
-# document type -> kind; ``block(**params)`` gives the local ``(S, N)``.
+# document type -> kind; ``block(**params)`` gives the local ``(S, N)``, which
+# ``update`` applies (a loss scales its rows and columns instead).
 _INPUTS = {
     k.type: k
     for k in (_kind("vacuum", Vacuum), _kind("coherent", Coherent), _kind("thermal", Thermal))
@@ -105,7 +159,7 @@ _ELEMENTS = {
         _kind("single_mode_squeezer", SqueezerElement),
         _kind("bs", BsElement),
         _kind("phase", PhaseElement),
-        _kind("loss", LossElement),
+        _kind("loss", LossElement, _attenuate),
         _kind("noisy_pa", NoisyPaElement),
     )
 }
@@ -124,6 +178,22 @@ class Detection:
     def __post_init__(self):
         object.__setattr__(self, "mode", _check_index(self.mode))
         object.__setattr__(self, "theta", _check_finite(self.theta, "local-oscillator angle theta"))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _assemble(cls, *values):
+    """A ``cls`` dataclass holding ``values`` as its fields, in field order, without ``__post_init__``.
+
+    Only for values that have passed the same checks already, as the
+    fields of a built-in topology's parameters have.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(_field_names(cls), values))
+    return obj
 
 
 def _check_modes(modes, n_modes: int, where: str):
@@ -179,15 +249,16 @@ def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray,
     once.  The values are not validated; callers pass only values that
     their element's dataclass would accept.
 
-    Each element touches only its own modes' quadratures ``idx``:
-    ``mean[..., idx]``, the rows ``cov[..., idx, :]`` and, by symmetry, the
-    columns ``cov[..., idx]``, adding its noise block on ``idx x idx``.
+    The state is one array ``[cov | mean]`` of shape ``(*grid, 2n, 2n + 1)``,
+    the covariance with the mean as its last column, and each element's
+    ``update`` changes only its own modes' quadratures ``idx``: the rows
+    ``state[..., idx, :]`` (which moves the mean too), the covariance
+    columns ``state[..., idx]`` and the square block on ``idx x idx``.
     Raises :class:`InstabilityError` naming the element where the state
     leaves the float range.
     """
     vary = vary or {}
-    mean, cov = _prepare(spec.n_modes, spec.inputs)
-    mean, cov = mean[None], cov[None]
+    state = _prepare(spec.n_modes, spec.inputs)[None]
     with np.errstate(over="raise", invalid="raise"):
         try:
             for i, el in enumerate(spec.elements):
@@ -195,23 +266,13 @@ def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray,
                 values = {n: getattr(el, n) for n in kind.params}
                 if i in vary:
                     values |= vary[i]
-                    grid = np.broadcast(mean[..., 0], *vary[i].values()).shape
-                    if grid != mean.shape[:-1]:
-                        mean = _widen(mean, grid + mean.shape[-1:])
-                        cov = _widen(cov, grid + cov.shape[-2:])
-                linear, noise = kind.block(**values)
-                linear_t = linear.swapaxes(-1, -2)
-                idx, square = _block_index(_modes(el))
-                mean[..., idx] = (mean[..., None, idx] @ linear_t)[..., 0, :]
-                rows = linear @ cov[..., idx, :]
-                cov[..., idx, :] = rows
-                cov[..., idx] = rows.swapaxes(-1, -2)
-                block = rows[..., idx] @ linear_t
-                block = 0.5 * (block + block.swapaxes(-1, -2))
-                cov[square] = block if noise is None else block + noise
+                    grid = np.broadcast(state[..., 0, 0], *vary[i].values()).shape
+                    if grid != state.shape[:-2]:
+                        state = _widen(state, grid + state.shape[-2:])
+                kind.update(state, _block_index(_modes(el)), kind.block, values)
         except FloatingPointError:
             raise InstabilityError(f"engine: the state overflows at element {i} ({kind.type})") from None
-    return mean, cov
+    return state[..., -1], state[..., :-1]
 
 
 def _widen(state: np.ndarray, shape: tuple) -> np.ndarray:
@@ -223,17 +284,19 @@ def _widen(state: np.ndarray, shape: tuple) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _block_index(modes: tuple[int, ...]):
-    """Index of the modes' quadratures along one axis, and of their square block.
+    """Index of the modes' quadratures along one axis, of their square block and of its diagonal.
 
     A slice where the quadratures are contiguous and in order (basic
-    indexing is cheaper), an index array otherwise.
+    indexing is cheaper), an index array otherwise; the diagonal is one
+    ``(..., i, i)`` index per quadrature.
     """
     idx = _quadrature_indices(modes)
+    diagonal = tuple((..., int(i), int(i)) for i in idx)
     if np.all(np.diff(idx) == 1):
         idx = slice(int(idx[0]), int(idx[-1]) + 1)
-        return idx, (..., idx, idx)
+        return idx, (..., idx, idx), diagonal
     idx.setflags(write=False)  # shared by every caller through the cache
-    return idx, (..., idx[:, None], idx)
+    return idx, (..., idx[:, None], idx), diagonal
 
 
 def simulate(spec: CircuitSpec) -> GaussianState:
@@ -398,4 +461,90 @@ def serialize_circuit(spec: CircuitSpec, indent: int | None = 2) -> str:
         "elements": [_entry_doc(e) for e in spec.elements],
         "detect": {"mode": spec.detect.mode, "theta": spec.detect.theta},
     }
-    return json.dumps(doc, indent=indent)
+    if indent is None:
+        return json.dumps(doc)
+    return _encode(doc, sort_keys=False, indent=" " * indent if isinstance(indent, int) else indent)
+
+
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# What ``json`` writes for each scalar type it knows, dispatched by exact type.
+_SCALAR_TEXT = {
+    float: _float_text,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _float_list(values, separator: str) -> str | None:
+    """The ``float.__repr__`` of each value, joined; ``None`` if one is not a float."""
+    try:
+        body = separator.join(map(float.__repr__, values))
+    except TypeError:
+        return None
+    if "n" in body:  # 'nan' or 'inf': no finite float's repr holds an 'n'
+        raise ValueError("Out of range float values are not JSON compliant")
+    return body
+
+
+def _encode(obj, sort_keys: bool = True, indent: str = "  ") -> str:
+    """``json.dumps(obj, indent=indent, sort_keys=sort_keys, allow_nan=False)``, byte for byte.
+
+    With ``indent`` set, the standard library encodes in pure Python, one
+    type check and one chunk per element.  Here scalars of a type ``json``
+    knows are written by exact type, a list of floats as one chunk, a
+    ``join`` of ``float.__repr__`` (what ``json`` writes for a float or a
+    float subclass), dicts (in insertion order or sorted) and other lists
+    recurse, and every other value goes through ``json.dumps``; the chunks
+    are joined once.  Keys must be strings.  NaN or infinity raises
+    ``ValueError``, an unsupported type or a key that is not a string
+    ``TypeError``.
+    """
+    chunks = []
+    _write_json(obj, chunks.append, sort_keys, indent, "\n")
+    return "".join(chunks)
+
+
+def _write_json(obj, write: Callable, sort_keys: bool, indent: str, newline: str):
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        write(text(obj))
+        return
+    inner = newline + indent
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        separator = "{" + inner
+        for key in sorted(obj) if sort_keys else obj:
+            value = obj[key]
+            text = _SCALAR_TEXT.get(type(value))
+            if text is not None:
+                write(separator + encode_basestring_ascii(key) + ": " + text(value))
+            else:
+                write(separator + encode_basestring_ascii(key) + ": ")
+                _write_json(value, write, sort_keys, indent, inner)
+            separator = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        body = _float_list(obj, "," + inner) if isinstance(obj[0], float) else None
+        if body is not None:
+            write("[" + inner + body + newline + "]")
+            return
+        separator = "[" + inner
+        for item in obj:
+            write(separator)
+            _write_json(item, write, sort_keys, indent, inner)
+            separator = "," + inner
+        write(newline + "]")
+    else:
+        write(json.dumps(obj, allow_nan=False))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import loss_plane, slope_vs_theta, to_db, wigner_panel
-from .circuits import detect_stats, parse_circuit, simulate
+from .circuits import _encode, detect_stats, parse_circuit, simulate
 from .elements import gain_from_qng
 from .errors import GicircError
 from .interferometers import (
@@ -197,38 +197,6 @@ def _fmt(value) -> str:
             raise ValueError(f"result holds a non-finite number ({value})")
         return "%.12g" % value
     return str(value)
-
-
-def _encode(obj, newline: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
-
-    With ``indent`` set, the standard library encodes in pure Python, one
-    type check per element.  Here a list of floats is written in one
-    ``join`` of ``float.__repr__`` (what ``json`` writes for a float or a
-    float subclass); dicts and other lists recurse, and every other value,
-    strings included, goes through ``json.dumps``.  Keys must be strings.
-    NaN or infinity raises ``ValueError``, an unsupported type ``TypeError``.
-    """
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("result keys must be strings")
-        items = (json.dumps(key) + ": " + _encode(obj[key], inner) for key in sorted(obj))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        try:
-            body = ("," + inner).join(map(float.__repr__, obj))
-        except TypeError:  # not a list of floats
-            body = ("," + inner).join(_encode(item, inner) for item in obj)
-        else:
-            if "n" in body:  # 'nan' or 'inf': no finite float's repr holds an 'n'
-                raise ValueError("Out of range float values are not JSON compliant")
-        return "[" + inner + body + newline + "]"
-    return json.dumps(obj, allow_nan=False)
 
 
 def _write(args, outputs: dict, header, rows) -> int:

@@ -106,9 +106,14 @@ def _combine(*terms) -> np.ndarray:
 
     Coefficients are scalars or arrays; their shape becomes the leading
     (batch) shape of the result, so a ``(B,)`` coefficient gives ``B``
-    blocks.
+    blocks.  The first term starts the sum, so no ``0 +`` costs an array
+    operation, and a scalar coefficient multiplies its matrix directly.
     """
-    return sum(np.multiply.outer(c, m) for c, m in terms)
+    (c, m), *rest = terms
+    block = np.multiply.outer(c, m) if isinstance(c, np.ndarray) else c * m
+    for c, m in rest:
+        block = block + (np.multiply.outer(c, m) if isinstance(c, np.ndarray) else c * m)
+    return block
 
 
 _I2 = np.eye(2)

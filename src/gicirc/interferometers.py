@@ -16,7 +16,9 @@ detect the phase quadrature on the dark output.  Closed forms for SNR,
 mean signal, variance, and phase variance are first order in the phase
 excursion ``dphi``; engine reports propagate the full covariance and use a
 symmetric finite difference for the mean signal.  Each topology is one row
-of ``_TOPOLOGIES``, which every topology-dependent step reads.
+of ``_TOPOLOGIES``, which every topology-dependent step reads.  The
+parameter dataclasses check every field once; the builders trust them and
+assemble the elements and the circuit without checking again.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .circuits import (
     PaElement,
     PhaseElement,
     SqueezerElement,
+    _assemble,
     _propagate,
 )
 from .noise_model import NoisyPaParams
@@ -60,6 +63,8 @@ __all__ = [
 ]
 
 DARK_FRINGE = math.pi
+_VACUUM = Vacuum()
+_DETECT_0 = Detection(0)
 
 
 def _amplitude(alpha2) -> float:
@@ -164,16 +169,16 @@ def build_sq_mzi(params: SqMziParams) -> tuple[CircuitSpec, int]:
     """
     p = params
     elements = (
-        SqueezerElement(0, p.g.g),
-        BsElement((0, 1), p.T),
-        LossElement(0, p.L_i.L),
-        LossElement(1, p.L_i.L),
-        PhaseElement(1, p.phi),  # 4: signal phase
-        BsElement((0, 1), p.T),
-        LossElement(0, p.L_e.L),  # 6: external loss
+        _assemble(SqueezerElement, 0, p.g.g),
+        _assemble(BsElement, (0, 1), p.T, "second_minus"),
+        _assemble(LossElement, 0, p.L_i.L),
+        _assemble(LossElement, 1, p.L_i.L),
+        _assemble(PhaseElement, 1, p.phi),  # 4: signal phase
+        _assemble(BsElement, (0, 1), p.T, "second_minus"),
+        _assemble(LossElement, 0, p.L_e.L),  # 6: external loss
     )
-    inputs = (Vacuum(), Coherent(p.alpha))
-    return CircuitSpec(2, inputs, elements, Detection(0)), 0
+    inputs = (_VACUUM, _assemble(Coherent, complex(p.alpha)))
+    return _assemble(CircuitSpec, 2, inputs, elements, _DETECT_0), 0
 
 
 def build_sisni(
@@ -195,24 +200,26 @@ def build_sisni(
     """
     p = params
     pa1, pa2 = (
-        PaElement((0, 1), gain.g) if pa is None else NoisyPaElement((0, 1), pa.rho, pa.kappa, pa.epsilon2)
+        _assemble(PaElement, (0, 1), gain.g)
+        if pa is None
+        else _assemble(NoisyPaElement, (0, 1), pa.rho, pa.kappa, pa.epsilon2)
         for gain, pa in ((p.g1, noisy_pa1), (p.g2, noisy_pa2))
     )
     elements = (
         pa1,  # 0: upstream amplifier
-        LossElement(1, p.L_ii.L),
-        PhaseElement(1, p.phi_pump),
-        BsElement((0, 2), p.T),
-        LossElement(0, p.L_is.L),
-        LossElement(2, p.L_is.L),
-        PhaseElement(2, p.phi_signal),  # 6: signal phase
-        BsElement((0, 2), p.T),
+        _assemble(LossElement, 1, p.L_ii.L),
+        _assemble(PhaseElement, 1, p.phi_pump),
+        _assemble(BsElement, (0, 2), p.T, "second_minus"),
+        _assemble(LossElement, 0, p.L_is.L),
+        _assemble(LossElement, 2, p.L_is.L),
+        _assemble(PhaseElement, 2, p.phi_signal),  # 6: signal phase
+        _assemble(BsElement, (0, 2), p.T, "second_minus"),
         pa2,  # 8: downstream amplifier
-        LossElement(0, p.L_e.L),  # 9, 10: external loss
-        LossElement(1, p.L_e.L),
+        _assemble(LossElement, 0, p.L_e.L),  # 9, 10: external loss
+        _assemble(LossElement, 1, p.L_e.L),
     )
-    inputs = (Vacuum(), Vacuum(), Coherent(p.alpha))
-    return CircuitSpec(3, inputs, elements, Detection(0)), 0
+    inputs = (_VACUUM, _VACUUM, _assemble(Coherent, complex(p.alpha)))
+    return _assemble(CircuitSpec, 3, inputs, elements, _DETECT_0), 0
 
 
 def _sq_mzi_terms(g, G, L_i, L_e):
@@ -290,9 +297,11 @@ def _guard(stage: str, params: TopologyParams):
 
 
 def _positive(var):
-    """The noise variance; one that cancellation at huge gains leaves <= 0 fails as an overflow."""
+    """A variance that must be positive; one that cancellation at huge gains leaves <= 0, or
+    that underflows to 0, fails as an overflow.
+    """
     if not (var > 0.0).all():
-        raise InstabilityError("the noise variance is not positive")
+        raise InstabilityError("the variance is not positive")
     return var
 
 
@@ -377,7 +386,7 @@ def _phase_terms(params: TopologyParams, **losses):
     _require_bright(params)
     eta, gain, var = _closed_terms(params, **losses)
     _require_signal(eta * gain)
-    return eta, gain, var, var / (eta * gain * gain * np.float64(params.alpha) ** 2)
+    return eta, gain, var, _positive(var / (eta * gain * gain * np.float64(params.alpha) ** 2))
 
 
 def _phase_variance(params: TopologyParams, **losses):

@@ -230,7 +230,7 @@ def fit_noise_model(
             f"unusable bounds {bounds}: need finite 0 <= rho_lo < rho_hi and 1 <= eps2_lo < eps2_hi"
         )
     for name, value in (("restarts", restarts), ("max_evals", max_evals)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     w_lo = math.log10(max(rho_lo, _RHO_FLOOR))
     w_hi = math.log10(rho_hi)

@@ -214,23 +214,24 @@ def make_state(n_modes: int, inputs) -> GaussianState:
     Returns:
         The corresponding product state.
     """
-    return GaussianState(n_modes, *_prepare(n_modes, inputs))
+    state = _prepare(n_modes, inputs)
+    return GaussianState(n_modes, state[:, -1], state[:, :-1])
 
 
-def _prepare(n_modes: int, inputs) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance matrix of the product of ``inputs``."""
+def _prepare(n_modes: int, inputs) -> np.ndarray:
+    """``[cov | mean]`` of the product of ``inputs``: the covariance with the mean as its last column."""
     preps = list(inputs)
     if len(preps) != n_modes:
         raise ValueError(f"expected {n_modes} preparations, got {len(preps)}")
-    mean = np.zeros(2 * n_modes)
-    cov = np.eye(2 * n_modes)
+    dim = 2 * n_modes
+    state = np.zeros((dim, dim + 1))
     for k, prep in enumerate(preps):
         try:
-            mean[2 * k], mean[2 * k + 1] = prep.mode_mean
-            cov[2 * k, 2 * k] = cov[2 * k + 1, 2 * k + 1] = prep.variance
+            state[2 * k, dim], state[2 * k + 1, dim] = prep.mode_mean
+            state[2 * k, 2 * k] = state[2 * k + 1, 2 * k + 1] = prep.variance
         except AttributeError:
             raise TypeError(f"unknown preparation {prep!r} for mode {k}") from None
-    return mean, cov
+    return state
 
 
 def apply(state: GaussianState, element: ElementMap) -> GaussianState:

@@ -357,6 +357,16 @@ def test_random_circuits_round_trip(spec):
     assert serialize_circuit(again) == text
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_circuits(), st.sampled_from([2, 0, 4, "\t"]))
+def test_document_text_is_json_dumps(spec, indent):
+    """The indented writer gives the bytes of ``json.dumps``; ``indent=None`` is ``json.dumps``."""
+    doc = json.loads(serialize_circuit(spec, indent=None))
+    assert serialize_circuit(spec, indent=indent) == json.dumps(doc, indent=indent)
+    if indent == 2:
+        assert serialize_circuit(spec) == json.dumps(doc, indent=2)
+
+
 class TestStrictLibraryValues:
     """Library constructors refuse what circuit documents refuse."""
 

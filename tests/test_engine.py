@@ -142,6 +142,44 @@ def test_batch_equals_separate_runs(case):
         assert_close(cov[b], reference.cov, scale=scale)
 
 
+def _by_block_product(spec, vary=None):
+    """``_propagate`` with the loss row updating through the generic block product."""
+    kind = circuits._KIND_OF[LossElement]
+    circuits._KIND_OF[LossElement] = kind._replace(update=circuits._transform)
+    try:
+        return _propagate(spec, vary)
+    finally:
+        circuits._KIND_OF[LossElement] = kind
+
+
+def assert_same_bits(actual, expected):
+    for a, e in zip(actual, expected):
+        assert a.shape == e.shape and a.tobytes() == e.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(varied_circuits())
+def test_loss_scaling_gives_the_bits_of_the_block_product(case):
+    """Signs of exact zeros included, for losses in [0, 1] and total losses in a batch."""
+    spec, index, rows = case
+    vary = {index: {name: np.array([row[name] for row in rows]) for name in rows[0]}}
+    assert_same_bits(_propagate(spec), _by_block_product(spec))
+    assert_same_bits(_propagate(spec, vary), _by_block_product(spec, vary))
+
+
+@pytest.mark.parametrize("L", [1.0, np.array([0.5, 1.0])])
+def test_total_loss_keeps_the_zero_signs_of_the_block_product(L):
+    spec = CircuitSpec(
+        3,
+        (Vacuum(), Vacuum(), Coherent(-1.2)),
+        (PhaseElement(1, 0.0), LossElement(2, 0.5), LossElement(2, 1.0)),
+        Detection(0),
+    )
+    vary = {2: {"L": L}}
+    assert_same_bits(_propagate(spec, vary), _by_block_product(spec, vary))
+    assert_same_bits(_propagate(spec), _by_block_product(spec))
+
+
 @st.composite
 def grid_circuits(draw):
     """A circuit of ``varied_circuits`` with a second varied element: ``(R, 1)`` and ``(E,)`` values."""

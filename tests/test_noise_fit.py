@@ -168,6 +168,12 @@ class TestFitArguments:
         with pytest.raises(ValueError, match=message):
             fit_noise_model(self.ROWS, PAPER_LOSSES, **({"restarts": 1, "max_evals": 10} | kwargs))
 
+    @pytest.mark.parametrize("name", ["restarts", "max_evals"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_count_is_refused(self, name, flag):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {flag}$"):
+            fit_noise_model(self.ROWS, PAPER_LOSSES, **({"restarts": 1, "max_evals": 10} | {name: flag}))
+
     def test_negative_alpha2_in_advantage_curve(self):
         with pytest.raises(ValueError, match="photon number alpha2 must be >= 0, got -4.0"):
             advantage_vs_qng(4.0, [3.0], PAPER_LOSSES, NOISE_OFF, NOISE_OFF, alpha2=-4.0)

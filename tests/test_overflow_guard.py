@@ -26,6 +26,7 @@ from gicirc import (
     mean_signal_and_variance,
     phase_variance_closed,
     slope_vs_theta,
+    snr_gain_db,
     snr_sisni_closed,
     snr_sq_mzi_closed,
     wigner,
@@ -225,6 +226,29 @@ class TestClosedFormDphi:
         for readout in (_snr_closed, mean_signal_and_variance):
             with pytest.raises(InstabilityError, match="^closed form: the readout overflows at gains g1 = 0.5, g2 = 0.7$"):
                 readout(params, 1e200)
+
+
+class TestPhaseVarianceUnderflow:
+    """A closed-form phase variance that underflows to 0 leaves the guard as an instability."""
+
+    @pytest.mark.parametrize(
+        "readout",
+        [
+            phase_variance_closed,
+            advantage_db,
+            snr_gain_db,
+            lambda p: loss_plane(p, resolution=3),
+            mean_signal_and_variance,
+        ],
+        ids=["phase_variance_closed", "advantage_db", "snr_gain_db", "loss_plane", "mean_signal_and_variance"],
+    )
+    def test_raises_naming_the_closed_form(self, readout):
+        with pytest.raises(InstabilityError, match=r"^closed form: the readout overflows at gains g = 1e\+08$"):
+            readout(SqMziParams(alpha=1.3e154, g=1e8))
+
+    def test_subnormal_phase_variance_is_returned(self):
+        variance = phase_variance_closed(SqMziParams(alpha=1e154, g=0.5))
+        assert 0.0 < variance < 2.2250738585072014e-308
 
 
 class TestWignerOverflow:
