@@ -115,20 +115,15 @@ def _attenuate(state: np.ndarray, index, block: Callable, values: dict):
 
     ``S = sqrt(1 - L) I`` scales the mode's rows (mean entries included) and
     covariance columns, and ``N = L I`` adds ``L`` on the mode's diagonal:
-    the bits of the product.  A total loss still goes through the product,
-    whose exact zeros take their sign from both of the mode's quadratures.
+    the values of the product, and its bits but for the sign of an exact
+    zero at a total loss (the product's zeros take their sign from both of
+    the mode's quadratures, a scaled entry keeps its own).
     """
     idx, _, diagonal = index
     loss = values["L"]
+    scale = np.sqrt(1.0 - loss)
     if isinstance(loss, np.ndarray):
-        total = (loss == 1.0).any()
-        scale = np.sqrt(1.0 - loss)[..., None, None]
-    else:
-        total = loss == 1.0
-        scale = np.sqrt(1.0 - loss)
-    if total:
-        _transform(state, index, block, values)
-        return
+        scale = scale[..., None, None]
     for view in (state[..., idx, :], state[..., idx]):
         view *= scale
     for d in diagonal:
@@ -181,18 +176,19 @@ class Detection:
 
 
 @functools.lru_cache(maxsize=None)
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
-def _assemble(cls, *values):
-    """A ``cls`` dataclass holding ``values`` as its fields, in field order, without ``__post_init__``.
+def _assemble(cls, **values):
+    """A ``cls`` dataclass holding the fields ``values`` and the defaults of the others.
 
-    Only for values that have passed the same checks already, as the
-    fields of a built-in topology's parameters have.
+    ``__post_init__`` does not run, so this is only for values that have
+    passed the same checks already, as the fields of a built-in topology's
+    parameters have.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(_field_names(cls), values))
+    obj.__dict__.update(_defaults(cls), **values)
     return obj
 
 

@@ -169,16 +169,16 @@ def build_sq_mzi(params: SqMziParams) -> tuple[CircuitSpec, int]:
     """
     p = params
     elements = (
-        _assemble(SqueezerElement, 0, p.g.g),
-        _assemble(BsElement, (0, 1), p.T, "second_minus"),
-        _assemble(LossElement, 0, p.L_i.L),
-        _assemble(LossElement, 1, p.L_i.L),
-        _assemble(PhaseElement, 1, p.phi),  # 4: signal phase
-        _assemble(BsElement, (0, 1), p.T, "second_minus"),
-        _assemble(LossElement, 0, p.L_e.L),  # 6: external loss
+        _assemble(SqueezerElement, mode=0, g=p.g.g),
+        _assemble(BsElement, modes=(0, 1), T=p.T),
+        _assemble(LossElement, mode=0, L=p.L_i.L),
+        _assemble(LossElement, mode=1, L=p.L_i.L),
+        _assemble(PhaseElement, mode=1, phi=p.phi),  # 4: signal phase
+        _assemble(BsElement, modes=(0, 1), T=p.T),
+        _assemble(LossElement, mode=0, L=p.L_e.L),  # 6: external loss
     )
-    inputs = (_VACUUM, _assemble(Coherent, complex(p.alpha)))
-    return _assemble(CircuitSpec, 2, inputs, elements, _DETECT_0), 0
+    inputs = (_VACUUM, _assemble(Coherent, alpha=complex(p.alpha)))
+    return _assemble(CircuitSpec, n_modes=2, inputs=inputs, elements=elements, detect=_DETECT_0), 0
 
 
 def build_sisni(
@@ -200,26 +200,28 @@ def build_sisni(
     """
     p = params
     pa1, pa2 = (
-        _assemble(PaElement, (0, 1), gain.g)
+        _assemble(PaElement, modes=(0, 1), g=gain.g)
         if pa is None
-        else _assemble(NoisyPaElement, (0, 1), pa.rho, pa.kappa, pa.epsilon2)
+        else _assemble(
+            NoisyPaElement, modes=(0, 1), rho=pa.rho, kappa=pa.kappa, epsilon2=pa.epsilon2
+        )
         for gain, pa in ((p.g1, noisy_pa1), (p.g2, noisy_pa2))
     )
     elements = (
         pa1,  # 0: upstream amplifier
-        _assemble(LossElement, 1, p.L_ii.L),
-        _assemble(PhaseElement, 1, p.phi_pump),
-        _assemble(BsElement, (0, 2), p.T, "second_minus"),
-        _assemble(LossElement, 0, p.L_is.L),
-        _assemble(LossElement, 2, p.L_is.L),
-        _assemble(PhaseElement, 2, p.phi_signal),  # 6: signal phase
-        _assemble(BsElement, (0, 2), p.T, "second_minus"),
+        _assemble(LossElement, mode=1, L=p.L_ii.L),
+        _assemble(PhaseElement, mode=1, phi=p.phi_pump),
+        _assemble(BsElement, modes=(0, 2), T=p.T),
+        _assemble(LossElement, mode=0, L=p.L_is.L),
+        _assemble(LossElement, mode=2, L=p.L_is.L),
+        _assemble(PhaseElement, mode=2, phi=p.phi_signal),  # 6: signal phase
+        _assemble(BsElement, modes=(0, 2), T=p.T),
         pa2,  # 8: downstream amplifier
-        _assemble(LossElement, 0, p.L_e.L),  # 9, 10: external loss
-        _assemble(LossElement, 1, p.L_e.L),
+        _assemble(LossElement, mode=0, L=p.L_e.L),  # 9, 10: external loss
+        _assemble(LossElement, mode=1, L=p.L_e.L),
     )
-    inputs = (_VACUUM, _VACUUM, _assemble(Coherent, complex(p.alpha)))
-    return _assemble(CircuitSpec, 3, inputs, elements, _DETECT_0), 0
+    inputs = (_VACUUM, _VACUUM, _assemble(Coherent, alpha=complex(p.alpha)))
+    return _assemble(CircuitSpec, n_modes=3, inputs=inputs, elements=elements, detect=_DETECT_0), 0
 
 
 def _sq_mzi_terms(g, G, L_i, L_e):
@@ -282,26 +284,30 @@ def _topology(params: TopologyParams) -> _Topology:
     return _TOPOLOGIES[type(params)]
 
 
+class _Underflow(InstabilityError):
+    """A positive readout that rounds to 0."""
+
+
 @contextlib.contextmanager
 def _guard(stage: str, params: TopologyParams):
     """Run a readout with numpy raising on overflow, invalid values and division by zero;
     those and an engine pass's :class:`InstabilityError` leave as one naming the stage and
-    the gains.  Values must be numpy floats: a Python float overflows to inf without an error.
+    the gains, as an overflow or, for an :class:`_Underflow`, as what underflowed.  Values
+    must be numpy floats: a Python float overflows to inf without an error.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
-    except (FloatingPointError, InstabilityError):
+    except (FloatingPointError, InstabilityError) as exc:
+        what = exc if isinstance(exc, _Underflow) else "the readout overflows"
         gains = ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
-        raise InstabilityError(f"{stage}: the readout overflows at gains {gains}") from None
+        raise InstabilityError(f"{stage}: {what} at gains {gains}") from None
 
 
 def _positive(var):
-    """A variance that must be positive; one that cancellation at huge gains leaves <= 0, or
-    that underflows to 0, fails as an overflow.
-    """
+    """The noise variance; one that cancellation at huge gains leaves <= 0 fails as an overflow."""
     if not (var > 0.0).all():
-        raise InstabilityError("the variance is not positive")
+        raise InstabilityError("the noise variance is not positive")
     return var
 
 
@@ -386,7 +392,10 @@ def _phase_terms(params: TopologyParams, **losses):
     _require_bright(params)
     eta, gain, var = _closed_terms(params, **losses)
     _require_signal(eta * gain)
-    return eta, gain, var, _positive(var / (eta * gain * gain * np.float64(params.alpha) ** 2))
+    phase_variance = var / (eta * gain * gain * np.float64(params.alpha) ** 2)
+    if not (phase_variance > 0.0).all():  # a positive ratio below the smallest subnormal
+        raise _Underflow("the phase variance underflows")
+    return eta, gain, var, phase_variance
 
 
 def _phase_variance(params: TopologyParams, **losses):

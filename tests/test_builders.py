@@ -12,15 +12,26 @@ from hypothesis import strategies as st
 
 from gicirc import (
     CircuitSpec,
+    Coherent,
+    Detection,
     NoisyPaParams,
     PaGain,
     SisniParams,
     SqMziParams,
+    Vacuum,
     build_sisni,
     build_sq_mzi,
     parse_circuit,
     serialize_circuit,
     simulate,
+)
+from gicirc.circuits import (
+    BsElement,
+    LossElement,
+    NoisyPaElement,
+    PaElement,
+    PhaseElement,
+    SqueezerElement,
 )
 from gicirc.interferometers import _build
 
@@ -78,6 +89,42 @@ def _revalidated(spec: CircuitSpec) -> CircuitSpec:
     )
 
 
+def _reference_sq_mzi(p: SqMziParams) -> CircuitSpec:
+    """The squeezed MZI of ``build_sq_mzi``'s docstring, through the validating constructors."""
+    elements = (
+        SqueezerElement(0, p.g.g),
+        BsElement((0, 1), p.T),
+        LossElement(0, p.L_i.L),
+        LossElement(1, p.L_i.L),
+        PhaseElement(1, p.phi),
+        BsElement((0, 1), p.T),
+        LossElement(0, p.L_e.L),
+    )
+    return CircuitSpec(2, (Vacuum(), Coherent(p.alpha)), elements, Detection(0))
+
+
+def _reference_sisni(p: SisniParams, noisy_pa1, noisy_pa2) -> CircuitSpec:
+    """The nested interferometer of ``build_sisni``'s docstring, through the validating constructors."""
+    pa1, pa2 = (
+        PaElement((0, 1), gain.g) if pa is None else NoisyPaElement((0, 1), pa.rho, pa.kappa, pa.epsilon2)
+        for gain, pa in ((p.g1, noisy_pa1), (p.g2, noisy_pa2))
+    )
+    elements = (
+        pa1,
+        LossElement(1, p.L_ii.L),
+        PhaseElement(1, p.phi_pump),
+        BsElement((0, 2), p.T),
+        LossElement(0, p.L_is.L),
+        LossElement(2, p.L_is.L),
+        PhaseElement(2, p.phi_signal),
+        BsElement((0, 2), p.T),
+        pa2,
+        LossElement(0, p.L_e.L),
+        LossElement(1, p.L_e.L),
+    )
+    return CircuitSpec(3, (Vacuum(), Vacuum(), Coherent(p.alpha)), elements, Detection(0))
+
+
 def _assert_same(built: CircuitSpec, rebuilt: CircuitSpec):
     assert built == rebuilt
     # repr tells a float from an int, a complex or a numpy float.
@@ -91,6 +138,7 @@ def test_sq_mzi_equals_the_validated_circuit(params):
     spec, mode = build_sq_mzi(params)
     assert mode == 0
     _assert_same(spec, _revalidated(spec))
+    _assert_same(spec, _reference_sq_mzi(params))
 
 
 @settings(max_examples=150, deadline=None)
@@ -99,6 +147,7 @@ def test_sisni_equals_the_validated_circuit(params, noisy_pa1, noisy_pa2):
     spec, mode = build_sisni(params, noisy_pa1, noisy_pa2)
     assert mode == 0
     _assert_same(spec, _revalidated(spec))
+    _assert_same(spec, _reference_sisni(params, noisy_pa1, noisy_pa2))
     assert _build(params, noisy_pa1, noisy_pa2)[1] == spec
 
 

@@ -229,7 +229,7 @@ class TestClosedFormDphi:
 
 
 class TestPhaseVarianceUnderflow:
-    """A closed-form phase variance that underflows to 0 leaves the guard as an instability."""
+    """A closed-form phase variance that underflows to 0 raises an instability that says so."""
 
     @pytest.mark.parametrize(
         "readout",
@@ -243,7 +243,7 @@ class TestPhaseVarianceUnderflow:
         ids=["phase_variance_closed", "advantage_db", "snr_gain_db", "loss_plane", "mean_signal_and_variance"],
     )
     def test_raises_naming_the_closed_form(self, readout):
-        with pytest.raises(InstabilityError, match=r"^closed form: the readout overflows at gains g = 1e\+08$"):
+        with pytest.raises(InstabilityError, match=r"^closed form: the phase variance underflows at gains g = 1e\+08$"):
             readout(SqMziParams(alpha=1.3e154, g=1e8))
 
     def test_subnormal_phase_variance_is_returned(self):
