@@ -16,12 +16,11 @@ import numpy as np
 
 from .circuits import _propagate
 from .interferometers import (
-    SqMziParams,
     TopologyParams,
     _build,
     _guard,
     _phase_excursion,
-    _phase_variance,
+    _phase_terms,
     _topology,
     phase_variance_closed,
     sql_baseline,
@@ -109,22 +108,18 @@ def _finite(values, name: str) -> np.ndarray:
     return values
 
 
-def advantage_db(params: TopologyParams, baseline: SqMziParams | None = None) -> float:
+def advantage_db(params: TopologyParams) -> float:
     """Phase-variance ratio against the shot-noise baseline, in dB.
 
     Negative values mean the topology reads phase with less variance than
     the ``g = 0`` MZI at matched losses (see :func:`sql_baseline`).
     """
-    if baseline is None:
-        baseline = sql_baseline(params)
-    return to_db(phase_variance_closed(params) / phase_variance_closed(baseline))
+    return to_db(phase_variance_closed(params) / phase_variance_closed(sql_baseline(params)))
 
 
-def snr_gain_db(params: TopologyParams, baseline: SqMziParams | None = None) -> float:
+def snr_gain_db(params: TopologyParams) -> float:
     """SNR ratio against the shot-noise baseline, in dB (positive = better)."""
-    if baseline is None:
-        baseline = sql_baseline(params)
-    return to_db(phase_variance_closed(baseline) / phase_variance_closed(params))
+    return to_db(phase_variance_closed(sql_baseline(params)) / phase_variance_closed(params))
 
 
 def loss_plane(
@@ -158,7 +153,7 @@ def loss_plane(
     losses = dict.fromkeys(arms, internal) | {"L_e": external}
     baseline = {field: losses.get(own, getattr(fixed, own).L) for field, own in topo.baseline.items()}
     with _guard("closed form", fixed):
-        ratio = _phase_variance(fixed, **losses) / _phase_variance(sql_baseline(fixed), **baseline)
+        ratio = _phase_terms(fixed, **losses)[3] / _phase_terms(sql_baseline(fixed), **baseline)[3]
     # to_db per cell: numpy's vectorized log10 may differ from math.log10 in
     # the last bit, which would move a CSV cell sitting on a rounding edge.
     values = np.array([to_db(r) for r in ratio.ravel().tolist()]).reshape(ratio.shape)

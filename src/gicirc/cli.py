@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -54,21 +55,6 @@ def _range_type(text: str):
     if count < 1:
         raise argparse.ArgumentTypeError(f"range count must be >= 1, got {count}")
     return start, stop, count
-
-
-def _linspace(rng) -> np.ndarray:
-    start, stop, count = rng
-    return np.linspace(start, stop, count)
-
-
-def _add_output_args(sub):
-    sub.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
-    sub.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=None,
-        help=f"output format (default: ${FORMAT_ENV} or json)",
-    )
 
 
 # Topology flags: flag -> (default, help).
@@ -228,78 +214,61 @@ def _write(args, outputs: dict, header, rows) -> int:
     return 0
 
 
-def _report_outputs(report, dphi: float, method: str) -> dict:
-    return {
-        "method": method,
-        "dphi": dphi,
-        "report": {
-            "mean_X2": report.mean_X2,
-            "var_X2": report.var_X2,
-            "snr": report.snr,
-            "snr_db": to_db(report.snr) if report.snr > 0 else None,
-            "phase_variance": report.phase_variance,
-            "detected_mode": report.detected_mode,
-        },
-    }
-
-
 def _one_row(record: dict):
     """CSV header and single row of a flat result record."""
     return list(record), [tuple(record.values())]
 
 
-def _cmd_snr(args) -> int:
-    params = _resolve_params(args)
-    report = mean_signal_and_variance(params, args.dphi)
-    outputs = _report_outputs(report, args.dphi, "closed_form")
-    return _write(args, outputs, *_one_row(outputs["report"]))
+def _grid_rows(axes, values):
+    """CSV rows ``(*coordinates, value)`` of a grid over ``axes``, the last axis fastest."""
+    return ((*point, value) for point, value in zip(itertools.product(*axes), np.ravel(values)))
+
+
+def _report(args, readout, method: str) -> int:
+    """Write ``readout(params, dphi)`` of the topology the flags give."""
+    report = readout(_resolve_params(args), args.dphi)
+    record = {
+        "mean_X2": report.mean_X2,
+        "var_X2": report.var_X2,
+        "snr": report.snr,
+        "snr_db": to_db(report.snr) if report.snr > 0 else None,
+        "phase_variance": report.phase_variance,
+        "detected_mode": report.detected_mode,
+    }
+    outputs = {"method": method, "dphi": args.dphi, "report": record}
+    return _write(args, outputs, *_one_row(record))
 
 
 def _cmd_simulate(args) -> int:
     if (args.circuit is None) == (args.topology is None):
         raise ValueError("flag conflict: give exactly one of --circuit or --topology")
-    if args.circuit is not None:
-        _refuse_unread(args, (), "--circuit")
-        if args.circuit == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.circuit, encoding="utf-8") as fh:
-                text = fh.read()
-        spec = parse_circuit(text)
-        state = simulate(spec)
-        stats = detect_stats(spec, state)
-        outputs = {
-            "method": "engine",
-            "stats": {
-                "mode": spec.detect.mode,
-                "theta": stats.theta,
-                "mean": stats.mean,
-                "variance": stats.variance,
-            },
-        }
-        if args.full_state:
-            outputs["state"] = {
-                "mean": state.mean.tolist(),
-                "cov": state.cov.tolist(),
-            }
-        return _write(args, outputs, *_one_row(outputs["stats"]))
-    params = _resolve_params(args)
-    report = engine_report(params, args.dphi)
-    outputs = _report_outputs(report, args.dphi, "engine")
-    return _write(args, outputs, *_one_row(outputs["report"]))
+    if args.topology is not None:
+        return _report(args, engine_report, "engine")
+    _refuse_unread(args, (), "--circuit")
+    if args.circuit == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.circuit, encoding="utf-8") as fh:
+            text = fh.read()
+    spec = parse_circuit(text)
+    state = simulate(spec)
+    stats = detect_stats(spec, state)
+    record = {"mode": spec.detect.mode, "theta": stats.theta, "mean": stats.mean, "variance": stats.variance}
+    outputs = {"method": "engine", "stats": record}
+    if args.full_state:
+        outputs["state"] = {"mean": state.mean.tolist(), "cov": state.cov.tolist()}
+    return _write(args, outputs, *_one_row(record))
 
 
 def _cmd_sweep(args) -> int:
     params = _resolve_params(args, unread=("dphi",))
     swept = {name.lower() for name in _TOPOLOGIES[type(params)].internal.get(args.internal_target, ())}
     _refuse_unread(args, _TOPOLOGY_DEFAULTS.keys() - swept, f"--internal-target {args.internal_target}")
-    i_start, i_stop, i_count = args.internal
-    e_start, e_stop, e_count = args.external
     grid = loss_plane(
         params,
-        internal_range=(i_start, i_stop),
-        external_range=(e_start, e_stop),
-        resolution=(i_count, e_count),
+        internal_range=args.internal[:2],
+        external_range=args.external[:2],
+        resolution=(args.internal[2], args.external[2]),
         internal_target=args.internal_target,
     )
     outputs = {
@@ -308,31 +277,21 @@ def _cmd_sweep(args) -> int:
         "x_axis": dataclasses.asdict(grid.x_axis),
         "values": grid.values.tolist(),
     }
-    rows = (
-        (yv, xv, grid.values[iy, ix])
-        for iy, yv in enumerate(grid.y_axis.values)
-        for ix, xv in enumerate(grid.x_axis.values)
-    )
+    rows = _grid_rows((grid.y_axis.values, grid.x_axis.values), grid.values)
     return _write(args, outputs, ("internal_loss", "external_loss", "advantage_db"), rows)
 
 
 def _cmd_slope(args) -> int:
     params = _resolve_params(args)
-    thetas = _linspace(args.thetas)
+    thetas = np.linspace(*args.thetas)
     slopes = slope_vs_theta(params, thetas, args.dphi)
     outputs = {"theta": thetas.tolist(), "slope": slopes.tolist()}
-    return _write(args, outputs, ("theta", "slope"), list(zip(thetas, slopes)))
+    return _write(args, outputs, ("theta", "slope"), _grid_rows((thetas,), slopes))
 
 
 def _cmd_wigner(args) -> int:
     params = _resolve_params(args, unread=("dphi", "phi"))
-    panel = wigner_panel(
-        params,
-        _linspace(args.phis),
-        _linspace(args.l_es),
-        _linspace(args.xs),
-        _linspace(args.ps),
-    )
+    panel = wigner_panel(params, *(np.linspace(*rng) for rng in (args.phis, args.l_es, args.xs, args.ps)))
     outputs = {
         "phi_values": panel.phi_values.tolist(),
         "l_e_values": panel.L_e_values.tolist(),
@@ -340,18 +299,12 @@ def _cmd_wigner(args) -> int:
         "p": panel.p.tolist(),
         "density": panel.density.tolist(),
     }
-    rows = (
-        (phi, le, xv, pv, panel.density[i, j, ix, ip])
-        for i, phi in enumerate(panel.phi_values)
-        for j, le in enumerate(panel.L_e_values)
-        for ix, xv in enumerate(panel.x)
-        for ip, pv in enumerate(panel.p)
-    )
+    rows = _grid_rows((panel.phi_values, panel.L_e_values, panel.x, panel.p), panel.density)
     return _write(args, outputs, ("phi", "l_e", "x", "p", "density"), rows)
 
 
 def _cmd_advantage_curve(args) -> int:
-    qng2 = _linspace(args.qng2)
+    qng2 = np.linspace(*args.qng2)
     curve = advantage_vs_qng(
         args.qng1_db,
         qng2,
@@ -362,7 +315,7 @@ def _cmd_advantage_curve(args) -> int:
         dphi=args.dphi,
     )
     outputs = {"qng1_db": args.qng1_db, "qng2_db": qng2.tolist(), "advantage_db": curve.tolist()}
-    return _write(args, outputs, ("qng2_db", "advantage_db"), list(zip(qng2, curve)))
+    return _write(args, outputs, ("qng2_db", "advantage_db"), _grid_rows((qng2,), curve))
 
 
 def _cmd_fit(args) -> int:
@@ -391,23 +344,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gicirc {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    add_command = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    sub = add_command("snr", help="closed-form SNR and phase variance")
-    _add_topology_args(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_snr)
+    def command(name: str, func, help_: str):
+        """Declare subcommand ``name``, run by ``func``."""
+        sub = subs.add_parser(name, help=help_, allow_abbrev=False)
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = add_command("simulate", help="run the covariance engine")
+    snr = functools.partial(_report, readout=mean_signal_and_variance, method="closed_form")
+    _add_topology_args(command("snr", snr, "closed-form SNR and phase variance"))
+
+    sub = command("simulate", _cmd_simulate, "run the covariance engine")
     sub.add_argument("--circuit", default=None, help="circuit document path ('-' = stdin)")
     sub.add_argument("--full-state", action="store_true", help="include output mean and covariance")
     _add_topology_args(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_simulate)
 
     # The internal loss the sweep drives comes from --internal; --l-is/--l-ii
     # set the arm it does not drive (sisni).
-    sub = add_command("sweep", help="advantage map over the loss plane")
+    sub = command("sweep", _cmd_sweep, "advantage map over the loss plane")
     _add_topology_args(sub, losses=("--l-is", "--l-ii"))
     sub.add_argument("--internal", type=_range_type, default=(0.0, 0.9, 101),
                      help="internal loss range start:stop:count")
@@ -415,18 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="external loss range start:stop:count")
     sub.add_argument("--internal-target", choices=("both", "signal", "idler"),
                      default="both", help="which internal loss the sweep drives (sisni)")
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_sweep)
 
-    sub = add_command("slope", help="signal slope versus local-oscillator angle")
+    sub = command("slope", _cmd_slope, "signal slope versus local-oscillator angle")
     _add_topology_args(sub)
     sub.add_argument("--thetas", type=_range_type, default=(0.0, TWO_PI, 361),
                      help="angle grid start:stop:count (rad)")
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_slope)
 
     # --l-es sets the external loss; --l-e is refused, not read as --l-es.
-    sub = add_command("wigner", help="detected-mode Wigner density panels")
+    sub = command("wigner", _cmd_wigner, "detected-mode Wigner density panels")
     _add_topology_args(sub, losses=("--l-i", "--l-is", "--l-ii"))
     sub.add_argument("--phis", type=_range_type, default=(math.pi - 0.05, math.pi + 0.05, 3),
                      help="signal phase values start:stop:count")
@@ -434,10 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="external loss values start:stop:count")
     sub.add_argument("--xs", type=_range_type, default=(-6.0, 6.0, 121))
     sub.add_argument("--ps", type=_range_type, default=(-6.0, 6.0, 121))
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_wigner)
 
-    sub = add_command("advantage-curve", help="noise-model advantage versus downstream QNG")
+    sub = command("advantage-curve", _cmd_advantage_curve, "noise-model advantage versus downstream QNG")
     sub.add_argument("--qng1-db", type=float, required=True)
     sub.add_argument("--qng2", type=_range_type, default=(0.5, 12.0, 24),
                      help="downstream QNG grid start:stop:count (dB)")
@@ -446,10 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--rho2", type=float, default=0.0)
     sub.add_argument("--eps2-sq", type=float, default=1.0)
     _add_noise_model_args(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_advantage_curve)
 
-    sub = add_command("fit", help="fit noise-model parameters to advantage data")
+    sub = command("fit", _cmd_fit, "fit noise-model parameters to advantage data")
     sub.add_argument("--data", required=True, help="CSV with qng1_db,qng2_db,advantage_db[,sigma_db]")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--restarts", type=int, default=8)
@@ -457,8 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--rho-max", type=float, default=0.1)
     sub.add_argument("--eps2-max", type=float, default=1e4)
     _add_noise_model_args(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_fit)
+
+    for sub in subs.choices.values():
+        sub.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
+        sub.add_argument(
+            "--format",
+            choices=("json", "csv"),
+            default=None,
+            help=f"output format (default: ${FORMAT_ENV} or json)",
+        )
 
     return parser
 

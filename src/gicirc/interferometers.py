@@ -398,11 +398,6 @@ def _phase_terms(params: TopologyParams, **losses):
     return eta, gain, var, phase_variance
 
 
-def _phase_variance(params: TopologyParams, **losses):
-    """Closed-form phase variance; ``losses`` and the guard as in :func:`_closed_terms`."""
-    return _phase_terms(params, **losses)[3]
-
-
 def phase_variance_closed(params: TopologyParams) -> float:
     """Closed-form dark-fringe phase readout variance (rad^2).
 
@@ -410,7 +405,7 @@ def phase_variance_closed(params: TopologyParams) -> float:
     lossless MZI this is the shot-noise limit ``1/alpha^2``.
     """
     with _guard("closed form", params):
-        return float(_phase_variance(params))
+        return float(_phase_terms(params)[3])
 
 
 def mean_signal_and_variance(params: TopologyParams, dphi: float = 1e-3) -> OutputReport:
