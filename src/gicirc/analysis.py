@@ -119,7 +119,8 @@ def advantage_db(params: TopologyParams) -> float:
 
 def snr_gain_db(params: TopologyParams) -> float:
     """SNR ratio against the shot-noise baseline, in dB (positive = better)."""
-    return to_db(phase_variance_closed(sql_baseline(params)) / phase_variance_closed(params))
+    variance = phase_variance_closed(params)  # first, so an error names the topology's gains
+    return to_db(phase_variance_closed(sql_baseline(params)) / variance)
 
 
 def loss_plane(

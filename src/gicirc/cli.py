@@ -180,7 +180,7 @@ def _result_doc(args, outputs: dict) -> dict:
 def _fmt(value) -> str:
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError(f"result holds a non-finite number ({value})")
+            raise ValueError(value)
         return "%.12g" % value
     return str(value)
 
@@ -191,21 +191,19 @@ def _write(args, outputs: dict, header, rows) -> int:
     ``rows`` is any iterable of table rows; JSON output never reads it.
     """
     fmt = args.format or os.environ.get(FORMAT_ENV, "json")
-    if fmt == "json":
-        doc = _result_doc(args, outputs)
-        try:
-            payload = _encode(doc) + "\n"
-        except ValueError as exc:
-            raise ValueError("result holds a non-finite number (NaN or Infinity)") from exc
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        payload = buf.getvalue()
-    else:
+    if fmt not in ("json", "csv"):
         raise ValueError(f"unknown output format {fmt!r}")
+    try:
+        if fmt == "json":
+            payload = _encode(_result_doc(args, outputs)) + "\n"
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\r\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+            payload = buf.getvalue()
+    except ValueError as exc:
+        raise ValueError("result holds a non-finite number (NaN or Infinity)") from exc
     if args.output == "-":
         sys.stdout.write(payload)
     else:

@@ -392,7 +392,10 @@ def _phase_terms(params: TopologyParams, **losses):
     _require_bright(params)
     eta, gain, var = _closed_terms(params, **losses)
     _require_signal(eta * gain)
-    phase_variance = var / (eta * gain * gain * np.float64(params.alpha) ** 2)
+    detected = eta * gain * gain * np.float64(params.alpha) ** 2  # the detected squared amplitude
+    if not (detected > 0.0).all():  # a tiny amplitude whose square rounds to 0
+        raise _Underflow("the squared amplitude underflows")
+    phase_variance = var / detected
     if not (phase_variance > 0.0).all():  # a positive ratio below the smallest subnormal
         raise _Underflow("the phase variance underflows")
     return eta, gain, var, phase_variance
@@ -498,6 +501,8 @@ def engine_report(
         signal, var = _readout(excursion, mode)
         snr = signal * signal / var
         _require_signal(signal)
+        if snr == 0.0:  # a nonzero signal whose square rounds to 0
+            raise _Underflow("the SNR underflows")
         dphi = np.float64(dphi)
         phase_variance = dphi * dphi / snr
     return OutputReport(*(float(v) for v in (signal, var, snr, phase_variance)), detected_mode=mode)

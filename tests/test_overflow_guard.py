@@ -67,6 +67,17 @@ READOUTS = {
     ),
 }
 
+# A bright-port amplitude whose square underflows to 0.
+TINY = 1e-170
+# stage -> what it names for a tiny amplitude: the closed forms the squared
+# amplitude, the engine the SNR that divides the phase variance.
+UNDERFLOWS = {"closed form": "the squared amplitude underflows", "engine": "the SNR underflows"}
+
+
+def _named(stage, params) -> str:
+    return UNDERFLOWS[stage] if params.alpha == TINY else "the readout overflows"
+
+
 # (label, params, dphi)
 CASES = [
     (f"{label} g = {g:g}", params, 1e-3)
@@ -80,9 +91,9 @@ CASES = [
 ] + [
     ("sq-mzi alpha = 1e160", SqMziParams(alpha=1e160, g=0.5), 1e-3),
     ("nested alpha = 1e160", SisniParams(alpha=1e160, g1=0.5, g2=0.5), 1e-3),
-    # The squared amplitude underflows to 0, so the phase variance divides by zero.
-    ("sq-mzi alpha = 1e-170", SqMziParams(alpha=1e-170, g=0.5), 1e-3),
-    ("nested alpha = 1e-170", SisniParams(alpha=1e-170, g1=0.5, g2=0.5), 1e-3),
+    # The squared amplitude underflows to 0; the readouts that divide by it say so.
+    ("sq-mzi alpha = 1e-170", SqMziParams(alpha=TINY, g=0.5), 1e-3),
+    ("nested alpha = 1e-170", SisniParams(alpha=TINY, g1=0.5, g2=0.5), 1e-3),
     ("sq-mzi dphi = 1e200", SqMziParams(alpha=6.0, g=0.5), 1e200),
     ("nested dphi = 1e200", SisniParams(alpha=6.0, g1=0.5, g2=0.5), 1e200),
     # The engine's variance cancels to a negative number here; the closed form stays finite.
@@ -111,7 +122,7 @@ class TestOverflowMatrix:
         try:
             value = readout(params, dphi)
         except InstabilityError as err:
-            assert str(err).startswith(f"{stage}: the readout overflows at gains ")
+            assert str(err).startswith(f"{stage}: {_named(stage, params)} at gains ")
         else:
             assert _finite(value), value
 
@@ -122,8 +133,8 @@ class TestOverflowMatrix:
             (SqMziParams(alpha=6.0, g=1.2e154), "closed form", phase_variance_closed),
             (SisniParams(alpha=6.0, g1=1e150, g2=1e150), "closed form", lambda p: snr_sisni_closed(p, 1e-3)),
             (SqMziParams(alpha=1e160, g=0.5), "closed form", phase_variance_closed),
-            (SqMziParams(alpha=1e-170, g=0.5), "closed form", phase_variance_closed),
-            (SisniParams(alpha=1e-170, g1=0.5, g2=0.5), "engine", engine_report),
+            (SqMziParams(alpha=TINY, g=0.5), "closed form", phase_variance_closed),
+            (SisniParams(alpha=TINY, g1=0.5, g2=0.5), "engine", engine_report),
             (SqMziParams(alpha=6.0, g=0.5), "closed form", lambda p: mean_signal_and_variance(p, 1e200)),
             # G = g in floats, so the lossless variance cancels to 0 (closed form) or below (engine).
             (SisniParams(alpha=6.0, g1=1e10, g2=1e10), "closed form", phase_variance_closed),
@@ -133,7 +144,7 @@ class TestOverflowMatrix:
         ],
     )
     def test_known_overflows_raise(self, params, stage, readout):
-        with pytest.raises(InstabilityError, match=f"^{stage}: the readout overflows at gains "):
+        with pytest.raises(InstabilityError, match=f"^{stage}: {_named(stage, params)} at gains "):
             readout(params)
 
     @pytest.mark.parametrize("alpha2, dphi", [(36.0, 1e200), (1e300, 1e-3), (1e300, 1e200)])
@@ -249,6 +260,54 @@ class TestPhaseVarianceUnderflow:
     def test_subnormal_phase_variance_is_returned(self):
         variance = phase_variance_closed(SqMziParams(alpha=1e154, g=0.5))
         assert 0.0 < variance < 2.2250738585072014e-308
+
+
+# (params, its gains as an error names them) at a tiny amplitude
+TINY_MZI = (SqMziParams(alpha=TINY, g=0.5), "g = 0.5")
+TINY_NESTED = (SisniParams(alpha=TINY, g1=0.5, g2=0.5), "g1 = 0.5, g2 = 0.5")
+
+
+class TestTinyAmplitudeUnderflow:
+    """A squared amplitude that underflows to 0 is named, not reported as an overflow."""
+
+    @pytest.mark.parametrize("params, gains", [TINY_MZI, TINY_NESTED], ids=["sq-mzi", "nested"])
+    @pytest.mark.parametrize(
+        "readout",
+        [
+            phase_variance_closed,
+            mean_signal_and_variance,
+            advantage_db,
+            snr_gain_db,
+            lambda p: loss_plane(p, resolution=3),
+        ],
+        ids=["phase_variance_closed", "mean_signal_and_variance", "advantage_db", "snr_gain_db", "loss_plane"],
+    )
+    def test_closed_forms_name_the_squared_amplitude(self, params, gains, readout):
+        message = f"closed form: the squared amplitude underflows at gains {gains}"
+        with pytest.raises(InstabilityError, match=f"^{message}$"):
+            readout(params)
+
+    @pytest.mark.parametrize(
+        "params, gains, mode, noisy",
+        [
+            (*TINY_MZI, 0, (None, None)),
+            (*TINY_MZI, 1, (None, None)),
+            *[(*TINY_NESTED, mode, noisy) for mode in (0, 1, 2) for noisy in ((None, None), NOISY)],
+        ],
+    )
+    def test_engine_names_the_snr(self, params, gains, mode, noisy):
+        with pytest.raises(InstabilityError, match=f"^engine: the SNR underflows at gains {gains}$"):
+            engine_report(params, detect_mode=mode, noisy_pa1=noisy[0], noisy_pa2=noisy[1])
+
+    @pytest.mark.parametrize("params", [TINY_MZI[0], TINY_NESTED[0]], ids=["sq-mzi", "nested"])
+    def test_closed_snr_rounds_to_zero(self, params):
+        assert _snr_closed(params, 1e-3) == 0.0
+
+    def test_cancellation_stays_an_overflow(self):
+        with pytest.raises(InstabilityError, match=r"^engine: the readout overflows at gains g1 = 1e\+07, g2 = 1e\+07$"):
+            engine_report(SisniParams(alpha=6.0, g1=1e7, g2=1e7))
+        with pytest.raises(InstabilityError, match=r"^closed form: the readout overflows at gains g1 = 1e\+10, g2 = 1e\+10$"):
+            phase_variance_closed(SisniParams(alpha=6.0, g1=1e10, g2=1e10))
 
 
 class TestWignerOverflow:
