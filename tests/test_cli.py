@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import argparse
 import json
 import math
 import re
@@ -20,7 +21,7 @@ from gicirc import (
     loss_plane,
     snr_sisni_closed,
 )
-from gicirc.cli import _encode, build_parser, main
+from gicirc.cli import _encode, _range_type, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -611,3 +612,50 @@ class TestSweepLossFlags:
     def test_parameters_echo_both_arm_losses(self, capsys):
         doc = run_json(capsys, "sweep", "--topology", "sq-mzi", *self.GRID)
         assert doc["command"]["parameters"]["l_is"] == doc["command"]["parameters"]["l_ii"] == 0.0
+
+
+class TestCliRefusals:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0:1", "expected start:stop:count, got '0:1'"),
+            ("0:x:3", "bad range '0:x:3': could not convert string to float: 'x'"),
+            ("0:1:0", "range count must be >= 1, got 0"),
+        ],
+    )
+    def test_range_type(self, capsys, text, message):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"^{re.escape(message)}$"):
+            _range_type(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--topology", "mzi", "--internal", text])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(f"gicirc sweep: error: argument --internal: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["snr"], "missing --topology (or --circuit where supported)"),
+            (["snr", "--topology", "mzi", "--g", "1"], "flag conflict: plain mzi takes no squeezer gain"),
+        ],
+    )
+    def test_topology_flags(self, capsys, argv, message):
+        assert run_error(capsys, *argv) == {"type": "ValueError", "message": message}
+
+    def test_unknown_format_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("GICIRC_FORMAT", "xml")
+        error = run_error(capsys, "snr", "--topology", "mzi")
+        assert error == {"type": "ValueError", "message": "unknown output format 'xml'"}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_infeasible_fit_is_refused_in_both_formats(self, capsys, tmp_path, fmt):
+        # Every kappa sits at the stability pole, so no restart is feasible
+        # and the fit's residual_rms is infinite.
+        data = tmp_path / "pole.csv"
+        data.write_text("qng1_db,qng2_db,advantage_db\n300,300,1\n300,310,1\n310,300,1\n310,310,1\n")
+        argv = ["fit", "--data", str(data), "--restarts", "1", "--max-evals", "40", "--format", fmt]
+        assert run_error(capsys, *argv) == {
+            "type": "ValueError",
+            "message": "result holds a non-finite number (NaN or Infinity)",
+        }

@@ -1,10 +1,5 @@
-"""Refusals that no other test reaches: each raises its own class with its own message.
+"""Library refusals that no other test reaches: each raises its own class with its own message."""
 
-The CLI cases also check the exit code, an empty stdout and a one-line JSON
-error on stderr.
-"""
-
-import argparse
 import json
 import re
 
@@ -29,65 +24,7 @@ from gicirc import (
     wigner,
     wigner_panel,
 )
-from gicirc.cli import _range_type, main
 from gicirc.elements import PhaseElement
-
-
-def run_error(capsys, *argv):
-    """Exit code 1, nothing on stdout and one line of JSON error on stderr."""
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    return json.loads(captured.err)["error"]
-
-
-class TestCliRefusals:
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("0:1", "expected start:stop:count, got '0:1'"),
-            ("0:x:3", "bad range '0:x:3': could not convert string to float: 'x'"),
-            ("0:1:0", "range count must be >= 1, got 0"),
-        ],
-    )
-    def test_range_type(self, capsys, text, message):
-        with pytest.raises(argparse.ArgumentTypeError, match=f"^{re.escape(message)}$"):
-            _range_type(text)
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--topology", "mzi", "--internal", text])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert captured.err.endswith(f"gicirc sweep: error: argument --internal: {message}\n")
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["snr"], "missing --topology (or --circuit where supported)"),
-            (["snr", "--topology", "mzi", "--g", "1"], "flag conflict: plain mzi takes no squeezer gain"),
-        ],
-    )
-    def test_topology_flags(self, capsys, argv, message):
-        assert run_error(capsys, *argv) == {"type": "ValueError", "message": message}
-
-    def test_unknown_format_from_the_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("GICIRC_FORMAT", "xml")
-        error = run_error(capsys, "snr", "--topology", "mzi")
-        assert error == {"type": "ValueError", "message": "unknown output format 'xml'"}
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_infeasible_fit_is_refused_in_both_formats(self, capsys, tmp_path, fmt):
-        # Every kappa sits at the stability pole, so no restart is feasible
-        # and the fit's residual_rms is infinite.
-        data = tmp_path / "pole.csv"
-        data.write_text("qng1_db,qng2_db,advantage_db\n300,300,1\n300,310,1\n310,300,1\n310,310,1\n")
-        argv = ["fit", "--data", str(data), "--restarts", "1", "--max-evals", "40", "--format", fmt]
-        assert run_error(capsys, *argv) == {
-            "type": "ValueError",
-            "message": "result holds a non-finite number (NaN or Infinity)",
-        }
 
 
 def _document(**fields) -> str:
