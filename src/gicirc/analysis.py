@@ -170,7 +170,7 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
     """
     thetas = _finite(theta_grid, "local-oscillator angles theta")
     with _guard("engine", params):
-        excursion = _phase_excursion(params, dphi)
+        excursion = _phase_excursion(*_build(params), dphi)
         mode = excursion.spec.detect.mode
         dx, dp = (excursion.plus - excursion.minus)[2 * mode : 2 * mode + 2] / (2.0 * dphi)
         return np.cos(thetas) * dx + np.sin(thetas) * dp

@@ -424,7 +424,3 @@ def main(argv=None) -> int:
             + "\n"
         )
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -289,10 +289,11 @@ class _Underflow(InstabilityError):
 
 
 @contextlib.contextmanager
-def _guard(stage: str, params: TopologyParams):
+def _guard(stage: str, params: TopologyParams | str):
     """Run a readout with numpy raising on overflow, invalid values and division by zero;
     those and an engine pass's :class:`InstabilityError` leave as one naming the stage and
-    the gains, as an overflow or, for an :class:`_Underflow`, as what underflowed.  Values
+    the gains of ``params`` (or ``params`` itself, a string naming the inputs where rows set
+    the gains), as an overflow or, for an :class:`_Underflow`, as what underflowed.  Values
     must be numpy floats: a Python float overflows to inf without an error.
     """
     try:
@@ -300,8 +301,9 @@ def _guard(stage: str, params: TopologyParams):
             yield
     except (FloatingPointError, InstabilityError) as exc:
         what = exc if isinstance(exc, _Underflow) else "the readout overflows"
-        gains = ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
-        raise InstabilityError(f"{stage}: {what} at gains {gains}") from None
+        if not isinstance(params, str):
+            params = "gains " + ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
+        raise InstabilityError(f"{stage}: {what} at {params}") from None
 
 
 def _positive(var):
@@ -444,33 +446,37 @@ class _Excursion(NamedTuple):
     cov: np.ndarray
 
 
-def _phase_excursion(
-    params: TopologyParams, dphi: float, *noisy: NoisyPaParams | None, vary: dict | None = None
-) -> _Excursion:
-    """The topology's circuit at its signal phase ``phi0`` and ``phi0 +/- dphi``, in one pass.
+def _phase_excursion(topo: _Topology, spec: CircuitSpec, dphi: float, vary: dict | None = None) -> _Excursion:
+    """A topology's circuit (see :func:`_build`) at its signal phase ``phi0`` and ``phi0 +/- dphi``, in one pass.
 
-    ``noisy`` replaces the topology's amplifiers (see :func:`_build`).
-    ``vary`` maps element indices to ``{field: array}`` rows that broadcast
-    together (no rows without it); the phase axis trails them, so the
-    elements before the signal phase run once per row.
+    ``vary`` maps element indices to ``{field: value}`` rows, floats or
+    arrays that broadcast together (no rows without it); the phase axis
+    trails them, so the elements before the signal phase run once per row.
     """
     dphi = float(dphi)
     if dphi == 0.0 or not math.isfinite(dphi):
         raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
-    topo, spec = _build(params, *noisy)
-    grid = {i: {k: v[..., None] for k, v in values.items()} for i, values in (vary or {}).items()}
+    # A float needs no phase axis: it stays a float, so its arithmetic is unchanged.
+    grid = {i: {k: v[..., None] if np.ndim(v) else v for k, v in row.items()} for i, row in (vary or {}).items()}
     phi0 = spec.elements[topo.phase].phi
     grid[topo.phase] = {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}
     mean, cov = _propagate(spec, grid)
     return _Excursion(spec, mean[..., 1, :], mean[..., 2, :], cov[..., 0, :, :])
 
 
-def _readout(excursion: _Excursion, mode: int):
-    """Mean signal (half the ``+/- dphi`` difference) and set-point variance per row."""
+def _readout(excursion: _Excursion, mode: int, smallest: float = 0.0):
+    """Mean signal (half the ``+/- dphi`` difference), set-point variance and SNR per row; a zero
+    signal is degenerate, and an SNR not above ``smallest`` (by default 0) is an underflow.
+    """
     theta = excursion.spec.detect.theta
     plus, variance = _quadrature(excursion.plus, excursion.cov, mode, theta)
     minus, _ = _quadrature(excursion.minus, excursion.cov, mode, theta)
-    return 0.5 * (plus - minus), _positive(variance)
+    signal, var = 0.5 * (plus - minus), _positive(variance)
+    snr = signal * signal / var
+    _require_signal(signal)
+    if not (snr > smallest).all():
+        raise _Underflow("the SNR underflows")
+    return signal, var, snr
 
 
 def engine_report(
@@ -495,14 +501,10 @@ def engine_report(
     """
     _require_bright(params)
     with _guard("engine", params):
-        excursion = _phase_excursion(params, dphi, noisy_pa1, noisy_pa2)
+        excursion = _phase_excursion(*_build(params, noisy_pa1, noisy_pa2), dphi)
         spec = excursion.spec
         mode = spec.detect.mode if detect_mode is None else _check_mode(detect_mode, spec.n_modes)
-        signal, var = _readout(excursion, mode)
-        snr = signal * signal / var
-        _require_signal(signal)
-        if snr == 0.0:  # a nonzero signal whose square rounds to 0
-            raise _Underflow("the SNR underflows")
+        signal, var, snr = _readout(excursion, mode)
         dphi = np.float64(dphi)
         phase_variance = dphi * dphi / snr
     return OutputReport(*(float(v) for v in (signal, var, snr, phase_variance)), detected_mode=mode)

@@ -24,11 +24,11 @@ from .errors import InstabilityError, NoSolutionError
 from .interferometers import (
     SisniParams,
     _amplitude,
+    _build,
     _guard,
     _phase_excursion,
     _readout,
-    _topology,
-    engine_report,
+    _require_bright,
     sql_baseline,
 )
 from .noise_model import NoisyPaParams, _kappa
@@ -47,6 +47,8 @@ DEFAULT_BOUNDS = ((0.0, 0.1), (1.0, 1e4))
 _RHO_FLOOR = 1e-8  # stands in for rho = 0 in log-space search
 _INFEASIBLE = 1e12  # penalty when a data point's QNG is unreachable
 _PINNED = 1e-6  # log10 distance from a box edge within which the optimum is pinned to it
+_UNSET = NoisyPaParams(0.0, 0.0)  # the circuit's amplifier fields, which every row sets
+_TINY = np.finfo(float).tiny  # a smaller SNR has lost the precision a ratio of SNRs needs
 
 
 def minimize(*args, **kwargs):
@@ -78,33 +80,39 @@ class FitResult:
     converged: bool
 
 
-def _nested(losses, alpha2: float) -> SisniParams:
-    """The nested topology at losses ``(L_is, L_ii, L_e)``; its amplifiers are set per row."""
+def _nested(losses, alpha2: float, dphi: float):
+    """Check the fixed inputs, run the SQL baseline and build the nested circuit, once per call.
+
+    Returns the baseline's SNR and ``(topo, spec, dphi, inputs)``: each row of :func:`_sisni_snr`
+    sets the circuit's placeholder amplifier fields, and a refusal names ``inputs``.
+    """
     l_is, l_ii, l_e = losses
-    return SisniParams(alpha=_amplitude(alpha2), L_is=l_is, L_ii=l_ii, L_e=l_e)
+    params = SisniParams(alpha=_amplitude(alpha2), L_is=l_is, L_ii=l_ii, L_e=l_e)
+    _require_bright(params)
+    inputs = f"alpha2 = {float(alpha2)!r}, dphi = {float(dphi)!r}"
+    with _guard("SQL baseline", inputs):
+        excursion = _phase_excursion(*_build(sql_baseline(params)), dphi)
+        base = _readout(excursion, excursion.spec.detect.mode, _TINY)[2]
+    return base, (*_build(params, _UNSET, _UNSET), float(dphi), inputs)
 
 
-def _sql_snr(losses, alpha2: float, dphi: float) -> float:
-    return engine_report(sql_baseline(_nested(losses, alpha2)), dphi).snr
-
-
-def _sisni_snr(qng1_db, qng2_db, losses, noise1, noise2, alpha2: float, dphi: float) -> np.ndarray:
+def _sisni_snr(qng1_db, qng2_db, nested, noise1, noise2) -> np.ndarray:
     """Nested-interferometer SNR with both lossy amplifiers, per ``(qng1, qng2)`` row.
 
     ``qng1_db`` and ``qng2_db`` are scalars or arrays that broadcast to the
-    rows; the ``kappa`` of each amplifier is set row by row, and every row
-    runs in one engine pass.  Raises
-    :class:`NoSolutionError`/:class:`InstabilityError` when some row's QNG
-    is out of reach.
+    rows, and ``noise1``, ``noise2`` valid ``(rho, epsilon2)`` floats.  Each
+    row sets both amplifiers' ``rho``, ``kappa`` and ``epsilon2`` in the
+    circuit from :func:`_nested`, and every row runs in one engine pass.
+    Raises :class:`NoSolutionError`/:class:`InstabilityError` when some
+    row's QNG is out of reach.
     """
-    pa1, pa2 = (NoisyPaParams(rho, 0.0, eps2) for rho, eps2 in (noise1, noise2))
-    kappa = (_kappa(qng, pa.rho, pa.epsilon2) for qng, pa in ((qng1_db, pa1), (qng2_db, pa2)))
-    params = _nested(losses, alpha2)
-    vary = {i: {"kappa": k} for i, k in zip(_topology(params).amplifiers, kappa)}
-    with _guard("engine", params):
-        excursion = _phase_excursion(params, dphi, pa1, pa2, vary=vary)
-        mean, var = _readout(excursion, excursion.spec.detect.mode)
-        return mean * mean / var
+    topo, spec, dphi, inputs = nested
+    vary = {
+        i: {"rho": rho, "kappa": _kappa(qng, rho, eps2), "epsilon2": eps2}
+        for i, qng, (rho, eps2) in zip(topo.amplifiers, (qng1_db, qng2_db), (noise1, noise2))
+    }
+    with _guard("noise model", inputs):
+        return _readout(_phase_excursion(topo, spec, dphi, vary), spec.detect.mode, _TINY)[2]
 
 
 def advantage_vs_qng(
@@ -132,8 +140,9 @@ def advantage_vs_qng(
         Advantage in dB at each grid point (positive = better than the MZI).
     """
     grid = np.asarray(qng2_grid, dtype=float)
-    base = _sql_snr(losses, alpha2, dphi)
-    snr = _sisni_snr(qng1_db, grid, losses, noise1, noise2, alpha2, dphi)
+    base, nested = _nested(losses, alpha2, dphi)
+    pa1, pa2 = (NoisyPaParams(rho, 0.0, eps2) for rho, eps2 in (noise1, noise2))
+    snr = _sisni_snr(qng1_db, grid, nested, (pa1.rho, pa1.epsilon2), (pa2.rho, pa2.epsilon2))
     return (10.0 * np.log10(snr / base)).reshape(grid.shape)
 
 
@@ -240,18 +249,14 @@ def fit_noise_model(
     hi = np.array([w_hi, w_hi, v_hi, v_hi])
     box = list(zip(lo, hi))
 
-    base = _sql_snr(losses, alpha2, dphi)
+    base, nested = _nested(losses, alpha2, dphi)
     ln10_10 = 10.0 / math.log(10.0)
     qng1, qng2, measured, sigma = np.array(rows).T
-    evals = 0
 
     def objective(z) -> float:
-        nonlocal evals
-        evals += 1
-        rho1, rho2 = 10.0 ** z[0], 10.0 ** z[1]
-        eps1, eps2 = 10.0 ** z[2], 10.0 ** z[3]
+        rho1, rho2, eps1, eps2 = (float(10.0**v) for v in z)
         try:
-            snr = _sisni_snr(qng1, qng2, losses, (rho1, eps1), (rho2, eps2), alpha2, dphi)
+            snr = _sisni_snr(qng1, qng2, nested, (rho1, eps1), (rho2, eps2))
         except (NoSolutionError, InstabilityError):
             return _INFEASIBLE
         r = (ln10_10 * np.log(snr / base) - measured) / sigma
@@ -268,14 +273,10 @@ def fit_noise_model(
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(lo, hi, size=(restarts, 4))
-    best = None
-    for z0 in starts:
-        res = simplex(z0, max_evals, 1e-4, 1e-10)
-        if best is None or res.fun < best.fun:
-            best = res
+    runs = [simplex(z0, max_evals, 1e-4, 1e-10) for z0 in starts]
+    best = min(runs, key=lambda res: res.fun)  # the first of equal minima
     polish = simplex(best.x, 2 * max_evals, 1e-7, 1e-16)
-    if polish.fun <= best.fun:
-        best = polish
+    best = min(polish, best, key=lambda res: res.fun)  # the polish wins a tie
     z = best.x
     # rho = 0 (stood in for by the floor) and eps2 = 1 are physical limits
     # where the true minimum can lie, as it does for noise-free data; a point
@@ -289,6 +290,6 @@ def fit_noise_model(
         eps1_sq=eps1_sq,
         eps2_sq=eps2_sq,
         residual_rms=math.sqrt(best.fun / len(rows)) if best.fun < _INFEASIBLE else math.inf,
-        iterations=evals,
+        iterations=sum(res.nfev for res in runs) + polish.nfev,
         converged=bool(best.success and best.fun < _INFEASIBLE and not pinned),
     )

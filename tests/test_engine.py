@@ -43,7 +43,7 @@ from gicirc.circuits import (
     _propagate,
     element_map,
 )
-from gicirc.noise_fit import _sisni_snr
+from gicirc.noise_fit import _nested, _sisni_snr
 from gicirc.noise_model import _kappa
 
 PAPER_LOSSES = (0.16, 0.10, 0.15)
@@ -267,7 +267,7 @@ class TestBatchedNoiseModel:
         noise1, noise2 = (5e-4, 2.0), (4e-4, 208.0)
         qng1 = np.array([4.0, 4.0, 8.0, 8.0, 6.0])
         qng2 = np.array([2.0, 12.0, 2.0, 7.0, 9.5])
-        batched = _sisni_snr(qng1, qng2, PAPER_LOSSES, noise1, noise2, 36.0, 1e-3)
+        batched = _sisni_snr(qng1, qng2, _nested(PAPER_LOSSES, 36.0, 1e-3)[1], noise1, noise2)
         params = SisniParams(alpha=6.0, L_is=0.16, L_ii=0.10, L_e=0.15)
         for row, (q1, q2) in enumerate(zip(qng1, qng2)):
             pa1 = NoisyPaParams(noise1[0], kappa_from_qng(q1, *noise1), noise1[1])
@@ -283,7 +283,7 @@ class TestBatchedNoiseModel:
         assert vector.tolist() == [kappa_from_qng(q, rho, eps2) for q in qngs]
 
     def test_noise_off_lossless_is_the_ideal_topology(self):
-        snr = _sisni_snr(4.0, np.array([3.0, 6.0]), (0.0, 0.0, 0.0), (0.0, 1.0), (0.0, 1.0), 36.0, 1e-3)
+        snr = _sisni_snr(4.0, np.array([3.0, 6.0]), _nested((0.0, 0.0, 0.0), 36.0, 1e-3)[1], (0.0, 1.0), (0.0, 1.0))
         for q2, value in zip((3.0, 6.0), snr):
             ideal = SisniParams(alpha=6.0, g1=gain_from_qng(4.0).g, g2=gain_from_qng(q2).g)
             assert value == pytest.approx(engine_report(ideal, 1e-3).snr, rel=1e-10)

@@ -1,5 +1,6 @@
 """Tests for advantage curves and noise-model fitting."""
 
+import collections
 import io
 import os
 import subprocess
@@ -10,12 +11,16 @@ import pytest
 
 import gicirc
 from gicirc import (
+    CircuitSpec,
+    NoisyPaParams,
+    SisniParams,
     advantage_vs_qng,
     fit_noise_model,
     gain_from_qng,
     load_fit_data,
     to_db,
 )
+from gicirc import interferometers, noise_fit
 
 PAPER_LOSSES = (0.16, 0.10, 0.15)
 NOISE_OFF = (0.0, 1.0)
@@ -122,6 +127,50 @@ class TestFitNoiseModel:
                 PAPER_LOSSES,
                 bounds=((0.5, 0.1), (1.0, 10.0)),
             )
+
+
+class TestFitWork:
+    DATA = TestFitNoiseModel().synthetic((5e-4, 2.0), (4e-4, 208.0), qng2s=(2.0, 7.0, 12.0))
+
+    def test_builds_the_nested_circuit_once(self, monkeypatch):
+        counts = collections.Counter()
+
+        def counting(name, func):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+
+            return counted
+
+        for cls in (SisniParams, NoisyPaParams, CircuitSpec):
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(interferometers, "_assemble", counting("_assemble", interferometers._assemble))
+        seen = []
+        for max_evals in (40, 80):
+            counts.clear()
+            result = fit_noise_model(self.DATA, PAPER_LOSSES, seed=3, restarts=1, max_evals=max_evals)
+            seen.append((result.iterations, dict(counts)))
+        (short, built), (long, built_again) = seen
+        assert short < long
+        assert built == built_again
+        assert (built["SisniParams"], built.get("NoisyPaParams", 0), built.get("CircuitSpec", 0)) == (1, 0, 0)
+
+    @pytest.mark.parametrize("budget", [dict(restarts=2, max_evals=30), dict(restarts=2, max_evals=300)])
+    def test_iterations_count_the_objective_calls(self, monkeypatch, budget):
+        calls = 0
+        real = noise_fit.minimize
+
+        def counting_minimize(objective, x0, *args, **kwargs):
+            def counted(z):
+                nonlocal calls
+                calls += 1
+                return objective(z)
+
+            return real(counted, x0, *args, **kwargs)
+
+        monkeypatch.setattr(noise_fit, "minimize", counting_minimize)
+        result = fit_noise_model(self.DATA, PAPER_LOSSES, seed=5, **budget)
+        assert result.iterations == calls
 
 
 class TestFitDataValidation:

@@ -161,6 +161,29 @@ class TestOverflowMatrix:
             advantage_vs_qng(4.0, [200.0], LOSSES, (0.01, 2.0), (0.01, 2.0))
 
 
+class TestNoiseModelRefusals:
+    """The SQL baseline and the nested rows name the caller's ``alpha2`` and ``dphi``, not gains."""
+
+    @pytest.mark.parametrize("alpha2", [1e-320, 1e-316, 1e-305])
+    def test_baseline_snr_underflows(self, alpha2):
+        message = rf"^SQL baseline: the SNR underflows at alpha2 = {alpha2!r}, dphi = 0\.001$"
+        with pytest.raises(InstabilityError, match=message):
+            advantage_vs_qng(4.0, [2.0, 7.0], LOSSES, NOISE, NOISE, alpha2=alpha2)
+        rows = [(4.0, 2.0, 0.5), (4.0, 7.0, 2.7), (8.0, 2.0, 0.4), (8.0, 7.0, 2.5)]
+        with pytest.raises(InstabilityError, match=message):
+            noise_fit.fit_noise_model(rows, LOSSES, restarts=1, max_evals=10, alpha2=alpha2)
+
+    def test_rows_overflow(self):
+        message = r"^noise model: the readout overflows at alpha2 = 1\.7e\+308, dphi = 1\.0$"
+        with pytest.raises(InstabilityError, match=message):
+            advantage_vs_qng(4.0, [2.0, 7.0], LOSSES, NOISE, NOISE, alpha2=1.7e308, dphi=1.0)
+
+    def test_huge_dphi_gives_the_same_curve(self):
+        # Both SNRs carry the same sin(dphi)^2 factor, and the curve divides it out.
+        curve = advantage_vs_qng(4.0, [2.0, 7.0], LOSSES, NOISE, NOISE, dphi=1e200)
+        assert curve == pytest.approx(advantage_vs_qng(4.0, [2.0, 7.0], LOSSES, NOISE, NOISE), rel=1e-9)
+
+
 class TestOneGuardPerReadout:
     """Each built-in readout enters the guard once; none nests it."""
 
@@ -200,7 +223,9 @@ class TestOneGuardPerReadout:
             lambda p: engine_report(p, 1e-3, noisy_pa1=NOISY[0]),
             lambda p: slope_vs_theta(p, [0.0, 1.0]),
             lambda p: wigner_panel(p, [math.pi, 3.1], [0.0, 0.5], [0.0], [0.0]),
-            lambda p: noise_fit._sisni_snr(np.array([3.0, 5.0]), 4.0, LOSSES, NOISE, NOISE, 36.0, 1e-3),
+            lambda p, nested=noise_fit._nested(LOSSES, 36.0, 1e-3)[1]: noise_fit._sisni_snr(
+                np.array([3.0, 5.0]), 4.0, nested, NOISE, NOISE
+            ),
         ],
     )
     def test_once(self, entries, readout):

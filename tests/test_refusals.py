@@ -14,9 +14,12 @@ from gicirc import (
     ElementMap,
     GaussianState,
     ModeError,
+    NoisyPaParams,
     PhysicalityError,
+    SqMziParams,
     SweepGrid,
     Vacuum,
+    engine_report,
     fit_noise_model,
     loss_plane,
     parse_circuit,
@@ -142,3 +145,22 @@ class TestLibraryRefusals:
         with pytest.raises(ValueError, match=r"^grid values must be finite$"):
             SweepGrid(x_axis=Axis("x", 0.0, 1.0, 2), y_axis=Axis("y", 0.0, 1.0, 2), values=values)
 
+
+class TestEngineReportRefusals:
+    MZI = SqMziParams(alpha=6.0, g=0.5)
+    NOISY = NoisyPaParams(5e-4, 0.3, 2.0)
+
+    @pytest.mark.parametrize("slot", ["noisy_pa1", "noisy_pa2"])
+    def test_noisy_amplifiers_on_the_mzi(self, slot):
+        with pytest.raises(ValueError, match=r"^noisy amplifiers apply to the nested topology only$"):
+            engine_report(self.MZI, **{slot: self.NOISY})
+
+    @pytest.mark.parametrize("dphi", [0.0, float("nan"), float("inf")])
+    def test_dphi(self, dphi):
+        with pytest.raises(ValueError, match=rf"^phase excursion dphi must be finite and nonzero, got {dphi}$"):
+            engine_report(self.MZI, dphi)
+
+    def test_the_amplifiers_are_refused_before_dphi(self):
+        # The circuit is built before its phase excursion runs.
+        with pytest.raises(ValueError, match=r"^noisy amplifiers apply to the nested topology only$"):
+            engine_report(self.MZI, 0.0, noisy_pa1=self.NOISY)
