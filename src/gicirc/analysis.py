@@ -9,7 +9,6 @@ comparison as a positive-is-better SNR ratio.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,8 +43,14 @@ __all__ = [
 
 
 def to_db(ratio: float) -> float:
-    """Power-like ratio to decibels, ``10 log10(ratio)``."""
-    return 10.0 * math.log10(ratio)
+    """Power-like ratio to decibels, ``10 log10(ratio)``; ``ValueError`` unless ``ratio > 0``.
+
+    Every dB value here goes through numpy's log10, which gives a float and an
+    array cell the same bits.
+    """
+    if not ratio > 0.0:
+        raise ValueError(f"a ratio in decibels must be > 0, got {ratio}")
+    return float(10.0 * np.log10(ratio))
 
 
 def from_db(db: float) -> float:
@@ -155,10 +160,7 @@ def loss_plane(
     baseline = {field: losses.get(own, getattr(fixed, own).L) for field, own in topo.baseline.items()}
     with _guard("closed form", fixed):
         ratio = _phase_terms(fixed, **losses)[3] / _phase_terms(sql_baseline(fixed), **baseline)[3]
-    # to_db per cell: numpy's vectorized log10 may differ from math.log10 in
-    # the last bit, which would move a CSV cell sitting on a rounding edge.
-    values = np.array([to_db(r) for r in ratio.ravel().tolist()]).reshape(ratio.shape)
-    return SweepGrid(x_axis=x, y_axis=y, values=values)
+    return SweepGrid(x_axis=x, y_axis=y, values=10.0 * np.log10(ratio))
 
 
 def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np.ndarray:

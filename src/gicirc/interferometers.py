@@ -230,7 +230,7 @@ def _sq_mzi_terms(g, G, L_i, L_e):
     Field values are floats or arrays that broadcast together.
     """
     eta = (1.0 - L_i) * (1.0 - L_e)
-    return eta, 1.0, eta / (G + g) ** 2 + L_i * (1.0 - L_e) + L_e
+    return eta, 1.0, eta / ((G + g) * (G + g)) + L_i * (1.0 - L_e) + L_e
 
 
 def _sisni_terms(g1, G1, g2, G2, L_is, L_ii, L_e):
@@ -242,7 +242,8 @@ def _sisni_terms(g1, G1, g2, G2, L_is, L_ii, L_e):
     eta_i = (1.0 - L_ii) * (1.0 - L_e)
     loss_noise = L_e + g2 * g2 * (1.0 - L_e) * L_ii + G2 * G2 * (1.0 - L_e) * L_is
     rs, ri = np.sqrt(eta_s), np.sqrt(eta_i)
-    return eta_s, G2, loss_noise + (rs * G1 * G2 - ri * g1 * g2) ** 2 + (rs * g1 * G2 - ri * G1 * g2) ** 2
+    d1, d2 = rs * G1 * G2 - ri * g1 * g2, rs * g1 * G2 - ri * G1 * g2
+    return eta_s, G2, loss_noise + d1 * d1 + d2 * d2
 
 
 class _Topology(NamedTuple):
@@ -284,8 +285,8 @@ def _topology(params: TopologyParams) -> _Topology:
     return _TOPOLOGIES[type(params)]
 
 
-class _Underflow(InstabilityError):
-    """A positive readout that rounds to 0."""
+class _Cause(InstabilityError):
+    """A readout failure that names its own cause (an underflow, a cancellation)."""
 
 
 @contextlib.contextmanager
@@ -293,23 +294,23 @@ def _guard(stage: str, params: TopologyParams | str):
     """Run a readout with numpy raising on overflow, invalid values and division by zero;
     those and an engine pass's :class:`InstabilityError` leave as one naming the stage and
     the gains of ``params`` (or ``params`` itself, a string naming the inputs where rows set
-    the gains), as an overflow or, for an :class:`_Underflow`, as what underflowed.  Values
+    the gains), as an overflow or, for a :class:`_Cause`, as its own cause.  Values
     must be numpy floats: a Python float overflows to inf without an error.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
     except (FloatingPointError, InstabilityError) as exc:
-        what = exc if isinstance(exc, _Underflow) else "the readout overflows"
+        what = exc if isinstance(exc, _Cause) else "the readout overflows"
         if not isinstance(params, str):
             params = "gains " + ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
         raise InstabilityError(f"{stage}: {what} at {params}") from None
 
 
 def _positive(var):
-    """The noise variance; one that cancellation at huge gains leaves <= 0 fails as an overflow."""
+    """The noise variance; one that cancellation at huge gains leaves <= 0 is refused as such."""
     if not (var > 0.0).all():
-        raise InstabilityError("the noise variance is not positive")
+        raise _Cause("the noise variance cancels to zero or below")
     return var
 
 
@@ -339,11 +340,15 @@ def _closed_terms(params: TopologyParams, **losses):
     return eta, gain, _positive(var)
 
 
-def _snr_closed(params: TopologyParams, dphi: float) -> float:
+def _snr_closed(params: TopologyParams, dphi: float, expected: type) -> float:
+    """The closed-form SNR of the topology whose parameters are of type ``expected``."""
+    if type(params) is not expected:
+        raise TypeError(f"this closed form needs {expected.__name__}, got {type(params).__name__}")
     dphi = np.float64(_check_finite(dphi, "phase excursion dphi"))
     with _guard("closed form", params):
         eta, gain, var = _closed_terms(params)
-        return float(eta * gain * gain * dphi * dphi * np.float64(params.alpha) ** 2 / var)
+        alpha = np.float64(params.alpha)
+        return float(eta * gain * gain * dphi * dphi * (alpha * alpha) / var)
 
 
 def snr_sq_mzi_closed(params: SqMziParams, dphi: float) -> float:
@@ -353,9 +358,10 @@ def snr_sq_mzi_closed(params: SqMziParams, dphi: float) -> float:
     ``eta/(G + g)^2 + L_i (1 - L_e) + L_e`` with
     ``eta = (1 - L_i)(1 - L_e)``.  Holds at the dark-fringe set point with
     balanced beamsplitters (other values raise ``ValueError``) for a small
-    excursion (``|dphi| <= 0.1`` recommended).
+    excursion (``|dphi| <= 0.1`` recommended).  Other parameters than
+    :class:`SqMziParams` raise ``TypeError``.
     """
-    return _snr_closed(params, dphi)
+    return _snr_closed(params, dphi, SqMziParams)
 
 
 def snr_sisni_closed(params: SisniParams, dphi: float) -> float:
@@ -368,9 +374,10 @@ def snr_sisni_closed(params: SisniParams, dphi: float) -> float:
     and ``L = L_e + g2^2 (1 - L_e) L_ii + G2^2 (1 - L_e) L_is``.  Holds at
     the dark fringe with balanced beamsplitters and the pump phase locked to
     minimum net amplification (``phi_pump = pi``); other values raise
-    ``ValueError``.
+    ``ValueError``, and other parameters than :class:`SisniParams`
+    ``TypeError``.
     """
-    return _snr_closed(params, dphi)
+    return _snr_closed(params, dphi, SisniParams)
 
 
 def _require_bright(params: TopologyParams):
@@ -394,12 +401,13 @@ def _phase_terms(params: TopologyParams, **losses):
     _require_bright(params)
     eta, gain, var = _closed_terms(params, **losses)
     _require_signal(eta * gain)
-    detected = eta * gain * gain * np.float64(params.alpha) ** 2  # the detected squared amplitude
+    alpha = np.float64(params.alpha)
+    detected = eta * gain * gain * (alpha * alpha)  # the detected squared amplitude
     if not (detected > 0.0).all():  # a tiny amplitude whose square rounds to 0
-        raise _Underflow("the squared amplitude underflows")
+        raise _Cause("the squared amplitude underflows")
     phase_variance = var / detected
     if not (phase_variance > 0.0).all():  # a positive ratio below the smallest subnormal
-        raise _Underflow("the phase variance underflows")
+        raise _Cause("the phase variance underflows")
     return eta, gain, var, phase_variance
 
 
@@ -456,8 +464,7 @@ def _phase_excursion(topo: _Topology, spec: CircuitSpec, dphi: float, vary: dict
     dphi = float(dphi)
     if dphi == 0.0 or not math.isfinite(dphi):
         raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
-    # A float needs no phase axis: it stays a float, so its arithmetic is unchanged.
-    grid = {i: {k: v[..., None] if np.ndim(v) else v for k, v in row.items()} for i, row in (vary or {}).items()}
+    grid = {i: {k: np.asarray(v)[..., None] for k, v in row.items()} for i, row in (vary or {}).items()}
     phi0 = spec.elements[topo.phase].phi
     grid[topo.phase] = {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}
     mean, cov = _propagate(spec, grid)
@@ -475,7 +482,7 @@ def _readout(excursion: _Excursion, mode: int, smallest: float = 0.0):
     snr = signal * signal / var
     _require_signal(signal)
     if not (snr > smallest).all():
-        raise _Underflow("the SNR underflows")
+        raise _Cause("the SNR underflows")
     return signal, var, snr
 
 

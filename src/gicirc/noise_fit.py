@@ -65,10 +65,10 @@ class FitResult:
     ``residual_rms`` is the root-mean-square of the (sigma-weighted) dB
     residuals at the optimum; ``iterations`` counts objective evaluations
     across all restarts and the polish stage.  ``converged`` is false when
-    the simplex did not finish, no proposal was feasible, or the optimum
-    sits within ``1e-6`` (in log10 search coordinates) of a bound of the
-    search box other than the physical limits ``rho = 0`` and
-    ``eps2 = 1``.
+    the simplex did not finish or the optimum sits within ``1e-6`` (in
+    log10 search coordinates) of a bound of the search box other than the
+    physical limits ``rho = 0`` and ``eps2 = 1``.  A fit in which no
+    proposal was feasible raises instead of returning one.
     """
 
     rho1: float
@@ -218,8 +218,9 @@ def fit_noise_model(
     :func:`advantage_vs_qng` with Nelder-Mead simplex searches started from
     ``restarts`` seeded random points in log-transformed coordinates, then
     polishes the best candidate.  Deterministic for a fixed seed.  Parameter
-    proposals for which some data point's QNG is unreachable score infinity,
-    which the simplex contracts away from.
+    proposals for which some data point's QNG is unreachable score a ``1e12``
+    penalty, which the simplex contracts away from; when no proposal is
+    feasible, :class:`NoSolutionError` names the first one's refusal.
 
     Args:
         data: rows ``(qng1_db, qng2_db, advantage_db[, sigma_db])``; at
@@ -241,25 +242,26 @@ def fit_noise_model(
     for name, value in (("restarts", restarts), ("max_evals", max_evals)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    w_lo = math.log10(max(rho_lo, _RHO_FLOOR))
-    w_hi = math.log10(rho_hi)
-    v_lo = math.log10(eps_lo)
-    v_hi = math.log10(eps_hi)
+    w_lo, w_hi, v_lo, v_hi = np.log10([max(rho_lo, _RHO_FLOOR), rho_hi, eps_lo, eps_hi])
     lo = np.array([w_lo, w_lo, v_lo, v_lo])
     hi = np.array([w_hi, w_hi, v_hi, v_hi])
     box = list(zip(lo, hi))
 
     base, nested = _nested(losses, alpha2, dphi)
-    ln10_10 = 10.0 / math.log(10.0)
     qng1, qng2, measured, sigma = np.array(rows).T
 
+    refused, feasible = None, False  # the first evaluation's refusal; whether any returned a residual
+
     def objective(z) -> float:
+        nonlocal refused, feasible
         rho1, rho2, eps1, eps2 = (float(10.0**v) for v in z)
         try:
             snr = _sisni_snr(qng1, qng2, nested, (rho1, eps1), (rho2, eps2))
-        except (NoSolutionError, InstabilityError):
+        except (NoSolutionError, InstabilityError) as exc:
+            refused = refused or str(exc)
             return _INFEASIBLE
-        r = (ln10_10 * np.log(snr / base) - measured) / sigma
+        feasible = True
+        r = (10.0 * np.log10(snr / base) - measured) / sigma
         return sum((r * r).tolist())
 
     def simplex(z0, maxfev: int, xatol: float, fatol: float):
@@ -276,6 +278,8 @@ def fit_noise_model(
     runs = [simplex(z0, max_evals, 1e-4, 1e-10) for z0 in starts]
     best = min(runs, key=lambda res: res.fun)  # the first of equal minima
     polish = simplex(best.x, 2 * max_evals, 1e-7, 1e-16)
+    if not feasible:
+        raise NoSolutionError(f"no evaluation of the noise-model fit was feasible; the first was refused: {refused}")
     best = min(polish, best, key=lambda res: res.fun)  # the polish wins a tie
     z = best.x
     # rho = 0 (stood in for by the floor) and eps2 = 1 are physical limits
@@ -289,7 +293,7 @@ def fit_noise_model(
         rho2=rho2,
         eps1_sq=eps1_sq,
         eps2_sq=eps2_sq,
-        residual_rms=math.sqrt(best.fun / len(rows)) if best.fun < _INFEASIBLE else math.inf,
+        residual_rms=math.sqrt(best.fun / len(rows)),
         iterations=sum(res.nfev for res in runs) + polish.nfev,
-        converged=bool(best.success and best.fun < _INFEASIBLE and not pinned),
+        converged=bool(best.success and not pinned),
     )

@@ -21,7 +21,6 @@ an affine Gaussian channel whose added noise grows with both ``rho`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +75,7 @@ class NoisyPaParams:
 
 
 def _stability(rho: float, kappa: float) -> float:
-    return (1.0 + rho) ** 2 / 4.0 - kappa * kappa
+    return (1.0 + rho) * (1.0 + rho) / 4.0 - kappa * kappa
 
 
 @dataclass(frozen=True)
@@ -211,9 +210,9 @@ def _kappa(qng_db, rho: float, epsilon2: float) -> np.ndarray:
         raise ValueError(f"quantum noise gain must be finite, got {bad}")
     if (qng_db < 0.0).any():
         raise ValueError(f"quantum noise gain must be >= 0 dB, got {qng_db.min()}")
-    floor = ((1.0 - rho) ** 2 + 4.0 * rho * epsilon2) / (1.0 + rho) ** 2
+    floor = ((1.0 - rho) * (1.0 - rho) + 4.0 * rho * epsilon2) / ((1.0 + rho) * (1.0 + rho))
     a = (1.0 - rho * rho) / 4.0
-    b = (1.0 + rho) ** 2 / 4.0
+    b = (1.0 + rho) * (1.0 + rho) / 4.0
     thermal = epsilon2 * rho
     # B^2 - 4AC expanded to Q P + R with P, R > 0: the Q^2 terms cancel
     # exactly, so large targets keep their precision.
@@ -232,7 +231,7 @@ def _kappa(qng_db, rho: float, epsilon2: float) -> np.ndarray:
     if short.any():
         raise NoSolutionError(
             f"QNG {qng_db[short][0]} dB is unreachable: the kappa = 0 floor for "
-            f"rho = {rho}, epsilon2 = {epsilon2} is {10.0 * math.log10(floor):.6g} dB"
+            f"rho = {rho}, epsilon2 = {epsilon2} is {10.0 * np.log10(floor):.6g} dB"
         )
     if unstable.any():
         raise InstabilityError(

@@ -1,6 +1,7 @@
 """Tests for figure-level analysis: maps, slopes, Wigner panels, fits."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,13 @@ class TestDbConversions:
 
     def test_six_db_squeezing(self):
         assert to_db(4.0) == pytest.approx(6.0206, abs=1e-4)
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
+    def test_a_ratio_not_above_zero_is_refused_without_a_warning(self, ratio):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^a ratio in decibels must be > 0, got "):
+                to_db(ratio)
 
 
 class TestAdvantage:
@@ -121,7 +129,15 @@ class TestLossPlane:
             for li in grid.y_axis.values
         ]
         assert grid.values.shape == (7, 11)
-        assert np.max(np.abs(grid.values - np.array(expected))) <= 1e-12
+        assert np.array_equal(grid.values, np.array(expected))
+
+    def test_cell_on_a_last_bit_edge_equals_advantage_db(self):
+        # A cell on a last-bit edge: where the grid and a float round differently
+        # (a float's pow or math.log10), it reads 0.7630339301047713 against 0.7630339301047722.
+        params = SisniParams(alpha=6.0, g1=2.2, g2=2.9, L_ii=0.1)
+        grid = loss_plane(params, resolution=(9, 11), internal_target="signal")
+        assert grid.y_axis.values[5] == 0.5625 and grid.x_axis.values[1] == 0.09
+        assert grid.values[5, 1] == advantage_db(replace(params, L_is=0.5625, L_e=0.09))
 
     @pytest.mark.parametrize("params", [SqMziParams(alpha=0.0, g=0.5), lossless_sisni(alpha2=0.0)])
     def test_dark_input_is_refused(self, params):

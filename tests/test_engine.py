@@ -199,6 +199,16 @@ def test_grid_equals_pointwise_runs(case):
         assert np.array_equal(cov[r, c], point_cov[0])
 
 
+def test_noisy_amplifier_row_equals_its_scalar_run():
+    """A squared field is a product, so an array row has the bits of its float run."""
+    rho = 0.004687347717978302  # (1 + rho) ** 2 on a float differs from numpy's array square
+    spec, _ = build_sisni(SisniParams(alpha=6.0, L_is=0.16, L_ii=0.1, L_e=0.15), NoisyPaParams(rho, 0.3, 2.0))
+    mean, cov = _propagate(spec, {0: {"rho": np.array([rho])}})
+    point_mean, point_cov = _propagate(spec)
+    assert np.array_equal(mean, point_mean)
+    assert np.array_equal(cov, point_cov)
+
+
 class TestPropagate:
     def test_unvaried_batch_of_one(self):
         spec, _ = build_sisni(SisniParams(alpha=6.0, g1=0.8, g2=1.2, L_is=0.16, L_ii=0.1, L_e=0.15))

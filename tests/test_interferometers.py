@@ -169,6 +169,17 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="degenerate"):
             phase_variance_closed(SqMziParams(alpha=0.0))
 
+    @pytest.mark.parametrize(
+        "closed, params, expected",
+        [
+            (snr_sq_mzi_closed, SisniParams(alpha=6.0, g1=0.5, g2=0.5), "SqMziParams"),
+            (snr_sisni_closed, SqMziParams(alpha=6.0, g=0.5), "SisniParams"),
+        ],
+    )
+    def test_the_other_topology_is_refused(self, closed, params, expected):
+        with pytest.raises(TypeError, match=f"^this closed form needs {expected}, got {type(params).__name__}$"):
+            closed(params, 1e-3)
+
 
 class TestMeanSignalAndVariance:
     def test_sisni_lossless_mean(self):

@@ -13,6 +13,7 @@ import gicirc
 from gicirc import (
     CircuitSpec,
     NoisyPaParams,
+    NoSolutionError,
     SisniParams,
     advantage_vs_qng,
     fit_noise_model,
@@ -115,6 +116,16 @@ class TestFitNoiseModel:
         assert result.converged is recovered
         if not recovered:
             assert (result.rho1, result.eps1_sq) == pytest.approx((1e-8, 1e4), rel=1e-5)
+
+    def test_no_feasible_evaluation_is_refused(self):
+        # Every evaluation's readout overflows at this photon number and excursion.
+        rows = [(4.0, 2.0, 0.5), (4.0, 7.0, 2.7), (8.0, 2.0, 0.4), (8.0, 7.0, 2.5)]
+        message = (
+            "^no evaluation of the noise-model fit was feasible; the first was refused: "
+            r"noise model: the readout overflows at alpha2 = 1\.7e\+308, dphi = 1\.0$"
+        )
+        with pytest.raises(NoSolutionError, match=message):
+            fit_noise_model(rows, restarts=1, max_evals=30, alpha2=1.7e308, dphi=1.0)
 
     def test_data_validation(self):
         with pytest.raises(ValueError, match="at least 4"):

@@ -74,8 +74,27 @@ TINY = 1e-170
 UNDERFLOWS = {"closed form": "the squared amplitude underflows", "engine": "the SNR underflows"}
 
 
-def _named(stage, params) -> str:
-    return UNDERFLOWS[stage] if params.alpha == TINY else "the readout overflows"
+CANCELS = "the noise variance cancels to zero or below"
+# G = g in floats at equal huge gains, so the noise variance cancels before anything
+# overflows.  (readout, params) pairs; None stands for a test_known_overflows_raise row.
+_BOTH = {g: SisniParams(alpha=6.0, g1=g, g2=g) for g in (1e7, 1e10, 1e150, 1.2e154)}
+CANCELLING = {
+    *(
+        (name, _BOTH[g])
+        for name in ("snr_closed", "mean_signal_and_variance", "phase_variance_closed", "advantage_db")
+        for g in (1e150, 1.2e154)
+    ),
+    ("loss_plane", _BOTH[1e150]),
+    ("engine_report", SqMziParams(alpha=6.0, g=1e150)),
+    ("engine_report", _BOTH[1e7]),
+    *((None, _BOTH[g]) for g in (1e7, 1e10, 1e150)),
+}
+
+
+def _named(stage, params, name=None) -> str:
+    if params.alpha == TINY:
+        return UNDERFLOWS[stage]
+    return CANCELS if (name, params) in CANCELLING else "the readout overflows"
 
 
 # (label, params, dphi)
@@ -122,7 +141,7 @@ class TestOverflowMatrix:
         try:
             value = readout(params, dphi)
         except InstabilityError as err:
-            assert str(err).startswith(f"{stage}: {_named(stage, params)} at gains ")
+            assert str(err).startswith(f"{stage}: {_named(stage, params, name)} at gains ")
         else:
             assert _finite(value), value
 
@@ -159,6 +178,22 @@ class TestOverflowMatrix:
     def test_pole_keeps_its_message(self):
         with pytest.raises(InstabilityError, match="stability pole"):
             advantage_vs_qng(4.0, [200.0], LOSSES, (0.01, 2.0), (0.01, 2.0))
+
+
+class TestCancellation:
+    """A noise variance that cancels to zero or below is named, not called an overflow."""
+
+    def test_engine(self):
+        message = "engine: the noise variance cancels to zero or below at gains g1 = 1e+07, g2 = 1e+07"
+        with pytest.raises(InstabilityError) as err:
+            engine_report(SisniParams(alpha=6.0, g1=1e7, g2=1e7))
+        assert str(err.value) == message
+
+    def test_closed_form(self):
+        message = "closed form: the noise variance cancels to zero or below at gains g1 = 1e+10, g2 = 1e+10"
+        with pytest.raises(InstabilityError) as err:
+            phase_variance_closed(SisniParams(alpha=6.0, g1=1e10, g2=1e10))
+        assert str(err.value) == message
 
 
 class TestNoiseModelRefusals:
