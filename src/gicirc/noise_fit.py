@@ -67,8 +67,8 @@ class FitResult:
     across all restarts and the polish stage.  ``converged`` is false when
     the simplex did not finish or the optimum sits within ``1e-6`` (in
     log10 search coordinates) of a bound of the search box other than the
-    physical limits ``rho = 0`` and ``eps2 = 1``.  A fit in which no
-    proposal was feasible raises instead of returning one.
+    physical limits ``rho = 0`` and ``eps2 = 1``.  A fit whose optimum is
+    refused raises instead of returning one.
     """
 
     rho1: float
@@ -219,8 +219,8 @@ def fit_noise_model(
     ``restarts`` seeded random points in log-transformed coordinates, then
     polishes the best candidate.  Deterministic for a fixed seed.  Parameter
     proposals for which some data point's QNG is unreachable score a ``1e12``
-    penalty, which the simplex contracts away from; when no proposal is
-    feasible, :class:`NoSolutionError` names the first one's refusal.
+    penalty, which the simplex contracts away from; when the optimum is such
+    a proposal, :class:`NoSolutionError` quotes its refusal.
 
     Args:
         data: rows ``(qng1_db, qng2_db, advantage_db[, sigma_db])``; at
@@ -250,17 +250,15 @@ def fit_noise_model(
     base, nested = _nested(losses, alpha2, dphi)
     qng1, qng2, measured, sigma = np.array(rows).T
 
-    refused, feasible = None, False  # the first evaluation's refusal; whether any returned a residual
+    def snr_at(z):
+        rho1, rho2, eps1, eps2 = (float(10.0**v) for v in z)
+        return _sisni_snr(qng1, qng2, nested, (rho1, eps1), (rho2, eps2))
 
     def objective(z) -> float:
-        nonlocal refused, feasible
-        rho1, rho2, eps1, eps2 = (float(10.0**v) for v in z)
         try:
-            snr = _sisni_snr(qng1, qng2, nested, (rho1, eps1), (rho2, eps2))
-        except (NoSolutionError, InstabilityError) as exc:
-            refused = refused or str(exc)
+            snr = snr_at(z)
+        except (NoSolutionError, InstabilityError):
             return _INFEASIBLE
-        feasible = True
         r = (10.0 * np.log10(snr / base) - measured) / sigma
         return sum((r * r).tolist())
 
@@ -278,10 +276,15 @@ def fit_noise_model(
     runs = [simplex(z0, max_evals, 1e-4, 1e-10) for z0 in starts]
     best = min(runs, key=lambda res: res.fun)  # the first of equal minima
     polish = simplex(best.x, 2 * max_evals, 1e-7, 1e-16)
-    if not feasible:
-        raise NoSolutionError(f"no evaluation of the noise-model fit was feasible; the first was refused: {refused}")
     best = min(polish, best, key=lambda res: res.fun)  # the polish wins a tie
     z = best.x
+    # A refused proposal scores the penalty, and a residual sum can reach it
+    # too: only the optimum's own readout tells them apart.
+    if best.fun >= _INFEASIBLE:
+        try:
+            snr_at(z)
+        except (NoSolutionError, InstabilityError) as exc:
+            raise NoSolutionError(f"the noise-model fit ends at a refused point: {exc}") from exc
     # rho = 0 (stood in for by the floor) and eps2 = 1 are physical limits
     # where the true minimum can lie, as it does for noise-free data; a point
     # on any other edge of the box is held there by the box, not the data.

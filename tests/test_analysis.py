@@ -111,33 +111,32 @@ class TestLossPlane:
 
     NESTED = SisniParams(alpha=4.0, g1=0.7, g2=1.1, L_is=0.12, L_ii=0.07, L_e=0.2)
 
+    RANGES = ((0.05, 0.85), (0.0, 0.9))
+    DEFAULT_RANGES = ((0.0, 0.9), (0.0, 0.9))
+
     @pytest.mark.parametrize(
-        "params, target, fields",
+        "params, target, fields, ranges, resolution",
         [
-            (SqMziParams(alpha=5.0, g=0.6, L_i=0.2, L_e=0.3), "both", ("L_i",)),
-            (NESTED, "both", ("L_is", "L_ii")),
-            (NESTED, "signal", ("L_is",)),
-            (NESTED, "idler", ("L_ii",)),
+            (SqMziParams(alpha=5.0, g=0.6, L_i=0.2, L_e=0.3), "both", ("L_i",), RANGES, (7, 11)),
+            (NESTED, "both", ("L_is", "L_ii"), RANGES, (7, 11)),
+            (NESTED, "signal", ("L_is",), RANGES, (7, 11)),
+            (NESTED, "idler", ("L_ii",), RANGES, (7, 11)),
+            # Cell [5, 1] (L_is = 0.5625, L_e = 0.09) sits on a last-bit edge: where
+            # the grid and a float round differently (a float's pow or math.log10),
+            # it reads 0.7630339301047713 against 0.7630339301047722.
+            (SisniParams(alpha=6.0, g1=2.2, g2=2.9, L_ii=0.1), "signal", ("L_is",), DEFAULT_RANGES, (9, 11)),
         ],
     )
-    def test_matches_per_cell_advantage(self, params, target, fields):
+    def test_matches_per_cell_advantage(self, params, target, fields, ranges, resolution):
         # Reference: one advantage_db per cell, with the swept internal
         # loss ``fields`` and the external loss set on the parameters.
-        grid = loss_plane(params, (0.05, 0.85), (0.0, 0.9), resolution=(7, 11), internal_target=target)
+        grid = loss_plane(params, *ranges, resolution=resolution, internal_target=target)
         expected = [
             [advantage_db(replace(params, L_e=le, **dict.fromkeys(fields, li))) for le in grid.x_axis.values]
             for li in grid.y_axis.values
         ]
-        assert grid.values.shape == (7, 11)
+        assert grid.values.shape == resolution
         assert np.array_equal(grid.values, np.array(expected))
-
-    def test_cell_on_a_last_bit_edge_equals_advantage_db(self):
-        # A cell on a last-bit edge: where the grid and a float round differently
-        # (a float's pow or math.log10), it reads 0.7630339301047713 against 0.7630339301047722.
-        params = SisniParams(alpha=6.0, g1=2.2, g2=2.9, L_ii=0.1)
-        grid = loss_plane(params, resolution=(9, 11), internal_target="signal")
-        assert grid.y_axis.values[5] == 0.5625 and grid.x_axis.values[1] == 0.09
-        assert grid.values[5, 1] == advantage_db(replace(params, L_is=0.5625, L_e=0.09))
 
     @pytest.mark.parametrize("params", [SqMziParams(alpha=0.0, g=0.5), lossless_sisni(alpha2=0.0)])
     def test_dark_input_is_refused(self, params):

@@ -651,13 +651,13 @@ class TestCliRefusals:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_infeasible_fit_is_refused_in_both_formats(self, capsys, tmp_path, fmt):
         # Every kappa sits at the stability pole, so no evaluation is feasible
-        # and the fit names the first one's refusal.
+        # and the fit names its optimum's refusal.
         data = tmp_path / "pole.csv"
         data.write_text("qng1_db,qng2_db,advantage_db\n300,300,1\n300,310,1\n310,300,1\n310,310,1\n")
         argv = ["fit", "--data", str(data), "--restarts", "1", "--max-evals", "40", "--format", fmt]
         assert run_error(capsys, *argv) == {
             "type": "NoSolutionError",
-            "message": "no evaluation of the noise-model fit was feasible; the first was refused: "
+            "message": "the noise-model fit ends at a refused point: "
             "QNG 300.0 dB puts kappa at the stability pole (1 + rho)/2 = 0.5001437811045423: "
             "no float kappa reproduces it within a relative 1e-09",
         }

@@ -121,11 +121,21 @@ class TestFitNoiseModel:
         # Every evaluation's readout overflows at this photon number and excursion.
         rows = [(4.0, 2.0, 0.5), (4.0, 7.0, 2.7), (8.0, 2.0, 0.4), (8.0, 7.0, 2.5)]
         message = (
-            "^no evaluation of the noise-model fit was feasible; the first was refused: "
+            "^the noise-model fit ends at a refused point: "
             r"noise model: the readout overflows at alpha2 = 1\.7e\+308, dphi = 1\.0$"
         )
         with pytest.raises(NoSolutionError, match=message):
             fit_noise_model(rows, restarts=1, max_evals=30, alpha2=1.7e308, dphi=1.0)
+
+    def test_an_infeasible_optimum_is_refused(self):
+        # Criterion-7 data shifted by 3 dB with a tiny sigma: every feasible
+        # residual sum exceeds the penalty a refused proposal scores, so the
+        # simplex ends on a refused point although others were feasible.
+        data = self.synthetic((5e-4, 2.0), (4e-4, 208.0), qng2s=(2.0, 7.0))
+        shifted = [(q1, q2, a + 3.0, 1e-7) for q1, q2, a in data]
+        message = r"^the noise-model fit ends at a refused point: QNG 4\.0 dB is unreachable: "
+        with pytest.raises(NoSolutionError, match=message):
+            fit_noise_model(shifted, PAPER_LOSSES, restarts=2, max_evals=200)
 
     def test_data_validation(self):
         with pytest.raises(ValueError, match="at least 4"):
