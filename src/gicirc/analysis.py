@@ -13,13 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import _propagate
+from .circuits import _amplification, _propagate
 from .interferometers import (
     TopologyParams,
     _build,
     _guard,
     _phase_excursion,
     _phase_terms,
+    _precise,
     _topology,
     phase_variance_closed,
     sql_baseline,
@@ -174,8 +175,10 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
     with _guard("engine", params):
         excursion = _phase_excursion(*_build(params), dphi)
         mode = excursion.spec.detect.mode
-        dx, dp = (excursion.plus - excursion.minus)[2 * mode : 2 * mode + 2] / (2.0 * dphi)
-        return np.cos(thetas) * dx + np.sin(thetas) * dp
+        dx, dp = (excursion.shifted[0] - excursion.shifted[1])[2 * mode : 2 * mode + 2] / (2.0 * dphi)
+        slope = np.cos(thetas) * dx + np.sin(thetas) * dp
+        _precise(excursion.amplification)
+    return slope
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +217,7 @@ def wigner_panel(params: TopologyParams, phi_values, L_e_values, x, p) -> Wigner
         for i, j in np.ndindex(phis.size, les.size):
             state = GaussianState(spec.n_modes, mean[i, j], cov[i, j])
             density[i, j] = wigner(state, spec.detect.mode, xs[:, None], ps[None, :])
+        _precise(_amplification(spec, vary))
     return WignerPanel(phis, les, xs, ps, density)
 
 

@@ -13,10 +13,11 @@ optional document keys and, for elements, whose ``block`` is its local block
 function and whose ``update`` applies it to the state.  Parsing,
 serialization and propagation are driven by those rows.
 
-Propagation is block-local: the state is one array ``[cov | mean]`` with
-leading grid axes, and each element updates only the rows (mean entries
-included) and the covariance columns of its own modes, so one pass can run a
-whole grid of variants of the same circuit.
+Propagation is block-local and factored: the state is one array
+``[A | mean]`` with leading grid axes, whose covariance is
+``A diag(w) A^T`` (see :func:`_propagate`), and each element moves only the
+rows of its own modes, so one pass can run a whole grid of variants of the
+same circuit.
 """
 
 from __future__ import annotations
@@ -87,62 +88,61 @@ class _Kind(NamedTuple):
     optional: frozenset
     block: Callable | None
     params: tuple[str, ...]  # the fields passed to ``block``: all but the modes
-    update: Callable | None  # (state, block index, block, values): applies the element in place
+    update: Callable | None  # (state, rows, noise columns, block, values): applies the element in place
+    noisy: bool  # the element adds noise, into columns of its own
+    stretch: Callable | None  # (**values) -> G + g of an amplifier or a squeezer
 
 
-def _transform(state: np.ndarray, index, block: Callable, values: dict):
-    """Apply the element's ``(S, N) = block(**values)`` to ``state`` in place.
+def _transform(state: np.ndarray, rows, cols: slice, block: Callable, values: dict):
+    """Apply the element's block ``block(**values)`` to ``state`` in place.
 
-    ``S`` moves the covariance rows ``idx`` and their mean entries, then,
-    transposed, the covariance columns ``idx``; the square block is
-    symmetrized against rounding and ``N`` added to it.  The mean goes
-    through its own matrix-vector product: BLAS sums a matrix product over
-    whole ``[cov | mean]`` rows in another order, which moves its last bits.
+    ``S`` moves the element's ``rows`` of ``A``, and their mean entries
+    through a matrix-vector product of their own: BLAS sums a matrix
+    product over whole ``[A | mean]`` rows in another order, which moves
+    the mean's last bits.  The columns from ``cols.start`` on are still
+    zero, so the product stops there.  A noise ``(w, P)`` goes in as its
+    factor ``sqrt(w) P`` on ``rows`` of the element's own columns ``cols``.
     """
-    idx, square, _ = index
     linear, noise = block(**values)
-    state[..., idx, -1:] = linear @ state[..., idx, -1:]
-    rows = linear @ state[..., idx, :-1]
-    state[..., idx, :-1] = rows
-    state[..., idx] = rows.swapaxes(-1, -2)
-    cov = rows[..., idx] @ linear.swapaxes(-1, -2)
-    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-    state[square] = cov if noise is None else cov + noise
+    state[..., rows, -1:] = linear @ state[..., rows, -1:]
+    state[..., rows, : cols.start] = linear @ state[..., rows, : cols.start]
+    if noise is not None:
+        weight, pattern = noise
+        root = np.sqrt(weight)
+        state[..., rows, cols] = (root[..., None, None] if isinstance(root, np.ndarray) else root) * pattern
 
 
-def _attenuate(state: np.ndarray, index, block: Callable, values: dict):
+def _attenuate(state: np.ndarray, rows: slice, cols: slice, block: Callable, values: dict):
     """A loss ``L`` in place, without a matrix product.
 
-    ``S = sqrt(1 - L) I`` scales the mode's rows (mean entries included) and
-    covariance columns, and ``N = L I`` adds ``L`` on the mode's diagonal:
-    the values of the product, and its bits but for the sign of an exact
-    zero at a total loss (the product's zeros take their sign from both of
-    the mode's quadratures, a scaled entry keeps its own).
+    ``S = sqrt(1 - L) I`` scales the mode's rows (mean entries included),
+    and the noise factor ``sqrt(L) I`` goes on the diagonal of the loss's
+    own columns: the values of the block product, and its bits but for the
+    sign of an exact zero at a total loss (the product's zeros take their
+    sign from both of the mode's quadratures, a scaled entry keeps its own).
     """
-    idx, _, diagonal = index
     loss = values["L"]
     scale = np.sqrt(1.0 - loss)
     if isinstance(loss, np.ndarray):
         scale = scale[..., None, None]
-    for view in (state[..., idx, :], state[..., idx]):
-        view *= scale
-    for d in diagonal:
-        view = state[d]
-        view += loss
+    state[..., rows, :] *= scale
+    factor = state[..., rows, cols]
+    factor[..., 0, 0] = factor[..., 1, 1] = np.sqrt(loss)
 
 
-def _kind(type_: str, cls: type, update: Callable | None = _transform) -> _Kind:
+def _kind(type_: str, cls: type, update: Callable | None = _transform, noisy: bool = False) -> _Kind:
     names = tuple(f.name for f in fields(cls))
     required = frozenset(f.name for f in fields(cls) if f.default is MISSING) | {"type"}
     block = getattr(cls, "block", None)  # preparations have neither a block nor an update
     update = update if block else None
     return _Kind(
-        type_, cls, names, required, frozenset(names) - required, block, _block_params(cls), update
+        type_, cls, names, required, frozenset(names) - required, block, _block_params(cls), update,
+        noisy, getattr(cls, "stretch", None),
     )
 
 
-# document type -> kind; ``block(**params)`` gives the local ``(S, N)``, which
-# ``update`` applies (a loss scales its rows and columns instead).
+# document type -> kind; ``block(**params)`` gives the local ``(S, noise)``,
+# which ``update`` applies (a loss scales its rows instead).
 _INPUTS = {
     k.type: k
     for k in (_kind("vacuum", Vacuum), _kind("coherent", Coherent), _kind("thermal", Thermal))
@@ -154,8 +154,8 @@ _ELEMENTS = {
         _kind("single_mode_squeezer", SqueezerElement),
         _kind("bs", BsElement),
         _kind("phase", PhaseElement),
-        _kind("loss", LossElement, _attenuate),
-        _kind("noisy_pa", NoisyPaElement),
+        _kind("loss", LossElement, _attenuate, noisy=True),
+        _kind("noisy_pa", NoisyPaElement, noisy=True),
     )
 }
 _KIND_OF = {k.cls: k for k in (*_INPUTS.values(), *_ELEMENTS.values())}
@@ -245,30 +245,56 @@ def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray,
     once.  The values are not validated; callers pass only values that
     their element's dataclass would accept.
 
-    The state is one array ``[cov | mean]`` of shape ``(*grid, 2n, 2n + 1)``,
-    the covariance with the mean as its last column, and each element's
-    ``update`` changes only its own modes' quadratures ``idx``: the rows
-    ``state[..., idx, :]`` (which moves the mean too), the covariance
-    columns ``state[..., idx]`` and the square block on ``idx x idx``.
-    Raises :class:`InstabilityError` naming the element where the state
-    leaves the float range.
+    The state is one array ``[A | mean]`` of shape ``(*grid, 2n, m + 1)``
+    with the mean as its last column, and the covariance is
+    ``A diag(w) A^T``.  ``A`` starts as the identity on the ``2n`` input
+    columns, weighted by the preparation variances ``w``; each noisy
+    element owns the next 2 (a loss) or 4 (a noisy amplifier) columns,
+    weighted by 1, where it writes its noise factor.  Each element's
+    ``update`` changes only its own modes' rows ``state[..., idx, :]``
+    (which moves the mean too), and the covariance is formed and
+    symmetrized once, at the end, so every variance is a sum of
+    non-negative terms.  Raises :class:`InstabilityError` naming the
+    element, or the covariance, where the state leaves the float range.
     """
     vary = vary or {}
-    state = _prepare(spec.n_modes, spec.inputs)[None]
+    steps = [(_KIND_OF[type(el)], _block_index(_modes(el))) for el in spec.elements]
+    col = 2 * spec.n_modes
+    noise = sum(size for kind, (_, size) in steps if kind.noisy)
+    state, weights = _prepare(spec.n_modes, spec.inputs, noise)
+    state = state[None]
     with np.errstate(over="raise", invalid="raise"):
         try:
-            for i, el in enumerate(spec.elements):
-                kind = _KIND_OF[type(el)]
+            for i, (el, (kind, (rows, size))) in enumerate(zip(spec.elements, steps)):
                 values = {n: getattr(el, n) for n in kind.params}
                 if i in vary:
                     values |= vary[i]
                     grid = np.broadcast(state[..., 0, 0], *vary[i].values()).shape
                     if grid != state.shape[:-2]:
                         state = _widen(state, grid + state.shape[-2:])
-                kind.update(state, _block_index(_modes(el)), kind.block, values)
+                width = size if kind.noisy else 0
+                kind.update(state, rows, slice(col, col + width), kind.block, values)
+                col += width
         except FloatingPointError:
             raise InstabilityError(f"engine: the state overflows at element {i} ({kind.type})") from None
-    return state[..., -1], state[..., :-1]
+        try:
+            factor = state[..., :-1]
+            cov = (factor * weights) @ factor.swapaxes(-1, -2)
+            cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+        except FloatingPointError:
+            raise InstabilityError("engine: the output covariance overflows") from None
+    return state[..., -1], cov
+
+
+def _amplification(spec: CircuitSpec, vary: dict | None = None):
+    """The product of ``G + g`` over the circuit's amplifiers and squeezers, on ``vary``'s grid (see :func:`_propagate`)."""
+    vary = vary or {}
+    product = 1.0
+    for i, el in enumerate(spec.elements):
+        kind = _KIND_OF[type(el)]
+        if kind.stretch is not None:
+            product = product * kind.stretch(**{n: getattr(el, n) for n in kind.params} | vary.get(i, {}))
+    return product
 
 
 def _widen(state: np.ndarray, shape: tuple) -> np.ndarray:
@@ -280,19 +306,16 @@ def _widen(state: np.ndarray, shape: tuple) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _block_index(modes: tuple[int, ...]):
-    """Index of the modes' quadratures along one axis, of their square block and of its diagonal.
+    """Index of the modes' quadratures along one axis, and their number.
 
     A slice where the quadratures are contiguous and in order (basic
-    indexing is cheaper), an index array otherwise; the diagonal is one
-    ``(..., i, i)`` index per quadrature.
+    indexing is cheaper), an index array otherwise.
     """
     idx = _quadrature_indices(modes)
-    diagonal = tuple((..., int(i), int(i)) for i in idx)
     if np.all(np.diff(idx) == 1):
-        idx = slice(int(idx[0]), int(idx[-1]) + 1)
-        return idx, (..., idx, idx), diagonal
+        return slice(int(idx[0]), int(idx[-1]) + 1), idx.size
     idx.setflags(write=False)  # shared by every caller through the cache
-    return idx, (..., idx[:, None], idx), diagonal
+    return idx, idx.size
 
 
 def simulate(spec: CircuitSpec) -> GaussianState:

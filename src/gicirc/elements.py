@@ -147,9 +147,17 @@ def pair_coupling(ga, gb) -> np.ndarray:
 
 
 # Local blocks.  Each takes an element's field values, scalars or ``(B,)``
-# arrays, and returns ``(S, N)``: the 2x2 (one mode) or 4x4 (mode pair)
-# linear block and added-noise block (``None`` for lossless elements) of the
-# channel on those modes' quadratures, with the field values' shape leading.
+# arrays, and returns ``(S, noise)``: the 2x2 (one mode) or 4x4 (mode pair)
+# linear block of the channel on those modes' quadratures, with the field
+# values' shape leading, and its added noise, ``None`` for lossless elements
+# or ``(w, P)`` for ``N = w P P^T``.  The engine writes the noise factor
+# ``sqrt(w) P`` into columns of its own; ``element_map`` forms ``N``, so a
+# loss adds exactly ``L I``.
+
+
+def _stretch(g):
+    """``G + g``: the factor by which an amplifier or a squeezer of gain ``g`` stretches a quadrature."""
+    return np.sqrt(1.0 + g * g) + g
 
 
 def _pa_block(g):
@@ -157,8 +165,9 @@ def _pa_block(g):
 
 
 def _squeezer_block(g):
-    G = np.sqrt(1.0 + g * g)
-    return _combine((G + g, _X_ONLY), (G - g, _P_ONLY)), None
+    """Stretches x by ``G + g`` and squeezes p by ``G - g``, formed as ``1/(G + g)``: no cancellation."""
+    stretch = _stretch(g)
+    return _combine((stretch, _X_ONLY), (1.0 / stretch, _P_ONLY)), None
 
 
 def _bs_block(T, convention):
@@ -171,7 +180,7 @@ def _phase_block(phi):
 
 
 def _loss_block(L):
-    return _combine((np.sqrt(1.0 - L), _I2)), _combine((L, _I2))
+    return _combine((np.sqrt(1.0 - L), _I2)), (L, _I2)
 
 
 @dataclass(frozen=True)
@@ -181,6 +190,7 @@ class PaElement:
     modes: tuple[int, int]
     g: float
     block = staticmethod(_pa_block)
+    stretch = staticmethod(_stretch)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", _check_pair(self.modes))
@@ -194,6 +204,7 @@ class SqueezerElement:
     mode: int
     g: float
     block = staticmethod(_squeezer_block)
+    stretch = staticmethod(_stretch)
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _check_index(self.mode))
@@ -267,7 +278,10 @@ def element_map(element, n_modes: int) -> ElementMap:
     full_linear[square] = linear
     full_noise = np.zeros((dim, dim))
     if noise is not None:
-        full_noise[square] = noise
+        weight, pattern = noise
+        # P P^T as separately rounded products summed (no fused multiply-add), so N
+        # has the bits of its terms written out: exactly L I for a loss.
+        full_noise[square] = weight * (pattern[:, None, :] * pattern[None, :, :]).sum(axis=-1)
     return ElementMap(full_linear, full_noise, np.zeros(dim))
 
 

@@ -23,7 +23,6 @@ assemble the elements and the circuit without checking again.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -41,6 +40,7 @@ from .circuits import (
     PaElement,
     PhaseElement,
     SqueezerElement,
+    _amplification,
     _assemble,
     _propagate,
 )
@@ -286,25 +286,59 @@ def _topology(params: TopologyParams) -> _Topology:
 
 
 class _Cause(InstabilityError):
-    """A readout failure that names its own cause (an underflow, a cancellation)."""
+    """A readout failure that names its own cause (an underflow, a cancellation, lost precision)."""
 
 
-@contextlib.contextmanager
-def _guard(stage: str, params: TopologyParams | str):
-    """Run a readout with numpy raising on overflow, invalid values and division by zero;
-    those and an engine pass's :class:`InstabilityError` leave as one naming the stage and
-    the gains of ``params`` (or ``params`` itself, a string naming the inputs where rows set
-    the gains), as an overflow or, for a :class:`_Cause`, as its own cause.  Values
-    must be numpy floats: a Python float overflows to inf without an error.
+_EPSILON = float(np.finfo(float).eps)
+# The largest a-priori relative rounding error, eps * prod(G + g) over a
+# circuit's amplifiers and squeezers, at which an engine readout reports.
+_PRECISION = 1e-6
+
+
+class _guard:
+    """Run a readout with numpy raising on overflow, invalid values and division by zero.
+
+    Those and an engine pass's :class:`InstabilityError` leave as one naming
+    the stage and the gains of ``params`` (or ``params`` itself, a string
+    naming the inputs where rows set the gains), as an overflow or, for a
+    :class:`_Cause`, as its own cause.  Values must be numpy floats: a
+    Python float overflows to inf without an error.  A class, not a
+    generator context manager, because entering it is cheaper, and every
+    built-in readout enters one.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
-    except (FloatingPointError, InstabilityError) as exc:
+
+    def __init__(self, stage: str, params: TopologyParams | str):
+        self.stage, self.params = stage, params
+        self.errstate = np.errstate(over="raise", invalid="raise", divide="raise")
+
+    def __enter__(self):
+        self.errstate.__enter__()
+
+    def __exit__(self, kind, exc, traceback):
+        self.errstate.__exit__(kind, exc, traceback)
+        if not isinstance(exc, (FloatingPointError, InstabilityError)):
+            return False
         what = exc if isinstance(exc, _Cause) else "the readout overflows"
+        params = self.params
         if not isinstance(params, str):
             params = "gains " + ", ".join(f"{name} = {getattr(params, name).g:g}" for name in _topology(params).gains)
-        raise InstabilityError(f"{stage}: {what} at {params}") from None
+        raise InstabilityError(f"{self.stage}: {what} at {params}") from None
+
+
+def _precise(amplification):
+    """Refuse an engine readout whose gains' a-priori rounding bound exceeds :data:`_PRECISION`.
+
+    ``amplification`` is the product of ``G + g`` over the circuit's
+    amplifiers and squeezers (see :func:`~gicirc.circuits._amplification`),
+    a float or an array over rows.  Rounded block entries leave a detected
+    variance a relative error of about ``eps`` times it, where cancelling
+    amplifiers make the variance small against the state's other entries.
+    Call it after the pass and the arithmetic that reads the state, so an
+    overflow there is still reported as one.
+    """
+    bound = _EPSILON * (amplification.max() if isinstance(amplification, np.ndarray) else amplification)
+    if bound > _PRECISION:
+        raise _Cause(f"the precision bound eps * prod(G + g) = {bound:.2g} exceeds {_PRECISION:g}")
 
 
 def _positive(var):
@@ -446,12 +480,14 @@ def _build(params: TopologyParams, *noisy: NoisyPaParams | None) -> tuple[_Topol
 
 
 class _Excursion(NamedTuple):
-    """A circuit's means at its signal phase ``phi0 +/- dphi`` and covariance at ``phi0``, rows leading."""
+    """A circuit's means at its signal phase ``phi0 +/- dphi`` (``(..., 2, 2n)``, ``+`` first) and
+    covariance at ``phi0``, rows leading, and its amplification for :func:`_precise`.
+    """
 
     spec: CircuitSpec
-    plus: np.ndarray
-    minus: np.ndarray
+    shifted: np.ndarray
     cov: np.ndarray
+    amplification: float | np.ndarray
 
 
 def _phase_excursion(topo: _Topology, spec: CircuitSpec, dphi: float, vary: dict | None = None) -> _Excursion:
@@ -468,17 +504,21 @@ def _phase_excursion(topo: _Topology, spec: CircuitSpec, dphi: float, vary: dict
     phi0 = spec.elements[topo.phase].phi
     grid[topo.phase] = {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}
     mean, cov = _propagate(spec, grid)
-    return _Excursion(spec, mean[..., 1, :], mean[..., 2, :], cov[..., 0, :, :])
+    return _Excursion(spec, mean[..., 1:, :], cov[..., 0, :, :], _amplification(spec, grid))
 
 
 def _readout(excursion: _Excursion, mode: int, smallest: float = 0.0):
-    """Mean signal (half the ``+/- dphi`` difference), set-point variance and SNR per row; a zero
-    signal is degenerate, and an SNR not above ``smallest`` (by default 0) is an underflow.
+    """Mean signal (half the ``+/- dphi`` difference), set-point variance and SNR per row.
+
+    Gains past :func:`_precise`'s bound are refused once the detected
+    quadratures are formed, before their values are judged; then a zero
+    signal is degenerate, and an SNR not above ``smallest`` (by default 0)
+    is an underflow.
     """
     theta = excursion.spec.detect.theta
-    plus, variance = _quadrature(excursion.plus, excursion.cov, mode, theta)
-    minus, _ = _quadrature(excursion.minus, excursion.cov, mode, theta)
-    signal, var = 0.5 * (plus - minus), _positive(variance)
+    shifted, variance = _quadrature(excursion.shifted, excursion.cov, mode, theta)
+    _precise(excursion.amplification)
+    signal, var = 0.5 * (shifted[..., 0] - shifted[..., 1]), _positive(variance)
     snr = signal * signal / var
     _require_signal(signal)
     if not (snr > smallest).all():

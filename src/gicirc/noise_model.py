@@ -116,16 +116,22 @@ def coupling_factors(params: NoisyPaParams) -> CouplingFactors:
 
 
 def _noisy_pa_block(rho, kappa, epsilon2):
-    """Local 4x4 ``(S, N)`` of the lossy amplifier; arrays broadcast.
+    """Local 4x4 ``(S, (epsilon2, S'))`` of the lossy amplifier; arrays broadcast.
 
-    ``S`` is the ideal-amplifier coupling with ``(G_bar, g_bar)``.  ``N`` is
-    ``epsilon2 * S' S'^T`` for the auxiliary coupling ``S'`` with
-    ``(G_bar_prime, g_bar_prime)``; ``S' S'^T`` is the same coupling pattern
-    with ``(G'^2 + g'^2, 2 G' g')``.
+    ``S`` is the ideal-amplifier coupling with ``(G_bar, g_bar)``, and the
+    added noise is ``epsilon2 * S' S'^T`` for the auxiliary coupling ``S'``
+    with ``(G_bar_prime, g_bar_prime)``.
     """
     G, g, Gp, gp = _coupling(rho, kappa)
-    noise = pair_coupling(epsilon2 * (Gp * Gp + gp * gp), epsilon2 * (2.0 * Gp * gp))
-    return pair_coupling(G, g), noise
+    return pair_coupling(G, g), (epsilon2, pair_coupling(Gp, gp))
+
+
+def _noisy_pa_stretch(rho, kappa, epsilon2):
+    """``G_bar + g_bar``, the factor by which the lossy amplifier stretches a quadrature; arrays broadcast.
+
+    Takes the block's fields; ``epsilon2`` does not enter.
+    """
+    return ((1.0 - rho * rho) / 4.0 + kappa * (kappa + 1.0)) / _stability(rho, kappa)
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,7 @@ class NoisyPaElement:
     kappa: float
     epsilon2: float
     block = staticmethod(_noisy_pa_block)
+    stretch = staticmethod(_noisy_pa_stretch)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", _check_pair(self.modes))

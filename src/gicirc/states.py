@@ -214,24 +214,33 @@ def make_state(n_modes: int, inputs) -> GaussianState:
     Returns:
         The corresponding product state.
     """
-    state = _prepare(n_modes, inputs)
-    return GaussianState(n_modes, state[:, -1], state[:, :-1])
+    state, weights = _prepare(n_modes, inputs)
+    return GaussianState(n_modes, state[:, -1], np.diag(weights))
 
 
-def _prepare(n_modes: int, inputs) -> np.ndarray:
-    """``[cov | mean]`` of the product of ``inputs``: the covariance with the mean as its last column."""
+def _prepare(n_modes: int, inputs, noise: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The factored product of ``inputs``: ``[A | mean]`` and the column weights ``w``.
+
+    ``A`` is the identity on the ``2 n_modes`` input columns followed by
+    ``noise`` zero columns, the mean is the last column, and ``w`` holds
+    each input quadrature's variance (1 on the noise columns), so the
+    covariance ``A diag(w) A^T`` is the preparations' exactly.
+    """
     preps = list(inputs)
     if len(preps) != n_modes:
         raise ValueError(f"expected {n_modes} preparations, got {len(preps)}")
     dim = 2 * n_modes
-    state = np.zeros((dim, dim + 1))
+    width = dim + noise + 1
+    state = np.zeros((dim, width))
+    state.reshape(-1)[:: width + 1] = 1.0  # the diagonal: the identity on the input columns
+    weights = np.ones(dim + noise)
     for k, prep in enumerate(preps):
         try:
-            state[2 * k, dim], state[2 * k + 1, dim] = prep.mode_mean
-            state[2 * k, 2 * k] = state[2 * k + 1, 2 * k + 1] = prep.variance
+            state[2 * k, -1], state[2 * k + 1, -1] = prep.mode_mean
+            weights[2 * k] = weights[2 * k + 1] = prep.variance
         except AttributeError:
             raise TypeError(f"unknown preparation {prep!r} for mode {k}") from None
-    return state
+    return state, weights
 
 
 def apply(state: GaussianState, element: ElementMap) -> GaussianState:

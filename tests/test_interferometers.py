@@ -32,7 +32,7 @@ from gicirc import (
     sql_baseline,
     wigner_panel,
 )
-from gicirc.circuits import LossElement, NoisyPaElement, PaElement, PhaseElement
+from gicirc.circuits import LossElement, NoisyPaElement, PaElement, PhaseElement, SqueezerElement
 from gicirc.interferometers import _TOPOLOGIES
 
 PAPER_LOSSES = dict(L_is=0.16, L_ii=0.10, L_e=0.15)
@@ -467,6 +467,14 @@ class TestGainOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InstabilityError, match=r"^engine: the state overflows at element 0 \(pa\)$"):
+                simulate(spec)
+
+    def test_covariance_formed_past_the_float_range(self):
+        # The factor's entries (G + g = 2.4e154) are finite; the covariance's square is not.
+        spec = CircuitSpec(1, (Vacuum(),), (SqueezerElement(0, 1.2e154),), Detection(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=r"^engine: the output covariance overflows$"):
                 simulate(spec)
 
     def test_large_finite_gains_still_report(self):

@@ -20,6 +20,7 @@ from gicirc import (
     quadrature_stats,
     quantum_noise_gain,
 )
+from gicirc.noise_model import _noisy_pa_stretch
 from conftest import random_physical_state
 
 
@@ -63,6 +64,14 @@ class TestCouplingFactors:
             kappa = rng.uniform(0, 0.9 * (1 + rho) / 2)
             f = coupling_factors(NoisyPaParams(rho, kappa, 1.0))
             assert abs(f.commutator_defect()) < 1e-12
+
+    def test_stretch_is_the_sum_of_the_signal_factors(self, rng):
+        """The precision bound's ``G_bar + g_bar`` for the lossy amplifier."""
+        for _ in range(200):
+            rho = rng.uniform(0, 0.1)
+            kappa = rng.uniform(0, 0.99 * (1 + rho) / 2)
+            f = coupling_factors(NoisyPaParams(rho, kappa, 1.0))
+            assert _noisy_pa_stretch(rho, kappa, 1.0) == pytest.approx(f.G_bar + f.g_bar, rel=1e-13)
 
     def test_factors_diverge_at_pole(self):
         rho = 0.05

@@ -7,6 +7,7 @@ never warns.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,8 +76,9 @@ UNDERFLOWS = {"closed form": "the squared amplitude underflows", "engine": "the 
 
 
 CANCELS = "the noise variance cancels to zero or below"
-# G = g in floats at equal huge gains, so the noise variance cancels before anything
-# overflows.  (readout, params) pairs; None stands for a test_known_overflows_raise row.
+# G = g in floats at equal huge gains, so the closed form's noise variance cancels
+# before anything overflows.  (readout, params) pairs; None stands for a
+# test_known_overflows_raise row.
 _BOTH = {g: SisniParams(alpha=6.0, g1=g, g2=g) for g in (1e7, 1e10, 1e150, 1.2e154)}
 CANCELLING = {
     *(
@@ -85,15 +87,39 @@ CANCELLING = {
         for g in (1e150, 1.2e154)
     ),
     ("loss_plane", _BOTH[1e150]),
-    ("engine_report", SqMziParams(alpha=6.0, g=1e150)),
-    ("engine_report", _BOTH[1e7]),
-    *((None, _BOTH[g]) for g in (1e7, 1e10, 1e150)),
+    *((None, _BOTH[g]) for g in (1e10, 1e150)),
 }
+# The engine refuses gains past its precision bound eps * prod(G + g) > 1e-6 where
+# nothing overflows first: the pass overflows at g1 = g2 = 1e150, and the Wigner
+# determinant at every g = 1e150.  The noisy amplifiers replace the gains.
+_IMPRECISE_PARAMS = (
+    SqMziParams(alpha=6.0, g=1e150),
+    SisniParams(alpha=6.0, g1=1e150, g2=0.5),
+    SisniParams(alpha=6.0, g1=0.5, g2=1e150),
+    _BOTH[1e7],
+)
+IMPRECISE = {
+    *(
+        (name, params)
+        for name in ("engine_report", "engine_report_mode_1", "slope_vs_theta")
+        for params in _IMPRECISE_PARAMS
+    ),
+    ("wigner_panel", _BOTH[1e7]),
+    (None, _BOTH[1e7]),
+}
+
+
+def _imprecise(params) -> str:
+    gains = [params.g.g] if isinstance(params, SqMziParams) else [params.g1.g, params.g2.g]
+    bound = np.finfo(float).eps * math.prod(math.sqrt(1.0 + g * g) + g for g in gains)
+    return f"the precision bound eps * prod(G + g) = {bound:.2g} exceeds 1e-06"
 
 
 def _named(stage, params, name=None) -> str:
     if params.alpha == TINY:
         return UNDERFLOWS[stage]
+    if (name, params) in IMPRECISE:
+        return _imprecise(params)
     return CANCELS if (name, params) in CANCELLING else "the readout overflows"
 
 
@@ -115,7 +141,7 @@ CASES = [
     ("nested alpha = 1e-170", SisniParams(alpha=TINY, g1=0.5, g2=0.5), 1e-3),
     ("sq-mzi dphi = 1e200", SqMziParams(alpha=6.0, g=0.5), 1e200),
     ("nested dphi = 1e200", SisniParams(alpha=6.0, g1=0.5, g2=0.5), 1e200),
-    # The engine's variance cancels to a negative number here; the closed form stays finite.
+    # Past the engine's precision bound; the closed form stays finite.
     ("nested both g = 1e7", SisniParams(alpha=6.0, g1=1e7, g2=1e7), 1e-3),
 ]
 
@@ -155,7 +181,8 @@ class TestOverflowMatrix:
             (SqMziParams(alpha=TINY, g=0.5), "closed form", phase_variance_closed),
             (SisniParams(alpha=TINY, g1=0.5, g2=0.5), "engine", engine_report),
             (SqMziParams(alpha=6.0, g=0.5), "closed form", lambda p: mean_signal_and_variance(p, 1e200)),
-            # G = g in floats, so the lossless variance cancels to 0 (closed form) or below (engine).
+            # G = g in floats, so the lossless closed-form variance cancels to 0; the engine
+            # refuses gains past its precision bound.
             (SisniParams(alpha=6.0, g1=1e10, g2=1e10), "closed form", phase_variance_closed),
             (SisniParams(alpha=6.0, g1=1e7, g2=1e7), "engine", engine_report),
             (SisniParams(alpha=6.0, g1=0.5, g2=0.5), "engine", lambda p: engine_report(p, 1e200)),
@@ -163,7 +190,7 @@ class TestOverflowMatrix:
         ],
     )
     def test_known_overflows_raise(self, params, stage, readout):
-        with pytest.raises(InstabilityError, match=f"^{stage}: {_named(stage, params)} at gains "):
+        with pytest.raises(InstabilityError, match=f"^{stage}: {re.escape(_named(stage, params))} at gains "):
             readout(params)
 
     @pytest.mark.parametrize("alpha2, dphi", [(36.0, 1e200), (1e300, 1e-3), (1e300, 1e200)])
@@ -181,10 +208,12 @@ class TestOverflowMatrix:
 
 
 class TestCancellation:
-    """A noise variance that cancels to zero or below is named, not called an overflow."""
+    """A noise variance that cancels to zero or below is named, not called an overflow; the
+    engine refuses such gains by its precision bound first.
+    """
 
     def test_engine(self):
-        message = "engine: the noise variance cancels to zero or below at gains g1 = 1e+07, g2 = 1e+07"
+        message = "engine: the precision bound eps * prod(G + g) = 0.089 exceeds 1e-06 at gains g1 = 1e+07, g2 = 1e+07"
         with pytest.raises(InstabilityError) as err:
             engine_report(SisniParams(alpha=6.0, g1=1e7, g2=1e7))
         assert str(err.value) == message
@@ -212,6 +241,12 @@ class TestNoiseModelRefusals:
         message = r"^noise model: the readout overflows at alpha2 = 1\.7e\+308, dphi = 1\.0$"
         with pytest.raises(InstabilityError, match=message):
             advantage_vs_qng(4.0, [2.0, 7.0], LOSSES, NOISE, NOISE, alpha2=1.7e308, dphi=1.0)
+
+    def test_rows_past_the_precision_bound(self):
+        message = r"^noise model: the precision bound eps \* prod\(G \+ g\) = 4\.4e-06 exceeds 1e-06 at alpha2 = 36\.0, dphi = 0\.001$"
+        advantage_vs_qng(80.0, [80.0], LOSSES, NOISE, NOISE)  # G_bar + g_bar = 1.4e4 each: within the bound
+        with pytest.raises(InstabilityError, match=message):
+            advantage_vs_qng(100.0, [100.0], LOSSES, NOISE, NOISE)
 
     def test_huge_dphi_gives_the_same_curve(self):
         # Both SNRs carry the same sin(dphi)^2 factor, and the curve divides it out.
