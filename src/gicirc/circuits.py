@@ -526,8 +526,18 @@ def _encode(obj, sort_keys: bool = True, indent: str = "  ") -> str:
     ``TypeError``.
     """
     chunks = []
-    _write_json(obj, chunks.append, sort_keys, indent, "\n")
+    _dump(obj, chunks.append, sort_keys, indent)
     return "".join(chunks)
+
+
+def _dump(obj, write: Callable, sort_keys: bool = True, indent: str = "  "):
+    """Pass :func:`_encode`'s text of ``obj`` to ``write`` chunk by chunk, never whole.
+
+    A file written this way holds the same bytes, without the whole text
+    in memory at once.  Raises as :func:`_encode` does, with the chunks
+    before the offending value already written.
+    """
+    _write_json(obj, write, sort_keys, indent, "\n")
 
 
 def _write_json(obj, write: Callable, sort_keys: bool, indent: str, newline: str):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import loss_plane, slope_vs_theta, to_db, wigner_panel
-from .circuits import _encode, detect_stats, parse_circuit, simulate
+from .circuits import _dump, detect_stats, parse_circuit, simulate
 from .elements import gain_from_qng
 from .errors import GicircError
 from .interferometers import (
@@ -188,27 +188,41 @@ def _fmt(value) -> str:
 def _write(args, outputs: dict, header, rows) -> int:
     """Write the result document (JSON) or its table (CSV); non-finite numbers fail.
 
-    ``rows`` is any iterable of table rows; JSON output never reads it.
+    ``rows`` is any iterable of table rows; JSON output never reads it.  A
+    file gets the text as it is encoded, so the whole of it (18 MB for the
+    README's Wigner panels) is never held in memory, and a failed encoding
+    removes the partial file.  Standard output gets the text once it is
+    whole, so a failure prints nothing.
     """
     fmt = args.format or os.environ.get(FORMAT_ENV, "json")
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown output format {fmt!r}")
-    try:
-        if fmt == "json":
-            payload = _encode(_result_doc(args, outputs)) + "\n"
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\r\n")
-            writer.writerow(header)
-            writer.writerows([_fmt(v) for v in row] for row in rows)
-            payload = buf.getvalue()
-    except ValueError as exc:
-        raise ValueError("result holds a non-finite number (NaN or Infinity)") from exc
+
+    def emit(fh):
+        try:
+            if fmt == "json":
+                _dump(_result_doc(args, outputs), fh.write)
+                fh.write("\n")
+            else:
+                writer = csv.writer(fh, lineterminator="\r\n")
+                writer.writerow(header)
+                writer.writerows([_fmt(v) for v in row] for row in rows)
+        except ValueError as exc:
+            raise ValueError("result holds a non-finite number (NaN or Infinity)") from exc
+
     if args.output == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        buf = io.StringIO()
+        emit(buf)
+        sys.stdout.write(buf.getvalue())
+        return 0
+    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        try:
+            emit(fh)
+        except Exception:
+            fh.close()
+            if os.path.isfile(args.output):  # never a device or a pipe named as the output
+                os.remove(args.output)
+            raise
     return 0
 
 

@@ -21,7 +21,8 @@ from gicirc import (
     loss_plane,
     snr_sisni_closed,
 )
-from gicirc.cli import _encode, _range_type, build_parser, main
+from gicirc.circuits import _encode
+from gicirc.cli import _range_type, _write, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -288,11 +289,33 @@ class TestNonFiniteResults:
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_leaves_no_file(self, tmp_path, fmt):
+        path = tmp_path / "out"
+        path.write_text("an earlier result")
+        args = argparse.Namespace(command="sweep", output=str(path), format=fmt)
+        values = [1.0, 2.0, math.nan]
+        with pytest.raises(ValueError, match="non-finite"):
+            _write(args, {"values": values}, ("value",), [(v,) for v in values])
+        assert not path.exists()
+
     def test_zero_dphi_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--topology", "sq-mzi", "--dphi", "0")
         assert code == 1
         assert out == ""
         assert "dphi" in json.loads(err)["error"]["message"]
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_file_holds_what_stdout_prints(self, capsys, tmp_path, fmt):
+        argv = ["wigner", "--topology", "sq-mzi", "--qng-db", "3", "--phis", "3.09:3.19:2",
+                "--l-es", "0:0.6:2", "--xs=-4:4:5", "--ps=-4:4:5", "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out"
+        assert run_cli(capsys, *argv, "-o", str(path))[0] == 0
+        assert path.read_bytes() == out.encode("utf-8")
 
 
 class TestParameterEcho:
