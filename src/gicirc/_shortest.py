@@ -1,0 +1,272 @@
+"""The ``float.__repr__`` text of each value of a float64 array, vectorized.
+
+The digits are the shortest that read back as the same double and, of
+those, the closest to it (ties to an even last digit): Schubfach (R.
+Giulietti, "The Schubfach way to render doubles", 2020, in the form of
+Java's ``DoubleToDecimal``) in fixed-width integer arithmetic on numpy
+``uint64`` arrays, where ``float.__repr__`` runs C's dtoa once a value.
+Every integer operand meeting a ``uint64`` array is an ``np.uint64``
+array or scalar: before NEP 50 (numpy < 2) numpy cast by value, and a
+``uint64`` array meeting a signed operand became ``float64``.
+
+Zeros and subnormals, which the text layout below does not cover, are
+written by ``float.__repr__`` itself.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Iterator
+
+import numpy as np
+
+_U = np.uint64
+_0, _1, _2, _32, _63 = _U(0), _U(1), _U(2), _U(32), _U(63)
+_M32 = _U(0xFFFF_FFFF)
+_M63 = _U(0x7FFF_FFFF_FFFF_FFFF)
+_C_MIN = _U(1 << 52)  # the implicit bit of a normal double
+_EXPONENT = _U(0x7FF0_0000_0000_0000)
+_K_MIN, _K_MAX = -324, 292  # the decimal exponents k of the table
+_DIGITS = 17  # a double has at most 17 significant digits
+_POW10 = np.array([10**i for i in range(_DIGITS + 1)], dtype=np.uint64)
+# Values one chunk holds; a chunk's temporaries take about 6 MB.  Measured
+# on the figures benchmark: chunks of 4096 or 32768 values left its peak
+# memory 4 to 8 MB higher (glibc heap fragmentation), 16384 within 1 MB of
+# writing each float with float.__repr__, at the same speed.
+_CHUNK = 16384
+
+
+def joined(values: np.ndarray, lengths, separator: str) -> Iterator[str]:
+    """``separator.join`` of the ``float.__repr__`` texts of each row of ``values``.
+
+    The rows are the runs of ``lengths`` (each at least 1) consecutive
+    values of the flattened float64 array.  NaN or infinity raises
+    ``ValueError``, as ``json`` does, in this call; the rows' texts are
+    made a chunk of rows at a time as the returned iterator is read.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    ends = np.cumsum(lengths)
+    last = np.zeros(values.size, dtype=bool)
+    last[ends - 1] = True
+    # Chunks of whole rows, each of at least _CHUNK values but the last.
+    cuts = ends[np.searchsorted(ends, np.arange(_CHUNK, values.size, _CHUNK))]
+    bounds = sorted({0, *cuts.tolist(), values.size})
+    return _rows(values, last, bounds, separator)
+
+
+def _rows(values, last, bounds, separator: str) -> Iterator[str]:
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = _text(values[lo:hi], last[lo:hi]).decode("ascii").split("\n")
+        rows.pop()
+        yield from rows if separator == " " else (row.replace(" ", separator) for row in rows)
+
+
+def _text(values: np.ndarray, last: np.ndarray) -> bytes:
+    """The text of each finite value, followed by ``"\\n"`` where ``last``, else by ``" "``."""
+    bits = values.view(np.uint64)
+    special = (bits & _EXPONENT) == _0  # a zero or a subnormal
+    if special.any():
+        bits = np.where(special, _U(0x3FF0_0000_0000_0000), bits)  # 1.0, replaced below
+    buf, shape = _layout(bits)
+    if special.any():
+        texts = [float.__repr__(v) for v in values[special].tolist()]
+        buf[special, :_MAX_TEXT] = np.frombuffer(
+            "".join(text.ljust(_MAX_TEXT) for text in texts).encode("ascii"), dtype=np.uint8
+        ).reshape(-1, _MAX_TEXT)
+        shape[special] = [_PREFIX + len(text) for text in texts]
+    buf[:, _DELIMITER] = np.where(last, np.uint8(ord("\n")), np.uint8(ord(" ")))
+    # take and compress are faster than fancy and boolean indexing.
+    return np.compress(_keep().take(shape, axis=0).reshape(-1), buf.reshape(-1)).tobytes()
+
+
+# --- digits ----------------------------------------------------------------
+
+
+def _flog2pow10(e: int) -> int:
+    """``floor(log2(10**e))``."""
+    return (10**e).bit_length() - 1 if e >= 0 else -((10**-e).bit_length())
+
+
+@functools.cache
+def _table():
+    """``(limbs, f2)`` indexed by ``k - _K_MIN``, built on first use, not at import.
+
+    ``g = floor(10**-k 2**-r) + 1`` with ``2**125 <= g < 2**126`` is split
+    into 63-bit halves ``g = g1 2**63 + g0``, and each half into 32-bit
+    limbs: ``limbs`` holds the rows ``g1 >> 32``, ``g1 & M32``, ``g0 >> 32``
+    and ``g0 & M32``; ``f2`` is ``floor(log2(10**-k))``.
+    """
+    rows, f2 = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        f2.append(_flog2pow10(-k))
+        r = f2[-1] - 125
+        if k > 0:
+            beta = (1 << -r) // 10**k
+        else:
+            beta = 10**-k << -r if r <= 0 else 10**-k >> r
+        g = beta + 1
+        g1, g0 = g >> 63, g & ((1 << 63) - 1)
+        rows.append((g1 >> 32, g1 & 0xFFFF_FFFF, g0 >> 32, g0 & 0xFFFF_FFFF))
+    return np.array(rows, dtype=np.uint64).T.copy(), np.array(f2, dtype=np.int64)
+
+
+def _mul(a1, a0, b1, b0):
+    """High and low 64 bits of the product of ``a1 2**32 + a0`` and ``b1 2**32 + b0``."""
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _32) + (p01 & _M32) + (p10 & _M32)
+    high = a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+    return high, (mid << _32) | (p00 & _M32)
+
+
+def _rop(x1, y1, y0):
+    """``g cp / 2**127`` rounded to odd, from ``x1 = hi(g0 cp)`` and ``(y1, y0) = g1 cp``."""
+    z = (y0 >> _1) + x1
+    return (y1 + (z >> _63)) | (((z & _M63) + _M63) >> _63)
+
+
+def _rop_moved(x1, x0, y1, y0, g1, g0, j, sign: int):
+    """:func:`_rop` of ``g (cp + sign 2**j)``, from the products ``g0 cp = (x1, x0)`` and ``g1 cp = (y1, y0)``.
+
+    The same bits as multiplying anew, for two shifts and a carry each.
+    """
+    lo0, hi0, lo1, hi1 = g0 << j, g0 >> (_U(64) - j), g1 << j, g1 >> (_U(64) - j)
+    if sign > 0:
+        x0n, y0n = x0 + lo0, y0 + lo1
+        return _rop(x1 + hi0 + (x0n < x0), y1 + hi1 + (y0n < y0), y0n)
+    return _rop(x1 - hi0 - (x0 < lo0), y1 - hi1 - (y0 < lo1), y0 - lo1)
+
+
+def _decimal(bits):
+    """``(d, k)``: ``d 10**k`` is the shortest, closest decimal of each normal double's magnitude.
+
+    ``d`` may end in zeros.  Java's ``DoubleToDecimal.toDecimal``, a
+    value per array element.
+    """
+    limbs, f2 = _table()
+    biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
+    t = bits & (_C_MIN - _1)
+    c = t | _C_MIN
+    q = biased - 1075
+    # A power of two is nearer its lower neighbour (irregular spacing),
+    # but for the smallest normal, whose neighbours are subnormals.
+    irregular = (t == _0) & (biased > 1)
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41  # floor(log10(2**q)) or of 3/4 of it
+    row = k - _K_MIN
+    h = (q + f2[row] + 2).astype(np.uint64)
+    g11, g10, g01, g00 = (limb[row] for limb in limbs)
+    g1, g0 = (g11 << _32) | g10, (g01 << _32) | g00
+    cp = c << (_2 + h)
+    b1, b0 = cp >> _32, cp & _M32
+    x1, x0 = _mul(g01, g00, b1, b0)
+    y1, y0 = _mul(g11, g10, b1, b0)
+    vb = _rop(x1, y1, y0)  # 4 v / 10**k, and the interval's ends vbl, vbr
+    vbr = _rop_moved(x1, x0, y1, y0, g1, g0, h + _1, +1)
+    vbl = _rop_moved(x1, x0, y1, y0, g1, g0, h + _1 - irregular.astype(np.uint64), -1)
+    out = c & _1  # an odd significand's interval excludes its ends
+    low, high = vbl + out, vbr - out
+    s = vb >> _2
+    # One digit fewer, if exactly one of its candidates lies in the interval;
+    # else s or s + 1, whichever lies in it, or the closer (ties to even).
+    sp10 = (s // _U(10)) * _U(10)
+    tp10 = sp10 + _U(10)
+    upin, wpin = low <= sp10 << _2, tp10 << _2 <= high
+    t = s + _1
+    uin, win = low <= s << _2, t << _2 <= high
+    mid = (s + t) << _1
+    lower = (vb < mid) | ((vb == mid) & ((s & _1) == _0))
+    d = np.where(uin != win, np.where(uin, s, t), np.where(lower, s, t))
+    return np.where(upin != wpin, np.where(upin, sp10, tp10), d), k
+
+
+# --- text --------------------------------------------------------------------
+
+# Each text is some of the columns of one template row, in order: a sign,
+# "0.000" for a value below 1, seventeen digits each followed by a point,
+# an exponent and a delimiter.
+_ZERO = 1  # "0." and up to three zeros
+_DIGIT = 6  # digit j in column _DIGIT + 2 j, a point after it
+_EXP = _DIGIT + 2 * _DIGITS  # "e", its sign and three digits
+_DELIMITER = _EXP + 5
+_TEMPLATE = b"-0.000" + b"0." * _DIGITS + b"e+000 "
+_MAX_TEXT = 24  # the longest repr of a double
+# A text's shape code is (form * 18 + m) * 2 + (1 if negative) for m
+# significant digits, where form is:
+_SCI = 0  # d.ddde+XX, or +1 for three exponent digits
+_POINT = 1  # + p: the point after p digits (1 <= p <= 16), or ".0" after them
+_BELOW_1 = 18  # + z: "0.", then z zeros (0 <= z <= 3), then the digits
+_FORMS = 22
+_PREFIX = _FORMS * 36  # + n: the first n columns (a zero or a subnormal's text)
+
+
+@functools.cache
+def _keep():
+    """Row ``code`` marks the template columns of texts of shape ``code``, and the delimiter."""
+    keep = np.zeros((_PREFIX + _MAX_TEXT + 1, len(_TEMPLATE)), dtype=bool)
+    keep[:, _DELIMITER] = True
+    for form in range(_FORMS):
+        for m in range(1, _DIGITS + 1):
+            row = keep[(form * 18 + m) * 2]
+            digits = m
+            if form <= _SCI + 1:
+                row[_DIGIT + 1] = m > 1
+                row[_EXP : _EXP + 2] = True
+                row[_EXP + 3 - form : _EXP + 5] = True
+            elif form < _BELOW_1:
+                point = form - _POINT
+                row[_DIGIT + 2 * point - 1] = True
+                digits = max(m, point + 1)  # "d.0" keeps the zero after the point
+            else:
+                row[_ZERO : _ZERO + 2 + form - _BELOW_1] = True
+            row[_DIGIT : _DIGIT + 2 * digits : 2] = True
+            keep[(form * 18 + m) * 2 + 1] = row
+            keep[(form * 18 + m) * 2 + 1, 0] = True
+    for n in range(_MAX_TEXT + 1):
+        keep[_PREFIX + n, :n] = True
+    return keep
+
+
+def _layout(bits):
+    """``(buf, shape)``: the text of normal double ``i`` is ``buf[i][_keep()[shape[i]]]``.
+
+    Laid out as ``float.__repr__`` does, with ``|v| = 0.DIGITS 10**decpt``:
+    positional for ``-4 < decpt <= 16``, else ``d.ddde-XX``, at least two
+    exponent digits and no point after a single digit.
+    """
+    n_values = bits.size
+    c = (bits & (_C_MIN - _1)) | _C_MIN
+    shift = _U(1075) - ((bits >> _U(52)) & _U(0x7FF))  # -q
+    # An integer c 2**q below 2**53 is its own shortest decimal.
+    small = shift < _U(53)
+    shift = shift * small
+    general = ~small | ((c >> shift) << shift != c)
+    d, k = c >> shift, np.zeros(n_values, dtype=np.int64)
+    if general.any():
+        d[general], k[general] = _decimal(bits[general])
+
+    n = np.searchsorted(_POW10, d, side="right")  # the digit count
+    rest = d * _POW10[_DIGITS - n]  # the digits, then zeros to 17
+    digits = np.empty((_DIGITS, n_values), dtype=np.uint8)
+    for j in range(_DIGITS - 1, -1, -1):
+        quotient = rest // _U(10)
+        digits[j] = rest - quotient * _U(10)
+        rest = quotient
+    m = _DIGITS - np.argmax(digits[::-1] != 0, axis=0)  # the significant digits
+    buf = np.empty((n_values, len(_TEMPLATE)), dtype=np.uint8)
+    buf[:] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
+    np.add(digits.T, np.uint8(ord("0")), out=buf[:, _DIGIT:_EXP:2])
+
+    decpt = n + k
+    exponent = decpt - 1
+    magnitude = np.abs(exponent)
+    buf[:, _EXP + 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    buf[:, _EXP + 2] = magnitude // 100 + ord("0")
+    buf[:, _EXP + 3] = magnitude // 10 % 10 + ord("0")
+    buf[:, _EXP + 4] = magnitude % 10 + ord("0")
+    form = np.where(
+        (decpt <= -4) | (decpt > 16),
+        _SCI + (magnitude >= 100),
+        np.where(decpt > 0, _POINT + decpt, _BELOW_1 - decpt),
+    )
+    return buf, (form * 18 + m) * 2 + (bits >> _63).astype(np.int64)

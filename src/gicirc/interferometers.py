@@ -236,14 +236,33 @@ def _sq_mzi_terms(g, G, L_i, L_e):
 def _sisni_terms(g1, G1, g2, G2, L_is, L_ii, L_e):
     """Closed-form terms ``(eta_s, G2, var)`` of the nested interferometer.
 
-    Field values are floats or arrays that broadcast together.
+    Field values are floats or arrays that broadcast together.  The noise
+    amplitudes ``d1 = rs G1 G2 - ri g1 g2`` and ``d2 = rs g1 G2 - ri G1 g2``
+    are differences of ``G²``-sized products; each is written as the
+    difference of squares over the sum (with ``G² = 1 + g²``), so no
+    term cancels at high gain.
     """
     eta_s = (1.0 - L_is) * (1.0 - L_e)
     eta_i = (1.0 - L_ii) * (1.0 - L_e)
     loss_noise = L_e + g2 * g2 * (1.0 - L_e) * L_ii + G2 * G2 * (1.0 - L_e) * L_is
     rs, ri = np.sqrt(eta_s), np.sqrt(eta_i)
-    d1, d2 = rs * G1 * G2 - ri * g1 * g2, rs * g1 * G2 - ri * G1 * g2
+    g1_sq, g2_sq = g1 * g1, g2 * g2
+    both = (1.0 - L_e) * (L_ii - L_is) * g1_sq * g2_sq  # (eta_s - eta_i) g1² g2²
+    d1 = _quotient(eta_s * (1.0 + g1_sq + g2_sq) + both, rs * G1 * G2 + ri * g1 * g2)
+    d2 = _quotient(eta_s * g1_sq - eta_i * g2_sq + both, rs * g1 * G2 + ri * G1 * g2)
     return eta_s, G2, loss_noise + d1 * d1 + d2 * d2
+
+
+def _quotient(num, den):
+    """``num / den``, and 0 where ``den`` is 0 (``_sisni_terms``' numerators are 0 there too).
+
+    No ``0/0`` is evaluated, so it runs under :class:`_guard`'s raising error
+    state.  Numpy scalars skip the array call, which costs 30 times the division.
+    """
+    if not isinstance(den, np.ndarray):
+        return num / den if den != 0.0 else np.float64(0.0)
+    num, den = np.broadcast_arrays(num, den)
+    return np.divide(num, den, out=np.zeros(num.shape), where=den != 0.0)
 
 
 class _Topology(NamedTuple):

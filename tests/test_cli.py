@@ -290,13 +290,18 @@ class TestNonFiniteResults:
         assert json.loads(err)["error"]["type"] == "ValueError"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_result_leaves_no_file(self, tmp_path, fmt):
+    @pytest.mark.parametrize("block", [False, True], ids=["list", "block"])
+    def test_non_finite_result_leaves_no_file(self, tmp_path, fmt, block):
         path = tmp_path / "out"
         path.write_text("an earlier result")
         args = argparse.Namespace(command="sweep", output=str(path), format=fmt)
         values = [1.0, 2.0, math.nan]
+        if block:  # a float block above the kernel's cut-over, after other output
+            values = [[0.5 * i + j for j in range(60)] for i in range(60)]
+            values[30][7] = math.nan
+        rows = [(v,) for v in np.ravel(values)]
         with pytest.raises(ValueError, match="non-finite"):
-            _write(args, {"values": values}, ("value",), [(v,) for v in values])
+            _write(args, {"a": "first", "values": values}, ("value",), rows)
         assert not path.exists()
 
     def test_zero_dphi_is_an_error(self, capsys):
@@ -308,9 +313,10 @@ class TestNonFiniteResults:
 
 class TestOutputFile:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_file_holds_what_stdout_prints(self, capsys, tmp_path, fmt):
+    @pytest.mark.parametrize("points", [5, 41])  # 41 x 41 panels go through the float-block kernel
+    def test_file_holds_what_stdout_prints(self, capsys, tmp_path, fmt, points):
         argv = ["wigner", "--topology", "sq-mzi", "--qng-db", "3", "--phis", "3.09:3.19:2",
-                "--l-es", "0:0.6:2", "--xs=-4:4:5", "--ps=-4:4:5", "--format", fmt]
+                "--l-es", "0:0.6:2", f"--xs=-4:4:{points}", f"--ps=-4:4:{points}", "--format", fmt]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         path = tmp_path / "out"
@@ -482,6 +488,77 @@ class TestJsonEncoder:
             _encode({"a": [1.0, np.arange(2)]})
         with pytest.raises(TypeError):
             _encode({1: 2.0})
+        with pytest.raises(TypeError):
+            _encode({"a": _block(np.random.default_rng(1), (40, 40), (np.arange(2), (3, 4)))})
+
+
+def _block(rng, shape, *put):
+    """Nested float lists of ``shape`` (1e-300 to 1e300, both signs, some round), ``put = (value, index)`` in place."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+    values[..., ::7] = np.round(values[..., ::7] * 1e-290, 2)
+    block = values.tolist()
+    for value, index in put:
+        row = block
+        for i in index[:-1]:
+            row = row[i]
+        row[index[-1]] = value
+    return block
+
+
+# Lists of float lists at or above the kernel's cut-over (circuits._BLOCK_MIN).
+_BLOCKS = {
+    "2-D": lambda rng: _block(rng, (40, 30)),
+    "3-D": lambda rng: _block(rng, (3, 40, 30)),
+    "ragged": lambda rng: [_block(rng, (n,)) for n in rng.integers(1, 80, 40)],
+    "tuple rows": lambda rng: [tuple(row) for row in _block(rng, (40, 30))],
+    "numpy floats": lambda rng: [list(map(np.float64, row)) for row in _block(rng, (40, 30))],
+    "zeros and subnormals": lambda rng: [row[:20] + [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308]
+                                         for row in _block(rng, (40, 30))],
+    "an int": lambda rng: _block(rng, (40, 30), (7, (12, 3))),
+    "a bool": lambda rng: _block(rng, (40, 30), (True, (39, 29))),
+    "a None": lambda rng: _block(rng, (40, 30), (None, (0, 0))),
+    "a string": lambda rng: _block(rng, (40, 30), ("x", (5, 5))),
+    "a nested list": lambda rng: _block(rng, (40, 30), ([1.5, [2.5]], (20, 10))),
+    "an empty row": lambda rng: _block(rng, (40, 30), ([], (20,))),
+}
+
+
+class TestFloatBlocks:
+    """Lists of float lists large enough for the vectorized kernel are written as ``json.dumps`` writes them."""
+
+    @pytest.mark.parametrize("kind", list(_BLOCKS))
+    def test_matches_json_dumps(self, kind):
+        tree = {"outputs": {"values": _BLOCKS[kind](np.random.default_rng(7)), "n": 3}}
+        assert _encode(tree) == _reference(tree)
+        assert _encode(tree, sort_keys=False, indent="\t") == json.dumps(tree, indent="\t")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(40, 25), (1, 1000), (1000, 1), (2, 3, 200), (999,), (10, 99)]),
+        st.lists(st.tuples(st.integers(0, 10**6), _SCALARS), max_size=4),
+    )
+    def test_random_blocks_match_json_dumps(self, seed, shape, odd):
+        tree = _block(np.random.default_rng(seed), shape)
+        for where, value in odd:  # replace some items, kernel path or not
+            row = tree
+            while isinstance(row[0], list):
+                row = row[where % len(row)]
+            row[where % len(row)] = value
+        assert _encode(tree) == _reference(tree)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    @pytest.mark.parametrize("kind", ["2-D", "3-D", "numpy floats"])
+    def test_non_finite_in_a_block_raises(self, bad, kind):
+        tree = _BLOCKS[kind](np.random.default_rng(3))
+        row = tree
+        while isinstance(row[0], (list, tuple)):
+            row = row[-1]
+        row[len(row) // 2] = bad
+        with pytest.raises(ValueError):
+            _reference(tree)
+        with pytest.raises(ValueError):
+            _encode(tree)
 
 
 def run_error(capsys, *argv):

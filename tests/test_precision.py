@@ -1,8 +1,9 @@
-"""The engine against exact closed forms at high gain, and its precision bound.
+"""The engine and the closed forms against exact closed forms at high gain, and the engine's precision bound.
 
 The closed-form noise variances are evaluated in 60-digit ``decimal``
 arithmetic at the same float parameters the engine runs, so the reference
-carries no rounding of its own: a relative error is the engine's.
+carries no rounding of its own: a relative error is the engine's (or the
+float closed form's).
 """
 
 import math
@@ -19,6 +20,7 @@ from gicirc import (
     build_sisni,
     detect_stats,
     engine_report,
+    mean_signal_and_variance,
     snr_sq_mzi_closed,
 )
 
@@ -75,6 +77,23 @@ def test_nested_variance_is_exact_or_refused(g1, g2, L_is, L_ii, L_e):
     else:
         exact = _exact(_nested_var, g1, g2, L_is, L_ii, L_e)
         assert abs(var - exact) <= 1e-6 * exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gains(1e8), st.one_of(st.none(), _gains(1e8)), LOSSES, LOSSES, LOSSES)
+def test_nested_closed_form_is_exact(g1, g2, L_is, L_ii, L_e):
+    """Within 1e-9 of the exact variance, matched gains (``g2`` None) included."""
+    g2 = g1 if g2 is None else g2
+    params = SisniParams(alpha=6.0, g1=g1, g2=g2, L_is=L_is, L_ii=L_ii, L_e=L_e)
+    var = mean_signal_and_variance(params).var_X2
+    exact = _exact(_nested_var, g1, g2, L_is, L_ii, L_e)
+    assert abs(var - exact) <= 1e-9 * exact
+
+
+@pytest.mark.parametrize("g", [1e5, 1e6, 1e7, 1e8, 1e10, 1e150])
+def test_lossless_nested_closed_form_is_not_refused(g):
+    """Matched lossless gains give exactly the vacuum variance 1, once a difference of G² products."""
+    assert mean_signal_and_variance(SisniParams(alpha=6.0, g1=g, g2=g)).var_X2 == pytest.approx(1.0, rel=1e-12)
 
 
 class TestSqueezerAtHighGain:

@@ -1,0 +1,108 @@
+"""The vectorized shortest-repr kernel against ``float.__repr__``."""
+
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gicirc._shortest import _CHUNK, joined
+
+
+def reprs(values) -> list[str]:
+    """The kernel's text of each value, one value a row."""
+    values = np.asarray(values, dtype=np.float64)
+    return list(joined(values, np.ones(values.size, dtype=np.int64), ""))
+
+
+def assert_reprs(values):
+    values = np.asarray(values, dtype=np.float64)
+    expected = list(map(float.__repr__, values.tolist()))
+    got = reprs(values)
+    wrong = [(a, b) for a, b in zip(got, expected) if a != b]
+    assert len(got) == len(expected) and not wrong, wrong[:5]
+
+
+def _with_neighbours(values):
+    """``values``, their neighbours on both sides that are finite, and all of them negated."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        upper = np.nextafter(values, np.inf)
+    both = np.concatenate([values, np.nextafter(values, 0.0), upper[np.isfinite(upper)]])
+    return np.concatenate([both, -both])
+
+
+POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
+AROUND_2_53 = np.concatenate([2.0**53 + np.arange(-2000.0, 2001.0, 1.0), 2.0**52 + np.arange(-500.0, 501.0, 0.5)])
+POINT_SWITCHES = [1e-4, 1e-5, 1e16, 9999999999999998.0, 0.0001, 0.00011, 1e15, 123456789012345.6, 0.1, 0.5]
+THREE_DIGIT_EXPONENTS = [1e100, 1.5e-100, 1e-300, 2.5e300, 1.2345678901234567e-200, 9.87e123]
+SUBNORMALS = [5e-324, 1e-323, 2.5e-320, 1e-310, 2.225073858507201e-308]
+EXTREMES = [2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _with_neighbours(POWERS_OF_TWO),
+        _with_neighbours(POWERS_OF_TEN),
+        np.concatenate([AROUND_2_53, -AROUND_2_53]),
+        _with_neighbours(POINT_SWITCHES),
+        _with_neighbours(THREE_DIGIT_EXPONENTS),
+        _with_neighbours(SUBNORMALS),
+        _with_neighbours(EXTREMES),
+    ],
+    ids=["powers of two", "powers of ten", "around 2**53", "point switches", "three-digit exponents",
+         "subnormals", "extremes"],
+)
+def test_edge_classes(values):
+    assert_reprs(values)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), max_size=50))
+def test_raw_bit_patterns(seed, patterns):
+    """10**5 random 64-bit patterns an example, and a few that hypothesis picks."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False)
+    values = np.concatenate([bits, np.array(patterns, dtype=np.uint64)]).view(np.float64)
+    assert_reprs(values[np.isfinite(values)])
+
+
+def test_rows_are_joined_by_the_separator():
+    values = np.array([0.5, -1.0, 2e-300, 0.0, 123.0, 1e22, 5e-324])
+    rows = list(joined(values, [2, 1, 4], ", "))
+    texts = list(map(float.__repr__, values.tolist()))
+    assert rows == [", ".join(texts[:2]), texts[2], ", ".join(texts[3:])]
+
+
+def test_rows_span_chunks():
+    """Rows of any length, some longer than a chunk, come out whole and in order."""
+    rng = np.random.default_rng(5)
+    lengths = np.concatenate([rng.integers(1, 300, 200), [_CHUNK + 7], rng.integers(1, 3000, 20)])
+    values = rng.normal(size=int(lengths.sum())) * 10.0 ** rng.integers(-30, 30, int(lengths.sum()))
+    texts = list(map(float.__repr__, values.tolist()))
+    ends = np.cumsum(lengths).tolist()
+    expected = [",".join(texts[a:b]) for a, b in zip([0, *ends], ends)]
+    assert list(joined(values, lengths, ",")) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_raises_at_the_call(bad):
+    values = np.full(10_000, 0.25)
+    values[7777] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        joined(values, [100] * 100, ",")
+
+
+def test_no_work_at_import():
+    """Importing the CLI loads no kernel, and loading the kernel builds no table."""
+    code = (
+        "import sys, gicirc.cli; loaded = 'gicirc._shortest' in sys.modules; "
+        "from gicirc import _shortest; "
+        "print(loaded, _shortest._table.cache_info().currsize, _shortest._keep.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "0", "0"]
