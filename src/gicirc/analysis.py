@@ -55,8 +55,11 @@ def to_db(ratio: float) -> float:
 
 
 def from_db(db: float) -> float:
-    """Decibels to a linear power-like ratio."""
-    return 10.0 ** (db / 10.0)
+    """Decibels to a linear power-like ratio; a ratio beyond the float range is refused."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db} dB is beyond the float range") from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -513,39 +513,62 @@ def _float_list(values, separator: str) -> str | None:
     return body
 
 
-# The fewest floats in a list of float lists that go through the vectorized
-# kernel.  Its fixed cost is about 0.25 ms a block, and it saves about 0.3 us
-# a float: the two ways cost the same at about 1,000 floats.
+# The fewest floats in an array or a list of float lists that go through the
+# vectorized kernel.  Its fixed cost is about 0.25 ms a block, and it saves
+# about 0.3 us a float: the two ways cost the same at about 1,000 floats.
 _BLOCK_MIN = 1000
 
 
 def _float_block(rows, write: Callable, indent: str, newline: str) -> bool:
-    """Write ``rows``, a list of float lists, through :mod:`._shortest`; ``False`` if it is not one.
+    """Write ``rows``, a list of float lists, as :func:`_float_array`; ``False`` if it is not one.
 
-    ``rows`` is one when every row is a nonempty list or tuple of floats
-    (float subclasses included) and they hold at least ``_BLOCK_MIN`` in
-    all.  One kernel call checks every value before any of the block is
-    written, and gives the texts row by row, as they are written.
+    ``rows`` is one when every row is a list or tuple of floats (float
+    subclasses included), all of one nonzero length, and they hold at least
+    ``_BLOCK_MIN`` in all.  This adapter serves lists passed to
+    :func:`_encode`; the CLI passes arrays.
     """
     if not all(isinstance(row, (list, tuple)) for row in rows):
         return False
-    lengths = list(map(len, rows))
-    total = sum(lengths)
-    if total < _BLOCK_MIN or not all(lengths):
+    widths = set(map(len, rows))
+    width = widths.pop()
+    if widths or width * len(rows) < _BLOCK_MIN:
         return False
     if not all(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(rows)))):
         return False
+    values = np.fromiter(chain.from_iterable(rows), np.float64, width * len(rows))
+    _float_array(values.reshape(len(rows), width), write, indent, newline)
+    return True
+
+
+def _float_array(array: np.ndarray, write: Callable, indent: str, newline: str):
+    """Write a float64 array of two or more axes through :mod:`._shortest`, its last axis as the rows.
+
+    One kernel call checks every value before any of the array is written,
+    and gives the rows' texts as they are written, inside the list brackets
+    of the leading axes.
+    """
     from . import _shortest  # on first use: a command that writes no block never loads it
 
-    values = np.fromiter(chain.from_iterable(rows), np.float64, total)
+    width = array.shape[-1]
+    lengths = np.full(array.size // width, width)
+    texts = _shortest.joined(array, lengths, "," + newline + indent * array.ndim)
+    _write_rows(texts, array.shape[:-1], write, indent, newline)
+
+
+def _write_rows(texts, shape: tuple, write: Callable, indent: str, newline: str):
     inner = newline + indent
-    row_inner = inner + indent
-    separator = "[" + inner + "["
-    for text in _shortest.joined(values, lengths, "," + row_inner):
-        write(separator + row_inner + text + inner + "]")
-        separator = "," + inner + "["
+    if len(shape) == 1:
+        separator = "[" + inner + "["
+        for text in islice(texts, shape[0]):
+            write(separator + inner + indent + text + inner + "]")
+            separator = "," + inner + "["
+    else:
+        separator = "[" + inner
+        for _ in range(shape[0]):
+            write(separator)
+            _write_rows(texts, shape[1:], write, indent, inner)
+            separator = "," + inner
     write(newline + "]")
-    return True
 
 
 def _encode(obj, sort_keys: bool = True, indent: str = "  ") -> str:
@@ -555,9 +578,11 @@ def _encode(obj, sort_keys: bool = True, indent: str = "  ") -> str:
     type check and one chunk per element.  Here scalars of a type ``json``
     knows are written by exact type, a list of floats as one chunk, a
     ``join`` of ``float.__repr__`` (what ``json`` writes for a float or a
-    float subclass), a large list of float lists through the vectorized
-    kernel of :mod:`._shortest` (the same text), dicts (in insertion order
-    or sorted) and other lists recurse, and every other value goes through
+    float subclass), a float64 numpy array as the lists of its ``tolist()``
+    and, from ``_BLOCK_MIN`` values on, with two or more axes (or a
+    rectangular list of float lists), through the vectorized kernel of
+    :mod:`._shortest` (the same text), dicts (in insertion order or sorted)
+    and other lists recurse, and every other value goes through
     ``json.dumps``; the chunks are joined once.  Keys must be strings.  NaN
     or infinity raises ``ValueError``, an unsupported type or a key that is
     not a string ``TypeError``.
@@ -615,5 +640,10 @@ def _write_json(obj, write: Callable, sort_keys: bool, indent: str, newline: str
             _write_json(item, write, sort_keys, indent, inner)
             separator = "," + inner
         write(newline + "]")
+    elif type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim:
+        if obj.ndim == 1 or obj.size < _BLOCK_MIN:
+            _write_json(obj.tolist(), write, sort_keys, indent, newline)
+        else:
+            _float_array(obj, write, indent, newline)
     else:
         write(json.dumps(obj, allow_nan=False))

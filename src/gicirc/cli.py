@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -54,6 +53,8 @@ def _range_type(text: str):
         raise argparse.ArgumentTypeError(f"bad range {text!r}: {exc}") from exc
     if count < 1:
         raise argparse.ArgumentTypeError(f"range count must be >= 1, got {count}")
+    if not math.isfinite(stop - start):  # an endpoint, or the span, is NaN or infinite
+        raise argparse.ArgumentTypeError(f"range start, stop and stop - start must be finite, got {text!r}")
     return start, stop, count
 
 
@@ -185,10 +186,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Rows of a float table formatted in one template string; 4096 rows of five
+# columns are about 0.4 MB of text.
+_TABLE_BLOCK = 4096
+
+
+def _write_table(header, table: np.ndarray, write):
+    """The CSV text ``csv.writer`` and :func:`_fmt` give ``header`` and the rows of float ``table``.
+
+    Every value is checked before anything is written; the rows are
+    written a block at a time.
+    """
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite value in the table")
+    write(",".join(header) + "\r\n")
+    template = ",".join(["%.12g"] * table.shape[1]) + "\r\n"
+    for start in range(0, len(table), _TABLE_BLOCK):
+        block = table[start : start + _TABLE_BLOCK]
+        write((template * len(block)) % tuple(block.ravel().tolist()))
+
+
 def _write(args, outputs: dict, header, rows) -> int:
     """Write the result document (JSON) or its table (CSV); non-finite numbers fail.
 
-    ``rows`` is any iterable of table rows; JSON output never reads it.  A
+    ``rows`` is any iterable of table rows, or a function that returns them
+    as a float array; JSON output never reads or calls it.  A
     file gets the text as it is encoded, so the whole of it (18 MB for the
     README's Wigner panels) is never held in memory, and a failed encoding
     removes the partial file.  Standard output gets the text once it is
@@ -203,6 +225,8 @@ def _write(args, outputs: dict, header, rows) -> int:
             if fmt == "json":
                 _dump(_result_doc(args, outputs), fh.write)
                 fh.write("\n")
+            elif callable(rows):
+                _write_table(header, rows(), fh.write)
             else:
                 writer = csv.writer(fh, lineterminator="\r\n")
                 writer.writerow(header)
@@ -232,8 +256,21 @@ def _one_row(record: dict):
 
 
 def _grid_rows(axes, values):
-    """CSV rows ``(*coordinates, value)`` of a grid over ``axes``, the last axis fastest."""
-    return ((*point, value) for point, value in zip(itertools.product(*axes), np.ravel(values)))
+    """A function giving the CSV rows ``(*coordinates, value)`` of a grid over ``axes``, the last axis fastest.
+
+    It returns them as one float array, a row a point; only CSV output
+    calls it.
+    """
+
+    def table() -> np.ndarray:
+        shape = tuple(map(len, axes))
+        rows = np.empty((*shape, len(axes) + 1))
+        for column, coordinate in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+            rows[..., column] = coordinate
+        rows[..., -1] = np.reshape(values, shape)
+        return rows.reshape(-1, len(axes) + 1)
+
+    return table
 
 
 def _report(args, readout, method: str) -> int:
@@ -287,7 +324,7 @@ def _cmd_sweep(args) -> int:
         "quantity": "advantage_db",
         "y_axis": dataclasses.asdict(grid.y_axis),
         "x_axis": dataclasses.asdict(grid.x_axis),
-        "values": grid.values.tolist(),
+        "values": grid.values,
     }
     rows = _grid_rows((grid.y_axis.values, grid.x_axis.values), grid.values)
     return _write(args, outputs, ("internal_loss", "external_loss", "advantage_db"), rows)
@@ -309,7 +346,7 @@ def _cmd_wigner(args) -> int:
         "l_e_values": panel.L_e_values.tolist(),
         "x": panel.x.tolist(),
         "p": panel.p.tolist(),
-        "density": panel.density.tolist(),
+        "density": panel.density,
     }
     rows = _grid_rows((panel.phi_values, panel.L_e_values, panel.x, panel.p), panel.density)
     return _write(args, outputs, ("phi", "l_e", "x", "p", "density"), rows)

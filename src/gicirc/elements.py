@@ -360,5 +360,8 @@ def gain_from_qng(qng_db: float) -> PaGain:
     qng_db = float(qng_db)
     if qng_db < 0.0:
         raise ValueError(f"quantum noise gain must be >= 0 dB, got {qng_db}")
-    linear = 10.0 ** (qng_db / 10.0)
+    try:
+        linear = 10.0 ** (qng_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"quantum noise gain {qng_db} dB is beyond the float range") from None
     return PaGain(math.sqrt((linear - 1.0) / 2.0))

@@ -45,6 +45,12 @@ class TestDbConversions:
     def test_six_db_squeezing(self):
         assert to_db(4.0) == pytest.approx(6.0206, abs=1e-4)
 
+    @pytest.mark.parametrize("db", [3082.6, 1e5, np.float64(1e5)])
+    def test_a_ratio_beyond_the_float_range_is_refused(self, db):
+        with pytest.raises(ValueError) as exc:
+            from_db(db)
+        assert str(exc.value) == f"{db} dB is beyond the float range"
+
     @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
     def test_a_ratio_not_above_zero_is_refused_without_a_warning(self, ratio):
         with warnings.catch_warnings():

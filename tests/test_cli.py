@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line front end."""
 
 import argparse
+import csv
+import io
+import itertools
 import json
 import math
 import re
@@ -21,8 +24,8 @@ from gicirc import (
     loss_plane,
     snr_sisni_closed,
 )
-from gicirc.circuits import _encode
-from gicirc.cli import _range_type, _write, build_parser, main
+from gicirc.circuits import _BLOCK_MIN, _dump, _encode
+from gicirc.cli import _grid_rows, _range_type, _write, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -492,11 +495,16 @@ class TestJsonEncoder:
             _encode({"a": _block(np.random.default_rng(1), (40, 40), (np.arange(2), (3, 4)))})
 
 
-def _block(rng, shape, *put):
-    """Nested float lists of ``shape`` (1e-300 to 1e300, both signs, some round), ``put = (value, index)`` in place."""
+def _array(rng, shape) -> np.ndarray:
+    """Float64 values of ``shape`` (1e-300 to 1e300, both signs, some round)."""
     values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
     values[..., ::7] = np.round(values[..., ::7] * 1e-290, 2)
-    block = values.tolist()
+    return values
+
+
+def _block(rng, shape, *put):
+    """Nested float lists of :func:`_array` values, ``put = (value, index)`` in place."""
+    block = _array(rng, shape).tolist()
     for value, index in put:
         row = block
         for i in index[:-1]:
@@ -559,6 +567,137 @@ class TestFloatBlocks:
             _reference(tree)
         with pytest.raises(ValueError):
             _encode(tree)
+
+
+# Arrays on both sides of the kernel's cut-over (circuits._BLOCK_MIN), 1-D to 4-D.
+_ARRAY_SHAPES = [
+    (5,), (999,), (1000,), (0,), (3, 0), (1, 1),
+    (40, 24), (40, 25), (1, 1000), (1000, 1), (37, 29),
+    (2, 3, 166), (2, 3, 167), (3, 40, 30),
+    (1, 1, 1, 1), (2, 2, 15, 16), (2, 2, 16, 16), (3, 3, 12, 10),
+]
+# Values the kernel hands to float.__repr__ (zeros, subnormals), the ends of
+# the double range and short decimals.
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5, 0.1, 123456789.0,
+])
+
+
+class TestFloatArrays:
+    """A float64 array is written as ``json.dumps`` writes its ``tolist()``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(_ARRAY_SHAPES),
+        st.lists(st.tuples(st.integers(0, 10**6), _EDGE_FLOATS | _FINITE), max_size=6),
+        st.booleans(),
+    )
+    def test_random_arrays_match_json_dumps(self, seed, shape, put, transposed):
+        array = _array(np.random.default_rng(seed), shape)
+        flat = array.reshape(-1)
+        for where, value in put:
+            if flat.size:
+                flat[where % flat.size] = value
+        if transposed:  # a view that is not C-contiguous
+            array = array.T
+        tree = {"outputs": {"values": array, "n": 3}}
+        lists = {"outputs": {"values": array.tolist(), "n": 3}}
+        assert _encode(tree) == _reference(lists)
+        assert _encode(tree, sort_keys=False, indent="\t") == json.dumps(lists, indent="\t")
+        assert _encode(array) == _reference(array.tolist())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 555, -1])
+    @pytest.mark.parametrize("shape", [(1200,), (40, 30), (3, 40, 30), (2, 2, 20, 20), (2, 3, 100)])
+    def test_non_finite_anywhere_raises(self, bad, where, shape):
+        array = _array(np.random.default_rng(5), shape)
+        array.reshape(-1)[where] = bad
+        with pytest.raises(ValueError):
+            _reference(array.tolist())
+        with pytest.raises(ValueError):
+            _encode({"a": 1.0, "values": array})
+
+    @pytest.mark.parametrize("shape", [(40, 30), (3, 40, 30), (2, 2, 20, 20)])
+    def test_a_kernel_array_is_checked_before_it_is_written(self, shape):
+        assert math.prod(shape) >= _BLOCK_MIN
+        array = _array(np.random.default_rng(6), shape)
+        array.reshape(-1)[-1] = math.nan
+        chunks = []
+        with pytest.raises(ValueError):
+            _dump(array, chunks.append)
+        assert chunks == []
+
+    def test_other_arrays_are_refused(self):
+        for array in (np.arange(2000).reshape(40, 50), np.ones((40, 30), dtype=np.float32), np.array(1.0)):
+            with pytest.raises(TypeError):
+                _encode({"a": array})
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_array_leaves_no_file(self, tmp_path, fmt):
+        path = tmp_path / "out"
+        path.write_text("an earlier result")
+        args = argparse.Namespace(command="sweep", output=str(path), format=fmt)
+        axis = np.linspace(0.0, 1.0, 60)
+        values = _array(np.random.default_rng(8), (60, 60))
+        values[59, 59] = math.inf
+        rows = _grid_rows((axis, axis), values)
+        with pytest.raises(ValueError, match="^result holds a non-finite number \\(NaN or Infinity\\)$"):
+            _write(args, {"a": "first", "values": values}, ("x", "y", "value"), rows)
+        assert not path.exists()
+
+
+def _csv_reference(header, axes, values) -> str:
+    """A grid's CSV as ``csv.writer`` writes each value formatted by ``%.12g``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    points = zip(itertools.product(*axes), np.ravel(values))
+    writer.writerows(["%.12g" % v for v in (*point, value)] for point, value in points)
+    return buf.getvalue()
+
+
+def _linspace(axis: dict) -> np.ndarray:
+    return np.linspace(axis["start"], axis["stop"], axis["count"])
+
+
+# Grid commands: argv, CSV header and (axes, values) read from the JSON outputs.
+_GRID_COMMANDS = {
+    "sweep": (
+        ["sweep", "--topology", "sisni", "--qng1-db", "5", "--qng2-db", "6", "--l-ii", "0.1",
+         "--internal-target", "signal", "--internal", "0:0.9:13", "--external", "0:0.9:17"],
+        ("internal_loss", "external_loss", "advantage_db"),
+        lambda out: ((_linspace(out["y_axis"]), _linspace(out["x_axis"])), out["values"]),
+    ),
+    "slope": (
+        ["slope", "--topology", "sisni", "--qng1-db", "4", "--qng2-db", "6", "--thetas", "0:6.283185307179586:37"],
+        ("theta", "slope"),
+        lambda out: ((out["theta"],), out["slope"]),
+    ),
+    "wigner": (  # 4,356 rows: more than one block of the table writer
+        ["wigner", "--topology", "sq-mzi", "--qng-db", "4", "--phis", "3.09:3.19:2", "--l-es", "0:0.6:2",
+         "--xs=-6:6:33", "--ps=-6:6:33"],
+        ("phi", "l_e", "x", "p", "density"),
+        lambda out: ((out["phi_values"], out["l_e_values"], out["x"], out["p"]), out["density"]),
+    ),
+    "advantage-curve": (
+        ["advantage-curve", "--qng1-db", "4", "--qng2", "2:12:21", "--rho1", "5e-4", "--eps1-sq", "2",
+         "--rho2", "4e-4", "--eps2-sq", "208"],
+        ("qng2_db", "advantage_db"),
+        lambda out: ((out["qng2_db"],), out["advantage_db"]),
+    ),
+}
+
+
+class TestCsvTables:
+    @pytest.mark.parametrize("command", list(_GRID_COMMANDS))
+    def test_matches_a_csv_writer(self, capsys, command):
+        argv, header, grid = _GRID_COMMANDS[command]
+        axes, values = grid(run_json(capsys, *argv)["outputs"])
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        assert out == _csv_reference(header, axes, values)
 
 
 def run_error(capsys, *argv):
@@ -721,6 +860,9 @@ class TestCliRefusals:
             ("0:1", "expected start:stop:count, got '0:1'"),
             ("0:x:3", "bad range '0:x:3': could not convert string to float: 'x'"),
             ("0:1:0", "range count must be >= 1, got 0"),
+            ("0:inf:2", "range start, stop and stop - start must be finite, got '0:inf:2'"),
+            ("nan:1:3", "range start, stop and stop - start must be finite, got 'nan:1:3'"),
+            ("1e308:-1e308:3", "range start, stop and stop - start must be finite, got '1e308:-1e308:3'"),
         ],
     )
     def test_range_type(self, capsys, text, message):
@@ -732,6 +874,45 @@ class TestCliRefusals:
         assert exc.value.code == 2
         assert captured.out == ""
         assert captured.err.endswith(f"gicirc sweep: error: argument --internal: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (["slope", "--topology", "mzi"], "--thetas", "0:inf:2"),
+            (["advantage-curve", "--qng1-db", "4"], "--qng2", "1:inf:3"),
+        ],
+    )
+    def test_non_finite_range_is_refused_before_the_grid(self, capsys, argv, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, text])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        message = f"range start, stop and stop - start must be finite, got {text!r}"
+        assert captured.err.endswith(f"gicirc {argv[0]}: error: argument {flag}: {message}\n")
+        assert "Warning" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["snr", "--topology", "sisni", "--qng2-db", "1e5"],
+            ["simulate", "--topology", "sisni", "--qng1-db", "1e5", "--qng2-db", "6"],
+            ["slope", "--topology", "sq-mzi", "--qng-db", "1e5"],
+            ["sweep", "--topology", "sisni", "--qng1-db", "6", "--qng2-db", "1e5"],
+            ["wigner", "--topology", "sq-mzi", "--qng-db", "1e5"],
+        ],
+    )
+    def test_qng_beyond_the_float_range(self, capsys, argv):
+        assert run_error(capsys, *argv) == {
+            "type": "ValueError",
+            "message": "quantum noise gain 100000.0 dB is beyond the float range",
+        }
+
+    def test_largest_qng_reaches_the_overflow_guard(self, capsys):
+        assert run_error(capsys, "snr", "--topology", "sq-mzi", "--qng-db", "3082") == {
+            "type": "InstabilityError",
+            "message": "closed form: the readout overflows at gains g = 8.90195e+153",
+        }
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -245,6 +245,15 @@ class TestQngArithmetic:
         with pytest.raises(ValueError):
             gain_from_qng(-0.5)
 
+    @pytest.mark.parametrize("db", [3082.6, 1e5, 1.7e308])
+    def test_db_beyond_the_float_range_is_refused(self, db):
+        with pytest.raises(ValueError) as exc:
+            gain_from_qng(db)
+        assert str(exc.value) == f"quantum noise gain {db} dB is beyond the float range"
+
+    def test_largest_db_in_range_is_converted(self):
+        assert gain_from_qng(3082.5).g == pytest.approx(math.sqrt(10**308.25 / 2), rel=1e-12)
+
 
 class TestSymplecticSweep:
     def test_all_lossless_elements(self, rng):
