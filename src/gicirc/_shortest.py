@@ -29,36 +29,37 @@ _EXPONENT = _U(0x7FF0_0000_0000_0000)
 _K_MIN, _K_MAX = -324, 292  # the decimal exponents k of the table
 _DIGITS = 17  # a double has at most 17 significant digits
 _POW10 = np.array([10**i for i in range(_DIGITS + 1)], dtype=np.uint64)
-# Values one chunk holds; a chunk's temporaries take about 6 MB.  Measured
-# on the figures benchmark: chunks of 4096 or 32768 values left its peak
-# memory 4 to 8 MB higher (glibc heap fragmentation), 16384 within 1 MB of
-# writing each float with float.__repr__, at the same speed.
+# The fewest values a chunk of whole rows holds; a chunk's temporaries take
+# about 6 MB.  Measured on the figures benchmark: chunks of 4096 or 32768
+# values left its peak memory 4 to 8 MB higher (glibc heap fragmentation),
+# 16384 within 1 MB of writing each float with float.__repr__, at the same
+# speed.
 _CHUNK = 16384
 
 
-def joined(values: np.ndarray, lengths, separator: str) -> Iterator[str]:
+def joined(values: np.ndarray, separator: str) -> Iterator[str]:
     """``separator.join`` of the ``float.__repr__`` texts of each row of ``values``.
 
-    The rows are the runs of ``lengths`` (each at least 1) consecutive
-    values of the flattened float64 array.  NaN or infinity raises
-    ``ValueError``, as ``json`` does, in this call; the rows' texts are
-    made a chunk of rows at a time as the returned iterator is read.
+    The rows run along the last axis of the float64 array, which is not
+    empty.  NaN or infinity raises ``ValueError``, as ``json`` does, in
+    this call; the rows' texts are made a chunk of rows at a time as the
+    returned iterator is read.
     """
+    width = values.shape[-1]
     values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    ends = np.cumsum(lengths)
-    last = np.zeros(values.size, dtype=bool)
-    last[ends - 1] = True
-    # Chunks of whole rows, each of at least _CHUNK values but the last.
-    cuts = ends[np.searchsorted(ends, np.arange(_CHUNK, values.size, _CHUNK))]
-    bounds = sorted({0, *cuts.tolist(), values.size})
-    return _rows(values, last, bounds, separator)
+    return _rows(values, width, separator)
 
 
-def _rows(values, last, bounds, separator: str) -> Iterator[str]:
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows = _text(values[lo:hi], last[lo:hi]).decode("ascii").split("\n")
+def _rows(values, width: int, separator: str) -> Iterator[str]:
+    step = -(-_CHUNK // width) * width  # whole rows, at least _CHUNK values
+    last = np.zeros((step // width, width), dtype=bool)
+    last[:, -1] = True
+    last = last.reshape(-1)
+    for lo in range(0, values.size, step):
+        chunk = values[lo : lo + step]
+        rows = _text(chunk, last[: chunk.size]).decode("ascii").split("\n")
         rows.pop()
         yield from rows if separator == " " else (row.replace(" ", separator) for row in rows)
 

@@ -55,10 +55,11 @@ def to_db(ratio: float) -> float:
 
 
 def from_db(db: float) -> float:
-    """Decibels to a linear power-like ratio; a ratio beyond the float range is refused."""
+    """Decibels to a linear power-like ratio, element-wise on an array; a ratio beyond the float range is refused."""
     try:
-        return 10.0 ** (float(db) / 10.0)
-    except OverflowError:
+        with np.errstate(over="raise"):
+            return 10.0 ** (db / 10.0)
+    except (OverflowError, FloatingPointError):
         raise ValueError(f"{db} dB is beyond the float range") from None
 
 

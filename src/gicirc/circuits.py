@@ -26,7 +26,7 @@ import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -513,31 +513,10 @@ def _float_list(values, separator: str) -> str | None:
     return body
 
 
-# The fewest floats in an array or a list of float lists that go through the
-# vectorized kernel.  Its fixed cost is about 0.25 ms a block, and it saves
-# about 0.3 us a float: the two ways cost the same at about 1,000 floats.
+# The fewest floats in an array that go through the vectorized kernel.  Its
+# fixed cost is about 0.25 ms a block, and it saves about 0.3 us a float:
+# the two ways cost the same at about 1,000 floats.
 _BLOCK_MIN = 1000
-
-
-def _float_block(rows, write: Callable, indent: str, newline: str) -> bool:
-    """Write ``rows``, a list of float lists, as :func:`_float_array`; ``False`` if it is not one.
-
-    ``rows`` is one when every row is a list or tuple of floats (float
-    subclasses included), all of one nonzero length, and they hold at least
-    ``_BLOCK_MIN`` in all.  This adapter serves lists passed to
-    :func:`_encode`; the CLI passes arrays.
-    """
-    if not all(isinstance(row, (list, tuple)) for row in rows):
-        return False
-    widths = set(map(len, rows))
-    width = widths.pop()
-    if widths or width * len(rows) < _BLOCK_MIN:
-        return False
-    if not all(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(rows)))):
-        return False
-    values = np.fromiter(chain.from_iterable(rows), np.float64, width * len(rows))
-    _float_array(values.reshape(len(rows), width), write, indent, newline)
-    return True
 
 
 def _float_array(array: np.ndarray, write: Callable, indent: str, newline: str):
@@ -549,9 +528,7 @@ def _float_array(array: np.ndarray, write: Callable, indent: str, newline: str):
     """
     from . import _shortest  # on first use: a command that writes no block never loads it
 
-    width = array.shape[-1]
-    lengths = np.full(array.size // width, width)
-    texts = _shortest.joined(array, lengths, "," + newline + indent * array.ndim)
+    texts = _shortest.joined(array, "," + newline + indent * array.ndim)
     _write_rows(texts, array.shape[:-1], write, indent, newline)
 
 
@@ -579,10 +556,9 @@ def _encode(obj, sort_keys: bool = True, indent: str = "  ") -> str:
     knows are written by exact type, a list of floats as one chunk, a
     ``join`` of ``float.__repr__`` (what ``json`` writes for a float or a
     float subclass), a float64 numpy array as the lists of its ``tolist()``
-    and, from ``_BLOCK_MIN`` values on, with two or more axes (or a
-    rectangular list of float lists), through the vectorized kernel of
-    :mod:`._shortest` (the same text), dicts (in insertion order or sorted)
-    and other lists recurse, and every other value goes through
+    and, from ``_BLOCK_MIN`` values on, with two or more axes, through the
+    vectorized kernel of :mod:`._shortest` (the same text), dicts (in
+    insertion order or sorted) and other lists recurse, and every other value goes through
     ``json.dumps``; the chunks are joined once.  Keys must be strings.  NaN
     or infinity raises ``ValueError``, an unsupported type or a key that is
     not a string ``TypeError``.
@@ -632,8 +608,6 @@ def _write_json(obj, write: Callable, sort_keys: bool, indent: str, newline: str
             if body is not None:
                 write("[" + inner + body + newline + "]")
                 return
-        elif isinstance(obj[0], (list, tuple)) and _float_block(obj, write, indent, newline):
-            return
         separator = "[" + inner
         for item in obj:
             write(separator)

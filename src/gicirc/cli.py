@@ -305,7 +305,7 @@ def _cmd_simulate(args) -> int:
     record = {"mode": spec.detect.mode, "theta": stats.theta, "mean": stats.mean, "variance": stats.variance}
     outputs = {"method": "engine", "stats": record}
     if args.full_state:
-        outputs["state"] = {"mean": state.mean.tolist(), "cov": state.cov.tolist()}
+        outputs["state"] = {"mean": state.mean, "cov": state.cov}
     return _write(args, outputs, *_one_row(record))
 
 

@@ -51,6 +51,16 @@ class TestDbConversions:
             from_db(db)
         assert str(exc.value) == f"{db} dB is beyond the float range"
 
+    def test_an_array_is_converted_element_wise(self):
+        db = np.array([[-3.0, 0.0], [6.0, 3000.0]])
+        assert from_db(db).tolist() == [[10.0 ** (v / 10.0) for v in row] for row in db.tolist()]
+
+    def test_an_array_beyond_the_float_range_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="dB is beyond the float range"):
+                from_db(np.array([1.0, 1e5]))
+
     @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
     def test_a_ratio_not_above_zero_is_refused_without_a_warning(self, ratio):
         with warnings.catch_warnings():

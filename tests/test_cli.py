@@ -113,6 +113,26 @@ class TestSimulateCommand:
         doc = run_json(capsys, "simulate", "--circuit", str(path), "--full-state")
         assert doc["outputs"]["state"]["mean"] == [2.0, 0.0, 0.0, 0.0]
 
+    def test_full_state_of_a_wide_circuit_is_written_as_json_dumps(self, capsys, tmp_path):
+        """A 17-mode covariance (1,156 floats) goes through the array writer with json's bytes."""
+        n = 17
+        elements = [{"type": "pa", "modes": [k, k + 1], "g": 0.3 + 0.05 * k} for k in range(n - 1)]
+        elements += [{"type": "bs", "modes": [k, k + 1]} for k in range(0, n - 1, 2)]
+        elements += [{"type": "loss", "mode": k, "L": 0.1} for k in range(n)]
+        inputs = [{"type": "coherent", "alpha": 1.0 + k} for k in range(n)]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            {"schema": "gicirc/1", "n_modes": n, "inputs": inputs, "elements": elements, "detect": {"mode": 0}}
+        ))
+        out = tmp_path / "state.json"
+        code, _, err = run_cli(capsys, "simulate", "--circuit", str(path), "--full-state", "-o", str(out))
+        assert code == 0, err
+        text = out.read_text()
+        doc = json.loads(text)
+        assert np.shape(doc["outputs"]["state"]["cov"]) == (2 * n, 2 * n)
+        assert (2 * n) ** 2 >= _BLOCK_MIN
+        assert text == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
     def test_topology_engine_report(self, capsys):
         doc = run_json(
             capsys, "simulate", "--topology", "sq-mzi", "--g", "0.75", "--alpha2", "36"

@@ -15,7 +15,7 @@ from gicirc._shortest import _CHUNK, joined
 def reprs(values) -> list[str]:
     """The kernel's text of each value, one value a row."""
     values = np.asarray(values, dtype=np.float64)
-    return list(joined(values, np.ones(values.size, dtype=np.int64), ""))
+    return list(joined(values.reshape(-1, 1), ""))
 
 
 def assert_reprs(values):
@@ -72,21 +72,19 @@ def test_raw_bit_patterns(seed, patterns):
 
 
 def test_rows_are_joined_by_the_separator():
-    values = np.array([0.5, -1.0, 2e-300, 0.0, 123.0, 1e22, 5e-324])
-    rows = list(joined(values, [2, 1, 4], ", "))
-    texts = list(map(float.__repr__, values.tolist()))
-    assert rows == [", ".join(texts[:2]), texts[2], ", ".join(texts[3:])]
+    values = np.array([[0.5, -1.0, 2e-300], [0.0, 123.0, 1e22], [5e-324, -0.0, 7.25]])
+    rows = list(joined(values, ", "))
+    assert rows == [", ".join(map(float.__repr__, row)) for row in values.tolist()]
 
 
 def test_rows_span_chunks():
-    """Rows of any length, some longer than a chunk, come out whole and in order."""
+    """Rows along the last axis, some longer than a chunk, come out whole and in order."""
     rng = np.random.default_rng(5)
-    lengths = np.concatenate([rng.integers(1, 300, 200), [_CHUNK + 7], rng.integers(1, 3000, 20)])
-    values = rng.normal(size=int(lengths.sum())) * 10.0 ** rng.integers(-30, 30, int(lengths.sum()))
-    texts = list(map(float.__repr__, values.tolist()))
-    ends = np.cumsum(lengths).tolist()
-    expected = [",".join(texts[a:b]) for a, b in zip([0, *ends], ends)]
-    assert list(joined(values, lengths, ",")) == expected
+    for shape in [(40_000, 1), (300, 241), (5, _CHUNK + 7), (3, 7, 1000), (2, 2, 3, 4_099)]:
+        size = math.prod(shape)
+        values = (rng.normal(size=size) * 10.0 ** rng.integers(-30, 30, size)).reshape(shape)
+        expected = [",".join(map(float.__repr__, row)) for row in values.reshape(-1, shape[-1]).tolist()]
+        assert list(joined(values, ",")) == expected, shape
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -94,7 +92,7 @@ def test_non_finite_raises_at_the_call(bad):
     values = np.full(10_000, 0.25)
     values[7777] = bad
     with pytest.raises(ValueError, match="not JSON compliant"):
-        joined(values, [100] * 100, ",")
+        joined(values.reshape(100, 100), ",")
 
 
 def test_no_work_at_import():
