@@ -28,7 +28,6 @@ _C_MIN = _U(1 << 52)  # the implicit bit of a normal double
 _EXPONENT = _U(0x7FF0_0000_0000_0000)
 _K_MIN, _K_MAX = -324, 292  # the decimal exponents k of the table
 _DIGITS = 17  # a double has at most 17 significant digits
-_TEXT_CHARS = "0123456789.+-e "  # the characters of a float's text, and the space after it
 _POW10 = np.array([10**i for i in range(_DIGITS + 1)], dtype=np.uint64)
 # The fewest values a chunk of whole rows holds; a chunk's temporaries take
 # about 6 MB.  Measured on the figures benchmark: chunks of 4096 or 32768
@@ -50,27 +49,23 @@ def joined(values: np.ndarray, separator: str) -> Iterator[str]:
     values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    # Rows end in a character that neither a float's text nor the separator holds.
-    end = next((c for c in map(chr, range(256)) if c not in _TEXT_CHARS and c not in separator), None)
-    if end is None:
-        raise ValueError("the separator holds every character that could end a row")
-    return _rows(values, width, separator, end)
+    return _rows(values, width, separator)
 
 
-def _rows(values, width: int, separator: str, end: str) -> Iterator[str]:
+def _rows(values, width: int, separator: str) -> Iterator[str]:
     step = -(-_CHUNK // width) * width  # whole rows, at least _CHUNK values
     last = np.zeros((step // width, width), dtype=bool)
     last[:, -1] = True
     last = last.reshape(-1)
     for lo in range(0, values.size, step):
         chunk = values[lo : lo + step]
-        rows = _text(chunk, last[: chunk.size], end).decode("latin-1").replace(" ", separator).split(end)
+        rows = _text(chunk, last[: chunk.size]).decode("ascii").split("\n")
         rows.pop()
-        yield from rows
+        yield from rows if separator == " " else (row.replace(" ", separator) for row in rows)
 
 
-def _text(values: np.ndarray, last: np.ndarray, end: str) -> bytes:
-    """The text of each finite value, followed by ``end`` where ``last``, else by ``" "``."""
+def _text(values: np.ndarray, last: np.ndarray) -> bytes:
+    """The text of each finite value, followed by ``"\\n"`` where ``last``, else by ``" "``."""
     bits = values.view(np.uint64)
     special = (bits & _EXPONENT) == _0  # a zero or a subnormal
     if special.any():
@@ -82,7 +77,7 @@ def _text(values: np.ndarray, last: np.ndarray, end: str) -> bytes:
             "".join(text.ljust(_MAX_TEXT) for text in texts).encode("ascii"), dtype=np.uint8
         ).reshape(-1, _MAX_TEXT)
         shape[special] = [_PREFIX + len(text) for text in texts]
-    buf[:, _DELIMITER] = np.where(last, np.uint8(ord(end)), np.uint8(ord(" ")))
+    buf[:, _DELIMITER] = np.where(last, np.uint8(ord("\n")), np.uint8(ord(" ")))
     # take and compress are faster than fancy and boolean indexing.
     return np.compress(_keep().take(shape, axis=0).reshape(-1), buf.reshape(-1)).tobytes()
 

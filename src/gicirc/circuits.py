@@ -89,23 +89,20 @@ class _Kind(NamedTuple):
     optional: frozenset
     block: Callable | None
     params: tuple[str, ...]  # the fields passed to ``block``: all but the modes
-    update: Callable | None  # (state, rows, noise columns, block, values, scalar): applies the element in place
-    # (``scalar``: no field is a grid array, so the block may come from the memo)
+    update: Callable | None  # (state, rows, noise columns, block, values): applies the element in place
     noisy: bool  # the element adds noise, into columns of its own
     stretch: Callable | None  # (**values) -> G + g of an amplifier or a squeezer
 
 
-def _transform(state: np.ndarray, rows, cols: slice, block: Callable, values: dict, scalar: bool):
+def _transform(state: np.ndarray, rows, cols: slice, block: Callable, values: dict):
     """Apply the element's block ``block(**values)`` to ``state`` in place.
 
     ``S`` moves the element's ``rows`` of ``[A | mean]`` in one matrix
     product; the columns from ``cols.start`` on are still zero, so they stay
     zero.  A noise ``(w, P)`` goes in as its factor ``sqrt(w) P`` on
-    ``rows`` of the element's own columns ``cols``.  A ``scalar`` element's
-    fields are all Python floats or strings, and its block comes from
-    :func:`_cached`.
+    ``rows`` of the element's own columns ``cols``.
     """
-    linear, noise = _cached(block, values) if scalar else block(**values)
+    linear, noise = block(**values)
     state[..., rows, :] = linear @ state[..., rows, :]
     if noise is not None:
         weight, pattern = noise
@@ -113,45 +110,7 @@ def _transform(state: np.ndarray, rows, cols: slice, block: Callable, values: di
         state[..., rows, cols] = (root[..., None, None] if isinstance(root, np.ndarray) else root) * pattern
 
 
-def _cached(block: Callable, values: dict):
-    """``block(**values)`` for values that are all Python floats or strings, from a bounded memo.
-
-    The memo is keyed by the block function, so a table row patched with
-    another block never meets a stale one, and by the values with the
-    signs of their zeros (see :func:`_zero_signs`).  Its arrays are shared
-    by every pass that meets the same values, so they are read-only views.
-    """
-    return _memo(block, _zero_signs(values), *values.items())
-
-
-@functools.lru_cache(maxsize=64)  # a few circuits' elements
-def _memo(block: Callable, signs, *items):
-    linear, noise = block(**dict(items))
-    linear = _frozen(linear)
-    if noise is not None:
-        noise = (noise[0], _frozen(noise[1]))
-    return linear, noise
-
-
-def _zero_signs(values: dict):
-    """The signs of the zero values, or ``None`` if there is none.
-
-    ``0.0 == -0.0`` as a key, but not as a block: a beamsplitter of
-    ``T = -0.0``, a loss of ``L = -0.0`` and a noisy amplifier of
-    ``rho = -0.0`` have zeros of that sign in their blocks.
-    """
-    if 0.0 in values.values():
-        return tuple(math.copysign(1.0, v) if v == 0.0 else None for v in values.values())
-    return None
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.flags.writeable = False
-    return view
-
-
-def _attenuate(state: np.ndarray, rows: slice, cols: slice, block: Callable, values: dict, scalar: bool):
+def _attenuate(state: np.ndarray, rows: slice, cols: slice, block: Callable, values: dict):
     """A loss ``L`` in place, without a matrix product.
 
     ``S = sqrt(1 - L) I`` scales the mode's rows (mean entries included),
@@ -291,10 +250,9 @@ def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray,
     element owns the next 2 (a loss) or 4 (a noisy amplifier) columns,
     weighted by 1, where it writes its noise factor.  Each element's
     ``update`` changes only its own modes' rows ``state[..., idx, :]``
-    (which moves the mean too); an element that ``vary`` leaves alone
-    takes its block from a memo (see :func:`_cached`).  The covariance
-    is formed and symmetrized once, at the end, so every variance is a
-    sum of non-negative terms.  Raises :class:`InstabilityError` naming the
+    (which moves the mean too), and the covariance is formed and
+    symmetrized once, at the end, so every variance is a sum of
+    non-negative terms.  Raises :class:`InstabilityError` naming the
     element, or the covariance, where the state leaves the float range.
     """
     vary = vary or {}
@@ -313,7 +271,7 @@ def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray,
                     if grid != state.shape[:-2]:
                         state = _widen(state, grid + state.shape[-2:])
                 width = size if kind.noisy else 0
-                kind.update(state, rows, slice(col, col + width), kind.block, values, i not in vary)
+                kind.update(state, rows, slice(col, col + width), kind.block, values)
                 col += width
         except FloatingPointError:
             raise InstabilityError(f"engine: the state overflows at element {i} ({kind.type})") from None

@@ -30,7 +30,6 @@ from gicirc import (
     gain_from_qng,
     kappa_from_qng,
     make_state,
-    parse_circuit,
     simulate,
 )
 from gicirc import circuits
@@ -251,93 +250,6 @@ class TestPropagate:
         state = simulate(spec)
         assert np.array_equal(state.mean, mean[0])
         assert np.array_equal(state.cov, cov[0])
-
-
-# Block fields of every element kind, each field that may be zero set to zero.
-ZERO_FIELDS = [
-    (PaElement, {"g": 0.0}),
-    (SqueezerElement, {"g": 0.0}),
-    (BsElement, {"T": 0.0, "convention": "second_minus"}),
-    (BsElement, {"T": 0.0, "convention": "first_plus"}),
-    (PhaseElement, {"phi": 0.0}),
-    (LossElement, {"L": 0.0}),
-    (NoisyPaElement, {"rho": 0.0, "kappa": 0.0, "epsilon2": 2.0}),
-]
-
-# A document circuit of every element kind, with ``%(zero)s`` for each field
-# that may be zero; its last beamsplitter is the same in every pass.
-SIGNED_ZERO_DOCUMENT = """{
-  "schema": "gicirc/1", "n_modes": 3,
-  "inputs": [{"type": "vacuum"}, {"type": "coherent", "alpha": [1.5, -0.5]}, {"type": "thermal", "variance": 2.0}],
-  "elements": [
-    {"type": "bs", "modes": [0, 1], "T": %(zero)s},
-    {"type": "noisy_pa", "modes": [1, 2], "rho": %(zero)s, "kappa": 0.2, "epsilon2": 3.0},
-    {"type": "phase", "mode": 2, "phi": %(zero)s},
-    {"type": "single_mode_squeezer", "mode": 0, "g": %(zero)s},
-    {"type": "pa", "modes": [0, 2], "g": %(zero)s},
-    {"type": "loss", "mode": 1, "L": %(zero)s},
-    {"type": "bs", "modes": [2, 0], "T": 0.5, "convention": "first_plus"}
-  ],
-  "detect": {"mode": 0}
-}"""
-
-
-def block_bits(blocks):
-    """The dtype, shape and bytes of each array of a block's ``(S, noise)``: equal bits, zero signs included."""
-    linear, noise = blocks
-    parts = [linear] if noise is None else [linear, *noise]
-    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, parts)]
-
-
-def pass_bits(spec, vary=None):
-    mean, cov = _propagate(spec, vary)
-    return mean.tobytes(), cov.tobytes()
-
-
-class TestBlockMemo:
-    """An element that no grid varies takes its block from a bounded memo."""
-
-    def test_cached_blocks_are_read_only(self):
-        circuits._memo.cache_clear()
-        for cls, values in ZERO_FIELDS:
-            linear, noise = circuits._cached(circuits._KIND_OF[cls].block, values)
-            for array in [linear] if noise is None else [linear, noise[1]]:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0, 0] = 1.0
-        assert circuits._memo.cache_info().maxsize is not None
-
-    @pytest.mark.parametrize(
-        "cls, base", ZERO_FIELDS, ids=["pa", "squeezer", "bs second_minus", "bs first_plus", "phase", "loss", "noisy_pa"]
-    )
-    def test_signed_zero_fields_get_their_own_blocks(self, cls, base):
-        """Whichever zero is cached first, each gets the bits of its own fresh block."""
-        block = circuits._KIND_OF[cls].block
-        zeros = [name for name, value in base.items() if value == 0.0]
-        cases = [base | dict(zip(zeros, signs)) for signs in itertools.product((0.0, -0.0), repeat=len(zeros))]
-        for order in (cases, cases[::-1]):
-            circuits._memo.cache_clear()
-            for values in order:
-                assert block_bits(circuits._cached(block, values)) == block_bits(block(**values))
-
-    def test_some_zero_signs_change_a_block(self):
-        """Why the memo keys on the sign: ``L = -0.0`` gives a loss noise of its own bits."""
-        block = circuits._KIND_OF[LossElement].block
-        assert block_bits(block(L=0.0)) != block_bits(block(L=-0.0))
-
-    @pytest.mark.parametrize("vary", [None, {"phi": np.array([3.0, 3.1, 3.2])}], ids=["float", "grid"])
-    def test_a_pass_after_clearing_equals_a_cached_pass(self, vary):
-        nested, _ = build_sisni(SisniParams(alpha=3.0, g1=0.9, g2=0.4, L_is=0.2, L_ii=0.1, L_e=0.3))
-        mzi, _ = build_sq_mzi(SqMziParams(alpha=5.0, g=0.9, L_i=0.1, L_e=0.2))
-        plus, minus = (parse_circuit(SIGNED_ZERO_DOCUMENT % {"zero": zero}) for zero in ("0.0", "-0.0"))
-        for spec, phase, warm in ((nested, 6, nested), (mzi, 4, mzi), (minus, 2, plus)):
-            grid = vary and {phase: vary}
-            circuits._memo.cache_clear()
-            pass_bits(warm, grid)
-            cached = pass_bits(spec, grid)
-            assert circuits._memo.cache_info().hits > 0
-            circuits._memo.cache_clear()
-            assert pass_bits(spec, grid) == cached
 
 
 class TestEngineReportExcursion:
