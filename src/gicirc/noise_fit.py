@@ -9,6 +9,13 @@ minimizes squared dB residuals of that advantage with a derivative-free
 simplex search restarted from seeded random points (the inner QNG inversion
 makes the objective non-smooth at the no-solution boundary, so gradient
 methods are avoided).
+
+The simplex is scipy 1.17's bounded adaptive Nelder-Mead (Gao & Han,
+*Comput. Optim. Appl.* 51, 259 (2012)), reimplemented here so that no
+command imports scipy, and run in batched steps: each restart is a
+generator that yields every point its next step may read, and one engine
+pass evaluates the pending points of all live restarts.  A point has the
+bits of its own evaluation in any batch, so a fit has scipy's bits.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +39,7 @@ from .interferometers import (
     _require_bright,
     sql_baseline,
 )
-from .noise_model import NoisyPaParams, _kappa
+from .noise_model import NoisyPaParams, _kappa, _solve_kappa
 
 __all__ = [
     "FitResult",
@@ -51,24 +59,19 @@ _UNSET = NoisyPaParams(0.0, 0.0)  # the circuit's amplifier fields, which every 
 _TINY = np.finfo(float).tiny  # a smaller SNR has lost the precision a ratio of SNRs needs
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call: only a fit needs scipy."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Best-fit noise parameters with residual and convergence metadata.
 
     ``residual_rms`` is the root-mean-square of the (sigma-weighted) dB
-    residuals at the optimum; ``iterations`` counts objective evaluations
-    across all restarts and the polish stage.  ``converged`` is false when
-    the simplex did not finish or the optimum sits within ``1e-6`` (in
-    log10 search coordinates) of a bound of the search box other than the
-    physical limits ``rho = 0`` and ``eps2 = 1``.  A fit whose optimum is
-    refused raises instead of returning one.
+    residuals at the optimum; ``iterations`` counts the objective values
+    the simplex searches read (scipy's ``nfev``), across all restarts and
+    the polish stage, not the points a batched step evaluated in case its
+    branch needed them.  ``converged`` is false when the simplex did not
+    finish or the optimum sits within ``1e-6`` (in log10 search
+    coordinates) of a bound of the search box other than the physical
+    limits ``rho = 0`` and ``eps2 = 1``.  A fit whose optimum is refused
+    raises instead of returning one.
     """
 
     rho1: float
@@ -100,17 +103,23 @@ def _sisni_snr(qng1_db, qng2_db, nested, noise1, noise2) -> np.ndarray:
     """Nested-interferometer SNR with both lossy amplifiers, per ``(qng1, qng2)`` row.
 
     ``qng1_db`` and ``qng2_db`` are scalars or arrays that broadcast to the
-    rows, and ``noise1``, ``noise2`` valid ``(rho, epsilon2)`` floats.  Each
-    row sets both amplifiers' ``rho``, ``kappa`` and ``epsilon2`` in the
-    circuit from :func:`_nested`, and every row runs in one engine pass.
+    rows, and ``noise1``, ``noise2`` valid ``(rho, epsilon2)`` floats.
     Raises :class:`NoSolutionError`/:class:`InstabilityError` when some
-    row's QNG is out of reach.
+    row's QNG is out of reach; see :func:`_nested_snr` for the pass.
+    """
+    amps = [(rho, _kappa(qng, rho, eps2), eps2) for qng, (rho, eps2) in zip((qng1_db, qng2_db), (noise1, noise2))]
+    return _nested_snr(nested, amps)
+
+
+def _nested_snr(nested, amps) -> np.ndarray:
+    """SNR of the circuit from :func:`_nested` with its amplifiers set to ``amps``, in one engine pass.
+
+    ``amps`` holds ``(rho, kappa, epsilon2)`` for each amplifier, floats or
+    arrays that broadcast to the rows.  Each row sets both amplifiers'
+    fields in the circuit through ``vary``; refusals name the inputs.
     """
     topo, spec, dphi, inputs = nested
-    vary = {
-        i: {"rho": rho, "kappa": _kappa(qng, rho, eps2), "epsilon2": eps2}
-        for i, qng, (rho, eps2) in zip(topo.amplifiers, (qng1_db, qng2_db), (noise1, noise2))
-    }
+    vary = {i: {"rho": rho, "kappa": kappa, "epsilon2": eps2} for i, (rho, kappa, eps2) in zip(topo.amplifiers, amps)}
     with _guard("noise model", inputs):
         return _readout(_phase_excursion(topo, spec, dphi, vary), spec.detect.mode, _TINY)[2]
 
@@ -201,6 +210,210 @@ def _normalize_data(data) -> list[tuple[float, float, float, float]]:
     return rows
 
 
+def _noise(z) -> list[float]:
+    """``[rho1, rho2, eps1_sq, eps2_sq]`` at a point of the log10 search coordinates."""
+    return [float(10.0**v) for v in z]
+
+
+class _Objective:
+    """The fit's objective: the sum of squared sigma-weighted dB residuals of the advantage.
+
+    Calling it scores one point of the log10 search coordinates, and
+    :meth:`batch` scores many with the same bits.  A point for which some
+    data row's QNG is out of reach, or whose readout is refused, scores
+    :data:`_INFEASIBLE`.
+    """
+
+    def __init__(self, rows, losses, alpha2: float, dphi: float):
+        self.base, self.nested = _nested(losses, alpha2, dphi)
+        self.qng1, self.qng2, self.measured, self.sigma = np.array(rows).T
+        # Per point, a batch holds the rows of amplifier 1, then those of amplifier 2.
+        self.qngs = np.concatenate([self.qng1, self.qng2])
+        for qng in (self.qng1, self.qng2):  # refuse bad QNG data as a first evaluation would
+            _solve_kappa(qng, 0.0, 1.0)
+
+    def snr(self, z) -> np.ndarray:
+        """The nested SNR of each data row at ``z``; raises where :func:`_sisni_snr` does."""
+        rho1, rho2, eps1, eps2 = _noise(z)
+        return _sisni_snr(self.qng1, self.qng2, self.nested, (rho1, eps1), (rho2, eps2))
+
+    def __call__(self, z) -> float:
+        try:
+            snr = self.snr(z)
+        except (NoSolutionError, InstabilityError):
+            return _INFEASIBLE
+        r = (10.0 * np.log10(snr / self.base) - self.measured) / self.sigma
+        return sum((r * r).tolist())
+
+    def batch(self, points) -> list[float]:
+        """The value of each row of ``points``: every point whose QNGs are in reach runs in one engine pass.
+
+        A point with a refused :func:`_solve_kappa` row scores the penalty
+        without the engine; a pass that the engine refuses as a whole is
+        run again point by point.
+        """
+        k, n = len(points), len(self.qng1)
+        noise = np.array([_noise(z) for z in points])
+        rho, eps2 = np.repeat(noise[:, :2], n), np.repeat(noise[:, 2:], n)
+        kappa, unreachable, at_pole = _solve_kappa(np.tile(self.qngs, k), rho, eps2)
+        feasible = ~(unreachable | at_pole).reshape(k, 2 * n).any(axis=1)
+        values = [_INFEASIBLE] * k
+        if not feasible.any():
+            return values
+        fields = np.stack([rho, kappa, eps2])[:, np.repeat(feasible, 2 * n)].reshape(3, -1, 2, n)
+        try:
+            snr = _nested_snr(self.nested, [fields[:, :, i].reshape(3, -1) for i in (0, 1)])
+        except (NoSolutionError, InstabilityError):
+            scores = [self(z) for z in points[feasible]]
+        else:
+            r = (10.0 * np.log10(snr.reshape(-1, n) / self.base) - self.measured) / self.sigma
+            scores = [sum(row) for row in (r * r).tolist()]
+        for i, score in zip(np.flatnonzero(feasible), scores):
+            values[i] = score
+        return values
+
+
+def _evaluated(z, value) -> None:
+    """Called once for each objective value a simplex search reads, with its point; does nothing.
+
+    A hook for counting evaluations from outside: the points a batched step
+    evaluated in case a branch needed them, and did not read, are not
+    reported.
+    """
+
+
+class _Spent(Exception):
+    """A search read past its evaluation budget (scipy's ``_MaxFuncCallError``)."""
+
+
+class _Simplex(NamedTuple):
+    """The end of a search, in the fields of scipy's ``OptimizeResult``."""
+
+    x: np.ndarray
+    fun: np.float64
+    nfev: int
+    nit: int
+    success: bool
+    final_simplex: tuple[np.ndarray, np.ndarray]
+
+
+def _nelder_mead(x0, lower, upper, maxfev: int, xatol: float, fatol: float):
+    """Scipy 1.17's ``minimize(method="Nelder-Mead")`` with ``bounds`` and ``adaptive=True``, as a generator.
+
+    Follows ``scipy.optimize._optimize._minimize_neldermead`` with
+    ``maxfev`` (``maxiter`` unbounded) operation for operation, so a search
+    has scipy's bits.  Each step yields, as the rows of an array, every point
+    whose value it may read: the initial simplex, then per iteration the
+    reflection, expansion, outside and inside contraction, and after a
+    failed contraction the shrunk vertices, none past the budget.  It is
+    sent their values in that order and reads them in scipy's order; each
+    read counts against ``maxfev`` and goes to :func:`_evaluated`, and a
+    read past the budget ends the search as scipy's ``_MaxFuncCallError``
+    does, also inside the initial simplex.  Returns a :class:`_Simplex`.
+    """
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n = len(x0)
+    dim = float(n)
+    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    nonzdelt, zdelt = 0.05, 0.00025
+    # The reflection, expansion, outside and inside contraction, as
+    # ``to_xbar * xbar - to_worst * sim[-1]``: products and a difference
+    # with scipy's bits (``x - (-c) y`` is ``x + c y`` exactly).
+    to_xbar = np.array([[1 + rho], [1 + rho * chi], [1 + psi * rho], [1 - psi]])
+    to_worst = np.array([[rho], [rho * chi], [psi * rho], [-psi]])
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        sim[k + 1] = y
+    # Vertices past an upper bound are reflected into the box, then clipped.
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def read(values, i, x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        _evaluated(x, values[i])
+        return values[i]
+
+    values = yield sim[: min(n + 1, maxfev)]
+    try:
+        for k in range(n + 1):
+            fsim[k] = read(values, k, sim[k])
+    except _Spent:
+        pass
+    for _ in range(2):  # scipy sorts twice here, and an argsort need not keep ties in order
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while nfev < maxfev:
+        try:
+            if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            steps = np.clip(to_xbar * xbar - to_worst * sim[-1], lower, upper)
+            xr, xe, xc, xcc = steps
+            values = yield steps if maxfev - nfev > 1 else steps[:1]
+            fxr = read(values, 0, xr)
+            doshrink = False
+            if fxr < fsim[0]:
+                fxe = read(values, 1, xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                fxc = read(values, 2, xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:
+                fxcc = read(values, 3, xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                shrunk = np.clip(sim[0] + sigma * (sim[1:] - sim[0]), lower, upper)
+                left = maxfev - nfev
+                values = (yield shrunk[:left]) if left else ()
+                for j in range(1, n + 1):
+                    sim[j] = shrunk[j - 1]
+                    fsim[j] = read(values, j - 1, sim[j])
+            iterations += 1
+        except _Spent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return _Simplex(sim[0], np.min(fsim), nfev, iterations, nfev < maxfev, (sim, fsim))
+
+
+def _lockstep(searches, evaluate) -> list[_Simplex]:
+    """Run :func:`_nelder_mead` searches side by side and return their results in order.
+
+    Each round makes one ``evaluate`` call (points as rows, to a sequence
+    of their values) on the pending points of every live search.
+    """
+    results = [None] * len(searches)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        values = evaluate(np.concatenate(list(pending.values())))
+        start = 0
+        for i, points in list(pending.items()):
+            stop = start + len(points)
+            try:
+                pending[i] = searches[i].send(values[start:stop])
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+            start = stop
+    return results
+
+
 def fit_noise_model(
     data,
     losses=(0.16, 0.10, 0.15),
@@ -216,11 +429,12 @@ def fit_noise_model(
 
     Minimizes the sum of squared (optionally sigma-weighted) dB residuals of
     :func:`advantage_vs_qng` with Nelder-Mead simplex searches started from
-    ``restarts`` seeded random points in log-transformed coordinates, then
-    polishes the best candidate.  Deterministic for a fixed seed.  Parameter
-    proposals for which some data point's QNG is unreachable score a ``1e12``
-    penalty, which the simplex contracts away from; when the optimum is such
-    a proposal, :class:`NoSolutionError` quotes its refusal.
+    ``restarts`` seeded random points in log-transformed coordinates, run
+    side by side, then polishes the best candidate.  Deterministic for a
+    fixed seed.  Parameter proposals for which some data point's QNG is
+    unreachable score a ``1e12`` penalty, which the simplex contracts away
+    from; when the optimum is such a proposal, :class:`NoSolutionError`
+    quotes its refusal.
 
     Args:
         data: rows ``(qng1_db, qng2_db, advantage_db[, sigma_db])``; at
@@ -245,44 +459,20 @@ def fit_noise_model(
     w_lo, w_hi, v_lo, v_hi = np.log10([max(rho_lo, _RHO_FLOOR), rho_hi, eps_lo, eps_hi])
     lo = np.array([w_lo, w_lo, v_lo, v_lo])
     hi = np.array([w_hi, w_hi, v_hi, v_hi])
-    box = list(zip(lo, hi))
 
-    base, nested = _nested(losses, alpha2, dphi)
-    qng1, qng2, measured, sigma = np.array(rows).T
-
-    def snr_at(z):
-        rho1, rho2, eps1, eps2 = (float(10.0**v) for v in z)
-        return _sisni_snr(qng1, qng2, nested, (rho1, eps1), (rho2, eps2))
-
-    def objective(z) -> float:
-        try:
-            snr = snr_at(z)
-        except (NoSolutionError, InstabilityError):
-            return _INFEASIBLE
-        r = (10.0 * np.log10(snr / base) - measured) / sigma
-        return sum((r * r).tolist())
-
-    def simplex(z0, maxfev: int, xatol: float, fatol: float):
-        return minimize(
-            objective,
-            z0,
-            method="Nelder-Mead",
-            bounds=box,
-            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol, "adaptive": True},
-        )
-
+    objective = _Objective(rows, losses, alpha2, dphi)
     rng = np.random.default_rng(seed)
     starts = rng.uniform(lo, hi, size=(restarts, 4))
-    runs = [simplex(z0, max_evals, 1e-4, 1e-10) for z0 in starts]
+    runs = _lockstep([_nelder_mead(z0, lo, hi, max_evals, 1e-4, 1e-10) for z0 in starts], objective.batch)
     best = min(runs, key=lambda res: res.fun)  # the first of equal minima
-    polish = simplex(best.x, 2 * max_evals, 1e-7, 1e-16)
+    (polish,) = _lockstep([_nelder_mead(best.x, lo, hi, 2 * max_evals, 1e-7, 1e-16)], objective.batch)
     best = min(polish, best, key=lambda res: res.fun)  # the polish wins a tie
     z = best.x
     # A refused proposal scores the penalty, and a residual sum can reach it
     # too: only the optimum's own readout tells them apart.
     if best.fun >= _INFEASIBLE:
         try:
-            snr_at(z)
+            objective.snr(z)
         except (NoSolutionError, InstabilityError) as exc:
             raise NoSolutionError(f"the noise-model fit ends at a refused point: {exc}") from exc
     # rho = 0 (stood in for by the floor) and eps2 = 1 are physical limits
@@ -290,7 +480,7 @@ def fit_noise_model(
     # on any other edge of the box is held there by the box, not the data.
     box_lo = np.array([rho_lo > 0.0] * 2 + [eps_lo > 1.0] * 2)
     pinned = np.any(box_lo & (z - lo <= _PINNED)) or np.any(hi - z <= _PINNED)
-    rho1, rho2, eps1_sq, eps2_sq = (float(10.0**v) for v in z)
+    rho1, rho2, eps1_sq, eps2_sq = _noise(z)
     return FitResult(
         rho1=rho1,
         rho2=rho2,

@@ -185,7 +185,7 @@ def kappa_from_qng(qng_db: float, rho: float, epsilon2: float) -> float:
 
     For fixed ``(rho, epsilon2)`` the noise gain increases monotonically from
     its ``kappa = 0`` floor to infinity at the stability pole; ``kappa^2`` is
-    the stable root of a quadratic (see :func:`_kappa`).  Targets below the
+    the stable root of a quadratic (see :func:`_solve_kappa`).  Targets below the
     floor raise :class:`NoSolutionError`.  Near the pole a float ``kappa``
     no longer fixes the noise gain: a target whose forward round trip
     (:func:`quantum_noise_gain` of the returned ``kappa``) misses it by more
@@ -204,12 +204,45 @@ _ROUND_TRIP = 1e-9  # relative miss of a target QNG that _kappa accepts
 def _kappa(qng_db, rho: float, epsilon2: float) -> np.ndarray:
     """``kappa`` for each target QNG in dB (a scalar or an array), as an array.
 
+    ``rho`` and ``epsilon2`` must already be valid amplifier parameters (see
+    :func:`kappa_from_qng`, which also states the round-trip tolerance).
+    Raises where some row's target is out of reach (see :func:`_solve_kappa`).
+    """
+    kappa, unreachable, at_pole = _solve_kappa(qng_db, rho, epsilon2)
+    qng_db = np.atleast_1d(np.asarray(qng_db, dtype=float))
+    if unreachable.any():
+        raise NoSolutionError(
+            f"QNG {qng_db[unreachable][0]} dB is unreachable: the kappa = 0 floor for "
+            f"rho = {rho}, epsilon2 = {epsilon2} is {10.0 * np.log10(_floor(rho, epsilon2)):.6g} dB"
+        )
+    if at_pole.any():
+        raise InstabilityError(
+            f"QNG {qng_db[at_pole][0]} dB puts kappa at the stability pole "
+            f"(1 + rho)/2 = {(1.0 + rho) / 2.0}: no float kappa reproduces it "
+            f"within a relative {_ROUND_TRIP:g}"
+        )
+    return kappa
+
+
+def _floor(rho, epsilon2):
+    """The ``kappa = 0`` noise gain (linear units); arrays broadcast."""
+    return ((1.0 - rho) * (1.0 - rho) + 4.0 * rho * epsilon2) / ((1.0 + rho) * (1.0 + rho))
+
+
+def _solve_kappa(qng_db, rho, epsilon2):
+    """``(kappa, unreachable, at_pole)`` per target QNG row, refusing no row.
+
+    ``qng_db`` is a scalar or an array, and ``rho`` and ``epsilon2`` valid
+    amplifier parameters, floats or arrays that broadcast with it.  A row is
+    unreachable when its target lies below the ``kappa = 0`` floor, and at
+    the pole when its ``kappa`` is within a relative ``1e-13`` of the
+    stability pole or misses the target on the round trip; its ``kappa``
+    is then meaningless.  Targets that are not finite or below 0 dB raise.
+
     With ``u = kappa^2``, ``a = (1 - rho^2)/4`` and ``b = (1 + rho)^2/4``,
     ``quantum_noise_gain = Q`` reads
     ``(Q - 1) u^2 - (2 Q b + 2 a + 1 + epsilon2 rho) u + (Q b^2 - a^2 - epsilon2 rho b) = 0``.
     Its stable root (``u < b``) is ``u = 2C / (-B + sqrt(B^2 - 4 A C))``.
-    ``rho`` and ``epsilon2`` must already be valid amplifier parameters (see
-    :func:`kappa_from_qng`), which also states the round-trip tolerance.
     """
     qng_db = np.atleast_1d(np.asarray(qng_db, dtype=float))
     if not np.isfinite(qng_db).all():
@@ -217,7 +250,7 @@ def _kappa(qng_db, rho: float, epsilon2: float) -> np.ndarray:
         raise ValueError(f"quantum noise gain must be finite, got {bad}")
     if (qng_db < 0.0).any():
         raise ValueError(f"quantum noise gain must be >= 0 dB, got {qng_db.min()}")
-    floor = ((1.0 - rho) * (1.0 - rho) + 4.0 * rho * epsilon2) / ((1.0 + rho) * (1.0 + rho))
+    floor = _floor(rho, epsilon2)
     a = (1.0 - rho * rho) / 4.0
     b = (1.0 + rho) * (1.0 + rho) / 4.0
     thermal = epsilon2 * rho
@@ -233,17 +266,5 @@ def _kappa(qng_db, rho: float, epsilon2: float) -> np.ndarray:
         kappa = np.sqrt(np.where(target <= floor, 0.0, np.maximum(u, 0.0)))
         # Near the pole a float kappa no longer fixes Q: its round trip misses.
         miss = np.abs(_noise_gain(rho, kappa, epsilon2) - target) / target
-        unstable = ~(kappa < (1.0 + rho) / 2.0 * (1.0 - 1e-13)) | ~(miss <= _ROUND_TRIP)
-    short = target < floor - 1e-12
-    if short.any():
-        raise NoSolutionError(
-            f"QNG {qng_db[short][0]} dB is unreachable: the kappa = 0 floor for "
-            f"rho = {rho}, epsilon2 = {epsilon2} is {10.0 * np.log10(floor):.6g} dB"
-        )
-    if unstable.any():
-        raise InstabilityError(
-            f"QNG {qng_db[unstable][0]} dB puts kappa at the stability pole "
-            f"(1 + rho)/2 = {(1.0 + rho) / 2.0}: no float kappa reproduces it "
-            f"within a relative {_ROUND_TRIP:g}"
-        )
-    return kappa
+        at_pole = ~(kappa < (1.0 + rho) / 2.0 * (1.0 - 1e-13)) | ~(miss <= _ROUND_TRIP)
+    return kappa, target < floor - 1e-12, at_pole

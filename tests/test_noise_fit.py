@@ -12,6 +12,7 @@ import pytest
 import gicirc
 from gicirc import (
     CircuitSpec,
+    InstabilityError,
     NoisyPaParams,
     NoSolutionError,
     SisniParams,
@@ -178,20 +179,53 @@ class TestFitWork:
 
     @pytest.mark.parametrize("budget", [dict(restarts=2, max_evals=30), dict(restarts=2, max_evals=300)])
     def test_iterations_count_the_objective_calls(self, monkeypatch, budget):
+        # The hook sees each value a search reads, not the points a batched
+        # step evaluated in case its branch needed them.
         calls = 0
-        real = noise_fit.minimize
 
-        def counting_minimize(objective, x0, *args, **kwargs):
-            def counted(z):
-                nonlocal calls
-                calls += 1
-                return objective(z)
+        def counted(z, value):
+            nonlocal calls
+            calls += 1
 
-            return real(counted, x0, *args, **kwargs)
-
-        monkeypatch.setattr(noise_fit, "minimize", counting_minimize)
+        monkeypatch.setattr(noise_fit, "_evaluated", counted)
         result = fit_noise_model(self.DATA, PAPER_LOSSES, seed=5, **budget)
         assert result.iterations == calls
+
+
+class TestBatchedObjective:
+    # Rows at 140 dB put some points' kappa at the stability pole; a 93.6 dB
+    # pair of gains passes the precision bound for some points only, so the
+    # engine refuses a pass that holds the others as a whole.
+    DATASETS = {
+        "in reach": [(q1, q2, 1.0) for q1 in (4.0, 8.0) for q2 in (2.0, 7.0, 12.0)],
+        "pole": [(q1, q2, 1.0) for q1 in (4.0, 8.0) for q2 in (2.0, 140.0)],
+        "precision": [(4.0, 2.0, 1.0), (4.0, 7.0, 1.0), (93.6, 93.6, 1.0), (8.0, 7.0, 1.0)],
+    }
+    CAUSES = {
+        "in reach": {"unreachable", None},
+        "pole": {"unreachable", "pole", None},
+        "precision": {"unreachable", "precision", None},
+    }
+
+    @staticmethod
+    def cause(objective, z):
+        try:
+            objective.snr(z)
+        except (NoSolutionError, InstabilityError) as exc:
+            return next(word for word in ("unreachable", "pole", "precision") if word in str(exc))
+        return None
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_mixed_batch_scores_as_single_points(self, rng, name):
+        rows = noise_fit._normalize_data(self.DATASETS[name])
+        objective = noise_fit._Objective(rows, PAPER_LOSSES, 36.0, 1e-3)
+        lo, hi = np.log10([1e-8, 1e-8, 1.0, 1.0]), np.log10([0.1, 0.1, 1e4, 1e4])
+        points = rng.uniform(lo, hi, size=(60, 4))
+        single = [objective(z) for z in points]
+        assert {self.cause(objective, z) for z in points} == self.CAUSES[name]
+        assert objective.batch(points) == single
+        assert objective.batch(points[::-1]) == single[::-1]
+        assert objective.batch(points[:7]) + objective.batch(points[7:8]) == single[:8]
 
 
 class TestFitDataValidation:
@@ -249,16 +283,24 @@ class TestFitArguments:
             advantage_vs_qng(4.0, [3.0], PAPER_LOSSES, NOISE_OFF, NOISE_OFF, alpha2=-4.0)
 
 
-def test_scipy_is_imported_only_by_a_fit():
+def test_no_command_imports_scipy(tmp_path):
+    # With scipy blocked (None in sys.modules makes any import of it fail),
+    # a fit runs through the library and through the CLI.
+    data = tmp_path / "fit.csv"
+    data.write_text("qng1_db,qng2_db,advantage_db\n4,3,0.9\n4,6,1.6\n8,3,1.1\n8,6,2.0\n", encoding="utf-8")
     code = (
-        "import sys, gicirc, gicirc.cli\n"
-        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import gicirc, gicirc.cli\n"
         "curve = gicirc.advantage_vs_qng(4.0, [3.0, 6.0, 9.0, 12.0], (0.16, 0.1, 0.15), (0.0, 1.0), (0.0, 1.0))\n"
         "rows = [(4.0, q, float(a)) for q, a in zip([3.0, 6.0, 9.0, 12.0], curve)]\n"
-        "result = gicirc.fit_noise_model(rows, restarts=1, max_evals=50)\n"
-        "assert 'scipy.optimize' in sys.modules and result.iterations > 0\n"
+        "assert gicirc.fit_noise_model(rows, restarts=2, max_evals=50).iterations > 0\n"
+        "assert gicirc.cli.main(['fit', '--data', sys.argv[1], '--restarts', '1', '--max-evals', '30']) == 0\n"
+        "loaded = [m for m, module in sys.modules.items() if m.split('.')[0] == 'scipy' and module is not None]\n"
+        "assert sys.modules['scipy'] is None and not loaded, loaded\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(gicirc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, str(data)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert '"iterations"' in proc.stdout
