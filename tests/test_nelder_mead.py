@@ -5,7 +5,8 @@ in batched steps (``noise_fit._nelder_mead`` and ``_lockstep``).  Each search
 must end where ``scipy.optimize.minimize`` ends from the same start on the
 same objective: the same ``nfev``, ``nit`` and ``success``, and the same bits
 of ``x``, ``fun`` and the final simplex.  scipy is a test-only dependency;
-without it these tests are skipped.
+without it, or with a scipy older than the 1.17 this code follows, these
+tests are skipped.
 """
 
 import contextlib
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-minimize = pytest.importorskip("scipy.optimize").minimize
+pytest.importorskip("scipy", minversion="1.17")
+from scipy.optimize import minimize  # noqa: E402
 
 from gicirc import NoSolutionError, advantage_vs_qng, fit_noise_model, noise_fit  # noqa: E402
 
