@@ -17,6 +17,8 @@ from gicirc import (
     CircuitSpec,
     Coherent,
     Detection,
+    InstabilityError,
+    NoSolutionError,
     NoisyPaParams,
     SisniParams,
     SqMziParams,
@@ -44,7 +46,7 @@ from gicirc.circuits import (
     element_map,
 )
 from gicirc.noise_fit import _nested, _sisni_snr
-from gicirc.noise_model import _kappa
+from gicirc.noise_model import _kappa, _solve_kappa
 
 PAPER_LOSSES = (0.16, 0.10, 0.15)
 
@@ -291,6 +293,24 @@ class TestBatchedNoiseModel:
         qngs = floor_db + rng.uniform(0.0, 20.0, 25)
         vector = _kappa(qngs, rho, eps2)
         assert vector.tolist() == [kappa_from_qng(q, rho, eps2) for q in qngs]
+
+    def test_row_masks_are_the_refusals_of_scalar_calls(self, rng):
+        # Per-row rho and epsilon2 give each row the kappa bits, or the
+        # refusal, of its own scalar call.
+        qngs = rng.choice([0.5, 2.0, 7.0, 60.0, 140.0, 170.0], 300)
+        rho, eps2 = 10.0 ** rng.uniform(-8.0, -1.0, 300), 10.0 ** rng.uniform(0.0, 4.0, 300)
+        kappa, unreachable, at_pole = _solve_kappa(qngs, rho, eps2)
+        for row, args in enumerate(zip(qngs, rho.tolist(), eps2.tolist())):
+            try:
+                scalar = _kappa(*args)
+            except NoSolutionError:
+                assert unreachable[row]
+            except InstabilityError:
+                assert at_pole[row] and not unreachable[row]
+            else:
+                assert not (unreachable[row] or at_pole[row])
+                assert kappa[row] == scalar[0]
+        assert unreachable.any() and at_pole.any() and not (unreachable | at_pole).all()
 
     def test_noise_off_lossless_is_the_ideal_topology(self):
         snr = _sisni_snr(4.0, np.array([3.0, 6.0]), _nested((0.0, 0.0, 0.0), 36.0, 1e-3)[1], (0.0, 1.0), (0.0, 1.0))
