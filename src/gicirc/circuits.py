@@ -9,9 +9,12 @@ constraint.
 
 Every preparation and element kind is one row of a table below: its document
 ``type`` and its dataclass, whose fields and defaults give the required and
-optional document keys and, for elements, whose ``block`` is its local block
-function and whose ``update`` applies it to the state.  Parsing,
-serialization and propagation are driven by those rows.
+optional document keys, whose ``check`` holds its range checks and, for
+elements, whose ``block`` is its local block function and whose ``update``
+applies it to the state.  Parsing, serialization and propagation are driven
+by those rows.  A document's values are checked once: its converters check
+their types, the kind's ``check`` their ranges, and the entries are
+assembled without running ``__post_init__`` again.
 
 Propagation is block-local and factored: the state is one array
 ``[A | mean]`` with leading grid axes, whose covariance is
@@ -41,7 +44,7 @@ from .states import (
     Vacuum,
     _check_finite,
     _check_index,
-    _check_mode,
+    _check_range,
     _prepare,
     _quadrature_indices,
     quadrature_stats,
@@ -84,9 +87,11 @@ DEFAULT_THETA = math.pi / 2
 class _Kind(NamedTuple):
     type: str
     cls: type
-    fields: tuple[str, ...]
-    required: frozenset
-    optional: frozenset
+    required: frozenset  # the keys an entry of this type must have in a document
+    allowed: frozenset  # and those it may have
+    check: Callable | None  # (**fields) -> None: the range checks of typed values, as ``__post_init__`` runs them
+    head: str  # the entry's first member as JSON text: ``"type": "<type>"``
+    members: tuple[tuple[str, str, Callable | None], ...]  # per field: name, key as JSON text, ``_TO_DOC`` converter
     block: Callable | None
     params: tuple[str, ...]  # the fields passed to ``block``: all but the modes
     update: Callable | None  # (state, rows, noise columns, block, values): applies the element in place
@@ -128,14 +133,20 @@ def _attenuate(state: np.ndarray, rows: slice, cols: slice, block: Callable, val
     factor[..., 0, 0] = factor[..., 1, 1] = np.sqrt(loss)
 
 
+# Document form of field values that JSON cannot hold as they are.
+_TO_DOC = {"modes": list, "alpha": lambda a: a.real if a.imag == 0.0 else [a.real, a.imag]}
+
+
 def _kind(type_: str, cls: type, update: Callable | None = _transform, noisy: bool = False) -> _Kind:
     names = tuple(f.name for f in fields(cls))
     required = frozenset(f.name for f in fields(cls) if f.default is MISSING) | {"type"}
     block = getattr(cls, "block", None)  # preparations have neither a block nor an update
     update = update if block else None
+    head = encode_basestring_ascii("type") + ": " + encode_basestring_ascii(type_)
+    members = tuple((n, encode_basestring_ascii(n) + ": ", _TO_DOC.get(n)) for n in names)
     return _Kind(
-        type_, cls, names, required, frozenset(names) - required, block, _block_params(cls), update,
-        noisy, getattr(cls, "stretch", None),
+        type_, cls, required, required | frozenset(names), getattr(cls, "check", None), head, members,
+        block, _block_params(cls), update, noisy, getattr(cls, "stretch", None),
     )
 
 
@@ -183,7 +194,7 @@ def _assemble(cls, **values):
 
     ``__post_init__`` does not run, so this is only for values that have
     passed the same checks already, as the fields of a built-in topology's
-    parameters have.
+    parameters and the values of a parsed document have.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(_defaults(cls), **values)
@@ -193,9 +204,21 @@ def _assemble(cls, **values):
 def _check_modes(modes, n_modes: int, where: str):
     try:
         for m in modes:
-            _check_mode(m, n_modes)
+            _check_range(m, n_modes)
     except ModeError as exc:
         raise CircuitError(f"{where}: {exc}") from None
+
+
+def _check_fit(n_modes: int, inputs: tuple, elements: tuple, detect: Detection):
+    """Refuse a number of inputs other than ``n_modes``, and element or detection modes outside the register.
+
+    The entries are of their kinds already, so their modes are ints.
+    """
+    if len(inputs) != n_modes:
+        raise CircuitError(f"expected {n_modes} input preparations, got {len(inputs)}")
+    for i, el in enumerate(elements):
+        _check_modes(_modes(el), n_modes, f"element {i}")
+    _check_modes((detect.mode,), n_modes, "detect")
 
 
 @dataclass(frozen=True)
@@ -211,25 +234,17 @@ class CircuitSpec:
         n_modes = _check_index(self.n_modes, "n_modes")
         if n_modes < 1:
             raise CircuitError(f"n_modes must be a positive integer, got {self.n_modes}")
-        object.__setattr__(self, "n_modes", n_modes)
-        inputs = tuple(self.inputs)
-        if len(inputs) != n_modes:
-            raise CircuitError(
-                f"expected {n_modes} input preparations, got {len(inputs)}"
-            )
+        inputs, elements = tuple(self.inputs), tuple(self.elements)
         for k, prep in enumerate(inputs):
             if type(prep) not in _INPUT_CLASSES:
                 raise CircuitError(f"input {k}: unknown preparation {prep!r}")
-        object.__setattr__(self, "inputs", inputs)
-        elements = tuple(self.elements)
         for i, el in enumerate(elements):
             if type(el) not in _ELEMENT_CLASSES:
                 raise CircuitError(f"element {i}: not a circuit element: {el!r}")
-            _check_modes(_modes(el), n_modes, f"element {i}")
-        object.__setattr__(self, "elements", elements)
         if not isinstance(self.detect, Detection):
             raise CircuitError(f"detect block must be a Detection, got {self.detect!r}")
-        _check_modes((self.detect.mode,), n_modes, "detect")
+        _check_fit(n_modes, inputs, elements, self.detect)
+        self.__dict__.update(n_modes=n_modes, inputs=inputs, elements=elements)
 
 
 def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -331,22 +346,32 @@ def detect_stats(spec: CircuitSpec, state: GaussianState | None = None) -> Quadr
     """Homodyne statistics at the circuit's detection block."""
     if state is None:
         state = simulate(spec)
+    elif state.n_modes != spec.n_modes:
+        raise ValueError(f"the state has {state.n_modes} modes, the circuit {spec.n_modes}")
     return quadrature_stats(state, spec.detect.mode, spec.detect.theta)
 
 
 # --- document form -----------------------------------------------------
 
 
-def _require_keys(obj: dict, required: set, optional: set, where: str):
-    missing = required - obj.keys()
+_DOCUMENT_KEYS = frozenset({"schema", "n_modes", "inputs", "elements", "detect"})
+_DETECT_REQUIRED = frozenset({"mode"})
+_DETECT_KEYS = frozenset({"mode", "theta"})
+
+
+def _require_keys(obj: dict, required: frozenset, allowed: frozenset, where: str):
+    keys = obj.keys()
+    if required <= keys <= allowed:
+        return
+    missing = required - keys
     if missing:
         raise CircuitError(f"{where}: missing key(s) {sorted(missing)}")
-    unknown = obj.keys() - required - optional
-    if unknown:
-        raise CircuitError(f"{where}: unknown key(s) {sorted(unknown)}")
+    raise CircuitError(f"{where}: unknown key(s) {sorted(keys - allowed)}")
 
 
 def _number(value) -> float:
+    if type(value) is float and math.isfinite(value):  # what JSON numbers with a point or an exponent give
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CircuitError(f"expected a number, got {value!r}")
     try:
@@ -368,9 +393,11 @@ def _mode_index(value) -> int:
     return value
 
 
-def _mode_list(value) -> tuple[int, ...]:
+def _mode_pair(value) -> tuple[int, int]:
     if not isinstance(value, list) or not all(map(_is_index, value)):
         raise CircuitError(f"expected a list of mode indices, got {value!r}")
+    if len(value) != 2:
+        raise CircuitError(f"expected two mode indices, got {value!r}")
     return tuple(value)
 
 
@@ -389,9 +416,7 @@ def _amplitude(value) -> complex:
 
 
 # Document value converters by key name; every other key holds a number.
-_FROM_DOC = {"modes": _mode_list, "mode": _mode_index, "convention": _string, "alpha": _amplitude}
-# Document form of field values that JSON cannot hold as they are.
-_TO_DOC = {"modes": list, "alpha": lambda a: a.real if a.imag == 0.0 else [a.real, a.imag]}
+_FROM_DOC = {"modes": _mode_pair, "mode": _mode_index, "convention": _string, "alpha": _amplitude}
 
 
 def _convert(obj: dict, where: str) -> dict:
@@ -406,6 +431,11 @@ def _convert(obj: dict, where: str) -> dict:
 
 
 def _parse_entry(obj, where: str, what: str, table: dict):
+    """The document entry ``obj`` as its kind's dataclass.
+
+    Its values are checked once: their types by the document's
+    converters, their ranges by the kind's ``check``.
+    """
     if not isinstance(obj, dict):
         raise CircuitError(f"{where}: expected an object, got {obj!r}")
     name = obj.get("type")
@@ -414,12 +444,14 @@ def _parse_entry(obj, where: str, what: str, table: dict):
             f"{where}: unknown {what} type {name!r}; expected one of {sorted(table)}"
         )
     kind = table[name]
-    _require_keys(obj, kind.required, kind.optional, where)
-    values = _convert(obj, where)
-    try:
-        return kind.cls(**values)
-    except ValueError as exc:
-        raise CircuitError(f"{where}: {exc}") from exc
+    _require_keys(obj, kind.required, kind.allowed, where)
+    entry = _assemble(kind.cls, **_convert(obj, where))
+    if kind.check is not None:
+        try:
+            kind.check(**entry.__dict__)
+        except ValueError as exc:
+            raise CircuitError(f"{where}: {exc}") from exc
+    return entry
 
 
 def parse_circuit(text: str) -> CircuitSpec:
@@ -427,6 +459,9 @@ def parse_circuit(text: str) -> CircuitSpec:
 
     Raises :class:`CircuitError` with line/column information for malformed
     JSON and with the offending element index for semantic violations.
+    Each value is checked once, as in the kinds' ``__post_init__``: every
+    entry's types and ranges first, in document order, then the input
+    count, the elements' modes and the detection mode.
     """
     try:
         doc = json.loads(text)
@@ -436,7 +471,7 @@ def parse_circuit(text: str) -> CircuitSpec:
         ) from exc
     if not isinstance(doc, dict):
         raise CircuitError(f"circuit document must be a JSON object, got {type(doc).__name__}")
-    _require_keys(doc, {"schema", "n_modes", "inputs", "elements", "detect"}, set(), "document")
+    _require_keys(doc, _DOCUMENT_KEYS, _DOCUMENT_KEYS, "document")
     if doc["schema"] != SCHEMA:
         raise CircuitError(f"unsupported schema {doc['schema']!r}; expected {SCHEMA!r}")
     n_modes = doc["n_modes"]
@@ -444,43 +479,85 @@ def parse_circuit(text: str) -> CircuitSpec:
         raise CircuitError(f"n_modes must be a positive integer, got {n_modes!r}")
     if not isinstance(doc["inputs"], list):
         raise CircuitError("inputs must be a list of preparations")
-    inputs = tuple(
-        _parse_entry(obj, f"input {k}", "input", _INPUTS) for k, obj in enumerate(doc["inputs"])
-    )
+    inputs = tuple([_parse_entry(obj, f"input {k}", "input", _INPUTS) for k, obj in enumerate(doc["inputs"])])
     if not isinstance(doc["elements"], list):
         raise CircuitError("elements must be a list")
     elements = tuple(
-        _parse_entry(obj, f"element {i}", "element", _ELEMENTS)
-        for i, obj in enumerate(doc["elements"])
+        [_parse_entry(obj, f"element {i}", "element", _ELEMENTS) for i, obj in enumerate(doc["elements"])]
     )
     det = doc["detect"]
     if not isinstance(det, dict):
         raise CircuitError(f"detect: expected an object, got {det!r}")
-    _require_keys(det, {"mode"}, {"theta"}, "detect")
-    return CircuitSpec(n_modes, inputs, elements, Detection(**_convert(det, "detect")))
+    _require_keys(det, _DETECT_REQUIRED, _DETECT_KEYS, "detect")
+    detect = _assemble(Detection, **_convert(det, "detect"))
+    _check_fit(n_modes, inputs, elements, detect)
+    return _assemble(CircuitSpec, n_modes=n_modes, inputs=inputs, elements=elements, detect=detect)
 
 
-def _entry_doc(entry) -> dict:
+class _Layout(NamedTuple):
+    """What ``json.dumps(doc, indent=indent)`` writes between the values of a circuit document."""
+
+    lines: tuple[str, ...]  # the start of a line at depths 0 to 4: "" without an indent
+    separator: str  # between two members or items
+    member: str  # before each member of an entry but its first, at depth 3
+    item: str  # before each item of a list in an entry but its first, at depth 4
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(indent) -> _Layout:
+    if indent is None:
+        lines, separator = ("",) * 5, ", "
+    else:
+        step = indent if isinstance(indent, str) else " " * indent
+        lines, separator = tuple("\n" + step * depth for depth in range(5)), ","
+    return _Layout(lines, separator, separator + lines[3], separator + lines[4])
+
+
+def _scalar_text(value) -> str:
+    text = _SCALAR_TEXT.get(type(value))
+    return text(value) if text is not None else json.dumps(value, allow_nan=False)
+
+
+def _entry_text(entry, layout: _Layout) -> str:
+    """The JSON text of a preparation or an element: an item of a list in the document's object."""
     kind = _KIND_OF[type(entry)]
-    doc = {"type": kind.type}
-    for name in kind.fields:
+    lines = layout.lines
+    text = "{" + lines[3] + kind.head
+    for name, key, to_doc in kind.members:
         value = getattr(entry, name)
-        doc[name] = _TO_DOC[name](value) if name in _TO_DOC else value
-    return doc
+        if to_doc is not None:
+            value = to_doc(value)
+        if type(value) is list:
+            text += layout.member + key + "[" + lines[4] + layout.item.join(map(_scalar_text, value)) + lines[3] + "]"
+        else:
+            text += layout.member + key + _scalar_text(value)
+    return text + lines[2] + "}"
+
+
+def _list_text(texts: list[str], layout: _Layout) -> str:
+    lines = layout.lines
+    return "[" + lines[2] + (layout.separator + lines[2]).join(texts) + lines[1] + "]" if texts else "[]"
 
 
 def serialize_circuit(spec: CircuitSpec, indent: int | None = 2) -> str:
-    """Serialize a circuit to its document form (defaults echoed explicitly)."""
-    doc = {
-        "schema": SCHEMA,
-        "n_modes": spec.n_modes,
-        "inputs": [_entry_doc(p) for p in spec.inputs],
-        "elements": [_entry_doc(e) for e in spec.elements],
-        "detect": {"mode": spec.detect.mode, "theta": spec.detect.theta},
-    }
-    if indent is None:
-        return json.dumps(doc)
-    return _encode(doc, sort_keys=False, indent=" " * indent if isinstance(indent, int) else indent)
+    """Serialize a circuit to its document form (defaults echoed explicitly).
+
+    The text is ``json.dumps(doc, indent=indent)`` of the document, byte
+    for byte, written an entry at a time from its kind's row.  Raises
+    ``ValueError`` for a value that is NaN or infinite.
+    """
+    layout = _layout(indent)
+    lines, separator = layout.lines, layout.separator
+    member = separator + lines[1]
+    return (
+        "{" + lines[1] + '"schema": ' + encode_basestring_ascii(SCHEMA)
+        + member + '"n_modes": ' + int.__repr__(spec.n_modes)
+        + member + '"inputs": ' + _list_text([_entry_text(p, layout) for p in spec.inputs], layout)
+        + member + '"elements": ' + _list_text([_entry_text(e, layout) for e in spec.elements], layout)
+        + member + '"detect": {' + lines[2] + '"mode": ' + int.__repr__(spec.detect.mode)
+        + separator + lines[2] + '"theta": ' + _float_text(spec.detect.theta) + lines[1] + "}"
+        + lines[0] + "}"
+    )
 
 
 def _float_text(value: float) -> str:

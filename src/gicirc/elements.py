@@ -43,6 +43,71 @@ BS_CONVENTIONS = ("second_minus", "first_plus")
 DEFAULT_BS_T = 0.5
 
 
+# Type checks of the values passed to the dataclasses below; circuit documents
+# have converters of their own in ``circuits``.
+
+
+def _finite_gain(g) -> float:
+    return _check_finite(g, "parametric gain g")
+
+
+def _check_pair(pair) -> tuple[int, int]:
+    """The two mode indices of a pair, as ints; that they differ is checked by :func:`_check_distinct`."""
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise ValueError(f"pair modes must be two mode indices, got {pair!r}") from None
+    return _check_index(a), _check_index(b)
+
+
+# Range checks of typed values.  Each element kind below names the one for
+# its fields as its ``check``, which its ``__post_init__`` runs after its type
+# checks and the circuit-document parser after the document's converters.
+
+
+def _check_gain(g: float):
+    if g < 0.0:
+        raise ValueError(f"parametric gain g must be >= 0, got {g}")
+
+
+def _check_loss(L: float):
+    if not 0.0 <= L <= 1.0:
+        raise ValueError(f"loss L must lie in [0, 1], got {L}")
+
+
+def _check_transmission(T) -> float:
+    T = float(T)
+    if not 0.0 <= T <= 1.0:
+        raise ValueError(f"beamsplitter transmission T must lie in [0, 1], got {T}")
+    return T
+
+
+def _check_distinct(modes: tuple[int, int]):
+    a, b = modes
+    if a == b:
+        raise ValueError(f"pair modes must be distinct, got ({a}, {b})")
+
+
+def _pa_check(modes, g):
+    _check_distinct(modes)
+    _check_gain(g)
+
+
+def _squeezer_check(mode, g):
+    _check_gain(g)
+
+
+def _bs_check(modes, T, convention):
+    _check_distinct(modes)
+    _check_transmission(T)
+    if convention not in BS_CONVENTIONS:
+        raise ValueError(f"unknown beamsplitter convention {convention!r}; expected one of {BS_CONVENTIONS}")
+
+
+def _loss_check(mode, L):
+    _check_loss(L)
+
+
 @dataclass(frozen=True)
 class PaGain:
     """Parametric gain parameter ``g >= 0``.
@@ -54,9 +119,8 @@ class PaGain:
     g: float
 
     def __post_init__(self):
-        g = _check_finite(self.g, "parametric gain g")
-        if g < 0.0:
-            raise ValueError(f"parametric gain g must be >= 0, got {g}")
+        g = _finite_gain(self.g)
+        _check_gain(g)
         object.__setattr__(self, "g", g)
 
     @property
@@ -72,8 +136,7 @@ class LossSpec:
 
     def __post_init__(self):
         L = float(self.L)
-        if not 0.0 <= L <= 1.0:
-            raise ValueError(f"loss L must lie in [0, 1], got {L}")
+        _check_loss(L)
         object.__setattr__(self, "L", L)
 
 
@@ -83,22 +146,6 @@ def as_gain(value) -> PaGain:
 
 def as_loss(value) -> LossSpec:
     return value if isinstance(value, LossSpec) else LossSpec(float(value))
-
-
-def _check_pair(pair) -> tuple[int, int]:
-    """Two distinct mode indices."""
-    a, b = pair
-    a, b = _check_index(a), _check_index(b)
-    if a == b:
-        raise ValueError(f"pair modes must be distinct, got ({a}, {b})")
-    return a, b
-
-
-def _check_transmission(T) -> float:
-    T = float(T)
-    if not 0.0 <= T <= 1.0:
-        raise ValueError(f"beamsplitter transmission T must lie in [0, 1], got {T}")
-    return T
 
 
 def _combine(*terms) -> np.ndarray:
@@ -191,10 +238,12 @@ class PaElement:
     g: float
     block = staticmethod(_pa_block)
     stretch = staticmethod(_stretch)
+    check = staticmethod(_pa_check)
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _check_pair(self.modes))
-        object.__setattr__(self, "g", PaGain(self.g).g)
+        modes, g = _check_pair(self.modes), _finite_gain(self.g)
+        _pa_check(modes, g)
+        self.__dict__.update(modes=modes, g=g)
 
 
 @dataclass(frozen=True)
@@ -205,10 +254,12 @@ class SqueezerElement:
     g: float
     block = staticmethod(_squeezer_block)
     stretch = staticmethod(_stretch)
+    check = staticmethod(_squeezer_check)
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", _check_index(self.mode))
-        object.__setattr__(self, "g", PaGain(self.g).g)
+        mode, g = _check_index(self.mode), _finite_gain(self.g)
+        _squeezer_check(mode, g)
+        self.__dict__.update(mode=mode, g=g)
 
 
 @dataclass(frozen=True)
@@ -219,14 +270,12 @@ class BsElement:
     T: float = DEFAULT_BS_T
     convention: str = "second_minus"
     block = staticmethod(_bs_block)
+    check = staticmethod(_bs_check)
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _check_pair(self.modes))
-        object.__setattr__(self, "T", _check_transmission(self.T))
-        if self.convention not in BS_CONVENTIONS:
-            raise ValueError(
-                f"unknown beamsplitter convention {self.convention!r}; expected one of {BS_CONVENTIONS}"
-            )
+        modes, T = _check_pair(self.modes), float(self.T)
+        _bs_check(modes, T, self.convention)
+        self.__dict__.update(modes=modes, T=T)
 
 
 @dataclass(frozen=True)
@@ -249,10 +298,12 @@ class LossElement:
     mode: int
     L: float
     block = staticmethod(_loss_block)
+    check = staticmethod(_loss_check)
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", _check_index(self.mode))
-        object.__setattr__(self, "L", LossSpec(self.L).L)
+        mode, L = _check_index(self.mode), float(self.L)
+        _loss_check(mode, L)
+        self.__dict__.update(mode=mode, L=L)
 
 
 def _modes(element) -> tuple[int, ...]:

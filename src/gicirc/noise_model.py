@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InstabilityError, NoSolutionError, PhysicalityError
 from .states import ElementMap, _check_finite
-from .elements import _check_pair, element_map, pair_coupling
+from .elements import _check_distinct, _check_pair, element_map, pair_coupling
 
 __all__ = [
     "NoisyPaParams",
@@ -40,6 +40,28 @@ __all__ = [
 ]
 
 
+def _finite_params(rho, kappa, epsilon2) -> tuple[float, float, float]:
+    return (
+        _check_finite(rho, "loss parameter rho"),
+        _check_finite(kappa, "gain parameter kappa"),
+        _check_finite(epsilon2, "auxiliary thermal variance epsilon2"),
+    )
+
+
+def _check_params(rho: float, kappa: float, epsilon2: float):
+    """The range checks of the amplifier's typed values, shared by :class:`NoisyPaParams` and :class:`NoisyPaElement`."""
+    if rho < 0.0:
+        raise ValueError(f"loss parameter rho must be >= 0, got {rho}")
+    if kappa < 0.0:
+        raise ValueError(f"gain parameter kappa must be >= 0, got {kappa}")
+    if epsilon2 < 1.0:
+        raise PhysicalityError(f"auxiliary thermal variance must be >= 1, got {epsilon2}")
+    if _stability(rho, kappa) <= 0.0:
+        raise InstabilityError(
+            f"unstable amplifier: kappa = {kappa} reaches the pole at (1 + rho)/2 = {(1 + rho) / 2}"
+        )
+
+
 @dataclass(frozen=True)
 class NoisyPaParams:
     """Loss ``rho``, gain ``kappa`` and auxiliary variance ``epsilon2``."""
@@ -49,24 +71,9 @@ class NoisyPaParams:
     epsilon2: float = 1.0
 
     def __post_init__(self):
-        rho = _check_finite(self.rho, "loss parameter rho")
-        kappa = _check_finite(self.kappa, "gain parameter kappa")
-        epsilon2 = _check_finite(self.epsilon2, "auxiliary thermal variance epsilon2")
-        if rho < 0.0:
-            raise ValueError(f"loss parameter rho must be >= 0, got {rho}")
-        if kappa < 0.0:
-            raise ValueError(f"gain parameter kappa must be >= 0, got {kappa}")
-        if epsilon2 < 1.0:
-            raise PhysicalityError(
-                f"auxiliary thermal variance must be >= 1, got {epsilon2}"
-            )
-        if _stability(rho, kappa) <= 0.0:
-            raise InstabilityError(
-                f"unstable amplifier: kappa = {kappa} reaches the pole at (1 + rho)/2 = {(1 + rho) / 2}"
-            )
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "epsilon2", epsilon2)
+        rho, kappa, epsilon2 = _finite_params(self.rho, self.kappa, self.epsilon2)
+        _check_params(rho, kappa, epsilon2)
+        self.__dict__.update(rho=rho, kappa=kappa, epsilon2=epsilon2)
 
     @property
     def stability_margin(self) -> float:
@@ -134,6 +141,11 @@ def _noisy_pa_stretch(rho, kappa, epsilon2):
     return ((1.0 - rho * rho) / 4.0 + kappa * (kappa + 1.0)) / _stability(rho, kappa)
 
 
+def _noisy_pa_check(modes, rho, kappa, epsilon2):
+    _check_distinct(modes)
+    _check_params(rho, kappa, epsilon2)
+
+
 @dataclass(frozen=True)
 class NoisyPaElement:
     """Lossy parametric amplifier with thermal auxiliaries."""
@@ -144,13 +156,13 @@ class NoisyPaElement:
     epsilon2: float
     block = staticmethod(_noisy_pa_block)
     stretch = staticmethod(_noisy_pa_stretch)
+    check = staticmethod(_noisy_pa_check)
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _check_pair(self.modes))
-        params = NoisyPaParams(self.rho, self.kappa, self.epsilon2)
-        object.__setattr__(self, "rho", params.rho)
-        object.__setattr__(self, "kappa", params.kappa)
-        object.__setattr__(self, "epsilon2", params.epsilon2)
+        modes = _check_pair(self.modes)
+        rho, kappa, epsilon2 = _finite_params(self.rho, self.kappa, self.epsilon2)
+        _noisy_pa_check(modes, rho, kappa, epsilon2)
+        self.__dict__.update(modes=modes, rho=rho, kappa=kappa, epsilon2=epsilon2)
 
 
 def noisy_pa(pair, params: NoisyPaParams, n_modes: int) -> ElementMap:

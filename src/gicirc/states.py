@@ -41,7 +41,9 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 # Each preparation gives its mode's mean pair ``mode_mean`` and its quadrature
-# ``variance`` (the same for x and p), which ``_prepare`` reads.
+# ``variance`` (the same for x and p), which ``_prepare`` reads.  One with a
+# range to check names the function as its ``check``, which ``__post_init__``
+# runs on its typed values and the circuit-document parser on a document's.
 
 
 @dataclass(frozen=True)
@@ -74,19 +76,22 @@ class Coherent:
         return 2.0 * self.alpha.real, 2.0 * self.alpha.imag
 
 
+def _thermal_check(variance: float):
+    if variance < 1.0:
+        raise PhysicalityError(f"thermal quadrature variance must be >= 1, got {variance}")
+
+
 @dataclass(frozen=True)
 class Thermal:
     """Thermal preparation with quadrature variance >= 1 (1 recovers vacuum)."""
 
     variance: float
     mode_mean = (0.0, 0.0)
+    check = staticmethod(_thermal_check)
 
     def __post_init__(self):
         variance = _check_finite(self.variance, "thermal variance")
-        if variance < 1.0:
-            raise PhysicalityError(
-                f"thermal quadrature variance must be >= 1, got {variance}"
-            )
+        _thermal_check(variance)
         object.__setattr__(self, "variance", variance)
 
 
@@ -355,7 +360,11 @@ def _check_index(value, name: str = "mode index", error: type = ModeError) -> in
 
 def _check_mode(mode: int, n_modes: int) -> int:
     """The mode index as an ``int``; :class:`ModeError` if not an integer or outside the register."""
-    mode = _check_index(mode)
+    return _check_range(_check_index(mode), n_modes)
+
+
+def _check_range(mode: int, n_modes: int) -> int:
+    """An ``int`` mode index; :class:`ModeError` if outside the register."""
     if not 0 <= mode < n_modes:
         raise ModeError(f"mode {mode} out of range for {n_modes} modes")
     return mode

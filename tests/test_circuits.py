@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -231,6 +233,13 @@ class TestBuilderParserEquivalence:
         assert state.n_modes == 2
         assert state.is_physical()
 
+    def test_detect_stats_refuses_a_state_of_another_register(self):
+        nested, _ = build_sisni(SisniParams(alpha=3.0, g1=0.5, g2=0.8))
+        mzi, _ = build_sq_mzi(SqMziParams(alpha=3.0, g=0.5))
+        with pytest.raises(ValueError, match=r"^the state has 2 modes, the circuit 3$"):
+            detect_stats(nested, simulate(mzi))
+        assert detect_stats(nested, simulate(nested)) == detect_stats(nested)
+
 
 def _document(elements, inputs=None, detect=None, n_modes=2):
     return json.dumps(
@@ -260,6 +269,7 @@ NUMERIC_FIELDS = [
     if isinstance(value, float)
 ]
 SINGLE_MODE_KINDS = [kind for kind, entry in VALID_ELEMENTS.items() if "mode" in entry]
+PAIR_KINDS = [kind for kind, entry in VALID_ELEMENTS.items() if "modes" in entry]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 LEAD = {"type": "phase", "mode": 0, "phi": 0.1}
 
@@ -276,6 +286,20 @@ class TestStrictValues:
     def test_mode_must_be_an_integer(self, kind, mode):
         entry = dict(VALID_ELEMENTS[kind], mode=mode)
         with pytest.raises(CircuitError, match="element 1: mode: expected an integer"):
+            parse_circuit(_document([LEAD, entry]))
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    @pytest.mark.parametrize("modes", [[0, 1, 1], [0], []])
+    def test_modes_must_be_two_indices(self, kind, modes):
+        entry = dict(VALID_ELEMENTS[kind], modes=modes)
+        message = f"element 1: modes: expected two mode indices, got {modes}"
+        with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+            parse_circuit(_document([LEAD, entry]))
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_pair_modes_must_be_distinct(self, kind):
+        entry = dict(VALID_ELEMENTS[kind], modes=[1, 1])
+        with pytest.raises(CircuitError, match=r"^element 1: pair modes must be distinct, got \(1, 1\)$"):
             parse_circuit(_document([LEAD, entry]))
 
     @pytest.mark.parametrize("mode", [0.0, False, "0"])
@@ -357,14 +381,81 @@ def test_random_circuits_round_trip(spec):
     assert serialize_circuit(again) == text
 
 
+# Document type of each preparation and element class.
+DOCUMENT_TYPES = {
+    Vacuum: "vacuum",
+    Coherent: "coherent",
+    Thermal: "thermal",
+    PaElement: "pa",
+    SqueezerElement: "single_mode_squeezer",
+    BsElement: "bs",
+    PhaseElement: "phase",
+    LossElement: "loss",
+    NoisyPaElement: "noisy_pa",
+}
+
+
+def _reference_entry(entry) -> dict:
+    doc = {"type": DOCUMENT_TYPES[type(entry)]}
+    for field in fields(entry):
+        value = getattr(entry, field.name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, complex):
+            value = value.real if value.imag == 0.0 else [value.real, value.imag]
+        doc[field.name] = value
+    return doc
+
+
+def _reference_doc(spec) -> dict:
+    """The document of ``spec`` as the README lays it out, built from its fields."""
+    return {
+        "schema": "gicirc/1",
+        "n_modes": spec.n_modes,
+        "inputs": [_reference_entry(p) for p in spec.inputs],
+        "elements": [_reference_entry(e) for e in spec.elements],
+        "detect": {"mode": spec.detect.mode, "theta": spec.detect.theta},
+    }
+
+
 @settings(max_examples=60, deadline=None)
-@given(random_circuits(), st.sampled_from([2, 0, 4, "\t"]))
+@given(random_circuits(), st.sampled_from([2, 0, 4, "\t", None]))
 def test_document_text_is_json_dumps(spec, indent):
-    """The indented writer gives the bytes of ``json.dumps``; ``indent=None`` is ``json.dumps``."""
-    doc = json.loads(serialize_circuit(spec, indent=None))
+    """The text is ``json.dumps`` of the document, at every indent and without one."""
+    doc = _reference_doc(spec)
     assert serialize_circuit(spec, indent=indent) == json.dumps(doc, indent=indent)
     if indent == 2:
         assert serialize_circuit(spec) == json.dumps(doc, indent=2)
+
+
+def _rebuilt(entry):
+    """``entry`` built again from its field values through its public, checked constructor."""
+    return type(entry)(**{field.name: getattr(entry, field.name) for field in fields(entry)})
+
+
+def _typed(entry) -> list:
+    """Each field's value with its type, and the types of a tuple's items."""
+    values = [getattr(entry, field.name) for field in fields(entry)]
+    return [(type(v), tuple(map(type, v)) if isinstance(v, tuple) else None, v) for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuits())
+def test_parsed_specs_equal_checked_construction(spec):
+    """A parsed document, assembled after one check of each value, is what the checked constructors build."""
+    parsed = parse_circuit(serialize_circuit(spec))
+    built = CircuitSpec(
+        spec.n_modes,
+        tuple(map(_rebuilt, spec.inputs)),
+        tuple(map(_rebuilt, spec.elements)),
+        _rebuilt(spec.detect),
+    )
+    assert parsed == built
+    for mine, theirs in zip(
+        (parsed, *parsed.inputs, *parsed.elements, parsed.detect),
+        (built, *built.inputs, *built.elements, built.detect),
+    ):
+        assert type(mine) is type(theirs) and _typed(mine) == _typed(theirs)
 
 
 class TestStrictLibraryValues:

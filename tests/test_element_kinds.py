@@ -120,6 +120,8 @@ INVALID = [
      (ValueError, "parametric gain g must be finite, got nan")),
     (lambda: parametric_amplifier((1, 1), 0.5, 2), lambda: element_map(PaElement((1, 1), 0.5), 2),
      (ValueError, "pair modes must be distinct, got (1, 1)")),
+    (lambda: parametric_amplifier(5, 0.1, 2), lambda: element_map(PaElement(5, 0.1), 2),
+     (ValueError, "pair modes must be two mode indices, got 5")),
     (lambda: parametric_amplifier((0, 2), 0.5, 2), lambda: element_map(PaElement((0, 2), 0.5), 2),
      (ModeError, "mode 2 out of range for 2 modes")),
     (lambda: single_mode_squeezer(0, -1.0, 1), lambda: element_map(SqueezerElement(0, -1.0), 1),
@@ -132,6 +134,8 @@ INVALID = [
      (ValueError, "unknown beamsplitter convention 'bogus'; expected one of ('second_minus', 'first_plus')")),
     (lambda: beamsplitter((0, 0), 0.5, 2), lambda: element_map(BsElement((0, 0), 0.5), 2),
      (ValueError, "pair modes must be distinct, got (0, 0)")),
+    (lambda: beamsplitter((0, 1, 2), 0.5, 3), lambda: element_map(BsElement((0, 1, 2)), 3),
+     (ValueError, "pair modes must be two mode indices, got (0, 1, 2)")),
     (lambda: beamsplitter((-1, 0), 0.5, 2), lambda: element_map(BsElement((-1, 0), 0.5), 2),
      (ModeError, "mode -1 out of range for 2 modes")),
     (lambda: phase_shift(0, math.inf, 1), lambda: element_map(PhaseElement(0, math.inf), 1),
@@ -145,6 +149,9 @@ INVALID = [
     (lambda: noisy_pa((1, 1), NoisyPaParams(0.1, 0.2), 2),
      lambda: element_map(NoisyPaElement((1, 1), 0.1, 0.2, 1.0), 2),
      (ValueError, "pair modes must be distinct, got (1, 1)")),
+    (lambda: noisy_pa((0,), NoisyPaParams(0.1, 0.2), 2),
+     lambda: element_map(NoisyPaElement((0,), 0.1, 0.2, 1.0), 2),
+     (ValueError, "pair modes must be two mode indices, got (0,)")),
     (lambda: noisy_pa((0, 4), NoisyPaParams(0.1, 0.2), 3),
      lambda: element_map(NoisyPaElement((0, 4), 0.1, 0.2, 1.0), 3),
      (ModeError, "mode 4 out of range for 3 modes")),

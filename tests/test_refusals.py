@@ -71,6 +71,33 @@ class TestDocumentRefusals:
             parse_circuit("[]")
 
 
+PHASE = {"type": "phase", "mode": 0, "phi": 0.1}
+MODE_5 = {"type": "phase", "mode": 5, "phi": 0.1}
+LOSS_1_5 = {"type": "loss", "mode": 0, "L": 1.5}
+ONE_INPUT = [{"type": "vacuum"}]
+
+
+class TestFirstRefusal:
+    """Of several faults in a 2-mode document, the one reported: every entry's own values
+    first, in document order, then the input count, the elements' modes and the detect mode."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"elements": [PHASE, MODE_5, PHASE, LOSS_1_5]}, "element 3: loss L must lie in [0, 1], got 1.5"),
+            ({"inputs": ONE_INPUT, "elements": [PHASE, PHASE, PHASE, LOSS_1_5]},
+             "element 3: loss L must lie in [0, 1], got 1.5"),
+            ({"elements": [PHASE, PHASE, PHASE, LOSS_1_5], "detect": {"mode": 7}},
+             "element 3: loss L must lie in [0, 1], got 1.5"),
+            ({"inputs": ONE_INPUT, "elements": [MODE_5], "detect": {"mode": 7}}, "expected 2 input preparations, got 1"),
+            ({"elements": [MODE_5], "detect": {"mode": 7}}, "element 0: mode 5 out of range for 2 modes"),
+        ],
+    )
+    def test_first_refusal(self, fields, message):
+        with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+            parse_circuit(_document(**fields))
+
+
 class TestCircuitSpecRefusals:
     @pytest.mark.parametrize(
         "fields, message",
