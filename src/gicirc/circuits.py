@@ -20,7 +20,10 @@ Propagation is block-local and factored: the state is one array
 ``[A | mean]`` with leading grid axes, whose covariance is
 ``A diag(w) A^T`` (see :func:`_propagate`), and each element moves only the
 rows of its own modes, so one pass can run a whole grid of variants of the
-same circuit.
+same circuit.  The means of variants that differ only in one lossless
+element's values (a phase excursion) need no grid: they are more mean
+columns of the same state, which that element's shifted blocks move apart
+and every other element carries along in the product it makes anyway.
 """
 
 from __future__ import annotations
@@ -247,7 +250,9 @@ class CircuitSpec:
         self.__dict__.update(n_modes=n_modes, inputs=inputs, elements=elements)
 
 
-def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _propagate(
+    spec: CircuitSpec, vary: dict | None = None, shift: tuple[int, dict] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Output means ``(*grid, 2n)`` and covariances ``(*grid, 2n, 2n)`` of a grid of circuits.
 
     ``vary`` maps an element index to ``{field: array}``; the arrays of all
@@ -258,28 +263,45 @@ def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray,
     once.  The values are not validated; callers pass only values that
     their element's dataclass would accept.
 
+    ``shift`` is ``(index, {field: values})`` with ``1 + k`` values a
+    field, which set element ``index``'s fields as ``vary`` would: the
+    first in the circuit, each other in a circuit of its own that differs
+    only there.  The means are then ``(*grid, 1 + k, 2n)``, one for each
+    value, and the covariance is the first circuit's alone.  The other
+    means are ``k`` more mean columns of the one state, so no element
+    widens the grid for them.  Element ``index`` must update by its block
+    product, add no noise and take no ``vary`` fields (as a phase does):
+    its blocks at the ``1 + k`` values, stacked, move its rows in one
+    matrix product, which gives each mean the bits of a grid pass over
+    those values.
+
     The state is one array ``[A | mean]`` of shape ``(*grid, 2n, m + 1)``
-    with the mean as its last column, and the covariance is
-    ``A diag(w) A^T``.  ``A`` starts as the identity on the ``2n`` input
-    columns, weighted by the preparation variances ``w``; each noisy
-    element owns the next 2 (a loss) or 4 (a noisy amplifier) columns,
+    (``m + 1 + k`` with a shift) with the mean as its column ``m``, and the
+    covariance is ``A diag(w) A^T``.  ``A`` starts as the identity on the
+    ``2n`` input columns, weighted by the preparation variances ``w``; each
+    noisy element owns the next 2 (a loss) or 4 (a noisy amplifier) columns,
     weighted by 1, where it writes its noise factor.  Each element's
     ``update`` changes only its own modes' rows ``state[..., idx, :]``
-    (which moves the mean too), and the covariance is formed and
-    symmetrized once, at the end, so every variance is a sum of
+    (which moves the means too), and the covariance is formed from ``A``'s
+    columns and symmetrized once, at the end, so every variance is a sum of
     non-negative terms.  Raises :class:`InstabilityError` naming the
     element, or the covariance, where the state leaves the float range.
     """
     vary = vary or {}
+    at, shifted = shift if shift is not None else (None, {})
+    shifts = np.broadcast(*shifted.values()).size - 1 if shifted else 0
     steps = [(_KIND_OF[type(el)], _block_index(_modes(el))) for el in spec.elements]
     col = 2 * spec.n_modes
     noise = sum(size for kind, (_, size) in steps if kind.noisy)
-    state, weights = _prepare(spec.n_modes, spec.inputs, noise)
+    state, weights = _prepare(spec.n_modes, spec.inputs, noise, shifts)
     state = state[None]
     with np.errstate(over="raise", invalid="raise"):
         try:
             for i, (el, (kind, (rows, size))) in enumerate(zip(spec.elements, steps)):
                 values = {n: getattr(el, n) for n in kind.params}
+                if i == at:
+                    _shift(state, rows, kind.block, values, shifted)
+                    continue
                 if i in vary:
                     values |= vary[i]
                     grid = np.broadcast(state[..., 0, 0], *vary[i].values()).shape
@@ -291,12 +313,28 @@ def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray,
         except FloatingPointError:
             raise InstabilityError(f"engine: the state overflows at element {i} ({kind.type})") from None
         try:
-            factor = state[..., :-1]
+            factor = state[..., :col]
             cov = (factor * weights) @ factor.swapaxes(-1, -2)
             cov = 0.5 * (cov + cov.swapaxes(-1, -2))
         except FloatingPointError:
             raise InstabilityError("engine: the output covariance overflows") from None
-    return state[..., -1], cov
+    return (state[..., col:].swapaxes(-1, -2) if shifts else state[..., col]), cov
+
+
+def _shift(state: np.ndarray, rows, block: Callable, values: dict, shifted: dict):
+    """Apply a lossless element's blocks at ``values | shifted`` to ``state`` in place, one block a mean column.
+
+    The ``1 + k`` blocks are stacked into one matrix, which moves the
+    element's rows in one product; the rows of the first block go back
+    whole, and those of each other block only into its own mean column,
+    one of the last ``k``.
+    """
+    blocks, _ = block(**values | shifted)
+    size, k = blocks.shape[-1], len(blocks) - 1
+    product = blocks.reshape(-1, size) @ state[..., rows, :]
+    state[..., rows, :] = product[..., :size, :]
+    for j in range(1, k + 1):
+        state[..., rows, j - k - 1] = product[..., j * size : (j + 1) * size, j - k - 1]
 
 
 def _amplification(spec: CircuitSpec, vary: dict | None = None):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import loss_plane, slope_vs_theta, to_db, wigner_panel
-from .circuits import _dump, detect_stats, parse_circuit, simulate
+from .circuits import _dump, detect_stats, parse_circuit, serialize_circuit, simulate
 from .elements import gain_from_qng
 from .errors import GicircError
 from .interferometers import (
@@ -160,10 +160,11 @@ def _echo(args) -> dict:
     }
 
 
-def _result_doc(args, outputs: dict) -> dict:
+def _result_doc(args, outputs: dict, hashed: dict | None = None) -> dict:
+    """The result document; ``hashed`` replaces echoed parameters in the hash only."""
     command, parameters = args.command, _echo(args)
     canonical = json.dumps(
-        {"command": command, "parameters": parameters},
+        {"command": command, "parameters": parameters | (hashed or {})},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -206,11 +207,12 @@ def _write_table(header, table: np.ndarray, write):
         write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _write(args, outputs: dict, header, rows) -> int:
+def _write(args, outputs: dict, header, rows, hashed: dict | None = None) -> int:
     """Write the result document (JSON) or its table (CSV); non-finite numbers fail.
 
     ``rows`` is any iterable of table rows, or a function that returns them
-    as a float array; JSON output never reads or calls it.  A
+    as a float array; JSON output never reads or calls it.  ``hashed``
+    gives values that the parameter hash takes in place of echoed ones.  A
     file gets the text as it is encoded, so the whole of it (18 MB for the
     README's Wigner panels) is never held in memory, and a failed encoding
     removes the partial file.  Standard output gets the text once it is
@@ -223,7 +225,7 @@ def _write(args, outputs: dict, header, rows) -> int:
     def emit(fh):
         try:
             if fmt == "json":
-                _dump(_result_doc(args, outputs), fh.write)
+                _dump(_result_doc(args, outputs, hashed), fh.write)
                 fh.write("\n")
             elif callable(rows):
                 _write_table(header, rows(), fh.write)
@@ -306,7 +308,8 @@ def _cmd_simulate(args) -> int:
     outputs = {"method": "engine", "stats": record}
     if args.full_state:
         outputs["state"] = {"mean": state.mean, "cov": state.cov}
-    return _write(args, outputs, *_one_row(record))
+    # The hash is the document's, not its path's: the path is echoed, the circuit hashed.
+    return _write(args, outputs, *_one_row(record), {"circuit": serialize_circuit(spec, indent=None)})
 
 
 def _cmd_sweep(args) -> int:

@@ -500,7 +500,8 @@ def _build(params: TopologyParams, *noisy: NoisyPaParams | None) -> tuple[_Topol
 
 class _Excursion(NamedTuple):
     """A circuit's means at its signal phase ``phi0 +/- dphi`` (``(..., 2, 2n)``, ``+`` first) and
-    covariance at ``phi0``, rows leading, and its amplification for :func:`_precise`.
+    covariance at ``phi0`` (``(..., 2n, 2n)``), rows leading, and its amplification for
+    :func:`_precise`, a float or an array over the rows.
     """
 
     spec: CircuitSpec
@@ -513,17 +514,23 @@ def _phase_excursion(topo: _Topology, spec: CircuitSpec, dphi: float, vary: dict
     """A topology's circuit (see :func:`_build`) at its signal phase ``phi0`` and ``phi0 +/- dphi``, in one pass.
 
     ``vary`` maps element indices to ``{field: value}`` rows, floats or
-    arrays that broadcast together (no rows without it); the phase axis
-    trails them, so the elements before the signal phase run once per row.
+    arrays that broadcast together (no rows without it; floats alone make
+    one row).  The state holds one circuit per row: the means at
+    ``phi0 +/- dphi`` are two more mean columns of it, which the signal
+    phase's blocks move apart (see :func:`~gicirc.circuits._propagate`'s
+    ``shift``), so every element runs once per row and the covariance is
+    formed once, at ``phi0``.
     """
     dphi = float(dphi)
     if dphi == 0.0 or not math.isfinite(dphi):
         raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
-    grid = {i: {k: np.asarray(v)[..., None] for k, v in row.items()} for i, row in (vary or {}).items()}
+    vary = vary or {}
     phi0 = spec.elements[topo.phase].phi
-    grid[topo.phase] = {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}
-    mean, cov = _propagate(spec, grid)
-    return _Excursion(spec, mean[..., 1:, :], cov[..., 0, :, :], _amplification(spec, grid))
+    means, cov = _propagate(spec, vary, (topo.phase, {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}))
+    shifted = means[..., 1:, :]
+    if not vary:  # the pass's grid of one circuit is no row
+        shifted, cov = shifted[0], cov[0]
+    return _Excursion(spec, shifted, cov, _amplification(spec, vary))
 
 
 def _readout(excursion: _Excursion, mode: int, smallest: float = 0.0):

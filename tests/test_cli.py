@@ -369,6 +369,32 @@ class TestParameterEcho:
         full = self.hash_of(capsys, "simulate", "--circuit", str(path), "--full-state")
         assert plain != full
 
+    LOSSY = (
+        '{"schema":"gicirc/1","n_modes":1,"inputs":[{"type":"thermal","variance":2.0}],'
+        '"elements":[{"type":"loss","mode":0,"L":%s}],"detect":{"mode":0}}'
+    )
+
+    def test_simulate_hash_covers_the_document_not_its_path(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        hashes, echoed = [], []
+        for loss in ("0.15", "0.3"):
+            path.write_text(self.LOSSY % loss)
+            doc = run_json(capsys, "simulate", "--circuit", str(path))
+            hashes.append(doc["provenance"]["parameter_hash"])
+            echoed.append(doc["command"]["parameters"]["circuit"])
+        assert hashes[0] != hashes[1]
+        assert echoed == [str(path)] * 2
+
+    def test_simulate_hash_is_the_same_from_a_file_and_from_stdin(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(self.LOSSY % "0.15")
+        from_file = run_json(capsys, "simulate", "--circuit", str(path))
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.LOSSY % "0.15"))
+        from_stdin = run_json(capsys, "simulate", "--circuit", "-")
+        assert from_file["provenance"] == from_stdin["provenance"]
+        assert from_file["outputs"] == from_stdin["outputs"]
+        assert from_stdin["command"]["parameters"]["circuit"] == "-"
+
     def test_every_option_is_echoed(self, capsys):
         doc = run_json(capsys, "slope", "--topology", "mzi", "--thetas", "0:1:2")
         params = doc["command"]["parameters"]

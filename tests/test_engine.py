@@ -45,7 +45,8 @@ from gicirc.circuits import (
     _propagate,
     element_map,
 )
-from gicirc.noise_fit import _nested, _sisni_snr
+from gicirc.interferometers import _TOPOLOGIES, _phase_excursion
+from gicirc.noise_fit import _UNSET, _nested, _sisni_snr
 from gicirc.noise_model import _kappa, _solve_kappa
 
 PAPER_LOSSES = (0.16, 0.10, 0.15)
@@ -272,6 +273,94 @@ class TestEngineReportExcursion:
             variance = detect_stats(spec, reference_state(spec)[0]).variance
             assert report.var_X2 == pytest.approx(variance, rel=1e-13)
             assert report.mean_X2 == pytest.approx(0.5 * (means[0] - means[1]), rel=1e-9, abs=1e-15)
+
+
+def _three_phase_grid(topo, spec, dphi, vary=None):
+    """The grid pass of the phases ``phi0`` and ``phi0 +/- dphi`` trailing the rows: ``shifted`` and ``cov`` at ``phi0``."""
+    grid = {i: {name: np.asarray(v)[..., None] for name, v in row.items()} for i, row in (vary or {}).items()}
+    phi0 = spec.elements[topo.phase].phi
+    mean, cov = _propagate(spec, grid | {topo.phase: {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}})
+    return mean[..., 1:, :], cov[..., 0, :, :]
+
+
+def _random_params(rng, cls):
+    """Random parameters of a topology, its set point (``T``, the phases) off the closed-form point."""
+    g1, g2 = rng.uniform(0.0, 2.0, 2)
+    l_is, l_ii, l_e = rng.uniform(0.0, 0.9, 3)
+    alpha, T = rng.uniform(1.0, 10.0), rng.uniform(0.05, 0.95)
+    phi, pump = rng.uniform(0.0, 2.0 * math.pi, 2)
+    if cls is SqMziParams:
+        return SqMziParams(alpha, g=g1, L_i=l_is, L_e=l_e, phi=phi, T=T)
+    return SisniParams(alpha, g1=g1, g2=g2, L_is=l_is, L_ii=l_ii, L_e=l_e, phi_signal=phi, phi_pump=pump, T=T)
+
+
+def _noisy_rows(rng, rows):
+    """``vary`` setting both amplifiers of the nested circuit to random lossy-amplifier rows."""
+    return {
+        i: {
+            "rho": rng.uniform(0.0, 0.01, rows),
+            "kappa": rng.uniform(0.0, 0.45, rows),
+            "epsilon2": rng.uniform(1.0, 300.0, rows),
+        }
+        for i in _TOPOLOGIES[SisniParams].amplifiers
+    }
+
+
+class TestPhaseExcursion:
+    """The excursion's shifted means are two more mean columns of one state, with the three-phase grid's bits."""
+
+    @pytest.mark.parametrize("cls", [SqMziParams, SisniParams])
+    def test_equals_the_three_phase_grid(self, rng, cls):
+        topo = _TOPOLOGIES[cls]
+        for _ in range(40):
+            params = _random_params(rng, cls)
+            spec, _ = topo.build(params)
+            dphi = float(rng.choice([1e-4, 1e-3, 0.3]))
+            excursion = _phase_excursion(topo, spec, dphi)
+            shifted, cov = _three_phase_grid(topo, spec, dphi)
+            assert excursion.shifted.shape == (2, 2 * spec.n_modes)
+            assert np.array_equal(excursion.shifted, shifted)
+            assert np.array_equal(excursion.cov, cov)
+
+    def test_noisy_amplifier_rows_equal_the_three_phase_grid(self, rng):
+        topo = _TOPOLOGIES[SisniParams]
+        for rows in (1, 2, 7):
+            spec, _ = topo.build(_random_params(rng, SisniParams), _UNSET, _UNSET)
+            vary = _noisy_rows(rng, rows)
+            excursion = _phase_excursion(topo, spec, 1e-3, vary)
+            shifted, cov = _three_phase_grid(topo, spec, 1e-3, vary)
+            assert excursion.shifted.shape == (rows, 2, 6) and excursion.cov.shape == (rows, 6, 6)
+            assert np.array_equal(excursion.shifted, shifted)
+            assert np.array_equal(excursion.cov, cov)
+
+    def test_elements_after_the_signal_phase_run_once_per_row(self, rng, monkeypatch):
+        """The downstream amplifier and the external losses move ``(B,)`` states, and no state widens at the phase."""
+        seen, widened = [], []
+        for cls in (NoisyPaElement, LossElement):
+            kind = circuits._KIND_OF[cls]
+
+            def spy(state, rows, cols, block, values, _update=kind.update, _type=kind.type):
+                seen.append((_type, state.shape[:-2], {name: np.shape(v) for name, v in values.items()}))
+                return _update(state, rows, cols, block, values)
+
+            monkeypatch.setitem(circuits._KIND_OF, cls, kind._replace(update=spy))
+
+        def widen(state, shape, _widen=circuits._widen):
+            widened.append(shape[:-2])
+            return _widen(state, shape)
+
+        monkeypatch.setattr(circuits, "_widen", widen)
+        topo = _TOPOLOGIES[SisniParams]
+        spec, _ = topo.build(SisniParams(alpha=6.0, L_is=0.16, L_ii=0.1, L_e=0.15), _UNSET, _UNSET)
+        _phase_excursion(topo, spec, 1e-3, _noisy_rows(rng, 5))
+        assert widened == [(5,)]  # at the upstream amplifier, the first varied element
+        downstream = [entry for entry in seen if entry[0] == "noisy_pa"][1]
+        assert downstream == ("noisy_pa", (5,), dict.fromkeys(("rho", "kappa", "epsilon2"), (5,)))
+        assert [grid for _, grid, _ in seen[-2:]] == [(5,), (5,)]  # the external losses
+        seen.clear()
+        spec, _ = topo.build(SisniParams(alpha=6.0, g1=0.5, g2=0.8, L_e=0.2))
+        _phase_excursion(topo, spec, 1e-3)  # no rows: one circuit throughout
+        assert widened == [(5,)] and [grid for _, grid, _ in seen] == [(1,), (1,), (1,), (1,), (1,)]
 
 
 class TestBatchedNoiseModel:
