@@ -24,6 +24,12 @@ same circuit.  The means of variants that differ only in one lossless
 element's values (a phase excursion) need no grid: they are more mean
 columns of the same state, which that element's shifted blocks move apart
 and every other element carries along in the product it makes anyway.
+
+A readout of one detected quadrature over many rows that vary only a few
+elements can run backward instead (:class:`_Adjoint`): the detected row
+walks the circuit from the detector to the inputs, and the runs of
+elements no row varies are folded into one row map and one noise factor
+each, once per circuit.
 """
 
 from __future__ import annotations
@@ -337,6 +343,115 @@ def _shift(state: np.ndarray, rows, block: Callable, values: dict, shifted: dict
         state[..., rows, j - k - 1] = product[..., j * size : (j + 1) * size, j - k - 1]
 
 
+class _Adjoint:
+    """A circuit's detected quadrature read backward: its means at a shifted element's values, and its variance.
+
+    Compiled once for the elements ``varied`` names and a ``shift`` as
+    :func:`_propagate` takes it (``(index, {field: 1 + k values})``, an
+    element of neither kind).  The readout ``r·x`` of the detected
+    quadrature ``X(theta)`` has the row ``r`` (``theta`` reduced as
+    :func:`~gicirc.states._quadrature` reduces it); walking the elements
+    from last to first, each maps it as ``r[idx] <- r[idx]·S``, so the
+    output mean is ``r·mean_in`` and, the noise entering on the way as
+    ``sqrt(w) P`` factors, the variance is ``Σ w_in r²`` at the inputs plus
+    ``w Σ (r[idx]·P)²`` at each noisy element, read with the row at its
+    output: a sum of non-negative terms.  The walk carries one row until it
+    meets the shifted element, whose ``1 + k`` blocks make it ``1 + k``
+    rows, one per shift value; the variance reads the first.  This is
+    reverse mode (Griewank & Walther, *Evaluating Derivatives*, 2008) over
+    the forward pass of :func:`_propagate`.
+
+    Each maximal run of elements that ``varied`` does not name is folded
+    here into a row map (``(2n, 2n)``, or ``(2n, (1 + k) 2n)``, the ``1 + k``
+    maps side by side, where the run holds the shifted element) and a noise
+    factor ``F``, whose noise adds ``Σ (r·F)²``; the run after the last
+    varied element is applied to the detected row here too.  So
+    :meth:`run` makes per varied element its block and two products, per
+    folded run two, and neither the compile nor a pass depends on the
+    number of rows.  The values are not validated, as in :func:`_propagate`.
+    """
+
+    def __init__(self, spec: CircuitSpec, varied, shift: tuple[int, dict]):
+        at, shifted = shift
+        dim = 2 * spec.n_modes
+        reduced = math.remainder(spec.detect.theta, 2.0 * math.pi)
+        detected = np.zeros((1, dim))
+        detected[0, _quadrature_indices((spec.detect.mode,))] = math.cos(reduced), math.sin(reduced)
+        state, self.weights = _prepare(spec.n_modes, spec.inputs)
+        self.mean = state[:, -1]
+        self.rows, self.var = detected, np.float64(0.0)
+        self.steps = []  # from the last element to the first: (index, kind, idx, values) or (maps, factor)
+        run = []  # the unvaried elements met since the last varied one, last first
+        for i in reversed(range(len(spec.elements))):
+            el = spec.elements[i]
+            if i not in varied:
+                run.append(i)
+                continue
+            self._fold(spec, run, at, shifted)
+            kind = _KIND_OF[type(el)]
+            self.steps.append((i, kind, _block_index(_modes(el))[0], {n: getattr(el, n) for n in kind.params}))
+            run = []
+        self._fold(spec, run, at, shifted)
+
+    def _fold(self, spec: CircuitSpec, run: list, at: int, shifted: dict):
+        """Fold the elements ``run`` (last first) into one row map and one noise factor, and add them as a step.
+
+        Before the first varied element the step is applied to the rows at once.
+        """
+        if not run:
+            return
+        dim = 2 * spec.n_modes
+        count = np.broadcast(*shifted.values()).size if at in run else 1
+        maps = np.tile(np.eye(dim), (count, 1, 1))
+        factors = []
+        for i in run:
+            el = spec.elements[i]
+            kind = _KIND_OF[type(el)]
+            idx = _block_index(_modes(el))[0]
+            linear, noise = kind.block(**{n: getattr(el, n) for n in kind.params} | (shifted if i == at else {}))
+            if noise is not None:  # read with the variance row at the element's output
+                weight, pattern = noise
+                factors.append(maps[0][:, idx] @ (math.sqrt(weight) * pattern))
+            maps[..., idx] = maps[..., idx] @ linear
+        step = maps.transpose(1, 0, 2).reshape(dim, count * dim), np.concatenate(factors, axis=1) if factors else None
+        if self.steps:
+            self.steps.append(step)
+        else:
+            self.rows, self.var = self._map(self.rows, self.var, *step)
+
+    @staticmethod
+    def _map(rows: np.ndarray, var, maps: np.ndarray, factor: np.ndarray | None):
+        """A folded run on ``rows``: its noise read with the first row, then its map(s)."""
+        if factor is not None:
+            first = rows[..., 0, :] @ factor
+            var = var + (first * first).sum(axis=-1)
+        dim, width = maps.shape
+        return (rows @ maps).reshape(rows.shape[:-2] + (rows.shape[-2] * width // dim, dim)), var
+
+    def run(self, vary: dict) -> tuple[np.ndarray, np.ndarray]:
+        """The detected means ``(*rows, 1 + k)`` at the shift's values and the variance ``(*rows)`` at its first.
+
+        ``vary`` maps each varied element's index to ``{field: array}`` as in
+        :func:`_propagate`, floats or arrays that broadcast to the rows.
+        """
+        rows, var = self.rows, self.var
+        for step in self.steps:
+            if len(step) == 2:
+                rows, var = self._map(rows, var, *step)
+                continue
+            i, kind, idx, values = step
+            linear, noise = kind.block(**values | vary[i])
+            if noise is not None:
+                weight, pattern = noise
+                first = rows[..., :1, idx] @ pattern
+                var = var + weight * (first * first).sum(axis=-1)[..., 0]
+            moved = rows[..., idx] @ linear
+            rows = _widen(rows, moved.shape[:-1] + rows.shape[-1:])
+            rows[..., idx] = moved
+        first = rows[..., 0, :]
+        return rows @ self.mean, var + (first * first * self.weights).sum(axis=-1)
+
+
 def _amplification(spec: CircuitSpec, vary: dict | None = None):
     """The product of ``G + g`` over the circuit's amplifiers and squeezers, on ``vary``'s grid (see :func:`_propagate`)."""
     vary = vary or {}
@@ -631,7 +746,7 @@ def _float_list(values, separator: str) -> str | None:
 _BLOCK_MIN = 1000
 
 
-def _float_array(array: np.ndarray, write: Callable, indent: str, newline: str):
+def _float_array(array: np.ndarray, write: Callable, newline: str):
     """Write a float64 array of two or more axes through :mod:`._shortest`, its last axis as the rows.
 
     One kernel call checks every value before any of the array is written,
@@ -640,28 +755,31 @@ def _float_array(array: np.ndarray, write: Callable, indent: str, newline: str):
     """
     from . import _shortest  # on first use: a command that writes no block never loads it
 
-    texts = _shortest.joined(array, "," + newline + indent * array.ndim)
-    _write_rows(texts, array.shape[:-1], write, indent, newline)
+    texts = _shortest.joined(array, "," + newline + _INDENT * array.ndim)
+    _write_rows(texts, array.shape[:-1], write, newline)
 
 
-def _write_rows(texts, shape: tuple, write: Callable, indent: str, newline: str):
-    inner = newline + indent
+def _write_rows(texts, shape: tuple, write: Callable, newline: str):
+    inner = newline + _INDENT
     if len(shape) == 1:
         separator = "[" + inner + "["
         for text in islice(texts, shape[0]):
-            write(separator + inner + indent + text + inner + "]")
+            write(separator + inner + _INDENT + text + inner + "]")
             separator = "," + inner + "["
     else:
         separator = "[" + inner
         for _ in range(shape[0]):
             write(separator)
-            _write_rows(texts, shape[1:], write, indent, inner)
+            _write_rows(texts, shape[1:], write, inner)
             separator = "," + inner
     write(newline + "]")
 
 
-def _encode(obj, sort_keys: bool = True, indent: str = "  ") -> str:
-    """``json.dumps(obj, indent=indent, sort_keys=sort_keys, allow_nan=False)``, byte for byte.
+_INDENT = "  "  # one level of the result documents' indent
+
+
+def _encode(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
 
     With ``indent`` set, the standard library encodes in pure Python, one
     type check and one chunk per element.  Here scalars of a type ``json``
@@ -669,46 +787,46 @@ def _encode(obj, sort_keys: bool = True, indent: str = "  ") -> str:
     ``join`` of ``float.__repr__`` (what ``json`` writes for a float or a
     float subclass), a float64 numpy array as the lists of its ``tolist()``
     and, from ``_BLOCK_MIN`` values on, with two or more axes, through the
-    vectorized kernel of :mod:`._shortest` (the same text), dicts (in
-    insertion order or sorted) and other lists recurse, and every other value goes through
+    vectorized kernel of :mod:`._shortest` (the same text), dicts (keys
+    sorted) and other lists recurse, and every other value goes through
     ``json.dumps``; the chunks are joined once.  Keys must be strings.  NaN
     or infinity raises ``ValueError``, an unsupported type or a key that is
     not a string ``TypeError``.
     """
     chunks = []
-    _dump(obj, chunks.append, sort_keys, indent)
+    _dump(obj, chunks.append)
     return "".join(chunks)
 
 
-def _dump(obj, write: Callable, sort_keys: bool = True, indent: str = "  "):
+def _dump(obj, write: Callable):
     """Pass :func:`_encode`'s text of ``obj`` to ``write`` chunk by chunk, never whole.
 
     A file written this way holds the same bytes, without the whole text
     in memory at once.  Raises as :func:`_encode` does, with the chunks
     before the offending value already written.
     """
-    _write_json(obj, write, sort_keys, indent, "\n")
+    _write_json(obj, write, "\n")
 
 
-def _write_json(obj, write: Callable, sort_keys: bool, indent: str, newline: str):
+def _write_json(obj, write: Callable, newline: str):
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
         write(text(obj))
         return
-    inner = newline + indent
+    inner = newline + _INDENT
     if isinstance(obj, dict):
         if not obj:
             write("{}")
             return
         separator = "{" + inner
-        for key in sorted(obj) if sort_keys else obj:
+        for key in sorted(obj):
             value = obj[key]
             text = _SCALAR_TEXT.get(type(value))
             if text is not None:
                 write(separator + encode_basestring_ascii(key) + ": " + text(value))
             else:
                 write(separator + encode_basestring_ascii(key) + ": ")
-                _write_json(value, write, sort_keys, indent, inner)
+                _write_json(value, write, inner)
             separator = "," + inner
         write(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -723,13 +841,13 @@ def _write_json(obj, write: Callable, sort_keys: bool, indent: str, newline: str
         separator = "[" + inner
         for item in obj:
             write(separator)
-            _write_json(item, write, sort_keys, indent, inner)
+            _write_json(item, write, inner)
             separator = "," + inner
         write(newline + "]")
     elif type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim:
         if obj.ndim == 1 or obj.size < _BLOCK_MIN:
-            _write_json(obj.tolist(), write, sort_keys, indent, newline)
+            _write_json(obj.tolist(), write, newline)
         else:
-            _float_array(obj, write, indent, newline)
+            _float_array(obj, write, newline)
     else:
         write(json.dumps(obj, allow_nan=False))

@@ -355,7 +355,11 @@ def _precise(amplification):
     Call it after the pass and the arithmetic that reads the state, so an
     overflow there is still reported as one.
     """
-    bound = _EPSILON * (amplification.max() if isinstance(amplification, np.ndarray) else amplification)
+    if isinstance(amplification, np.ndarray):
+        if not amplification.size:  # no rows: nothing to refuse
+            return
+        amplification = amplification.max()
+    bound = _EPSILON * amplification
     if bound > _PRECISION:
         raise _Cause(f"the precision bound eps * prod(G + g) = {bound:.2g} exceeds {_PRECISION:g}")
 
@@ -510,6 +514,15 @@ class _Excursion(NamedTuple):
     amplification: float | np.ndarray
 
 
+def _excursion_shift(topo: _Topology, spec: CircuitSpec, dphi: float) -> tuple[int, dict]:
+    """The ``shift`` (see :func:`~gicirc.circuits._propagate`) of a topology's signal phase to ``phi0, phi0 +/- dphi``."""
+    dphi = float(dphi)
+    if dphi == 0.0 or not math.isfinite(dphi):
+        raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
+    phi0 = spec.elements[topo.phase].phi
+    return topo.phase, {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}
+
+
 def _phase_excursion(topo: _Topology, spec: CircuitSpec, dphi: float, vary: dict | None = None) -> _Excursion:
     """A topology's circuit (see :func:`_build`) at its signal phase ``phi0`` and ``phi0 +/- dphi``, in one pass.
 
@@ -521,12 +534,8 @@ def _phase_excursion(topo: _Topology, spec: CircuitSpec, dphi: float, vary: dict
     ``shift``), so every element runs once per row and the covariance is
     formed once, at ``phi0``.
     """
-    dphi = float(dphi)
-    if dphi == 0.0 or not math.isfinite(dphi):
-        raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
     vary = vary or {}
-    phi0 = spec.elements[topo.phase].phi
-    means, cov = _propagate(spec, vary, (topo.phase, {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}))
+    means, cov = _propagate(spec, vary, _excursion_shift(topo, spec, dphi))
     shifted = means[..., 1:, :]
     if not vary:  # the pass's grid of one circuit is no row
         shifted, cov = shifted[0], cov[0]
@@ -534,17 +543,22 @@ def _phase_excursion(topo: _Topology, spec: CircuitSpec, dphi: float, vary: dict
 
 
 def _readout(excursion: _Excursion, mode: int, smallest: float = 0.0):
-    """Mean signal (half the ``+/- dphi`` difference), set-point variance and SNR per row.
-
-    Gains past :func:`_precise`'s bound are refused once the detected
-    quadratures are formed, before their values are judged; then a zero
-    signal is degenerate, and an SNR not above ``smallest`` (by default 0)
-    is an underflow.
-    """
+    """Mean signal (half the ``+/- dphi`` difference), set-point variance and SNR per row, by :func:`_judge`."""
     theta = excursion.spec.detect.theta
     shifted, variance = _quadrature(excursion.shifted, excursion.cov, mode, theta)
-    _precise(excursion.amplification)
-    signal, var = 0.5 * (shifted[..., 0] - shifted[..., 1]), _positive(variance)
+    return _judge(shifted[..., 0], shifted[..., 1], variance, excursion.amplification, smallest)
+
+
+def _judge(plus, minus, variance, amplification, smallest: float = 0.0):
+    """Mean signal, variance and SNR per row from the detected means at ``+/- dphi`` and the set-point variance.
+
+    ``amplification`` is the circuit's, for :func:`_precise`.  Gains past
+    its bound are refused first, before the values are judged; then a
+    variance not above 0 is a cancellation, a zero signal is degenerate,
+    and an SNR not above ``smallest`` (by default 0) is an underflow.
+    """
+    _precise(amplification)
+    signal, var = 0.5 * (plus - minus), _positive(variance)
     snr = signal * signal / var
     _require_signal(signal)
     if not (snr > smallest).all():

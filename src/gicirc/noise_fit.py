@@ -3,8 +3,13 @@
 The model ties the lossy-amplifier parameters ``(rho, epsilon2)`` of each
 amplifier to observable quantum noise gains: for a target QNG the gain
 ``kappa`` is recovered by inversion, the nested interferometer is run with
-both lossy amplifiers through the covariance engine, and its SNR is divided
-by the equal-loss ``g = 0`` MZI SNR at the same input power.  Fitting
+both lossy amplifiers, and its SNR is divided by the equal-loss ``g = 0``
+MZI SNR at the same input power.  The nested circuit is built and its
+readout compiled once per curve or fit: the detected quadrature's row is
+propagated backward, and the runs of elements between and after the two
+amplifiers, the same in every row, are folded into one row map and one
+noise factor each (see :class:`~gicirc.circuits._Adjoint`), so a pass
+applies only the amplifiers' blocks per row.  Fitting
 minimizes squared dB residuals of that advantage with a derivative-free
 simplex search restarted from seeded random points (the inner QNG inversion
 makes the objective non-smooth at the no-solution boundary, so gradient
@@ -23,17 +28,21 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InstabilityError, NoSolutionError
+from .circuits import _Adjoint, _amplification
 from .interferometers import (
     SisniParams,
     _amplitude,
     _build,
+    _excursion_shift,
     _guard,
+    _judge,
     _phase_excursion,
     _readout,
     _require_bright,
@@ -84,10 +93,13 @@ class FitResult:
 
 
 def _nested(losses, alpha2: float, dphi: float):
-    """Check the fixed inputs, run the SQL baseline and build the nested circuit, once per call.
+    """Check the fixed inputs, run the SQL baseline and compile the nested circuit's readout, once per call.
 
-    Returns the baseline's SNR and ``(topo, spec, dphi, inputs)``: each row of :func:`_sisni_snr`
-    sets the circuit's placeholder amplifier fields, and a refusal names ``inputs``.
+    Returns the baseline's SNR and ``(topo, spec, adjoint, inputs)``: the
+    nested circuit with placeholder amplifier fields, its backward readout
+    (a :class:`~gicirc.circuits._Adjoint` over the two amplifiers and the
+    signal phase's excursion), which each row of :func:`_nested_snr` runs
+    with its own amplifier fields, and ``inputs``, which a refusal names.
     """
     l_is, l_ii, l_e = losses
     params = SisniParams(alpha=_amplitude(alpha2), L_is=l_is, L_ii=l_ii, L_e=l_e)
@@ -96,7 +108,8 @@ def _nested(losses, alpha2: float, dphi: float):
     with _guard("SQL baseline", inputs):
         excursion = _phase_excursion(*_build(sql_baseline(params)), dphi)
         base = _readout(excursion, excursion.spec.detect.mode, _TINY)[2]
-    return base, (*_build(params, _UNSET, _UNSET), float(dphi), inputs)
+    topo, spec = _build(params, _UNSET, _UNSET)
+    return base, (topo, spec, _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, dphi)), inputs)
 
 
 def _sisni_snr(qng1_db, qng2_db, nested, noise1, noise2) -> np.ndarray:
@@ -112,16 +125,20 @@ def _sisni_snr(qng1_db, qng2_db, nested, noise1, noise2) -> np.ndarray:
 
 
 def _nested_snr(nested, amps) -> np.ndarray:
-    """SNR of the circuit from :func:`_nested` with its amplifiers set to ``amps``, in one engine pass.
+    """SNR of the circuit from :func:`_nested` with its amplifiers set to ``amps``, in one backward pass.
 
     ``amps`` holds ``(rho, kappa, epsilon2)`` for each amplifier, floats or
     arrays that broadcast to the rows.  Each row sets both amplifiers'
-    fields in the circuit through ``vary``; refusals name the inputs.
+    fields; the compiled readout carries the detected row back through
+    them and the folded runs between them, and the readout is judged as
+    the forward one is (see :func:`~gicirc.interferometers._judge`), with
+    refusals that name the inputs.
     """
-    topo, spec, dphi, inputs = nested
+    topo, spec, adjoint, inputs = nested
     vary = {i: {"rho": rho, "kappa": kappa, "epsilon2": eps2} for i, (rho, kappa, eps2) in zip(topo.amplifiers, amps)}
     with _guard("noise model", inputs):
-        return _readout(_phase_excursion(topo, spec, dphi, vary), spec.detect.mode, _TINY)[2]
+        means, var = adjoint.run(vary)
+        return _judge(means[..., 1], means[..., 2], var, _amplification(spec, vary), _TINY)[2]
 
 
 def advantage_vs_qng(
@@ -137,8 +154,10 @@ def advantage_vs_qng(
     """SNR advantage (dB) over the equal-loss MZI versus downstream QNG.
 
     Args:
-        qng1_db: upstream amplifier quantum noise gain (dB).
-        qng2_grid: downstream QNG values (dB) to sweep.
+        qng1_db: upstream amplifier quantum noise gain (dB), a real number
+            (a bool, an array or a string raises ``ValueError``).
+        qng2_grid: downstream QNG values (dB) to sweep, an array of any
+            shape (an empty one gives an empty curve).
         losses: ``(L_is, L_ii, L_e)`` intensity losses.
         noise1, noise2: ``(rho, epsilon2)`` per amplifier.
         alpha2: bright-port photon number (the advantage is independent of
@@ -146,12 +165,15 @@ def advantage_vs_qng(
         dphi: phase excursion for the engine finite difference.
 
     Returns:
-        Advantage in dB at each grid point (positive = better than the MZI).
+        Advantage in dB at each grid point (positive = better than the MZI),
+        in the grid's shape.
     """
+    if isinstance(qng1_db, bool) or not isinstance(qng1_db, numbers.Real):
+        raise ValueError(f"upstream quantum noise gain qng1_db must be a real number, got {qng1_db!r}")
     grid = np.asarray(qng2_grid, dtype=float)
     base, nested = _nested(losses, alpha2, dphi)
     pa1, pa2 = (NoisyPaParams(rho, 0.0, eps2) for rho, eps2 in (noise1, noise2))
-    snr = _sisni_snr(qng1_db, grid, nested, (pa1.rho, pa1.epsilon2), (pa2.rho, pa2.epsilon2))
+    snr = _sisni_snr(float(qng1_db), grid, nested, (pa1.rho, pa1.epsilon2), (pa2.rho, pa2.epsilon2))
     return (10.0 * np.log10(snr / base)).reshape(grid.shape)
 
 

@@ -262,15 +262,17 @@ def _solve_kappa(qng_db, rho, epsilon2):
         raise ValueError(f"quantum noise gain must be finite, got {bad}")
     if (qng_db < 0.0).any():
         raise ValueError(f"quantum noise gain must be >= 0 dB, got {qng_db.min()}")
-    floor = _floor(rho, epsilon2)
-    a = (1.0 - rho * rho) / 4.0
-    b = (1.0 + rho) * (1.0 + rho) / 4.0
-    thermal = epsilon2 * rho
-    # B^2 - 4AC expanded to Q P + R with P, R > 0: the Q^2 terms cancel
-    # exactly, so large targets keep their precision.
-    p = 4.0 * b * (2.0 * a + 1.0 + 2.0 * thermal + b) + 4.0 * a * a
-    r = (1.0 + thermal) * (1.0 + thermal + 4.0 * a) - 4.0 * thermal * b
+    # A row whose terms leave the float range gets a NaN or infinite term,
+    # which marks it unreachable or at the pole below.
     with np.errstate(all="ignore"):
+        floor = _floor(rho, epsilon2)
+        a = (1.0 - rho * rho) / 4.0
+        b = (1.0 + rho) * (1.0 + rho) / 4.0
+        thermal = epsilon2 * rho
+        # B^2 - 4AC expanded to Q P + R with P, R > 0: the Q^2 terms cancel
+        # exactly, so large targets keep their precision.
+        p = 4.0 * b * (2.0 * a + 1.0 + 2.0 * thermal + b) + 4.0 * a * a
+        r = (1.0 + thermal) * (1.0 + thermal + 4.0 * a) - 4.0 * thermal * b
         target = 10.0 ** (qng_db / 10.0)
         c = target * b * b - a * a - thermal * b
         minus_b = 2.0 * target * b + 2.0 * a + 1.0 + thermal

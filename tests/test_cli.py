@@ -602,7 +602,6 @@ class TestFloatBlocks:
     def test_matches_json_dumps(self, kind):
         tree = {"outputs": {"values": _BLOCKS[kind](np.random.default_rng(7)), "n": 3}}
         assert _encode(tree) == _reference(tree)
-        assert _encode(tree, sort_keys=False, indent="\t") == json.dumps(tree, indent="\t")
 
     @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
     @given(
@@ -669,7 +668,6 @@ class TestFloatArrays:
         tree = {"outputs": {"values": array, "n": 3}}
         lists = {"outputs": {"values": array.tolist(), "n": 3}}
         assert_same_text(_encode(tree), _reference(lists))
-        assert_same_text(_encode(tree, sort_keys=False, indent="\t"), json.dumps(lists, indent="\t"))
         assert_same_text(_encode(array), _reference(array.tolist()))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -42,12 +42,14 @@ from gicirc.circuits import (
     PaElement,
     PhaseElement,
     SqueezerElement,
+    _Adjoint,
     _propagate,
     element_map,
 )
-from gicirc.interferometers import _TOPOLOGIES, _phase_excursion
-from gicirc.noise_fit import _UNSET, _nested, _sisni_snr
-from gicirc.noise_model import _kappa, _solve_kappa
+from gicirc.interferometers import _TOPOLOGIES, _excursion_shift, _phase_excursion
+from gicirc.noise_fit import _UNSET, _nested, _nested_snr, _sisni_snr
+from gicirc.noise_model import _floor, _kappa, _solve_kappa
+from gicirc.states import _quadrature
 
 PAPER_LOSSES = (0.16, 0.10, 0.15)
 
@@ -361,6 +363,73 @@ class TestPhaseExcursion:
         spec, _ = topo.build(SisniParams(alpha=6.0, g1=0.5, g2=0.8, L_e=0.2))
         _phase_excursion(topo, spec, 1e-3)  # no rows: one circuit throughout
         assert widened == [(5,)] and [grid for _, grid, _ in seen] == [(1,), (1,), (1,), (1,), (1,)]
+
+
+@st.composite
+def nested_rows(draw):
+    """The nested circuit at random losses, ``T`` and phases, and ``vary`` rows of both lossy amplifiers.
+
+    Its signal and idler inputs are thermal and its local-oscillator angle
+    random, and each row's ``kappa`` is ``_solve_kappa``'s for a QNG up to
+    15 dB above the amplifier's ``kappa = 0`` floor.
+    """
+    losses = [draw(_finite(0.0, 0.9)) for _ in range(3)]
+    T, phi, pump = draw(_finite(0.05, 0.95)), draw(_finite(0.0, 2.0 * math.pi)), draw(_finite(0.0, 2.0 * math.pi))
+    params = SisniParams(6.0, L_is=losses[0], L_ii=losses[1], L_e=losses[2], phi_signal=phi, phi_pump=pump, T=T)
+    topo = _TOPOLOGIES[SisniParams]
+    spec, _ = topo.build(params, _UNSET, _UNSET)
+    inputs = (Thermal(draw(_finite(1.0, 4.0))), Thermal(draw(_finite(1.0, 4.0))), spec.inputs[2])
+    spec = dataclasses.replace(spec, inputs=inputs, detect=Detection(0, draw(_finite(-10.0, 10.0))))
+    rows = draw(st.integers(1, 6))
+    vary = {}
+    for i in topo.amplifiers:
+        rho = np.array([draw(_finite(0.0, 0.1)) for _ in range(rows)])
+        eps2 = np.array([draw(_finite(1.0, 1e4)) for _ in range(rows)])
+        qng = 10.0 * np.log10(_floor(rho, eps2)) + np.array([draw(_finite(0.01, 15.0)) for _ in range(rows)])
+        kappa, unreachable, at_pole = _solve_kappa(qng, rho, eps2)
+        assert not (unreachable | at_pole).any()
+        vary[i] = {"rho": rho, "kappa": kappa, "epsilon2": eps2}
+    return topo, spec, vary
+
+
+class TestBackwardReadout:
+    """The detected row propagated backward, with the unvaried runs folded, reads what the forward excursion reads."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nested_rows(), st.sampled_from([1e-4, 1e-3, 0.3]))
+    def test_equals_the_forward_excursion(self, case, dphi):
+        topo, spec, vary = case
+        means, var = _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, dphi)).run(vary)
+        excursion = _phase_excursion(topo, spec, dphi, vary)
+        shifted, variance = _quadrature(excursion.shifted, excursion.cov, spec.detect.mode, spec.detect.theta)
+        assert means.shape == shifted.shape[:-1] + (3,) and var.shape == variance.shape
+        # Off the dark fringe the signal is a small difference of large
+        # means: both passes round it on the scale of the means.
+        scale = np.abs(shifted).max(axis=-1)
+        signal = 0.5 * (means[..., 1] - means[..., 2])
+        assert (np.abs(signal - 0.5 * (shifted[..., 0] - shifted[..., 1])) <= 1e-13 * scale).all()
+        assert (np.abs(means[..., 1:] - shifted) <= 1e-13 * scale[..., None]).all()
+        assert (np.abs(var - variance) <= 1e-13 * variance).all()
+
+    def test_a_row_has_the_same_bits_in_any_pass(self, rng):
+        """Floats, a 6-row pass and a 48-row pass give a row the same means, variance and SNR."""
+        topo = _TOPOLOGIES[SisniParams]
+        nested = _nested(PAPER_LOSSES, 36.0, 1e-3)[1]
+        spec, _ = topo.build(_random_params(rng, SisniParams), _UNSET, _UNSET)
+        off_point = _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, 1e-3))
+        wide = _noisy_rows(rng, 48)
+        amps = [tuple(wide[i][name] for name in ("rho", "kappa", "epsilon2")) for i in topo.amplifiers]
+        for adjoint in (nested[2], off_point):
+            passes = [adjoint.run({i: {n: v[:rows] for n, v in row.items()} for i, row in wide.items()}) for rows in (6, 48)]
+            for row in range(6):
+                floats = adjoint.run({i: {n: float(v[row]) for n, v in fields.items()} for i, fields in wide.items()})
+                assert floats[0].shape == (3,) and floats[1].shape == ()
+                for means, var in passes:
+                    assert np.array_equal(floats[0], means[row]) and np.array_equal(floats[1], var[row])
+        snr = [_nested_snr(nested, [tuple(v[:rows] for v in amp) for amp in amps]) for rows in (6, 48)]
+        for row in range(6):
+            single = _nested_snr(nested, [tuple(float(v[row]) for v in amp) for amp in amps])
+            assert single == snr[0][row] == snr[1][row]
 
 
 class TestBatchedNoiseModel:

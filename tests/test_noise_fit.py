@@ -56,6 +56,22 @@ class TestAdvantageVsQng:
         high = advantage_vs_qng(8.0, grid, PAPER_LOSSES, (5e-4, 2.0), (4e-4, 208.0))
         assert np.all(high < low)
 
+    @pytest.mark.parametrize("grid", [[], np.zeros((0, 3))])
+    def test_empty_grid_gives_an_empty_curve(self, grid):
+        curve = advantage_vs_qng(4.0, grid, PAPER_LOSSES, (5e-4, 2.0), (4e-4, 208.0))
+        assert curve.shape == np.shape(grid) and curve.dtype == np.float64
+
+    @pytest.mark.parametrize("qng1", [np.zeros((2, 1)), [4.0, 5.0, 6.0], True, np.True_, "4", None, 4.0j])
+    def test_qng1_that_is_not_a_real_number_is_refused(self, qng1):
+        message = r"^upstream quantum noise gain qng1_db must be a real number, got "
+        with pytest.raises(ValueError, match=message):
+            advantage_vs_qng(qng1, [2.0, 7.0], PAPER_LOSSES, (5e-4, 2.0), (4e-4, 208.0))
+
+    @pytest.mark.parametrize("qng1", [4, np.float64(4.0), np.int64(4), np.float32(4.0)])
+    def test_real_numbers_give_the_float_curve(self, qng1):
+        curve = advantage_vs_qng(qng1, [2.0, 7.0], PAPER_LOSSES, (5e-4, 2.0), (4e-4, 208.0))
+        assert np.array_equal(curve, advantage_vs_qng(4.0, [2.0, 7.0], PAPER_LOSSES, (5e-4, 2.0), (4e-4, 208.0)))
+
 
 class TestLoadFitData:
     def test_reads_with_and_without_sigma(self):

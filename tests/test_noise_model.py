@@ -20,7 +20,7 @@ from gicirc import (
     quadrature_stats,
     quantum_noise_gain,
 )
-from gicirc.noise_model import _noisy_pa_stretch
+from gicirc.noise_model import _noisy_pa_stretch, _solve_kappa
 from conftest import random_physical_state
 
 
@@ -220,6 +220,14 @@ class TestKappaClosedForm:
         if floor_db > 0.01:
             with pytest.raises(NoSolutionError, match="unreachable"):
                 kappa_from_qng(floor_db - 0.01, rho, eps2)
+
+    @pytest.mark.parametrize("rho", [1e150, 1e300])
+    def test_rows_past_the_float_range_are_refused_without_a_warning(self, rho):
+        # Array rows, as a fit's search box up to rho = 1e150 makes them;
+        # under the suite's -W error a numpy overflow warning would raise.
+        kappa, unreachable, at_pole = _solve_kappa(np.array([6.0, 6.0]), np.array([1e-3, rho]), 2.0)
+        assert (unreachable | at_pole).tolist() == [False, True]
+        assert kappa[0] == kappa_from_qng(6.0, 1e-3, 2.0)
 
     def test_negative_qng_rejected(self):
         with pytest.raises(ValueError, match=">= 0 dB"):
