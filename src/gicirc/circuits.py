@@ -366,9 +366,10 @@ class _Adjoint:
     maps side by side, where the run holds the shifted element) and a noise
     factor ``F``, whose noise adds ``Σ (r·F)²``; the run after the last
     varied element is applied to the detected row here too.  So
-    :meth:`run` makes per varied element its block and two products, per
-    folded run two, and neither the compile nor a pass depends on the
-    number of rows.  The values are not validated, as in :func:`_propagate`.
+    :meth:`run` takes the varied elements' blocks, made by the caller, and
+    makes two products per varied element and two per folded run; neither
+    the compile nor a pass depends on the number of rows.  The values are
+    not validated, as in :func:`_propagate`.
     """
 
     def __init__(self, spec: CircuitSpec, varied, shift: tuple[int, dict]):
@@ -380,16 +381,14 @@ class _Adjoint:
         state, self.weights = _prepare(spec.n_modes, spec.inputs)
         self.mean = state[:, -1]
         self.rows, self.var = detected, np.float64(0.0)
-        self.steps = []  # from the last element to the first: (index, kind, idx, values) or (maps, factor)
+        self.steps = []  # from the last element to the first: (index, idx) or (None, (maps, factor))
         run = []  # the unvaried elements met since the last varied one, last first
         for i in reversed(range(len(spec.elements))):
-            el = spec.elements[i]
             if i not in varied:
                 run.append(i)
                 continue
             self._fold(spec, run, at, shifted)
-            kind = _KIND_OF[type(el)]
-            self.steps.append((i, kind, _block_index(_modes(el))[0], {n: getattr(el, n) for n in kind.params}))
+            self.steps.append((i, _block_index(_modes(spec.elements[i]))[0]))
             run = []
         self._fold(spec, run, at, shifted)
 
@@ -415,7 +414,7 @@ class _Adjoint:
             maps[..., idx] = maps[..., idx] @ linear
         step = maps.transpose(1, 0, 2).reshape(dim, count * dim), np.concatenate(factors, axis=1) if factors else None
         if self.steps:
-            self.steps.append(step)
+            self.steps.append((None, step))
         else:
             self.rows, self.var = self._map(self.rows, self.var, *step)
 
@@ -428,26 +427,26 @@ class _Adjoint:
         dim, width = maps.shape
         return (rows @ maps).reshape(rows.shape[:-2] + (rows.shape[-2] * width // dim, dim)), var
 
-    def run(self, vary: dict) -> tuple[np.ndarray, np.ndarray]:
+    def run(self, blocks: dict) -> tuple[np.ndarray, np.ndarray]:
         """The detected means ``(*rows, 1 + k)`` at the shift's values and the variance ``(*rows)`` at its first.
 
-        ``vary`` maps each varied element's index to ``{field: array}`` as in
-        :func:`_propagate`, floats or arrays that broadcast to the rows.
+        ``blocks`` maps each varied element's index to its block ``(S, noise)``
+        as its kind's ``block`` gives it, a stack whose leading shape
+        broadcasts to the rows.
         """
         rows, var = self.rows, self.var
-        for step in self.steps:
-            if len(step) == 2:
+        for i, step in self.steps:
+            if i is None:
                 rows, var = self._map(rows, var, *step)
                 continue
-            i, kind, idx, values = step
-            linear, noise = kind.block(**values | vary[i])
+            linear, noise = blocks[i]
             if noise is not None:
                 weight, pattern = noise
-                first = rows[..., :1, idx] @ pattern
+                first = rows[..., :1, step] @ pattern
                 var = var + weight * (first * first).sum(axis=-1)[..., 0]
-            moved = rows[..., idx] @ linear
+            moved = rows[..., step] @ linear
             rows = _widen(rows, moved.shape[:-1] + rows.shape[-1:])
-            rows[..., idx] = moved
+            rows[..., step] = moved
         first = rows[..., 0, :]
         return rows @ self.mean, var + (first * first * self.weights).sum(axis=-1)
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InstabilityError, NoSolutionError
-from .circuits import _Adjoint, _amplification
+from .circuits import _Adjoint
 from .interferometers import (
     SisniParams,
     _amplitude,
@@ -48,7 +48,7 @@ from .interferometers import (
     _require_bright,
     sql_baseline,
 )
-from .noise_model import NoisyPaParams, _kappa, _solve_kappa
+from .noise_model import NoisyPaParams, _check_qng, _pa_blocks, _refuse, _solve_kappa, _stretch
 
 __all__ = [
     "FitResult",
@@ -115,30 +115,46 @@ def _nested(losses, alpha2: float, dphi: float):
 def _sisni_snr(qng1_db, qng2_db, nested, noise1, noise2) -> np.ndarray:
     """Nested-interferometer SNR with both lossy amplifiers, per ``(qng1, qng2)`` row.
 
-    ``qng1_db`` and ``qng2_db`` are scalars or arrays that broadcast to the
-    rows, and ``noise1``, ``noise2`` valid ``(rho, epsilon2)`` floats.
-    Raises :class:`NoSolutionError`/:class:`InstabilityError` when some
-    row's QNG is out of reach; see :func:`_nested_snr` for the pass.
+    ``qng1_db`` and ``qng2_db`` are checked targets (see
+    :func:`~gicirc.noise_model._check_qng`), scalars or arrays that
+    broadcast to the rows, and ``noise1``, ``noise2`` valid
+    ``(rho, epsilon2)`` floats.  Raises
+    :class:`NoSolutionError`/:class:`InstabilityError` when some row's QNG
+    is out of reach, the upstream amplifier's rows first; see
+    :func:`_nested_snr` for the pass.
     """
-    amps = [(rho, _kappa(qng, rho, eps2), eps2) for qng, (rho, eps2) in zip((qng1_db, qng2_db), (noise1, noise2))]
-    return _nested_snr(nested, amps)
+    qngs = np.stack(np.broadcast_arrays(qng1_db, qng2_db))
+    rho, eps2 = (np.array(values).reshape((2,) + (1,) * (qngs.ndim - 1)) for values in zip(noise1, noise2))
+    solution = _solve_kappa(qngs, rho, eps2)
+    for amp, noise in enumerate((noise1, noise2)):
+        _refuse(qngs[amp], *noise, *(mask[amp] for mask in solution[1:4]))
+    return _nested_snr(nested, rho, eps2, solution.kappa, solution.stability, solution.coupling)
 
 
-def _nested_snr(nested, amps) -> np.ndarray:
-    """SNR of the circuit from :func:`_nested` with its amplifiers set to ``amps``, in one backward pass.
+def _nested_snr(nested, rho, epsilon2, kappa, stability, coupling) -> np.ndarray:
+    """SNR of the circuit from :func:`_nested` with its amplifiers set to solved rows, in one backward pass.
 
-    ``amps`` holds ``(rho, kappa, epsilon2)`` for each amplifier, floats or
-    arrays that broadcast to the rows.  Each row sets both amplifiers'
-    fields; the compiled readout carries the detected row back through
-    them and the folded runs between them, and the readout is judged as
-    the forward one is (see :func:`~gicirc.interferometers._judge`), with
-    refusals that name the inputs.
+    Each argument holds both amplifiers' values on its first axis, the
+    upstream one first, and broadcasts to the rows on the others: ``rho``
+    and ``epsilon2``, and the ``kappa``, stability ``M`` and four coupling
+    factors that :func:`~gicirc.noise_model._solve_kappa` formed at them
+    (refused rows left out).  Both amplifiers' blocks come from the
+    coupling factors in one :func:`~gicirc.noise_model._pa_blocks`, and
+    their ``G_bar + g_bar`` from ``M``: the precision bound's product over
+    the circuit's amplifiers, which are these two.  So the pass forms no
+    term of the amplifiers again.  The compiled readout carries the
+    detected row back through the blocks and the folded runs between them,
+    and the readout is judged as the forward one is (see
+    :func:`~gicirc.interferometers._judge`), with refusals that name the
+    inputs.
     """
-    topo, spec, adjoint, inputs = nested
-    vary = {i: {"rho": rho, "kappa": kappa, "epsilon2": eps2} for i, (rho, kappa, eps2) in zip(topo.amplifiers, amps)}
+    topo, _, adjoint, inputs = nested
     with _guard("noise model", inputs):
-        means, var = adjoint.run(vary)
-        return _judge(means[..., 1], means[..., 2], var, _amplification(spec, vary), _TINY)[2]
+        linear, auxiliary = _pa_blocks(coupling)
+        blocks = {i: (linear[amp], (epsilon2[amp], auxiliary[amp])) for amp, i in enumerate(topo.amplifiers)}
+        means, var = adjoint.run(blocks)
+        stretch = _stretch(rho, kappa, stability)
+        return _judge(means[..., 1], means[..., 2], var, stretch[0] * stretch[1], _TINY)[2]
 
 
 def advantage_vs_qng(
@@ -173,7 +189,8 @@ def advantage_vs_qng(
     grid = np.asarray(qng2_grid, dtype=float)
     base, nested = _nested(losses, alpha2, dphi)
     pa1, pa2 = (NoisyPaParams(rho, 0.0, eps2) for rho, eps2 in (noise1, noise2))
-    snr = _sisni_snr(float(qng1_db), grid, nested, (pa1.rho, pa1.epsilon2), (pa2.rho, pa2.epsilon2))
+    qng1_db, grid = _check_qng(qng1_db), _check_qng(grid)
+    snr = _sisni_snr(qng1_db, grid, nested, (pa1.rho, pa1.epsilon2), (pa2.rho, pa2.epsilon2))
     return (10.0 * np.log10(snr / base)).reshape(grid.shape)
 
 
@@ -249,10 +266,11 @@ class _Objective:
     def __init__(self, rows, losses, alpha2: float, dphi: float):
         self.base, self.nested = _nested(losses, alpha2, dphi)
         self.qng1, self.qng2, self.measured, self.sigma = np.array(rows).T
-        # Per point, a batch holds the rows of amplifier 1, then those of amplifier 2.
-        self.qngs = np.concatenate([self.qng1, self.qng2])
         for qng in (self.qng1, self.qng2):  # refuse bad QNG data as a first evaluation would
-            _solve_kappa(qng, 0.0, 1.0)
+            _check_qng(qng)
+        # A batch's rows, (amplifier, point, data row), broadcast from these
+        # targets and each point's (amplifier, point, 1) noise parameters.
+        self.qngs = np.stack([self.qng1, self.qng2])[:, None, :]
 
     def snr(self, z) -> np.ndarray:
         """The nested SNR of each data row at ``z``; raises where :func:`_sisni_snr` does."""
@@ -274,21 +292,22 @@ class _Objective:
         without the engine; a pass that the engine refuses as a whole is
         run again point by point.
         """
-        k, n = len(points), len(self.qng1)
-        noise = np.array([_noise(z) for z in points])
-        rho, eps2 = np.repeat(noise[:, :2], n), np.repeat(noise[:, 2:], n)
-        kappa, unreachable, at_pole = _solve_kappa(np.tile(self.qngs, k), rho, eps2)
-        feasible = ~(unreachable | at_pole).reshape(k, 2 * n).any(axis=1)
-        values = [_INFEASIBLE] * k
+        noise = np.array([_noise(z) for z in points]).T[:, :, None]
+        rho, eps2 = noise[:2], noise[2:]
+        solution = _solve_kappa(self.qngs, rho, eps2)
+        feasible = ~(solution.unreachable | solution.at_pole | solution.overflow).any(axis=(0, 2))
+        values = [_INFEASIBLE] * len(points)
         if not feasible.any():
             return values
-        fields = np.stack([rho, kappa, eps2])[:, np.repeat(feasible, 2 * n)].reshape(3, -1, 2, n)
+        fields = [rho, eps2, solution.kappa, solution.stability, *solution.coupling]
+        if not feasible.all():
+            fields = [v[:, feasible] for v in fields]
         try:
-            snr = _nested_snr(self.nested, [fields[:, :, i].reshape(3, -1) for i in (0, 1)])
+            snr = _nested_snr(self.nested, *fields[:4], fields[4:])
         except (NoSolutionError, InstabilityError):
             scores = [self(z) for z in points[feasible]]
         else:
-            r = (10.0 * np.log10(snr.reshape(-1, n) / self.base) - self.measured) / self.sigma
+            r = (10.0 * np.log10(snr / self.base) - self.measured) / self.sigma
             scores = [sum(row) for row in (r * r).tolist()]
         for i, score in zip(np.flatnonzero(feasible), scores):
             values[i] = score
@@ -464,7 +483,7 @@ def fit_noise_model(
         losses: fixed ``(L_is, L_ii, L_e)``.
         bounds: ``((rho_lo, rho_hi), (eps2_lo, eps2_hi))`` box, shared by
             both amplifiers.
-        seed: RNG seed for the restart points.
+        seed: RNG seed for the restart points, a non-negative integer.
         restarts: number of random starts.
         max_evals: objective-evaluation budget per start (the polish stage
             gets twice this).
@@ -478,6 +497,8 @@ def fit_noise_model(
     for name, value in (("restarts", restarts), ("max_evals", max_evals)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     w_lo, w_hi, v_lo, v_hi = np.log10([max(rho_lo, _RHO_FLOOR), rho_hi, eps_lo, eps_hi])
     lo = np.array([w_lo, w_lo, v_lo, v_lo])
     hi = np.array([w_hi, w_hi, v_hi, v_hi])

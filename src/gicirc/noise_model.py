@@ -22,6 +22,7 @@ an affine Gaussian channel whose added noise grows with both ``rho`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,9 +106,8 @@ class CouplingFactors:
         )
 
 
-def _coupling(rho, kappa):
-    """``(G_bar, g_bar, G_bar_prime, g_bar_prime)``; arrays broadcast."""
-    m = _stability(rho, kappa)
+def _coupling(rho, kappa, m):
+    """``(G_bar, g_bar, G_bar_prime, g_bar_prime)`` at the stability ``m = _stability(rho, kappa)``; arrays broadcast."""
     sqrt_rho = np.sqrt(rho)
     return (
         ((1.0 - rho * rho) / 4.0 + kappa * kappa) / m,
@@ -119,7 +119,17 @@ def _coupling(rho, kappa):
 
 def coupling_factors(params: NoisyPaParams) -> CouplingFactors:
     """Evaluate the four coupling factors for given ``(rho, kappa)``."""
-    return CouplingFactors(*map(float, _coupling(params.rho, params.kappa)))
+    return CouplingFactors(*map(float, _coupling(params.rho, params.kappa, params.stability_margin)))
+
+
+def _pa_blocks(coupling):
+    """The couplings ``S`` with ``(G_bar, g_bar)`` and ``S'`` with ``(G_bar_prime, g_bar_prime)``, in one :func:`pair_coupling`.
+
+    ``coupling`` is :func:`_coupling`'s four factors, floats or arrays of
+    one shape, whose shape leads each block's.
+    """
+    G, g, Gp, gp = coupling
+    return pair_coupling(np.array([G, Gp]), np.array([g, gp]))
 
 
 def _noisy_pa_block(rho, kappa, epsilon2):
@@ -129,8 +139,13 @@ def _noisy_pa_block(rho, kappa, epsilon2):
     added noise is ``epsilon2 * S' S'^T`` for the auxiliary coupling ``S'``
     with ``(G_bar_prime, g_bar_prime)``.
     """
-    G, g, Gp, gp = _coupling(rho, kappa)
-    return pair_coupling(G, g), (epsilon2, pair_coupling(Gp, gp))
+    linear, auxiliary = _pa_blocks(_coupling(rho, kappa, _stability(rho, kappa)))
+    return linear, (epsilon2, auxiliary)
+
+
+def _stretch(rho, kappa, m):
+    """``G_bar + g_bar`` at the stability ``m = _stability(rho, kappa)``; arrays broadcast."""
+    return ((1.0 - rho * rho) / 4.0 + kappa * (kappa + 1.0)) / m
 
 
 def _noisy_pa_stretch(rho, kappa, epsilon2):
@@ -138,7 +153,7 @@ def _noisy_pa_stretch(rho, kappa, epsilon2):
 
     Takes the block's fields; ``epsilon2`` does not enter.
     """
-    return ((1.0 - rho * rho) / 4.0 + kappa * (kappa + 1.0)) / _stability(rho, kappa)
+    return _stretch(rho, kappa, _stability(rho, kappa))
 
 
 def _noisy_pa_check(modes, rho, kappa, epsilon2):
@@ -183,12 +198,12 @@ def quantum_noise_gain(params: NoisyPaParams) -> float:
     Equals ``G_bar^2 + g_bar^2 + epsilon2 (G_bar_prime^2 + g_bar_prime^2)``
     and increases strictly with ``kappa``.
     """
-    return float(_noise_gain(params.rho, params.kappa, params.epsilon2))
+    return float(_noise_gain(_coupling(params.rho, params.kappa, params.stability_margin), params.epsilon2))
 
 
-def _noise_gain(rho, kappa, epsilon2):
-    """:func:`quantum_noise_gain` of raw field values; arrays broadcast."""
-    G, g, Gp, gp = _coupling(rho, kappa)
+def _noise_gain(coupling, epsilon2):
+    """:func:`quantum_noise_gain` from :func:`_coupling`'s factors; arrays broadcast."""
+    G, g, Gp, gp = coupling
     return G * G + g * g + epsilon2 * (Gp * Gp + gp * gp)
 
 
@@ -204,24 +219,51 @@ def kappa_from_qng(qng_db: float, rho: float, epsilon2: float) -> float:
     than a relative ``1e-9`` raises :class:`InstabilityError`, as does a
     ``kappa`` within a relative ``1e-13`` of the pole.  For ``rho = 0.01``,
     ``epsilon2 = 2`` the round trip holds to ``2e-12`` at 80 dB and fails
-    from about 150 dB.
+    from about 150 dB.  Parameters whose terms in the quadratic leave the
+    float range (``rho = 1e300``) raise :class:`InstabilityError` naming them.
     """
     params = NoisyPaParams(rho, 0.0, epsilon2)
-    return float(_kappa(qng_db, params.rho, params.epsilon2)[0])
+    return float(_kappa(_check_qng(qng_db), params.rho, params.epsilon2)[0])
 
 
 _ROUND_TRIP = 1e-9  # relative miss of a target QNG that _kappa accepts
 
 
+def _check_qng(qng_db) -> np.ndarray:
+    """Target QNGs in dB (a scalar or an array) as a float array, refusing a value that is not finite or below 0 dB."""
+    qng_db = np.asarray(qng_db, dtype=float)
+    if not np.isfinite(qng_db).all():
+        bad = qng_db[~np.isfinite(qng_db)][0]
+        raise ValueError(f"quantum noise gain must be finite, got {bad}")
+    if (qng_db < 0.0).any():
+        raise ValueError(f"quantum noise gain must be >= 0 dB, got {qng_db.min()}")
+    return qng_db
+
+
 def _kappa(qng_db, rho: float, epsilon2: float) -> np.ndarray:
     """``kappa`` for each target QNG in dB (a scalar or an array), as an array.
 
-    ``rho`` and ``epsilon2`` must already be valid amplifier parameters (see
+    The targets and ``rho`` and ``epsilon2`` must already be checked (see
     :func:`kappa_from_qng`, which also states the round-trip tolerance).
-    Raises where some row's target is out of reach (see :func:`_solve_kappa`).
+    Raises where some row's target is out of reach (see :func:`_refuse`).
     """
-    kappa, unreachable, at_pole = _solve_kappa(qng_db, rho, epsilon2)
-    qng_db = np.atleast_1d(np.asarray(qng_db, dtype=float))
+    solution = _solve_kappa(qng_db, rho, epsilon2)
+    _refuse(qng_db, rho, epsilon2, *solution[1:4])
+    return solution.kappa
+
+
+def _refuse(qng_db, rho: float, epsilon2: float, unreachable, at_pole, overflow):
+    """Raise for the first refused row of one amplifier's :func:`_solve_kappa` masks, if any.
+
+    A row whose terms overflow is refused first, since its other marks mean
+    nothing, then an unreachable row, then one at the pole.
+    """
+    qng_db = np.broadcast_to(qng_db, unreachable.shape)
+    if overflow.any():
+        raise InstabilityError(
+            f"QNG {qng_db[np.broadcast_to(overflow, qng_db.shape)][0]} dB is out of reach: the noise model's "
+            f"terms overflow at rho = {rho}, epsilon2 = {epsilon2}"
+        )
     if unreachable.any():
         raise NoSolutionError(
             f"QNG {qng_db[unreachable][0]} dB is unreachable: the kappa = 0 floor for "
@@ -233,7 +275,6 @@ def _kappa(qng_db, rho: float, epsilon2: float) -> np.ndarray:
             f"(1 + rho)/2 = {(1.0 + rho) / 2.0}: no float kappa reproduces it "
             f"within a relative {_ROUND_TRIP:g}"
         )
-    return kappa
 
 
 def _floor(rho, epsilon2):
@@ -241,29 +282,39 @@ def _floor(rho, epsilon2):
     return ((1.0 - rho) * (1.0 - rho) + 4.0 * rho * epsilon2) / ((1.0 + rho) * (1.0 + rho))
 
 
-def _solve_kappa(qng_db, rho, epsilon2):
-    """``(kappa, unreachable, at_pole)`` per target QNG row, refusing no row.
+class _Solution(NamedTuple):
+    """:func:`_solve_kappa`'s rows: ``kappa``, the masks of its refusals, and the amplifier's terms at ``kappa``."""
 
-    ``qng_db`` is a scalar or an array, and ``rho`` and ``epsilon2`` valid
-    amplifier parameters, floats or arrays that broadcast with it.  A row is
+    kappa: np.ndarray
+    unreachable: np.ndarray
+    at_pole: np.ndarray
+    overflow: np.ndarray  # in the shape of rho and epsilon2 broadcast, not of the targets
+    stability: np.ndarray  # M = (1 + rho)^2/4 - kappa^2
+    coupling: tuple  # (G_bar, g_bar, G_bar_prime, g_bar_prime), see _coupling
+
+
+def _solve_kappa(qng_db, rho, epsilon2) -> _Solution:
+    """``kappa`` per target QNG row, its refusal masks and its terms, refusing no row.
+
+    ``qng_db`` is a scalar or an array of checked targets (see
+    :func:`_check_qng`), and ``rho`` and ``epsilon2`` valid amplifier
+    parameters, floats or arrays that broadcast with it.  A row is
     unreachable when its target lies below the ``kappa = 0`` floor, and at
     the pole when its ``kappa`` is within a relative ``1e-13`` of the
-    stability pole or misses the target on the round trip; its ``kappa``
-    is then meaningless.  Targets that are not finite or below 0 dB raise.
+    stability pole or misses the target on the round trip; it overflows
+    when its ``rho`` and ``epsilon2`` terms of the quadratic leave the
+    float range.  A refused row's ``kappa`` and terms are meaningless.  The
+    round trip's stability ``M`` and coupling factors are returned, so the
+    amplifier's blocks and stretch need not form them again.
 
     With ``u = kappa^2``, ``a = (1 - rho^2)/4`` and ``b = (1 + rho)^2/4``,
     ``quantum_noise_gain = Q`` reads
     ``(Q - 1) u^2 - (2 Q b + 2 a + 1 + epsilon2 rho) u + (Q b^2 - a^2 - epsilon2 rho b) = 0``.
     Its stable root (``u < b``) is ``u = 2C / (-B + sqrt(B^2 - 4 A C))``.
     """
-    qng_db = np.atleast_1d(np.asarray(qng_db, dtype=float))
-    if not np.isfinite(qng_db).all():
-        bad = qng_db[~np.isfinite(qng_db)][0]
-        raise ValueError(f"quantum noise gain must be finite, got {bad}")
-    if (qng_db < 0.0).any():
-        raise ValueError(f"quantum noise gain must be >= 0 dB, got {qng_db.min()}")
+    qng_db = np.atleast_1d(qng_db)
     # A row whose terms leave the float range gets a NaN or infinite term,
-    # which marks it unreachable or at the pole below.
+    # which marks it below.
     with np.errstate(all="ignore"):
         floor = _floor(rho, epsilon2)
         a = (1.0 - rho * rho) / 4.0
@@ -273,12 +324,15 @@ def _solve_kappa(qng_db, rho, epsilon2):
         # exactly, so large targets keep their precision.
         p = 4.0 * b * (2.0 * a + 1.0 + 2.0 * thermal + b) + 4.0 * a * a
         r = (1.0 + thermal) * (1.0 + thermal + 4.0 * a) - 4.0 * thermal * b
+        overflow = ~np.isfinite(floor + p + r)
         target = 10.0 ** (qng_db / 10.0)
         c = target * b * b - a * a - thermal * b
         minus_b = 2.0 * target * b + 2.0 * a + 1.0 + thermal
         u = 2.0 * c / (minus_b + np.sqrt(target * p + r))
         kappa = np.sqrt(np.where(target <= floor, 0.0, np.maximum(u, 0.0)))
         # Near the pole a float kappa no longer fixes Q: its round trip misses.
-        miss = np.abs(_noise_gain(rho, kappa, epsilon2) - target) / target
+        m = b - kappa * kappa  # _stability(rho, kappa)
+        coupling = _coupling(rho, kappa, m)
+        miss = np.abs(_noise_gain(coupling, epsilon2) - target) / target
         at_pole = ~(kappa < (1.0 + rho) / 2.0 * (1.0 - 1e-13)) | ~(miss <= _ROUND_TRIP)
-    return kappa, target < floor - 1e-12, at_pole
+    return _Solution(kappa, target < floor - 1e-12, at_pole, overflow, m, coupling)

@@ -862,6 +862,7 @@ class TestArgumentErrors:
             (["--restarts", "0"], "restarts must be a positive integer, got 0"),
             (["--restarts", "-1"], "restarts must be a positive integer, got -1"),
             (["--max-evals", "0"], "max_evals must be a positive integer, got 0"),
+            (["--seed=-1"], "seed must be a non-negative integer, got -1"),
             (["--eps2-max", "inf"], "unusable bounds ((0.0, 0.1), (1.0, inf))"),
             (["--rho-max", "inf"], "unusable bounds ((0.0, inf), (1.0, 10000.0))"),
             (["--alpha2", "-1"], "photon number alpha2 must be >= 0, got -1.0"),
@@ -884,6 +885,30 @@ class TestArgumentErrors:
     def test_negative_alpha2_is_named(self, capsys, argv):
         error = run_error(capsys, *argv, "--alpha2", "-1")
         assert error == {"type": "ValueError", "message": "bright-port photon number alpha2 must be >= 0, got -1.0"}
+
+    @pytest.mark.parametrize(
+        "qng1, rho1, error",
+        [
+            (
+                "4", "1e300",
+                {
+                    "type": "InstabilityError",
+                    "message": "QNG 4.0 dB is out of reach: the noise model's terms overflow at rho = 1e+300, epsilon2 = 2.0",
+                },
+            ),
+            (
+                "400", "5e-4",
+                {
+                    "type": "InstabilityError",
+                    "message": "QNG 400.0 dB puts kappa at the stability pole (1 + rho)/2 = 0.50025: "
+                    "no float kappa reproduces it within a relative 1e-09",
+                },
+            ),
+        ],
+    )
+    def test_overflow_and_pole_are_told_apart(self, capsys, qng1, rho1, error):
+        argv = ["advantage-curve", "--qng1-db", qng1, "--qng2", "2:12:3", "--rho1", rho1, "--eps1-sq", "2"]
+        assert run_error(capsys, *argv, "--rho2", "4e-4", "--eps2-sq", "208") == error
 
 
 class TestSweepLossFlags:

@@ -34,7 +34,7 @@ from gicirc import (
     make_state,
     simulate,
 )
-from gicirc import circuits
+from gicirc import circuits, interferometers, noise_fit
 from gicirc.circuits import (
     BsElement,
     LossElement,
@@ -43,12 +43,13 @@ from gicirc.circuits import (
     PhaseElement,
     SqueezerElement,
     _Adjoint,
+    _amplification,
     _propagate,
     element_map,
 )
 from gicirc.interferometers import _TOPOLOGIES, _excursion_shift, _phase_excursion
 from gicirc.noise_fit import _UNSET, _nested, _nested_snr, _sisni_snr
-from gicirc.noise_model import _floor, _kappa, _solve_kappa
+from gicirc.noise_model import _coupling, _floor, _kappa, _solve_kappa, _stability
 from gicirc.states import _quadrature
 
 PAPER_LOSSES = (0.16, 0.10, 0.15)
@@ -365,6 +366,18 @@ class TestPhaseExcursion:
         assert widened == [(5,)] and [grid for _, grid, _ in seen] == [(1,), (1,), (1,), (1,), (1,)]
 
 
+def _blocks(vary):
+    """The lossy amplifiers' blocks at ``vary``'s fields, as ``_Adjoint.run`` takes them."""
+    return {i: NoisyPaElement.block(**fields) for i, fields in vary.items()}
+
+
+def _fields_pass(nested, amps):
+    """``_nested_snr`` with both amplifiers at ``amps``' ``(rho, kappa, epsilon2)``, their terms formed from those fields."""
+    rho, kappa, eps2 = (np.stack(np.broadcast_arrays(*values)) for values in zip(*amps))
+    m = _stability(rho, kappa)
+    return _nested_snr(nested, rho, eps2, kappa, m, _coupling(rho, kappa, m))
+
+
 @st.composite
 def nested_rows(draw):
     """The nested circuit at random losses, ``T`` and phases, and ``vary`` rows of both lossy amplifiers.
@@ -386,7 +399,7 @@ def nested_rows(draw):
         rho = np.array([draw(_finite(0.0, 0.1)) for _ in range(rows)])
         eps2 = np.array([draw(_finite(1.0, 1e4)) for _ in range(rows)])
         qng = 10.0 * np.log10(_floor(rho, eps2)) + np.array([draw(_finite(0.01, 15.0)) for _ in range(rows)])
-        kappa, unreachable, at_pole = _solve_kappa(qng, rho, eps2)
+        kappa, unreachable, at_pole = _solve_kappa(qng, rho, eps2)[:3]
         assert not (unreachable | at_pole).any()
         vary[i] = {"rho": rho, "kappa": kappa, "epsilon2": eps2}
     return topo, spec, vary
@@ -399,7 +412,7 @@ class TestBackwardReadout:
     @given(nested_rows(), st.sampled_from([1e-4, 1e-3, 0.3]))
     def test_equals_the_forward_excursion(self, case, dphi):
         topo, spec, vary = case
-        means, var = _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, dphi)).run(vary)
+        means, var = _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, dphi)).run(_blocks(vary))
         excursion = _phase_excursion(topo, spec, dphi, vary)
         shifted, variance = _quadrature(excursion.shifted, excursion.cov, spec.detect.mode, spec.detect.theta)
         assert means.shape == shifted.shape[:-1] + (3,) and var.shape == variance.shape
@@ -420,16 +433,59 @@ class TestBackwardReadout:
         wide = _noisy_rows(rng, 48)
         amps = [tuple(wide[i][name] for name in ("rho", "kappa", "epsilon2")) for i in topo.amplifiers]
         for adjoint in (nested[2], off_point):
-            passes = [adjoint.run({i: {n: v[:rows] for n, v in row.items()} for i, row in wide.items()}) for rows in (6, 48)]
+            passes = [adjoint.run(_blocks({i: {n: v[:rows] for n, v in row.items()} for i, row in wide.items()})) for rows in (6, 48)]
             for row in range(6):
-                floats = adjoint.run({i: {n: float(v[row]) for n, v in fields.items()} for i, fields in wide.items()})
+                floats = adjoint.run(_blocks({i: {n: float(v[row]) for n, v in fields.items()} for i, fields in wide.items()}))
                 assert floats[0].shape == (3,) and floats[1].shape == ()
                 for means, var in passes:
                     assert np.array_equal(floats[0], means[row]) and np.array_equal(floats[1], var[row])
-        snr = [_nested_snr(nested, [tuple(v[:rows] for v in amp) for amp in amps]) for rows in (6, 48)]
+        snr = [_fields_pass(nested, [tuple(v[:rows] for v in amp) for amp in amps]) for rows in (6, 48)]
         for row in range(6):
-            single = _nested_snr(nested, [tuple(float(v[row]) for v in amp) for amp in amps])
+            single = _fields_pass(nested, [tuple(float(v[row]) for v in amp) for amp in amps])
             assert single == snr[0][row] == snr[1][row]
+
+
+def _same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+class TestSharedAmplifierTerms:
+    """A pass builds the amplifiers' blocks and precision bound from ``_solve_kappa``'s terms, with the bits of the element's own."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 6, 48])  # None: a float for each amplifier's values
+    def test_blocks_and_bound_equal_the_elements(self, rng, monkeypatch, rows):
+        topo, spec, adjoint, inputs = _nested(PAPER_LOSSES, 36.0, 1e-3)[1]
+        size = () if rows is None else (rows,)
+        rho = rng.uniform(0.0, 0.01, (2, *size))
+        eps2 = 10.0 ** rng.uniform(0.0, 3.0, (2, *size))
+        qng = 10.0 * np.log10(_floor(rho, eps2)) + rng.uniform(0.01, 15.0, (2, *size))
+        solution = _solve_kappa(qng, rho, eps2)
+        assert not (solution.unreachable | solution.at_pole | solution.overflow).any()
+        seen = {}
+
+        class Spy:
+            def run(self, blocks):
+                seen["blocks"] = blocks
+                return adjoint.run(blocks)
+
+        def judge(plus, minus, variance, amplification, smallest):
+            seen["amplification"] = amplification
+            return interferometers._judge(plus, minus, variance, amplification, smallest)
+
+        monkeypatch.setattr(noise_fit, "_judge", judge)
+        nested = (topo, spec, Spy(), inputs)
+        _nested_snr(nested, rho, eps2, solution.kappa, solution.stability, solution.coupling)
+        fields = {
+            i: {"rho": rho[amp], "kappa": solution.kappa[amp], "epsilon2": eps2[amp]}
+            for amp, i in enumerate(topo.amplifiers)
+        }
+        if rows is None:
+            fields = {i: {name: float(v) for name, v in values.items()} for i, values in fields.items()}
+        for i, values in fields.items():
+            (linear, (weight, pattern)), (expected, (weight0, pattern0)) = seen["blocks"][i], NoisyPaElement.block(**values)
+            assert _same_bits(linear, expected) and _same_bits(pattern, pattern0) and _same_bits(weight, weight0)
+        assert _same_bits(seen["amplification"], _amplification(spec, fields))
 
 
 class TestBatchedNoiseModel:
@@ -457,7 +513,7 @@ class TestBatchedNoiseModel:
         # refusal, of its own scalar call.
         qngs = rng.choice([0.5, 2.0, 7.0, 60.0, 140.0, 170.0], 300)
         rho, eps2 = 10.0 ** rng.uniform(-8.0, -1.0, 300), 10.0 ** rng.uniform(0.0, 4.0, 300)
-        kappa, unreachable, at_pole = _solve_kappa(qngs, rho, eps2)
+        kappa, unreachable, at_pole = _solve_kappa(qngs, rho, eps2)[:3]
         for row, args in enumerate(zip(qngs, rho.tolist(), eps2.tolist())):
             try:
                 scalar = _kappa(*args)

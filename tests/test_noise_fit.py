@@ -279,6 +279,11 @@ class TestFitArguments:
             ({"restarts": -1}, "restarts must be a positive integer, got -1"),
             ({"restarts": 1.5}, "restarts must be a positive integer, got 1.5"),
             ({"max_evals": 0}, "max_evals must be a positive integer, got 0"),
+            ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+            ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
+            ({"seed": True}, "seed must be a non-negative integer, got True"),
+            ({"seed": None}, "seed must be a non-negative integer, got None"),
             ({"bounds": ((0.0, float("inf")), (1.0, 10.0))}, "unusable bounds .*: need finite"),
             ({"bounds": ((0.0, 0.1), (1.0, float("inf")))}, "unusable bounds .*: need finite"),
             ({"alpha2": -1.0}, "photon number alpha2 must be >= 0, got -1.0"),

@@ -225,8 +225,9 @@ class TestKappaClosedForm:
     def test_rows_past_the_float_range_are_refused_without_a_warning(self, rho):
         # Array rows, as a fit's search box up to rho = 1e150 makes them;
         # under the suite's -W error a numpy overflow warning would raise.
-        kappa, unreachable, at_pole = _solve_kappa(np.array([6.0, 6.0]), np.array([1e-3, rho]), 2.0)
+        kappa, unreachable, at_pole, overflow = _solve_kappa(np.array([6.0, 6.0]), np.array([1e-3, rho]), 2.0)[:4]
         assert (unreachable | at_pole).tolist() == [False, True]
+        assert overflow.tolist() == [False, True]
         assert kappa[0] == kappa_from_qng(6.0, 1e-3, 2.0)
 
     def test_negative_qng_rejected(self):

@@ -23,6 +23,7 @@ from gicirc import (
     advantage_db,
     advantage_vs_qng,
     engine_report,
+    kappa_from_qng,
     loss_plane,
     mean_signal_and_variance,
     phase_variance_closed,
@@ -192,6 +193,23 @@ class TestOverflowMatrix:
     def test_pole_keeps_its_message(self):
         with pytest.raises(InstabilityError, match="stability pole"):
             advantage_vs_qng(4.0, [200.0], LOSSES, (0.01, 2.0), (0.01, 2.0))
+        message = (
+            "QNG 400.0 dB puts kappa at the stability pole (1 + rho)/2 = 0.50025: "
+            "no float kappa reproduces it within a relative 1e-09"
+        )
+        with pytest.raises(InstabilityError, match=f"^{re.escape(message)}$"):
+            advantage_vs_qng(400.0, [2.0, 7.0, 12.0], LOSSES, (5e-4, 2.0), (4e-4, 208.0))
+        with pytest.raises(InstabilityError, match=f"^{re.escape(message)}$"):
+            kappa_from_qng(400.0, 5e-4, 2.0)
+
+    @pytest.mark.parametrize("rho1, eps1", [(1e300, 2.0), (4.4e92, 1.5), (1e-3, 1e300)])
+    def test_overflowing_terms_are_named(self, rho1, eps1):
+        # The terms of kappa's quadratic leave the float range: an overflow, not the pole.
+        message = f"QNG 4.0 dB is out of reach: the noise model's terms overflow at rho = {rho1}, epsilon2 = {eps1}"
+        with pytest.raises(InstabilityError, match=f"^{re.escape(message)}$"):
+            advantage_vs_qng(4.0, [2.0, 7.0, 12.0], LOSSES, (rho1, eps1), (4e-4, 208.0))
+        with pytest.raises(InstabilityError, match=f"^{re.escape(message)}$"):
+            kappa_from_qng(4.0, rho1, eps1)
 
 
 class TestCancellation:
