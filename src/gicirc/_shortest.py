@@ -1,5 +1,11 @@
 """The ``float.__repr__`` text of each value of a float64 array, vectorized.
 
+:func:`chunks` gives the text of a whole array, the values of a row joined
+by a separator and a given text after each row, a chunk of whole rows at a
+time: the kernel writes one delimiter byte after each value, and
+``bytes.replace`` turns those bytes into the separator and the row ends,
+once a chunk.
+
 The digits are the shortest that read back as the same double and, of
 those, the closest to it (ties to an even last digit): Schubfach (R.
 Giulietti, "The Schubfach way to render doubles", 2020, in the form of
@@ -16,7 +22,7 @@ written by ``float.__repr__`` itself.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,43 +35,57 @@ _EXPONENT = _U(0x7FF0_0000_0000_0000)
 _K_MIN, _K_MAX = -324, 292  # the decimal exponents k of the table
 _DIGITS = 17  # a double has at most 17 significant digits
 _POW10 = np.array([10**i for i in range(_DIGITS + 1)], dtype=np.uint64)
-# The fewest values a chunk of whole rows holds; a chunk's temporaries take
-# about 6 MB.  Measured on the figures benchmark: chunks of 4096 or 32768
-# values left its peak memory 4 to 8 MB higher (glibc heap fragmentation),
-# 16384 within 1 MB of writing each float with float.__repr__, at the same
-# speed.
+_E4 = np.uint32(10_000)
+# The fewest values a chunk of whole rows holds, one text and one write; a
+# chunk's temporaries take about 6 MB.  Measured on the figures benchmark:
+# chunks of 4096 or 32768 values left its peak memory 4 to 8 MB higher
+# (glibc heap fragmentation), 16384 within 1 MB of writing each float with
+# float.__repr__, at the same speed.  The README's Wigner panels
+# (3 x 3 x 241 x 241) take 32 chunks of 68 rows; a list of 241 rows spans 4 or 5.
 _CHUNK = 16384
+# The byte that follows a value in the kernel's text, replaced by the
+# separator, or + 1 + j after a row, replaced by its ends[j]: bytes that no
+# text holds.
+_END = 0x80
 
 
-def joined(values: np.ndarray, separator: str) -> Iterator[str]:
-    """``separator.join`` of the ``float.__repr__`` texts of each row of ``values``.
+def chunks(values: np.ndarray, separator: str, ends: Sequence[str]) -> Iterator[str]:
+    """The text of float64 ``values``, a chunk of whole rows at a time.
 
-    The rows run along the last axis of the float64 array, which is not
-    empty.  NaN or infinity raises ``ValueError``, as ``json`` does, in
-    this call; the rows' texts are made a chunk of rows at a time as the
-    returned iterator is read.
+    The rows run along the last axis of the array, which has ``k >= 1``
+    leading axes and is not empty.  The ``float.__repr__`` texts of a row's
+    values are joined by ``separator``, and each row is followed by
+    ``ends[j]``, where ``j`` counts the leading axes, from the innermost,
+    whose last index the row holds: ``ends[0]`` comes between two rows of
+    one list of the second-to-last axis, ``ends[k]`` after the last row.
+    The chunks, joined, are the whole text.  NaN or infinity raises
+    ``ValueError``, as ``json`` does, in this call; the chunks are made as
+    the returned iterator is read.
     """
     width = values.shape[-1]
+    lists = np.cumprod((1, *values.shape[-2::-1])).tolist()  # rows in a row and in one list of each leading axis
     values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    return _rows(values, width, separator)
+    return _chunks(values, width, lists, separator.encode("ascii"), [end.encode("ascii") for end in ends])
 
 
-def _rows(values, width: int, separator: str) -> Iterator[str]:
+def _chunks(values, width: int, lists: list, separator: bytes, ends: list) -> Iterator[str]:
     step = -(-_CHUNK // width) * width  # whole rows, at least _CHUNK values
-    last = np.zeros((step // width, width), dtype=bool)
-    last[:, -1] = True
-    last = last.reshape(-1)
     for lo in range(0, values.size, step):
         chunk = values[lo : lo + step]
-        rows = _text(chunk, last[: chunk.size]).decode("ascii").split("\n")
-        rows.pop()
-        yield from rows if separator == " " else (row.replace(" ", separator) for row in rows)
+        delimiters = np.full(chunk.size, _END, dtype=np.uint8)
+        first = lo // width  # the chunk's first row
+        for j, rows in enumerate(lists):  # the last rows of each list, deeper lists overwritten
+            delimiters[((rows - 1 - first) % rows + 1) * width - 1 :: rows * width] = _END + 1 + j
+        text = _text(chunk, delimiters)
+        for j, end in enumerate(ends):  # the few row ends first, in the shorter text
+            text = text.replace(bytes([_END + 1 + j]), end)
+        yield text.replace(bytes([_END]), separator).decode("ascii")
 
 
-def _text(values: np.ndarray, last: np.ndarray) -> bytes:
-    """The text of each finite value, followed by ``"\\n"`` where ``last``, else by ``" "``."""
+def _text(values: np.ndarray, delimiters: np.ndarray) -> bytes:
+    """The text of each finite value, each followed by its byte of ``delimiters``."""
     bits = values.view(np.uint64)
     special = (bits & _EXPONENT) == _0  # a zero or a subnormal
     if special.any():
@@ -77,7 +97,7 @@ def _text(values: np.ndarray, last: np.ndarray) -> bytes:
             "".join(text.ljust(_MAX_TEXT) for text in texts).encode("ascii"), dtype=np.uint8
         ).reshape(-1, _MAX_TEXT)
         shape[special] = [_PREFIX + len(text) for text in texts]
-    buf[:, _DELIMITER] = np.where(last, np.uint8(ord("\n")), np.uint8(ord(" ")))
+    buf[:, _DELIMITER] = delimiters
     # take and compress are faster than fancy and boolean indexing.
     return np.compress(_keep().take(shape, axis=0).reshape(-1), buf.reshape(-1)).tobytes()
 
@@ -228,12 +248,29 @@ def _keep():
     return keep
 
 
+@functools.cache
+def _groups():
+    """``(text, zeros)`` of each 4-digit group ``x``, built on first use, not at import.
+
+    ``text[x]`` holds the template bytes ``"d.d.d.d."`` of its digits as one
+    ``uint64``, and ``zeros[x]`` its trailing zeros (4 for 0).
+    """
+    x = np.arange(10_000)
+    digits = np.stack([x // 1000, x // 100 % 10, x // 10 % 10, x % 10], axis=1)
+    text = np.full((10_000, 8), ord("."), dtype=np.uint8)
+    text[:, 0::2] = digits + ord("0")
+    zeros = np.where(x == 0, 4, np.argmax(digits[:, ::-1] != 0, axis=1)).astype(np.uint8)
+    return text.view(np.uint64).reshape(-1), zeros
+
+
 def _layout(bits):
     """``(buf, shape)``: the text of normal double ``i`` is ``buf[i][_keep()[shape[i]]]``.
 
     Laid out as ``float.__repr__`` does, with ``|v| = 0.DIGITS 10**decpt``:
     positional for ``-4 < decpt <= 16``, else ``d.ddde-XX``, at least two
-    exponent digits and no point after a single digit.
+    exponent digits and no point after a single digit.  The 17 digits,
+    zero-padded, are the first and four groups of four, each group's
+    bytes taken from :func:`_groups`.
     """
     n_values = bits.size
     c = (bits & (_C_MIN - _1)) | _C_MIN
@@ -248,15 +285,21 @@ def _layout(bits):
 
     n = np.searchsorted(_POW10, d, side="right")  # the digit count
     rest = d * _POW10[_DIGITS - n]  # the digits, then zeros to 17
-    digits = np.empty((_DIGITS, n_values), dtype=np.uint8)
-    for j in range(_DIGITS - 1, -1, -1):
-        quotient = rest // _U(10)
-        digits[j] = rest - quotient * _U(10)
-        rest = quotient
-    m = _DIGITS - np.argmax(digits[::-1] != 0, axis=0)  # the significant digits
+    first = rest // _POW10[16]
+    rest = rest - first * _POW10[16]
+    high = rest // _POW10[8]
+    eights = np.stack([high, rest - high * _POW10[8]], axis=1).astype(np.uint32)  # digits 1-8, 9-16
+    upper = eights // _E4
+    groups = np.stack([upper, eights - upper * _E4], axis=2).reshape(n_values, 4)  # digits 1-4, ..., 13-16
+    text, zeros = _groups()
+    trailing = zeros.take(groups[:, 3])
+    for g in (2, 1, 0):  # while the groups after group g are all zeros
+        trailing += (trailing == 4 * (3 - g)) * zeros.take(groups[:, g])
+    m = _DIGITS - trailing  # the significant digits
     buf = np.empty((n_values, len(_TEMPLATE)), dtype=np.uint8)
     buf[:] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
-    np.add(digits.T, np.uint8(ord("0")), out=buf[:, _DIGIT:_EXP:2])
+    buf[:, _DIGIT] = first + ord("0")
+    buf[:, _DIGIT + 2 : _EXP] = text.take(groups).view(np.uint8).reshape(n_values, 32)
 
     decpt = n + k
     exponent = decpt - 1

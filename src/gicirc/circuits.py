@@ -38,7 +38,6 @@ import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -746,32 +745,29 @@ _BLOCK_MIN = 1000
 
 
 def _float_array(array: np.ndarray, write: Callable, newline: str):
-    """Write a float64 array of two or more axes through :mod:`._shortest`, its last axis as the rows.
+    """Write a float64 array of two or more axes through :mod:`._shortest`, a chunk of rows at a time.
 
-    One kernel call checks every value before any of the array is written,
-    and gives the rows' texts as they are written, inside the list brackets
-    of the leading axes.
+    One kernel call checks every value before any of the array is written
+    and gives the text of the whole array, list brackets and indents
+    included, a chunk of whole rows of the last axis at a time; each chunk
+    is one ``write``.
     """
     from . import _shortest  # on first use: a command that writes no block never loads it
 
-    texts = _shortest.joined(array, "," + newline + _INDENT * array.ndim)
-    _write_rows(texts, array.shape[:-1], write, newline)
+    ndim = array.ndim
+    indents = [newline + _INDENT * depth for depth in range(ndim + 1)]
 
+    def closed(j):  # the closing brackets of a row and of the lists of its j innermost leading axes
+        return "".join(indents[depth] + "]" for depth in range(ndim - 1, ndim - 2 - j, -1))
 
-def _write_rows(texts, shape: tuple, write: Callable, newline: str):
-    inner = newline + _INDENT
-    if len(shape) == 1:
-        separator = "[" + inner + "["
-        for text in islice(texts, shape[0]):
-            write(separator + inner + _INDENT + text + inner + "]")
-            separator = "," + inner + "["
-    else:
-        separator = "[" + inner
-        for _ in range(shape[0]):
-            write(separator)
-            _write_rows(texts, shape[1:], write, inner)
-            separator = "," + inner
-    write(newline + "]")
+    def opened(j):  # the opening brackets of as many lists, and the indent of the first value
+        return "".join(indents[depth] + "[" for depth in range(ndim - 1 - j, ndim)) + indents[ndim]
+
+    ends = [closed(j) + "," + opened(j) for j in range(ndim - 1)] + [closed(ndim - 1)]
+    texts = _shortest.chunks(array, "," + indents[ndim], ends)
+    write("[" + opened(ndim - 2))
+    for text in texts:
+        write(text)
 
 
 _INDENT = "  "  # one level of the result documents' indent
@@ -785,12 +781,13 @@ def _encode(obj) -> str:
     knows are written by exact type, a list of floats as one chunk, a
     ``join`` of ``float.__repr__`` (what ``json`` writes for a float or a
     float subclass), a float64 numpy array as the lists of its ``tolist()``
-    and, from ``_BLOCK_MIN`` values on, with two or more axes, through the
-    vectorized kernel of :mod:`._shortest` (the same text), dicts (keys
-    sorted) and other lists recurse, and every other value goes through
-    ``json.dumps``; the chunks are joined once.  Keys must be strings.  NaN
-    or infinity raises ``ValueError``, an unsupported type or a key that is
-    not a string ``TypeError``.
+    or, from ``_BLOCK_MIN`` values on, with two or more axes, through the
+    vectorized kernel of :mod:`._shortest` (the same text, one chunk a
+    chunk of whole rows of the last axis), dicts (keys sorted) and other
+    lists recurse, and every other value goes through ``json.dumps``; the
+    chunks are joined once.  Keys must be strings.  NaN or infinity raises
+    ``ValueError``, an unsupported type or a key that is not a string
+    ``TypeError``.
     """
     chunks = []
     _dump(obj, chunks.append)

@@ -468,8 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once a process: parse_args leaves a parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GicircError, ValueError, OSError) as exc:

@@ -25,6 +25,7 @@ from gicirc import (
     loss_plane,
     snr_sisni_closed,
 )
+from gicirc._shortest import _CHUNK
 from gicirc.circuits import _BLOCK_MIN, _dump, _encode
 from gicirc.cli import _grid_rows, _range_type, _write, build_parser, main
 
@@ -459,6 +460,42 @@ class TestFlagAbbreviations:
             assert {flag[2:].replace("-", "_") for flag in flags} <= vars(args).keys(), argv
 
 
+def _fresh_run(argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "gicirc", *argv], capture_output=True)
+
+
+class TestParserReuse:
+    """``main`` parses with one parser a process, and a caller's parser is its own."""
+
+    def test_runs_in_one_process_print_what_fresh_processes_print(self, capsys):
+        runs = [
+            ["snr", "--topology", "mzi", "--alpha2", "16", "--l-e", "0.2"],
+            ["wigner", "--topology", "sq-mzi", "--xs=-1:1:3", "--ps=-1:1:3", "--l-e", "0.1"],  # exit 2
+            ["simulate", "--topology", "sq-mzi"],
+            ["snr", "--topology", "mzi"],  # the first run's flags are not kept
+        ]
+        codes = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = _fresh_run(argv)
+            assert (code, captured.out.encode(), captured.err.encode()) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0]
+
+    def test_a_built_parser_does_not_change_main(self, capsys):
+        parser = build_parser()
+        assert parser is not build_parser()
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        subs.choices["snr"].set_defaults(alpha2=1.0, func=lambda args: 99)
+        code, out, err = run_cli(capsys, "snr", "--topology", "mzi")
+        assert (code, out.encode()) == (0, _fresh_run(["snr", "--topology", "mzi"]).stdout), err
+
+
 class TestWignerCsv:
     def test_rows_match_json_density(self, capsys):
         argv = ("wigner", "--topology", "sq-mzi", "--phis", "3:3.2:2", "--l-es", "0:0.5:2",
@@ -708,6 +745,33 @@ class TestFloatArrays:
         with pytest.raises(ValueError, match="^result holds a non-finite number \\(NaN or Infinity\\)$"):
             _write(args, {"a": "first", "values": values}, ("x", "y", "value"), rows)
         assert not path.exists()
+
+
+# Values the kernel writes with float.__repr__ (zeros, a subnormal) or at a
+# switch of its layout (1e16, 1e-5).
+_CHUNK_EDGE_VALUES = [0.0, -0.0, 5e-324, 1e16, 1e-5]
+
+
+class TestChunkEdges:
+    """The array writer where the kernel's chunks of whole rows begin and end."""
+
+    # (2, 150, 241) and (3, 3, 241, 241): a list of rows spans several chunks,
+    # split unevenly; (5, 16_390): a row longer than a chunk; and a 5-D array.
+    @pytest.mark.parametrize("shape", [(2, 150, 241), (3, 3, 241, 241), (5, 16_390), (2, 2, 2, 30, 40)])
+    def test_matches_json_dumps(self, shape):
+        array = _array(np.random.default_rng(11), shape)
+        flat = array.reshape(-1)
+        step = -(-_CHUNK // shape[-1]) * shape[-1]  # the kernel's chunk: whole rows, at least _CHUNK values
+        for c, lo in enumerate(range(0, flat.size, step)):
+            flat[lo] = _CHUNK_EDGE_VALUES[c % 5]
+            flat[min(lo + step, flat.size) - 1] = _CHUNK_EDGE_VALUES[(c + 2) % 5]
+        tree = {"outputs": {"values": array, "n": 3}}
+        assert_same_text(_encode(tree), _reference({"outputs": {"values": array.tolist(), "n": 3}}))
+
+    def test_one_write_a_chunk(self):
+        chunks = []
+        _dump(_array(np.random.default_rng(12), (3, 3, 241, 241)), chunks.append)
+        assert len(chunks) < 100
 
 
 def _csv_reference(header, axes, values) -> str:

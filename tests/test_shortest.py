@@ -1,6 +1,7 @@
 """The vectorized shortest-repr kernel against ``float.__repr__``."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -9,13 +10,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gicirc._shortest import _CHUNK, joined
+from gicirc._shortest import _CHUNK, chunks
 
 
 def reprs(values) -> list[str]:
     """The kernel's text of each value, one value a row."""
     values = np.asarray(values, dtype=np.float64)
-    return list(joined(values.reshape(-1, 1), ""))
+    return "".join(chunks(values.reshape(-1, 1), "", ["\n", ""])).split("\n")
+
+
+def row_ends(shape) -> list[int]:
+    """The ``ends`` index of each row of an array of ``shape``: how many of its lists the row ends."""
+    ends = []
+    for index in np.ndindex(*shape[:-1]):
+        j = 0
+        while j < len(index) and index[-1 - j] == shape[-2 - j] - 1:
+            j += 1
+        ends.append(j)
+    return ends
+
+
+def expected_text(values, separator: str, ends) -> str:
+    """``separator.join`` of each row's ``float.__repr__`` texts, each followed by its ``ends`` text."""
+    rows = values.reshape(-1, values.shape[-1]).tolist()
+    return "".join(
+        separator.join(map(float.__repr__, row)) + ends[j] for row, j in zip(rows, row_ends(values.shape))
+    )
 
 
 def assert_reprs(values):
@@ -73,18 +93,25 @@ def test_raw_bit_patterns(seed, patterns):
 
 def test_rows_are_joined_by_the_separator():
     values = np.array([[0.5, -1.0, 2e-300], [0.0, 123.0, 1e22], [5e-324, -0.0, 7.25]])
-    rows = list(joined(values, ", "))
-    assert rows == [", ".join(map(float.__repr__, row)) for row in values.tolist()]
+    text = "".join(chunks(values, ", ", ["|", "."]))
+    assert text == "|".join(", ".join(map(float.__repr__, row)) for row in values.tolist()) + "."
 
 
 def test_rows_span_chunks():
-    """Rows along the last axis, some longer than a chunk, come out whole and in order."""
+    """Rows along the last axis, some longer than a chunk, come out whole, in order and with their ends."""
     rng = np.random.default_rng(5)
-    for shape in [(40_000, 1), (300, 241), (5, _CHUNK + 7), (3, 7, 1000), (2, 2, 3, 4_099)]:
+    for shape in [(40_000, 1), (300, 241), (5, _CHUNK + 7), (3, 7, 1000), (2, 2, 3, 4_099), (2, 150, 241),
+                  (1000, 2, 3), (2, 2, 2, 30, 40)]:
         size = math.prod(shape)
         values = (rng.normal(size=size) * 10.0 ** rng.integers(-30, 30, size)).reshape(shape)
-        expected = [",".join(map(float.__repr__, row)) for row in values.reshape(-1, shape[-1]).tolist()]
-        assert list(joined(values, ",")) == expected, shape
+        ends = [f"<{j}>\n" for j in range(len(shape))]
+        texts = list(chunks(values, ",", ends))
+        assert "".join(texts) == expected_text(values, ",", ends), shape
+        width = shape[-1]
+        step = -(-_CHUNK // width) * width  # whole rows, at least _CHUNK values
+        assert len(texts) == -(-size // step), shape
+        # Each chunk holds whole rows: it ends with a row's end text.
+        assert all(re.search(r"<\d+>\n$", text) for text in texts), shape
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -92,7 +119,7 @@ def test_non_finite_raises_at_the_call(bad):
     values = np.full(10_000, 0.25)
     values[7777] = bad
     with pytest.raises(ValueError, match="not JSON compliant"):
-        joined(values.reshape(100, 100), ",")
+        chunks(values.reshape(100, 100), ",", ["\n", ""])
 
 
 def test_no_work_at_import():
@@ -100,7 +127,9 @@ def test_no_work_at_import():
     code = (
         "import sys, gicirc.cli; loaded = 'gicirc._shortest' in sys.modules; "
         "from gicirc import _shortest; "
-        "print(loaded, _shortest._table.cache_info().currsize, _shortest._keep.cache_info().currsize)"
+        "print(loaded, *(table.cache_info().currsize for table in "
+        "(_shortest._table, _shortest._keep, _shortest._groups)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "0", "0"]
+    assert out.stdout.split() == ["False", "0", "0", "0"]
+
