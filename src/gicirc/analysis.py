@@ -9,6 +9,7 @@ comparison as a positive-is-better SNR ratio.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -229,8 +230,8 @@ def fit_snr_vs_power(points) -> LinearFit:
     """Least-squares fit of ``snr = A * power`` through the origin.
 
     Args:
-        points: iterable of ``(power, snr)`` pairs with power > 0; at least
-            two points are required.
+        points: iterable of finite ``(power, snr)`` pairs with power > 0;
+            at least two points are required.
 
     Returns:
         The slope ``A = sum(x y) / sum(x^2)`` and the residual RMS.
@@ -238,6 +239,9 @@ def fit_snr_vs_power(points) -> LinearFit:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise ValueError(f"need at least 2 points to fit a slope, got {len(pts)}")
+    for i, pt in enumerate(pts):
+        if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
+            raise ValueError(f"point {i} (power, snr) = {pt} must be finite")
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     if np.any(x <= 0.0):

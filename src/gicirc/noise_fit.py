@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,7 +47,7 @@ from .interferometers import (
     _require_bright,
     sql_baseline,
 )
-from .noise_model import NoisyPaParams, _check_qng, _pa_blocks, _refuse, _solve_kappa, _stretch
+from .noise_model import NoisyPaParams, _check_qng, _check_real, _linear_targets, _pa_blocks, _refuse, _solve_kappa
 
 __all__ = [
     "FitResult",
@@ -125,35 +124,33 @@ def _sisni_snr(qng1_db, qng2_db, nested, noise1, noise2) -> np.ndarray:
     """
     qngs = np.stack(np.broadcast_arrays(qng1_db, qng2_db))
     rho, eps2 = (np.array(values).reshape((2,) + (1,) * (qngs.ndim - 1)) for values in zip(noise1, noise2))
-    solution = _solve_kappa(qngs, rho, eps2)
+    solution = _solve_kappa(_linear_targets(qngs), rho, eps2)
     for amp, noise in enumerate((noise1, noise2)):
         _refuse(qngs[amp], *noise, *(mask[amp] for mask in solution[1:4]))
-    return _nested_snr(nested, rho, eps2, solution.kappa, solution.stability, solution.coupling)
+    return _nested_snr(nested, eps2, solution.coupling, solution.stretch)
 
 
-def _nested_snr(nested, rho, epsilon2, kappa, stability, coupling) -> np.ndarray:
+def _nested_snr(nested, epsilon2, coupling, stretch) -> np.ndarray:
     """SNR of the circuit from :func:`_nested` with its amplifiers set to solved rows, in one backward pass.
 
     Each argument holds both amplifiers' values on its first axis, the
-    upstream one first, and broadcasts to the rows on the others: ``rho``
-    and ``epsilon2``, and the ``kappa``, stability ``M`` and four coupling
-    factors that :func:`~gicirc.noise_model._solve_kappa` formed at them
-    (refused rows left out).  Both amplifiers' blocks come from the
-    coupling factors in one :func:`~gicirc.noise_model._pa_blocks`, and
-    their ``G_bar + g_bar`` from ``M``: the precision bound's product over
-    the circuit's amplifiers, which are these two.  So the pass forms no
-    term of the amplifiers again.  The compiled readout carries the
-    detected row back through the blocks and the folded runs between them,
-    and the readout is judged as the forward one is (see
-    :func:`~gicirc.interferometers._judge`), with refusals that name the
-    inputs.
+    upstream one first, and broadcasts to the rows on the others:
+    ``epsilon2``, and the four coupling factors and ``G_bar + g_bar`` that
+    :func:`~gicirc.noise_model._solve_kappa` formed (refused rows left
+    out).  Both amplifiers' blocks come from the coupling factors in one
+    :func:`~gicirc.noise_model._pa_blocks`, and the precision bound's
+    product over the circuit's amplifiers, which are these two, from
+    ``stretch``.  So the pass forms no term of the amplifiers again.  The
+    compiled readout carries the detected row back through the blocks and
+    the folded runs between them, and the readout is judged as the forward
+    one is (see :func:`~gicirc.interferometers._judge`), with refusals that
+    name the inputs.
     """
     topo, _, adjoint, inputs = nested
     with _guard("noise model", inputs):
         linear, auxiliary = _pa_blocks(coupling)
         blocks = {i: (linear[amp], (epsilon2[amp], auxiliary[amp])) for amp, i in enumerate(topo.amplifiers)}
         means, var = adjoint.run(blocks)
-        stretch = _stretch(rho, kappa, stability)
         return _judge(means[..., 1], means[..., 2], var, stretch[0] * stretch[1], _TINY)[2]
 
 
@@ -184,8 +181,7 @@ def advantage_vs_qng(
         Advantage in dB at each grid point (positive = better than the MZI),
         in the grid's shape.
     """
-    if isinstance(qng1_db, bool) or not isinstance(qng1_db, numbers.Real):
-        raise ValueError(f"upstream quantum noise gain qng1_db must be a real number, got {qng1_db!r}")
+    _check_real(qng1_db, "upstream quantum noise gain qng1_db")
     grid = np.asarray(qng2_grid, dtype=float)
     base, nested = _nested(losses, alpha2, dphi)
     pa1, pa2 = (NoisyPaParams(rho, 0.0, eps2) for rho, eps2 in (noise1, noise2))
@@ -250,11 +246,13 @@ def _normalize_data(data) -> list[tuple[float, float, float, float]]:
 
 
 def _noise(z) -> list[float]:
-    """``[rho1, rho2, eps1_sq, eps2_sq]`` at a point of the log10 search coordinates."""
-    # One power a value, not one 10.0 ** z over the array: numpy's SIMD power
-    # differs from this by 1 ULP for 5.3 % of 200,000 exponents drawn from
-    # [-8, 4] (numpy 2.4.6 on an AVX-512 host), which would move the fit's bits.
-    return [float(10.0**v) for v in z]
+    """``[rho1, rho2, eps1_sq, eps2_sq]`` at a point ``z`` (an array) of the log10 search coordinates."""
+    # One C pow a value, over Python floats: a numpy scalar's power calls the
+    # same pow with the same bits, at a higher cost a value.  Not one
+    # 10.0 ** z over the array: numpy's SIMD power differs from pow by 1 ULP
+    # for 5.3 % of 200,000 exponents drawn from [-8, 4] (numpy 2.4.6 on an
+    # AVX-512 host), which would move the fit's bits.
+    return [10.0**v for v in z.tolist()]
 
 
 class _Objective:
@@ -263,7 +261,10 @@ class _Objective:
     Calling it scores one point of the log10 search coordinates, and
     :meth:`batch` scores many with the same bits.  A point for which some
     data row's QNG is out of reach, or whose readout is refused, scores
-    :data:`_INFEASIBLE`.
+    :data:`_INFEASIBLE`.  The data's linear targets are formed once per
+    fit, and a pass solves every point's rows from them in one
+    :func:`~gicirc.noise_model._solve_kappa`, which forms each of the
+    amplifiers' terms once.
     """
 
     def __init__(self, rows, losses, alpha2: float, dphi: float):
@@ -272,8 +273,9 @@ class _Objective:
         for qng in (self.qng1, self.qng2):  # refuse bad QNG data as a first evaluation would
             _check_qng(qng)
         # A batch's rows, (amplifier, point, data row), broadcast from these
-        # targets and each point's (amplifier, point, 1) noise parameters.
-        self.qngs = np.stack([self.qng1, self.qng2])[:, None, :]
+        # linear targets, formed once per fit, and each point's
+        # (amplifier, point, 1) noise parameters.
+        self.targets = _linear_targets(np.stack([self.qng1, self.qng2])[:, None, :])
 
     def snr(self, z) -> np.ndarray:
         """The nested SNR of each data row at ``z``; raises where :func:`_sisni_snr` does."""
@@ -296,22 +298,25 @@ class _Objective:
         run again point by point.
         """
         noise = np.array([_noise(z) for z in points]).T[:, :, None]
-        rho, eps2 = noise[:2], noise[2:]
-        solution = _solve_kappa(self.qngs, rho, eps2)
+        eps2 = noise[2:]
+        solution = _solve_kappa(self.targets, noise[:2], eps2)
         feasible = ~(solution.unreachable | solution.at_pole | solution.overflow).any(axis=(0, 2))
-        values = [_INFEASIBLE] * len(points)
-        if not feasible.any():
-            return values
-        fields = [rho, eps2, solution.kappa, solution.stability, *solution.coupling]
-        if not feasible.all():
-            fields = [v[:, feasible] for v in fields]
+        every = feasible.all()
+        if not (every or feasible.any()):
+            return [_INFEASIBLE] * len(points)
+        coupling, stretch = solution.coupling, solution.stretch
+        if not every:
+            eps2, stretch, coupling = eps2[:, feasible], stretch[:, feasible], [v[:, feasible] for v in coupling]
         try:
-            snr = _nested_snr(self.nested, *fields[:4], fields[4:])
+            snr = _nested_snr(self.nested, eps2, coupling, stretch)
         except (NoSolutionError, InstabilityError):
             scores = [self(z) for z in points[feasible]]
         else:
             r = (10.0 * np.log10(snr / self.base) - self.measured) / self.sigma
             scores = [sum(row) for row in (r * r).tolist()]
+        if every:
+            return scores
+        values = [_INFEASIBLE] * len(points)
         for i, score in zip(np.flatnonzero(feasible), scores):
             values[i] = score
         return values

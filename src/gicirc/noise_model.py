@@ -21,6 +21,7 @@ an affine Gaussian channel whose added noise grows with both ``rho`` and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,8 +83,30 @@ class NoisyPaParams:
         return _stability(self.rho, self.kappa)
 
 
+def _rho_terms(rho):
+    """``(1 + rho, (1 + rho)^2, a, b)`` with ``a = (1 - rho^2)/4`` and ``b = (1 + rho)^2/4``, the terms of ``rho`` that the amplifier's formulas share; arrays broadcast."""
+    one_rho = 1.0 + rho
+    square = one_rho * one_rho
+    return one_rho, square, (1.0 - rho * rho) / 4.0, square / 4.0
+
+
+def _kappa_terms(rho_terms, kappa):
+    """``(1 + rho, a, kappa^2, M)``, the terms that :func:`_coupling` and :func:`_stretch` take, from :func:`_rho_terms` and ``kappa``; arrays broadcast.
+
+    ``M = b - kappa^2`` is the stability margin.
+    """
+    one_rho, _, a, b = rho_terms
+    kappa2 = kappa * kappa
+    return one_rho, a, kappa2, b - kappa2
+
+
+def _terms(rho, kappa):
+    """:func:`_kappa_terms` at ``(rho, kappa)``; arrays broadcast."""
+    return _kappa_terms(_rho_terms(rho), kappa)
+
+
 def _stability(rho: float, kappa: float) -> float:
-    return (1.0 + rho) * (1.0 + rho) / 4.0 - kappa * kappa
+    return _terms(rho, kappa)[3]
 
 
 @dataclass(frozen=True)
@@ -106,20 +129,32 @@ class CouplingFactors:
         )
 
 
-def _coupling(rho, kappa, m):
-    """``(G_bar, g_bar, G_bar_prime, g_bar_prime)`` at the stability ``m = _stability(rho, kappa)``; arrays broadcast."""
+def _coupling(rho, kappa, terms):
+    """``(G_bar, g_bar, G_bar_prime, g_bar_prime)`` at ``(rho, kappa)`` and their :func:`_terms`; arrays broadcast."""
+    one_rho, a, kappa2, m = terms
     sqrt_rho = np.sqrt(rho)
-    return (
-        ((1.0 - rho * rho) / 4.0 + kappa * kappa) / m,
-        kappa / m,
-        sqrt_rho * (1.0 + rho) / (2.0 * m),
-        kappa * sqrt_rho / m,
-    )
+    return (a + kappa2) / m, kappa / m, sqrt_rho * one_rho / (2.0 * m), kappa * sqrt_rho / m
+
+
+def _overflow_message(rho, epsilon2) -> str:
+    return f"the noise model's terms overflow at rho = {rho}, epsilon2 = {epsilon2}"
+
+
+def _check_in_range(values, params: NoisyPaParams) -> None:
+    """Raise :class:`InstabilityError` naming ``params`` if one of ``values`` (computed with numpy's warnings off) left the float range."""
+    if not all(np.isfinite(value).all() for value in values):
+        raise InstabilityError(_overflow_message(params.rho, params.epsilon2))
 
 
 def coupling_factors(params: NoisyPaParams) -> CouplingFactors:
-    """Evaluate the four coupling factors for given ``(rho, kappa)``."""
-    return CouplingFactors(*map(float, _coupling(params.rho, params.kappa, params.stability_margin)))
+    """Evaluate the four coupling factors for given ``(rho, kappa)``.
+
+    Raises :class:`InstabilityError` where a factor leaves the float range.
+    """
+    with np.errstate(all="ignore"):
+        coupling = _coupling(params.rho, params.kappa, _terms(params.rho, params.kappa))
+    _check_in_range(coupling, params)
+    return CouplingFactors(*map(float, coupling))
 
 
 def _pa_blocks(coupling):
@@ -139,13 +174,14 @@ def _noisy_pa_block(rho, kappa, epsilon2):
     added noise is ``epsilon2 * S' S'^T`` for the auxiliary coupling ``S'``
     with ``(G_bar_prime, g_bar_prime)``.
     """
-    linear, auxiliary = _pa_blocks(_coupling(rho, kappa, _stability(rho, kappa)))
+    linear, auxiliary = _pa_blocks(_coupling(rho, kappa, _terms(rho, kappa)))
     return linear, (epsilon2, auxiliary)
 
 
-def _stretch(rho, kappa, m):
-    """``G_bar + g_bar`` at the stability ``m = _stability(rho, kappa)``; arrays broadcast."""
-    return ((1.0 - rho * rho) / 4.0 + kappa * (kappa + 1.0)) / m
+def _stretch(kappa, terms):
+    """``G_bar + g_bar`` at ``kappa`` and its :func:`_terms`; arrays broadcast."""
+    _, a, _, m = terms
+    return (a + kappa * (kappa + 1.0)) / m
 
 
 def _noisy_pa_stretch(rho, kappa, epsilon2):
@@ -153,7 +189,7 @@ def _noisy_pa_stretch(rho, kappa, epsilon2):
 
     Takes the block's fields; ``epsilon2`` does not enter.
     """
-    return _stretch(rho, kappa, _stability(rho, kappa))
+    return _stretch(kappa, _terms(rho, kappa))
 
 
 def _noisy_pa_check(modes, rho, kappa, epsilon2):
@@ -187,18 +223,28 @@ def noisy_pa(pair, params: NoisyPaParams, n_modes: int) -> ElementMap:
     the traced-out thermal auxiliaries contribute additive noise
     ``epsilon2 * S' S'^T`` where ``S'`` is the same coupling structure built
     from ``(G_bar_prime, g_bar_prime)``.  Physical (completely positive) for
-    every ``epsilon2 >= 1``.
+    every ``epsilon2 >= 1``.  Raises :class:`InstabilityError` where an
+    entry of the map leaves the float range.
     """
-    return element_map(NoisyPaElement(pair, params.rho, params.kappa, params.epsilon2), n_modes)
+    element = NoisyPaElement(pair, params.rho, params.kappa, params.epsilon2)
+    with np.errstate(all="ignore"):
+        channel = element_map(element, n_modes)
+    _check_in_range((channel.linear, channel.noise), params)
+    return channel
 
 
 def quantum_noise_gain(params: NoisyPaParams) -> float:
     """Vacuum-input output variance of either amplifier mode (linear units).
 
     Equals ``G_bar^2 + g_bar^2 + epsilon2 (G_bar_prime^2 + g_bar_prime^2)``
-    and increases strictly with ``kappa``.
+    and increases strictly with ``kappa``.  Raises :class:`InstabilityError`
+    where it leaves the float range.
     """
-    return float(_noise_gain(_coupling(params.rho, params.kappa, params.stability_margin), params.epsilon2))
+    with np.errstate(all="ignore"):
+        coupling = _coupling(params.rho, params.kappa, _terms(params.rho, params.kappa))
+        gain = _noise_gain(coupling, params.epsilon2)
+    _check_in_range((gain,), params)
+    return float(gain)
 
 
 def _noise_gain(coupling, epsilon2):
@@ -221,12 +267,21 @@ def kappa_from_qng(qng_db: float, rho: float, epsilon2: float) -> float:
     ``epsilon2 = 2`` the round trip holds to ``2e-12`` at 80 dB and fails
     from about 150 dB.  Parameters whose terms in the quadratic leave the
     float range (``rho = 1e300``) raise :class:`InstabilityError` naming them.
+    A ``qng_db`` that is not one real number (a bool, an array, a list or a
+    string) raises ``ValueError``.
     """
+    _check_real(qng_db, "quantum noise gain qng_db")
     params = NoisyPaParams(rho, 0.0, epsilon2)
     return float(_kappa(_check_qng(qng_db), params.rho, params.epsilon2)[0])
 
 
 _ROUND_TRIP = 1e-9  # relative miss of a target QNG that _kappa accepts
+
+
+def _check_real(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is one real number (not a bool, an array, a list or a string)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_qng(qng_db) -> np.ndarray:
@@ -240,6 +295,16 @@ def _check_qng(qng_db) -> np.ndarray:
     return qng_db
 
 
+def _linear_targets(qng_db) -> np.ndarray:
+    """Checked target QNGs in dB (a scalar or an array) as the linear targets of :func:`_solve_kappa`, an array.
+
+    A target past the float range (from about 3083 dB) is infinite, and
+    :func:`_solve_kappa` puts its row at the pole.
+    """
+    with np.errstate(over="ignore"):
+        return 10.0 ** (np.atleast_1d(qng_db) / 10.0)
+
+
 def _kappa(qng_db, rho: float, epsilon2: float) -> np.ndarray:
     """``kappa`` for each target QNG in dB (a scalar or an array), as an array.
 
@@ -247,7 +312,7 @@ def _kappa(qng_db, rho: float, epsilon2: float) -> np.ndarray:
     :func:`kappa_from_qng`, which also states the round-trip tolerance).
     Raises where some row's target is out of reach (see :func:`_refuse`).
     """
-    solution = _solve_kappa(qng_db, rho, epsilon2)
+    solution = _solve_kappa(_linear_targets(qng_db), rho, epsilon2)
     _refuse(qng_db, rho, epsilon2, *solution[1:4])
     return solution.kappa
 
@@ -261,13 +326,13 @@ def _refuse(qng_db, rho: float, epsilon2: float, unreachable, at_pole, overflow)
     qng_db = np.broadcast_to(qng_db, unreachable.shape)
     if overflow.any():
         raise InstabilityError(
-            f"QNG {qng_db[np.broadcast_to(overflow, qng_db.shape)][0]} dB is out of reach: the noise model's "
-            f"terms overflow at rho = {rho}, epsilon2 = {epsilon2}"
+            f"QNG {qng_db[np.broadcast_to(overflow, qng_db.shape)][0]} dB is out of reach: "
+            + _overflow_message(rho, epsilon2)
         )
     if unreachable.any():
         raise NoSolutionError(
             f"QNG {qng_db[unreachable][0]} dB is unreachable: the kappa = 0 floor for "
-            f"rho = {rho}, epsilon2 = {epsilon2} is {10.0 * np.log10(_floor(rho, epsilon2)):.6g} dB"
+            f"rho = {rho}, epsilon2 = {epsilon2} is {10.0 * np.log10(_floor(rho, epsilon2, _rho_terms(rho)[1])):.6g} dB"
         )
     if at_pole.any():
         raise InstabilityError(
@@ -277,9 +342,9 @@ def _refuse(qng_db, rho: float, epsilon2: float, unreachable, at_pole, overflow)
         )
 
 
-def _floor(rho, epsilon2):
-    """The ``kappa = 0`` noise gain (linear units); arrays broadcast."""
-    return ((1.0 - rho) * (1.0 - rho) + 4.0 * rho * epsilon2) / ((1.0 + rho) * (1.0 + rho))
+def _floor(rho, epsilon2, square):
+    """The ``kappa = 0`` noise gain (linear units) at ``square = (1 + rho)^2`` of :func:`_rho_terms`; arrays broadcast."""
+    return ((1.0 - rho) * (1.0 - rho) + 4.0 * rho * epsilon2) / square
 
 
 class _Solution(NamedTuple):
@@ -289,50 +354,56 @@ class _Solution(NamedTuple):
     unreachable: np.ndarray
     at_pole: np.ndarray
     overflow: np.ndarray  # in the shape of rho and epsilon2 broadcast, not of the targets
-    stability: np.ndarray  # M = (1 + rho)^2/4 - kappa^2
     coupling: tuple  # (G_bar, g_bar, G_bar_prime, g_bar_prime), see _coupling
+    stretch: np.ndarray  # G_bar + g_bar, see _stretch
 
 
-def _solve_kappa(qng_db, rho, epsilon2) -> _Solution:
+def _solve_kappa(target, rho, epsilon2) -> _Solution:
     """``kappa`` per target QNG row, its refusal masks and its terms, refusing no row.
 
-    ``qng_db`` is a scalar or an array of checked targets (see
-    :func:`_check_qng`), and ``rho`` and ``epsilon2`` valid amplifier
-    parameters, floats or arrays that broadcast with it.  A row is
-    unreachable when its target lies below the ``kappa = 0`` floor, and at
-    the pole when its ``kappa`` is within a relative ``1e-13`` of the
+    ``target`` is an array of linear target gains, :func:`_linear_targets`
+    of checked targets in dB (see :func:`_check_qng`), which a caller forms
+    once per curve or fit; ``rho`` and ``epsilon2`` are valid amplifier
+    parameters, floats or arrays that broadcast with it.  A row
+    is unreachable when its target lies below the ``kappa = 0`` floor, and
+    at the pole when its ``kappa`` is within a relative ``1e-13`` of the
     stability pole or misses the target on the round trip; it overflows
     when its ``rho`` and ``epsilon2`` terms of the quadratic leave the
     float range.  A refused row's ``kappa`` and terms are meaningless.  The
-    round trip's stability ``M`` and coupling factors are returned, so the
-    amplifier's blocks and stretch need not form them again.
+    round trip's coupling factors and ``G_bar + g_bar`` are returned, so
+    the amplifier's blocks and stretch need not form them again.
 
     With ``u = kappa^2``, ``a = (1 - rho^2)/4`` and ``b = (1 + rho)^2/4``,
     ``quantum_noise_gain = Q`` reads
     ``(Q - 1) u^2 - (2 Q b + 2 a + 1 + epsilon2 rho) u + (Q b^2 - a^2 - epsilon2 rho b) = 0``.
     Its stable root (``u < b``) is ``u = 2C / (-B + sqrt(B^2 - 4 A C))``.
+    The floor, the quadratic, the coupling factors, the pole test and the
+    stretch share the terms of :func:`_rho_terms` and :func:`_kappa_terms`, which
+    are formed once.
     """
-    qng_db = np.atleast_1d(qng_db)
     # A row whose terms leave the float range gets a NaN or infinite term,
     # which marks it below.
     with np.errstate(all="ignore"):
-        floor = _floor(rho, epsilon2)
-        a = (1.0 - rho * rho) / 4.0
-        b = (1.0 + rho) * (1.0 + rho) / 4.0
+        rho_terms = _rho_terms(rho)
+        one_rho, square, a, b = rho_terms
+        floor = _floor(rho, epsilon2, square)
+        two_a, four_a = 2.0 * a, 4.0 * a
         thermal = epsilon2 * rho
+        one_thermal = 1.0 + thermal
         # B^2 - 4AC expanded to Q P + R with P, R > 0: the Q^2 terms cancel
-        # exactly, so large targets keep their precision.
-        p = 4.0 * b * (2.0 * a + 1.0 + 2.0 * thermal + b) + 4.0 * a * a
-        r = (1.0 + thermal) * (1.0 + thermal + 4.0 * a) - 4.0 * thermal * b
+        # exactly, so large targets keep their precision.  (1 + rho)^2 is 4 b
+        # exactly.
+        p = square * (two_a + 1.0 + 2.0 * thermal + b) + four_a * a
+        r = one_thermal * (one_thermal + four_a) - 4.0 * thermal * b
         overflow = ~np.isfinite(floor + p + r)
-        target = 10.0 ** (qng_db / 10.0)
         c = target * b * b - a * a - thermal * b
-        minus_b = 2.0 * target * b + 2.0 * a + 1.0 + thermal
+        minus_b = 2.0 * target * b + two_a + 1.0 + thermal
         u = 2.0 * c / (minus_b + np.sqrt(target * p + r))
         kappa = np.sqrt(np.where(target <= floor, 0.0, np.maximum(u, 0.0)))
         # Near the pole a float kappa no longer fixes Q: its round trip misses.
-        m = b - kappa * kappa  # _stability(rho, kappa)
-        coupling = _coupling(rho, kappa, m)
+        terms = _kappa_terms(rho_terms, kappa)
+        coupling = _coupling(rho, kappa, terms)
         miss = np.abs(_noise_gain(coupling, epsilon2) - target) / target
-        at_pole = ~(kappa < (1.0 + rho) / 2.0 * (1.0 - 1e-13)) | ~(miss <= _ROUND_TRIP)
-    return _Solution(kappa, target < floor - 1e-12, at_pole, overflow, m, coupling)
+        at_pole = ~(kappa < one_rho / 2.0 * (1.0 - 1e-13)) | ~(miss <= _ROUND_TRIP)
+        stretch = _stretch(kappa, terms)
+    return _Solution(kappa, target < floor - 1e-12, at_pole, overflow, coupling, stretch)

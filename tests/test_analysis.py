@@ -345,6 +345,19 @@ class TestFitSnrVsPower:
         with pytest.raises(ValueError, match="positive"):
             fit_snr_vs_power([(0.0, 1.0), (1.0, 2.0)])
 
+    @pytest.mark.parametrize(
+        "points, named",
+        [
+            ([(1.0, math.nan), (2.0, 3.0)], r"point 0 \(power, snr\) = \(1\.0, nan\) must be finite"),
+            ([(math.inf, 1.0), (2.0, 3.0)], r"point 0 \(power, snr\) = \(inf, 1\.0\) must be finite"),
+            ([(1.0, 2.0), (2.0, -math.inf)], r"point 1 \(power, snr\) = \(2\.0, -inf\) must be finite"),
+        ],
+        ids=["nan-snr", "inf-power", "minus-inf-snr"],
+    )
+    def test_rejects_non_finite_points(self, points, named):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            fit_snr_vs_power(points)
+
 
 class TestSnrLinearity:
     @pytest.mark.parametrize("factor", [2.0, 10.0])

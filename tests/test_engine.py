@@ -49,7 +49,7 @@ from gicirc.circuits import (
 )
 from gicirc.interferometers import _TOPOLOGIES, _excursion_shift, _phase_excursion
 from gicirc.noise_fit import _UNSET, _nested, _nested_snr, _sisni_snr
-from gicirc.noise_model import _coupling, _floor, _kappa, _solve_kappa, _stability
+from gicirc.noise_model import _coupling, _floor, _kappa, _linear_targets, _rho_terms, _solve_kappa, _stability, _stretch, _terms
 from gicirc.states import _quadrature
 
 PAPER_LOSSES = (0.16, 0.10, 0.15)
@@ -374,8 +374,8 @@ def _blocks(vary):
 def _fields_pass(nested, amps):
     """``_nested_snr`` with both amplifiers at ``amps``' ``(rho, kappa, epsilon2)``, their terms formed from those fields."""
     rho, kappa, eps2 = (np.stack(np.broadcast_arrays(*values)) for values in zip(*amps))
-    m = _stability(rho, kappa)
-    return _nested_snr(nested, rho, eps2, kappa, m, _coupling(rho, kappa, m))
+    terms = _terms(rho, kappa)
+    return _nested_snr(nested, eps2, _coupling(rho, kappa, terms), _stretch(kappa, terms))
 
 
 @st.composite
@@ -398,8 +398,8 @@ def nested_rows(draw):
     for i in topo.amplifiers:
         rho = np.array([draw(_finite(0.0, 0.1)) for _ in range(rows)])
         eps2 = np.array([draw(_finite(1.0, 1e4)) for _ in range(rows)])
-        qng = 10.0 * np.log10(_floor(rho, eps2)) + np.array([draw(_finite(0.01, 15.0)) for _ in range(rows)])
-        kappa, unreachable, at_pole = _solve_kappa(qng, rho, eps2)[:3]
+        qng = 10.0 * np.log10(_floor(rho, eps2, _rho_terms(rho)[1])) + np.array([draw(_finite(0.01, 15.0)) for _ in range(rows)])
+        kappa, unreachable, at_pole = _solve_kappa(_linear_targets(qng), rho, eps2)[:3]
         assert not (unreachable | at_pole).any()
         vary[i] = {"rho": rho, "kappa": kappa, "epsilon2": eps2}
     return topo, spec, vary
@@ -459,8 +459,8 @@ class TestSharedAmplifierTerms:
         size = () if rows is None else (rows,)
         rho = rng.uniform(0.0, 0.01, (2, *size))
         eps2 = 10.0 ** rng.uniform(0.0, 3.0, (2, *size))
-        qng = 10.0 * np.log10(_floor(rho, eps2)) + rng.uniform(0.01, 15.0, (2, *size))
-        solution = _solve_kappa(qng, rho, eps2)
+        qng = 10.0 * np.log10(_floor(rho, eps2, _rho_terms(rho)[1])) + rng.uniform(0.01, 15.0, (2, *size))
+        solution = _solve_kappa(_linear_targets(qng), rho, eps2)
         assert not (solution.unreachable | solution.at_pole | solution.overflow).any()
         seen = {}
 
@@ -475,7 +475,7 @@ class TestSharedAmplifierTerms:
 
         monkeypatch.setattr(noise_fit, "_judge", judge)
         nested = (topo, spec, Spy(), inputs)
-        _nested_snr(nested, rho, eps2, solution.kappa, solution.stability, solution.coupling)
+        _nested_snr(nested, eps2, solution.coupling, solution.stretch)
         fields = {
             i: {"rho": rho[amp], "kappa": solution.kappa[amp], "epsilon2": eps2[amp]}
             for amp, i in enumerate(topo.amplifiers)
@@ -486,6 +486,39 @@ class TestSharedAmplifierTerms:
             (linear, (weight, pattern)), (expected, (weight0, pattern0)) = seen["blocks"][i], NoisyPaElement.block(**values)
             assert _same_bits(linear, expected) and _same_bits(pattern, pattern0) and _same_bits(weight, weight0)
         assert _same_bits(seen["amplification"], _amplification(spec, fields))
+
+
+class TestSolvedTerms:
+    """``_solve_kappa``'s terms at its own ``kappa`` have the bits of the formulas written out, each in its own order of operations."""
+
+    def test_terms_equal_the_formulas_at_its_kappa(self, rng):
+        # Rows of every kind: reachable, below the floor, at or past the
+        # pole (an infinite target from 4000 dB), and overflowing terms.
+        rows = 400
+        rho = 10.0 ** rng.uniform(-8.0, -1.0, rows)
+        eps2 = 10.0 ** rng.uniform(0.0, 4.0, rows)
+        rho[:40:2], eps2[1:40:2] = rng.choice([1e150, 4.4e92, 1e300], 20), 1e300
+        qngs = rng.choice([0.5, 2.0, 7.0, 30.0, 60.0, 140.0, 170.0, 4000.0], rows)
+        solution = _solve_kappa(_linear_targets(qngs), rho, eps2)
+        refused = solution.unreachable | solution.at_pole | solution.overflow
+        assert solution.unreachable.any() and solution.at_pole.any() and solution.overflow.any()
+        assert refused.any() and not refused.all()
+        kappa = solution.kappa
+        with np.errstate(all="ignore"):
+            floor = ((1.0 - rho) * (1.0 - rho) + 4.0 * rho * eps2) / ((1.0 + rho) * (1.0 + rho))
+            m = (1.0 + rho) * (1.0 + rho) / 4.0 - kappa * kappa
+            sqrt_rho = np.sqrt(rho)
+            expected = (
+                ((1.0 - rho * rho) / 4.0 + kappa * kappa) / m,
+                kappa / m,
+                sqrt_rho * (1.0 + rho) / (2.0 * m),
+                kappa * sqrt_rho / m,
+                ((1.0 - rho * rho) / 4.0 + kappa * (kappa + 1.0)) / m,
+            )
+            assert _same_bits(_floor(rho, eps2, _rho_terms(rho)[1]), floor)
+            assert _same_bits(_stability(rho, kappa), m)
+        for value, formula in zip((*solution.coupling, solution.stretch), expected, strict=True):
+            assert _same_bits(value, formula)
 
 
 class TestBatchedNoiseModel:
@@ -513,7 +546,7 @@ class TestBatchedNoiseModel:
         # refusal, of its own scalar call.
         qngs = rng.choice([0.5, 2.0, 7.0, 60.0, 140.0, 170.0], 300)
         rho, eps2 = 10.0 ** rng.uniform(-8.0, -1.0, 300), 10.0 ** rng.uniform(0.0, 4.0, 300)
-        kappa, unreachable, at_pole = _solve_kappa(qngs, rho, eps2)[:3]
+        kappa, unreachable, at_pole = _solve_kappa(_linear_targets(qngs), rho, eps2)[:3]
         for row, args in enumerate(zip(qngs, rho.tolist(), eps2.tolist())):
             try:
                 scalar = _kappa(*args)

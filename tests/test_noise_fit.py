@@ -208,6 +208,19 @@ class TestFitWork:
         assert result.iterations == calls
 
 
+class TestNoiseDecoding:
+    def test_python_float_powers_have_the_numpy_scalars_bits(self, rng):
+        # Decoding over Python floats calls the C pow that a numpy scalar's
+        # power calls: the same bits on every point of the default box.
+        (rho_lo, rho_hi), (eps_lo, eps_hi) = noise_fit.DEFAULT_BOUNDS
+        lo = np.log10([noise_fit._RHO_FLOOR] * 2 + [eps_lo] * 2)
+        hi = np.log10([rho_hi] * 2 + [eps_hi] * 2)
+        for z in rng.uniform(lo, hi, size=(10_000, 4)):
+            decoded = noise_fit._noise(z)
+            assert all(type(v) is float for v in decoded)
+            assert [v.hex() for v in decoded] == [float(10.0 ** np.float64(v)).hex() for v in z]
+
+
 class TestBatchedObjective:
     # Rows at 140 dB put some points' kappa at the stability pole; a 93.6 dB
     # pair of gains passes the precision bound for some points only, so the

@@ -1,6 +1,7 @@
 """Tests for the lossy-amplifier noise model and its QNG inversion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gicirc import (
     quadrature_stats,
     quantum_noise_gain,
 )
-from gicirc.noise_model import _noisy_pa_stretch, _solve_kappa
+from gicirc.noise_model import _linear_targets, _noisy_pa_stretch, _solve_kappa
 from conftest import random_physical_state
 
 
@@ -225,7 +226,8 @@ class TestKappaClosedForm:
     def test_rows_past_the_float_range_are_refused_without_a_warning(self, rho):
         # Array rows, as a fit's search box up to rho = 1e150 makes them;
         # under the suite's -W error a numpy overflow warning would raise.
-        kappa, unreachable, at_pole, overflow = _solve_kappa(np.array([6.0, 6.0]), np.array([1e-3, rho]), 2.0)[:4]
+        targets = _linear_targets(np.array([6.0, 6.0]))
+        kappa, unreachable, at_pole, overflow = _solve_kappa(targets, np.array([1e-3, rho]), 2.0)[:4]
         assert (unreachable | at_pole).tolist() == [False, True]
         assert overflow.tolist() == [False, True]
         assert kappa[0] == kappa_from_qng(6.0, 1e-3, 2.0)
@@ -233,6 +235,19 @@ class TestKappaClosedForm:
     def test_negative_qng_rejected(self):
         with pytest.raises(ValueError, match=">= 0 dB"):
             kappa_from_qng(-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.array([3.0, 5.0]), [3.0, 5.0], True, "3", [], np.array(3.0)])
+    def test_qng_that_is_not_one_real_number_rejected(self, bad):
+        # Unchecked, an array or a list gives its first target's kappa, a
+        # bool runs as 1 dB, a string is parsed and an empty list raises
+        # IndexError.
+        message = f"quantum noise gain qng_db must be a real number, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kappa_from_qng(bad, 0.01, 2.0)
+
+    @pytest.mark.parametrize("qng", [3, np.float64(3.0), np.int64(3)])
+    def test_real_scalars_accepted(self, qng):
+        assert kappa_from_qng(qng, 0.01, 2.0) == kappa_from_qng(3.0, 0.01, 2.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position, name", [(0, "quantum noise gain"), (1, "rho"), (2, "epsilon2")])

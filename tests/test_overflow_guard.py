@@ -22,11 +22,14 @@ from gicirc import (
     SqMziParams,
     advantage_db,
     advantage_vs_qng,
+    coupling_factors,
     engine_report,
     kappa_from_qng,
     loss_plane,
     mean_signal_and_variance,
+    noisy_pa,
     phase_variance_closed,
+    quantum_noise_gain,
     slope_vs_theta,
     snr_gain_db,
     snr_sisni_closed,
@@ -210,6 +213,36 @@ class TestOverflowMatrix:
             advantage_vs_qng(4.0, [2.0, 7.0, 12.0], LOSSES, (rho1, eps1), (4e-4, 208.0))
         with pytest.raises(InstabilityError, match=f"^{re.escape(message)}$"):
             kappa_from_qng(4.0, rho1, eps1)
+
+
+class TestAmplifierTermsOverflow:
+    """The lossy amplifier's public functions refuse terms past the float range by name, rather than return NaN."""
+
+    @staticmethod
+    def message(params):
+        return f"the noise model's terms overflow at rho = {params.rho}, epsilon2 = {params.epsilon2}"
+
+    @pytest.mark.parametrize("rho", [1e160, 1e300])
+    def test_all_three_refuse(self, rho):
+        params = NoisyPaParams(rho, 0.0, 2.0)  # the parameters themselves are accepted
+        for call in (coupling_factors, quantum_noise_gain, lambda p: noisy_pa((0, 1), p, 2)):
+            with pytest.raises(InstabilityError, match=f"^{re.escape(self.message(params))}$"):
+                call(params)
+
+    def test_each_refuses_where_its_own_values_overflow(self):
+        # Near the pole with a huge epsilon2 the coupling factors are finite,
+        # but the noise gain and the map's noise are not.
+        params = NoisyPaParams(1e-3, 0.5004, 1e308)
+        assert all(map(math.isfinite, vars(coupling_factors(params)).values()))
+        for call in (quantum_noise_gain, lambda p: noisy_pa((0, 1), p, 2)):
+            with pytest.raises(InstabilityError, match=f"^{re.escape(self.message(params))}$"):
+                call(params)
+
+    def test_finite_values_are_returned(self):
+        params = NoisyPaParams(1e150, 0.0, 2.0)
+        assert math.isfinite(quantum_noise_gain(params))
+        channel = noisy_pa((0, 1), params, 2)
+        assert np.isfinite(channel.linear).all() and np.isfinite(channel.noise).all()
 
 
 class TestCancellation:
