@@ -2,9 +2,14 @@
 
 :func:`chunks` gives the text of a whole array, the values of a row joined
 by a separator and a given text after each row, a chunk of whole rows at a
-time: the kernel writes one delimiter byte after each value, and
-``bytes.replace`` turns those bytes into the separator and the row ends,
-once a chunk.
+time.  The kernel lays each value out in one row of a fixed template, with
+one delimiter byte after it, zeroes the template bytes its text leaves out
+and deletes every zero byte of the chunk with one ``bytes.translate``;
+``bytes.replace`` then turns the delimiter bytes into the separator and
+into the row ends that the chunk holds.  The digits of each 4-digit group,
+the sign and digits of each decimal exponent and Schubfach's multipliers
+(six words a decimal exponent, one gather a chunk) come from tables built
+on first use, not at import.
 
 The digits are the shortest that read back as the same double and, of
 those, the closest to it (ties to an even last digit): Schubfach (R.
@@ -27,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 _U = np.uint64
-_0, _1, _2, _32, _63 = _U(0), _U(1), _U(2), _U(32), _U(63)
+_0, _1, _2, _3, _32, _63 = _U(0), _U(1), _U(2), _U(3), _U(32), _U(63)
 _M32 = _U(0xFFFF_FFFF)
 _M63 = _U(0x7FFF_FFFF_FFFF_FFFF)
 _C_MIN = _U(1 << 52)  # the implicit bit of a normal double
@@ -79,8 +84,12 @@ def _chunks(values, width: int, lists: list, separator: bytes, ends: list) -> It
         for j, rows in enumerate(lists):  # the last rows of each list, deeper lists overwritten
             delimiters[((rows - 1 - first) % rows + 1) * width - 1 :: rows * width] = _END + 1 + j
         text = _text(chunk, delimiters)
+        last = first + chunk.size // width  # one past the chunk's last row
+        # The chunk's rows that end a list of each axis; those that end no deeper list hold ends[j].
+        ending = [last // rows - first // rows for rows in lists] + [0]
         for j, end in enumerate(ends):  # the few row ends first, in the shorter text
-            text = text.replace(bytes([_END + 1 + j]), end)
+            if ending[j] > ending[j + 1]:  # no scan for a row end the chunk lacks
+                text = text.replace(bytes([_END + 1 + j]), end)
         yield text.replace(bytes([_END]), separator).decode("ascii")
 
 
@@ -98,8 +107,11 @@ def _text(values: np.ndarray, delimiters: np.ndarray) -> bytes:
         ).reshape(-1, _MAX_TEXT)
         shape[special] = [_PREFIX + len(text) for text in texts]
     buf[:, _DELIMITER] = delimiters
-    # take and compress are faster than fancy and boolean indexing.
-    return np.compress(_keep().take(shape, axis=0).reshape(-1), buf.reshape(-1)).tobytes()
+    # Zero the columns a text leaves out, then delete the zeros: no text or
+    # delimiter holds one.  One multiply and translate are faster than
+    # compress, and take than fancy indexing.
+    buf *= _keep().take(shape, axis=0)
+    return buf.tobytes().translate(None, b"\0")
 
 
 # --- digits ----------------------------------------------------------------
@@ -112,12 +124,13 @@ def _flog2pow10(e: int) -> int:
 
 @functools.cache
 def _table():
-    """``(limbs, f2)`` indexed by ``k - _K_MIN``, built on first use, not at import.
+    """``(g, f2)`` indexed by ``k - _K_MIN``, built on first use, not at import.
 
     ``g = floor(10**-k 2**-r) + 1`` with ``2**125 <= g < 2**126`` is split
-    into 63-bit halves ``g = g1 2**63 + g0``, and each half into 32-bit
-    limbs: ``limbs`` holds the rows ``g1 >> 32``, ``g1 & M32``, ``g0 >> 32``
-    and ``g0 & M32``; ``f2`` is ``floor(log2(10**-k))``.
+    into 63-bit halves ``g = g1 2**63 + g0``: row ``k - _K_MIN`` of ``g``
+    holds ``g1`` and ``g0`` as 32-bit limbs, ``g1 >> 32``, ``g1 & M32``,
+    ``g0 >> 32``, ``g0 & M32``, then ``g1`` and ``g0`` whole, so one gather
+    takes all six; ``f2`` is ``floor(log2(10**-k))``.
     """
     rows, f2 = [], []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -129,16 +142,18 @@ def _table():
             beta = 10**-k << -r if r <= 0 else 10**-k >> r
         g = beta + 1
         g1, g0 = g >> 63, g & ((1 << 63) - 1)
-        rows.append((g1 >> 32, g1 & 0xFFFF_FFFF, g0 >> 32, g0 & 0xFFFF_FFFF))
-    return np.array(rows, dtype=np.uint64).T.copy(), np.array(f2, dtype=np.int64)
+        rows.append((g1 >> 32, g1 & 0xFFFF_FFFF, g0 >> 32, g0 & 0xFFFF_FFFF, g1, g0))
+    return np.array(rows, dtype=np.uint64), np.array(f2, dtype=np.int64)
 
 
-def _mul(a1, a0, b1, b0):
-    """High and low 64 bits of the product of ``a1 2**32 + a0`` and ``b1 2**32 + b0``."""
+def _high(a1, a0, b1, b0):
+    """The high 64 bits of the product of ``a1 2**32 + a0`` and ``b1 2**32 + b0``.
+
+    The low 64 bits are the ``uint64`` product itself, which wraps.
+    """
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
     mid = (p00 >> _32) + (p01 & _M32) + (p10 & _M32)
-    high = a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
-    return high, (mid << _32) | (p00 & _M32)
+    return a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
 
 
 def _rop(x1, y1, y0):
@@ -147,12 +162,18 @@ def _rop(x1, y1, y0):
     return (y1 + (z >> _63)) | (((z & _M63) + _M63) >> _63)
 
 
-def _rop_moved(x1, x0, y1, y0, g1, g0, j, sign: int):
+def _shifted(g1, g0, j):
+    """The 64-bit halves of ``g0 2**j`` and ``g1 2**j``: ``(lo0, hi0, lo1, hi1)``."""
+    return g0 << j, g0 >> (_U(64) - j), g1 << j, g1 >> (_U(64) - j)
+
+
+def _rop_moved(x1, x0, y1, y0, shifted, sign: int):
     """:func:`_rop` of ``g (cp + sign 2**j)``, from the products ``g0 cp = (x1, x0)`` and ``g1 cp = (y1, y0)``.
 
-    The same bits as multiplying anew, for two shifts and a carry each.
+    The same bits as multiplying anew, for a carry each, given
+    :func:`_shifted` ``(g1, g0, j)``.
     """
-    lo0, hi0, lo1, hi1 = g0 << j, g0 >> (_U(64) - j), g1 << j, g1 >> (_U(64) - j)
+    lo0, hi0, lo1, hi1 = shifted
     if sign > 0:
         x0n, y0n = x0 + lo0, y0 + lo1
         return _rop(x1 + hi0 + (x0n < x0), y1 + hi1 + (y0n < y0), y0n)
@@ -165,7 +186,7 @@ def _decimal(bits):
     ``d`` may end in zeros.  Java's ``DoubleToDecimal.toDecimal``, a
     value per array element.
     """
-    limbs, f2 = _table()
+    g, f2 = _table()
     biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
     t = bits & (_C_MIN - _1)
     c = t | _C_MIN
@@ -176,28 +197,28 @@ def _decimal(bits):
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41  # floor(log10(2**q)) or of 3/4 of it
     row = k - _K_MIN
     h = (q + f2[row] + 2).astype(np.uint64)
-    g11, g10, g01, g00 = (limb[row] for limb in limbs)
-    g1, g0 = (g11 << _32) | g10, (g01 << _32) | g00
+    g11, g10, g01, g00, g1, g0 = g.take(row, axis=0).T
     cp = c << (_2 + h)
     b1, b0 = cp >> _32, cp & _M32
-    x1, x0 = _mul(g01, g00, b1, b0)
-    y1, y0 = _mul(g11, g10, b1, b0)
+    x1, x0 = _high(g01, g00, b1, b0), g0 * cp
+    y1, y0 = _high(g11, g10, b1, b0), g1 * cp
     vb = _rop(x1, y1, y0)  # 4 v / 10**k, and the interval's ends vbl, vbr
-    vbr = _rop_moved(x1, x0, y1, y0, g1, g0, h + _1, +1)
-    vbl = _rop_moved(x1, x0, y1, y0, g1, g0, h + _1 - irregular.astype(np.uint64), -1)
+    up = _shifted(g1, g0, h + _1)
+    # The lower end moves half as far from an irregular spacing's value.
+    down = _shifted(g1, g0, h + _1 - irregular.astype(np.uint64)) if irregular.any() else up
+    vbr = _rop_moved(x1, x0, y1, y0, up, +1)
+    vbl = _rop_moved(x1, x0, y1, y0, down, -1)
     out = c & _1  # an odd significand's interval excludes its ends
     low, high = vbl + out, vbr - out
     s = vb >> _2
     # One digit fewer, if exactly one of its candidates lies in the interval;
-    # else s or s + 1, whichever lies in it, or the closer (ties to even).
+    # else s or s + 1, whichever lies in it, or the closer (ties to even):
+    # vb is 4 s + (vb & 3), and 4 s + 2 the midpoint.
     sp10 = (s // _U(10)) * _U(10)
     tp10 = sp10 + _U(10)
     upin, wpin = low <= sp10 << _2, tp10 << _2 <= high
-    t = s + _1
-    uin, win = low <= s << _2, t << _2 <= high
-    mid = (s + t) << _1
-    lower = (vb < mid) | ((vb == mid) & ((s & _1) == _0))
-    d = np.where(uin != win, np.where(uin, s, t), np.where(lower, s, t))
+    uin, win = low <= s << _2, (s + _1) << _2 <= high
+    d = s + np.where(uin != win, win, (vb & _3) + (s & _1) > _2)
     return np.where(upin != wpin, np.where(upin, sp10, tp10), d), k
 
 
@@ -210,6 +231,7 @@ _ZERO = 1  # "0." and up to three zeros
 _DIGIT = 6  # digit j in column _DIGIT + 2 j, a point after it
 _EXP = _DIGIT + 2 * _DIGITS  # "e", its sign and three digits
 _DELIMITER = _EXP + 5
+_E_MIN, _E_MAX = -324, 308  # the decimal exponents of a double's text
 _TEMPLATE = b"-0.000" + b"0." * _DIGITS + b"e+000 "
 _MAX_TEXT = 24  # the longest repr of a double
 # A text's shape code is (form * 18 + m) * 2 + (1 if negative) for m
@@ -223,8 +245,8 @@ _PREFIX = _FORMS * 36  # + n: the first n columns (a zero or a subnormal's text)
 
 @functools.cache
 def _keep():
-    """Row ``code`` marks the template columns of texts of shape ``code``, and the delimiter."""
-    keep = np.zeros((_PREFIX + _MAX_TEXT + 1, len(_TEMPLATE)), dtype=bool)
+    """Row ``code`` is 1 in the template columns of texts of shape ``code`` and the delimiter's, else 0."""
+    keep = np.zeros((_PREFIX + _MAX_TEXT + 1, len(_TEMPLATE)), dtype=np.uint8)
     keep[:, _DELIMITER] = True
     for form in range(_FORMS):
         for m in range(1, _DIGITS + 1):
@@ -263,6 +285,27 @@ def _groups():
     return text.view(np.uint64).reshape(-1), zeros
 
 
+@functools.cache
+def _exponents():
+    """``(text, form)`` of each decimal exponent ``e`` from ``_E_MIN``, built on first use, not at import.
+
+    ``text[e - _E_MIN]`` holds the template bytes ``"+ddd"`` or ``"-ddd"``
+    as one ``uint32``, and ``form[e - _E_MIN]`` the shape code of the texts
+    whose first digit has place value ``10**e``, less ``2 m`` and the sign.
+    """
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    magnitude = np.abs(e)
+    text = np.stack([np.where(e < 0, ord("-"), ord("+")), magnitude // 100, magnitude // 10 % 10, magnitude % 10], axis=1)
+    text[:, 1:] += ord("0")
+    decpt = e + 1
+    form = np.where(
+        (decpt <= -4) | (decpt > 16),
+        _SCI + (magnitude >= 100),
+        np.where(decpt > 0, _POINT + decpt, _BELOW_1 - decpt),
+    )
+    return text.astype(np.uint8).view(np.uint32).reshape(-1), form * 36
+
+
 def _layout(bits):
     """``(buf, shape)``: the text of normal double ``i`` is ``buf[i][_keep()[shape[i]]]``.
 
@@ -270,7 +313,8 @@ def _layout(bits):
     positional for ``-4 < decpt <= 16``, else ``d.ddde-XX``, at least two
     exponent digits and no point after a single digit.  The 17 digits,
     zero-padded, are the first and four groups of four, each group's
-    bytes taken from :func:`_groups`.
+    bytes taken from :func:`_groups`; the exponent's sign and digits, and
+    the form of the shape code, are taken from :func:`_exponents`.
     """
     n_values = bits.size
     c = (bits & (_C_MIN - _1)) | _C_MIN
@@ -279,9 +323,12 @@ def _layout(bits):
     small = shift < _U(53)
     shift = shift * small
     general = ~small | ((c >> shift) << shift != c)
-    d, k = c >> shift, np.zeros(n_values, dtype=np.int64)
-    if general.any():
-        d[general], k[general] = _decimal(bits[general])
+    if general.all():  # no gather and scatter: every value of a Wigner panel
+        d, k = _decimal(bits)
+    else:
+        d, k = c >> shift, np.zeros(n_values, dtype=np.int64)
+        if general.any():
+            d[general], k[general] = _decimal(bits[general])
 
     n = np.searchsorted(_POW10, d, side="right")  # the digit count
     rest = d * _POW10[_DIGITS - n]  # the digits, then zeros to 17
@@ -291,7 +338,7 @@ def _layout(bits):
     eights = np.stack([high, rest - high * _POW10[8]], axis=1).astype(np.uint32)  # digits 1-8, 9-16
     upper = eights // _E4
     groups = np.stack([upper, eights - upper * _E4], axis=2).reshape(n_values, 4)  # digits 1-4, ..., 13-16
-    text, zeros = _groups()
+    digits, zeros = _groups()
     trailing = zeros.take(groups[:, 3])
     for g in (2, 1, 0):  # while the groups after group g are all zeros
         trailing += (trailing == 4 * (3 - g)) * zeros.take(groups[:, g])
@@ -299,18 +346,9 @@ def _layout(bits):
     buf = np.empty((n_values, len(_TEMPLATE)), dtype=np.uint8)
     buf[:] = np.frombuffer(_TEMPLATE, dtype=np.uint8)
     buf[:, _DIGIT] = first + ord("0")
-    buf[:, _DIGIT + 2 : _EXP] = text.take(groups).view(np.uint8).reshape(n_values, 32)
+    buf[:, _DIGIT + 2 : _EXP] = digits.take(groups).view(np.uint8).reshape(n_values, 32)
 
-    decpt = n + k
-    exponent = decpt - 1
-    magnitude = np.abs(exponent)
-    buf[:, _EXP + 1] = np.where(exponent < 0, ord("-"), ord("+"))
-    buf[:, _EXP + 2] = magnitude // 100 + ord("0")
-    buf[:, _EXP + 3] = magnitude // 10 % 10 + ord("0")
-    buf[:, _EXP + 4] = magnitude % 10 + ord("0")
-    form = np.where(
-        (decpt <= -4) | (decpt > 16),
-        _SCI + (magnitude >= 100),
-        np.where(decpt > 0, _POINT + decpt, _BELOW_1 - decpt),
-    )
-    return buf, (form * 18 + m) * 2 + (bits >> _63).astype(np.int64)
+    row = n + k - 1 - _E_MIN  # the exponent's row: |v| = 0.DIGITS 10**(n + k)
+    exponent, form = _exponents()
+    buf[:, _EXP + 1 : _EXP + 5].view(np.uint32)[:, 0] = exponent.take(row)
+    return buf, form.take(row) + 2 * m + (bits >> _63).astype(np.int64)

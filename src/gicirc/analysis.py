@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import _amplification, _propagate
+from .errors import InstabilityError
 from .interferometers import (
     TopologyParams,
     _build,
@@ -235,6 +236,9 @@ def fit_snr_vs_power(points) -> LinearFit:
 
     Returns:
         The slope ``A = sum(x y) / sum(x^2)`` and the residual RMS.
+
+    Raises:
+        InstabilityError: the slope or the residual RMS leaves the float range.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
@@ -246,6 +250,15 @@ def fit_snr_vs_power(points) -> LinearFit:
     y = np.array([p[1] for p in pts])
     if np.any(x <= 0.0):
         raise ValueError("powers must be positive")
+    # Scaled by powers of two, which is exact, the sums stay in the float
+    # range, and in-range points keep every bit of the unscaled fit.
+    ex, ey = (math.frexp(float(np.max(np.abs(v))))[1] for v in (x, y))
+    x, y = np.ldexp(x, -ex), np.ldexp(y, -ey)
     slope = float(np.dot(x, y) / np.dot(x, x))
-    residual = y - slope * x
-    return LinearFit(A=slope, residual_rms=float(np.sqrt(np.mean(residual**2))))
+    rms = float(np.sqrt(np.mean((y - slope * x) ** 2)))
+    try:
+        return LinearFit(A=math.ldexp(slope, ey - ex), residual_rms=math.ldexp(rms, ey))
+    except OverflowError:
+        raise InstabilityError(
+            f"the fitted slope ({slope!r} * 2**{ey - ex}) or residual RMS ({rms!r} * 2**{ey}) leaves the float range"
+        ) from None

@@ -43,11 +43,11 @@ __all__ = [
 
 
 def _finite_params(rho, kappa, epsilon2) -> tuple[float, float, float]:
-    return (
-        _check_finite(rho, "loss parameter rho"),
-        _check_finite(kappa, "gain parameter kappa"),
-        _check_finite(epsilon2, "auxiliary thermal variance epsilon2"),
-    )
+    """The amplifier's values as floats; ``ValueError`` naming the field unless each is one finite real number (a bool or a string is not)."""
+    fields = ((rho, "loss parameter rho"), (kappa, "gain parameter kappa"), (epsilon2, "auxiliary thermal variance epsilon2"))
+    for value, name in fields:
+        _check_real(value, name)
+    return tuple(_check_finite(value, name) for value, name in fields)
 
 
 def _check_params(rho: float, kappa: float, epsilon2: float):

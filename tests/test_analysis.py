@@ -9,6 +9,7 @@ import pytest
 
 from gicirc import (
     Axis,
+    InstabilityError,
     SisniParams,
     SqMziParams,
     advantage_db,
@@ -357,6 +358,39 @@ class TestFitSnrVsPower:
     def test_rejects_non_finite_points(self, points, named):
         with pytest.raises(ValueError, match=f"^{named}$"):
             fit_snr_vs_power(points)
+
+    @pytest.mark.parametrize(
+        "points, slope, rms",
+        [
+            ([(1e200, 1.0), (2e200, 3.0)], 1.4e-200, math.sqrt(0.1)),  # residuals -0.4 and 0.2
+            ([(1e-200, 1.0), (2e-200, 3.0)], 1.4e200, math.sqrt(0.1)),
+            ([(1.0, 1e300), (2.0, 1e308)], 2e299 + 4e307,
+             math.hypot(1e300 - (2e299 + 4e307), 1e308 - 2.0 * (2e299 + 4e307)) / math.sqrt(2.0)),
+        ],
+        ids=["huge-powers", "tiny-powers", "huge-snrs"],
+    )
+    def test_sums_past_the_float_range(self, points, slope, rms):
+        # Unscaled, the sums overflow or underflow: the slope came out 0 or
+        # infinite, after a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_snr_vs_power(points)
+        assert fit.A == pytest.approx(slope, rel=1e-12)
+        assert fit.residual_rms == pytest.approx(rms, rel=1e-12)
+
+    def test_in_range_points_keep_their_bits(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            x = rng.uniform(0.1, 10.0, 6) * 10.0 ** rng.integers(-30, 30)
+            y = rng.normal(size=6) * 10.0 ** rng.integers(-30, 30)
+            slope = float(np.dot(x, y) / np.dot(x, x))
+            fit = fit_snr_vs_power(zip(x.tolist(), y.tolist()))
+            assert fit.A == slope
+            assert fit.residual_rms == float(np.sqrt(np.mean((y - slope * x) ** 2)))
+
+    def test_slope_past_the_float_range_is_refused(self):
+        with pytest.raises(InstabilityError, match="leaves the float range"):
+            fit_snr_vs_power([(1e-300, 1e300), (2e-300, 1e300)])
 
 
 class TestSnrLinearity:

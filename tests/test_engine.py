@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gicirc import (
@@ -405,20 +405,36 @@ def nested_rows(draw):
     return topo, spec, vary
 
 
+def _dark_fringe_rows():
+    """:func:`nested_rows`'s circuit, lossless and near the dark fringe, with one row of ideal amplifiers.
+
+    Its detected means are about 1e-3 of the coherent amplitude times the
+    amplification, the scale on which both passes round them.
+    """
+    topo = _TOPOLOGIES[SisniParams]
+    spec, _ = topo.build(SisniParams(6.0, phi_signal=3.125), _UNSET, _UNSET)
+    spec = dataclasses.replace(spec, inputs=(Thermal(1.0), Thermal(1.0), spec.inputs[2]), detect=Detection(0, 0.0))
+    row = {"rho": np.array([0.0]), "kappa": np.array([0.0872]), "epsilon2": np.array([1.0])}
+    return topo, spec, {i: row for i in topo.amplifiers}
+
+
 class TestBackwardReadout:
     """The detected row propagated backward, with the unvaried runs folded, reads what the forward excursion reads."""
 
     @settings(max_examples=100, deadline=None)
     @given(nested_rows(), st.sampled_from([1e-4, 1e-3, 0.3]))
+    @example(_dark_fringe_rows(), 1e-4)
     def test_equals_the_forward_excursion(self, case, dphi):
         topo, spec, vary = case
         means, var = _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, dphi)).run(_blocks(vary))
         excursion = _phase_excursion(topo, spec, dphi, vary)
         shifted, variance = _quadrature(excursion.shifted, excursion.cov, spec.detect.mode, spec.detect.theta)
         assert means.shape == shifted.shape[:-1] + (3,) and var.shape == variance.shape
-        # Off the dark fringe the signal is a small difference of large
-        # means: both passes round it on the scale of the means.
-        scale = np.abs(shifted).max(axis=-1)
+        # Both passes round the means on the scale of the coherent input's
+        # mean quadrature times the circuit's amplification: near the dark
+        # fringe the detected means are far smaller, and the signal is a
+        # small difference of them.
+        scale = 2.0 * abs(spec.inputs[2].alpha) * _amplification(spec, vary)
         signal = 0.5 * (means[..., 1] - means[..., 2])
         assert (np.abs(signal - 0.5 * (shifted[..., 0] - shifted[..., 1])) <= 1e-13 * scale).all()
         assert (np.abs(means[..., 1:] - shifted) <= 1e-13 * scale[..., None]).all()

@@ -21,7 +21,7 @@ from gicirc import (
     quadrature_stats,
     quantum_noise_gain,
 )
-from gicirc.noise_model import _linear_targets, _noisy_pa_stretch, _solve_kappa
+from gicirc.noise_model import NoisyPaElement, _linear_targets, _noisy_pa_stretch, _solve_kappa
 from conftest import random_physical_state
 
 
@@ -265,3 +265,34 @@ class TestNonFiniteParams:
         values = {"rho": 1e-3, "kappa": 0.2, "epsilon2": 2.0, field: bad}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             NoisyPaParams(**values)
+
+
+FIELD_NAMES = {"rho": "loss parameter rho", "kappa": "gain parameter kappa",
+               "epsilon2": "auxiliary thermal variance epsilon2"}
+
+
+class TestParamsThatAreNotRealNumbers:
+    """A bool or a numeric string is refused by name, as a ``qng_db`` is; unchecked, ``float()`` took it."""
+
+    @pytest.mark.parametrize("bad", [True, False, "2", "0.01", np.array(2.0), [2.0]])
+    @pytest.mark.parametrize("field", ["rho", "kappa", "epsilon2"])
+    def test_params_and_element_refuse(self, bad, field):
+        values = {"rho": 1e-3, "kappa": 0.2, "epsilon2": 2.0, field: bad}
+        message = f"{FIELD_NAMES[field]} must be a real number, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoisyPaParams(**values)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoisyPaElement((0, 1), **values)
+
+    def test_the_reported_cases(self):
+        with pytest.raises(ValueError, match="^loss parameter rho must be a real number, got True$"):
+            NoisyPaParams(True, 0.0, "2")
+        with pytest.raises(ValueError, match="^loss parameter rho must be a real number, got '0.01'$"):
+            kappa_from_qng(6.0, "0.01", 2.0)
+        with pytest.raises(ValueError, match="^auxiliary thermal variance epsilon2 must be a real number, got '2'$"):
+            kappa_from_qng(6.0, 0.01, "2")
+
+    @pytest.mark.parametrize("value", [2, np.float64(2.0), np.int64(2)])
+    def test_real_scalars_accepted(self, value):
+        assert NoisyPaParams(1e-3, 0.2, value) == NoisyPaParams(1e-3, 0.2, 2.0)
+        assert kappa_from_qng(6.0, 0.01, value) == kappa_from_qng(6.0, 0.01, 2.0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gicirc import _shortest
 from gicirc._shortest import _CHUNK, chunks
 
 
@@ -128,8 +129,84 @@ def test_no_work_at_import():
         "import sys, gicirc.cli; loaded = 'gicirc._shortest' in sys.modules; "
         "from gicirc import _shortest; "
         "print(loaded, *(table.cache_info().currsize for table in "
-        "(_shortest._table, _shortest._keep, _shortest._groups)))"
+        "(_shortest._table, _shortest._keep, _shortest._groups, _shortest._exponents)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "0", "0", "0"]
+    assert out.stdout.split() == ["False", "0", "0", "0", "0"]
 
+
+def test_exponent_table_holds_each_exponent_text():
+    text, _ = _shortest._exponents()
+    exponents = range(_shortest._E_MIN, _shortest._E_MAX + 1)
+    assert text.view(np.uint8).tobytes() == "".join(f"{e:+04d}" for e in exponents).encode("ascii")
+
+
+@pytest.mark.parametrize("mantissa", ["1", "1.5", "9.999999999999999", "1.2345678901234567"])
+def test_every_decimal_exponent(mantissa):
+    """Every decimal exponent from -324 to 308, in the positional form (-4 <= e <= 15) and the scientific."""
+    with np.errstate(over="ignore"):
+        values = np.array([float(f"{mantissa}e{e}") for e in range(-324, 309)])
+    values = values[np.isfinite(values) & (values != 0.0)]
+    assert len(values) >= 308 + 308
+    assert_reprs(np.concatenate([values, -values]))
+
+
+def _decimal_sizes(monkeypatch):
+    """The number of values of each call of ``_decimal``, the general path, as the kernel makes them."""
+    sizes = []
+    decimal = _shortest._decimal
+
+    def spy(bits):
+        sizes.append(bits.size)
+        return decimal(bits)
+
+    monkeypatch.setattr(_shortest, "_decimal", spy)
+    return sizes
+
+
+def _over_three_chunks(kind, rng):
+    """Values over three chunks and a part, of which every one, none or some take the general path."""
+    size = 3 * _CHUNK + 40
+    if kind == "every":  # below 1 or above 2**53: no integer, zero or subnormal
+        exponents = rng.choice(np.r_[-300:0, 17:300], size)
+        return rng.uniform(0.1, 1.0, size) * 10.0**exponents * rng.choice([-1.0, 1.0], size)
+    # Integers below 2**53, zeros and subnormals (written by float.__repr__) need no digits of _decimal.
+    values = rng.integers(-(2**53) + 1, 2**53, size).astype(np.float64)
+    values[::7] = 0.0
+    values[3::7] = -0.0
+    values[5::11] = 5e-324 * rng.integers(1, 2**52, size)[5::11]
+    values[:4] = [2.0**53 - 1.0, -(2.0**53 - 1.0), 1.0, -1.0]
+    if kind == "some":
+        values[1::3] = rng.uniform(-1e6, 1e6, values[1::3].size)  # not integers
+        values[4:6] = [2.0**53, -(2.0**53)]  # integers, but not below 2**53
+    return values
+
+
+@pytest.mark.parametrize("kind", ["every", "none", "some"])
+def test_chunks_on_each_path(kind, monkeypatch):
+    """Every value of a chunk goes to ``_decimal`` whole, none, or some gathered; the texts are right on each path."""
+    values = _over_three_chunks(kind, np.random.default_rng(17))
+    sizes = _decimal_sizes(monkeypatch)
+    assert_reprs(values)
+    if kind == "some":
+        assert len(sizes) == 4 and all(0 < n < _CHUNK for n in sizes[:3])
+    else:
+        assert sizes == {"every": [_CHUNK] * 3 + [40], "none": []}[kind]
+
+
+def test_chunks_with_and_without_list_ends():
+    """Chunks that hold a row end of an axis and chunks that do not: each chunk's text has exactly its own."""
+    seen = set()
+    for shape in [(2, 3, 700, 41), (3, 9000, 3), (2, 2, 2, 3, 1500, 11), (3, 5000, 1, 4), (2, 150, 241)]:
+        values = np.random.default_rng(3).normal(size=shape)
+        ends = [f"<{j}>" for j in range(len(shape))]
+        texts = list(chunks(values, ",", ends))
+        assert "".join(texts) == expected_text(values, ",", ends), shape
+        step = -(-_CHUNK // shape[-1])  # rows a chunk
+        per_row = row_ends(shape)
+        for lo, text in zip(range(0, len(per_row), step), texts):
+            held = set(per_row[lo : lo + step])
+            for j in range(len(shape)):
+                assert (ends[j] in text) == (j in held), (shape, lo, j)
+                seen.add((min(j, 3), j in held))
+    assert seen == {(j, held) for j in range(4) for held in (False, True)}
