@@ -10,17 +10,10 @@ propagated backward, and the runs of elements between and after the two
 amplifiers, the same in every row, are folded into one row map and one
 noise factor each (see :class:`~gicirc.circuits._Adjoint`), so a pass
 applies only the amplifiers' blocks per row.  Fitting
-minimizes squared dB residuals of that advantage with a derivative-free
-simplex search restarted from seeded random points (the inner QNG inversion
-makes the objective non-smooth at the no-solution boundary, so gradient
-methods are avoided).
-
-The simplex is scipy 1.17's bounded adaptive Nelder-Mead (Gao & Han,
-*Comput. Optim. Appl.* 51, 259 (2012)), reimplemented here so that no
-command imports scipy, and run in batched steps: each restart is a
-generator that yields every point its next step may read, and one engine
-pass evaluates the pending points of all live restarts.  A point has the
-bits of its own evaluation in any batch, so a fit has scipy's bits.
+minimizes the sum of squared dB residuals of that advantage by projected
+Levenberg-Marquardt searches in a log10 box from seeded random starts, with
+a forward-difference Jacobian: one engine pass scores the trial points and
+probes of all live searches.
 """
 
 from __future__ import annotations
@@ -28,8 +21,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +54,6 @@ __all__ = [
 DEFAULT_BOUNDS = ((0.0, 0.1), (1.0, 1e4))
 
 _RHO_FLOOR = 1e-8  # stands in for rho = 0 in log-space search
-_INFEASIBLE = 1e12  # penalty when a data point's QNG is unreachable
 _PINNED = 1e-6  # log10 distance from a box edge within which the optimum is pinned to it
 _UNSET = NoisyPaParams(0.0, 0.0)  # the circuit's amplifier fields, which every row sets
 _TINY = np.finfo(float).tiny  # a smaller SNR has lost the precision a ratio of SNRs needs
@@ -72,14 +64,12 @@ class FitResult:
     """Best-fit noise parameters with residual and convergence metadata.
 
     ``residual_rms`` is the root-mean-square of the (sigma-weighted) dB
-    residuals at the optimum; ``iterations`` counts the objective values
-    the simplex searches read (scipy's ``nfev``), across all restarts and
-    the polish stage, not the points a batched step evaluated in case its
-    branch needed them.  ``converged`` is false when the simplex did not
-    finish or the optimum sits within ``1e-6`` (in log10 search
-    coordinates) of a bound of the search box other than the physical
-    limits ``rho = 0`` and ``eps2 = 1``.  A fit whose optimum is refused
-    raises instead of returning one.
+    residuals at the optimum; ``iterations`` counts the points the searches
+    scored, across all restarts.  ``converged`` is false when the search
+    that found the optimum spent its budget before a stop test was met, or
+    the optimum sits within ``1e-6`` (in log10 search coordinates) of a
+    bound of the box other than the physical limits ``rho = 0`` and
+    ``eps2 = 1``.
     """
 
     rho1: float
@@ -91,6 +81,17 @@ class FitResult:
     converged: bool
 
 
+def _reals(values, count: int, refusal: str) -> tuple:
+    """``values`` as a tuple of ``count`` real numbers (not bools or strings); ``ValueError(refusal)`` otherwise."""
+    try:
+        reals = tuple(values)
+    except TypeError:
+        reals = ()
+    if len(reals) != count or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in reals):
+        raise ValueError(refusal)
+    return reals
+
+
 def _nested(losses, alpha2: float, dphi: float):
     """Check the fixed inputs, run the SQL baseline and compile the nested circuit's readout, once per call.
 
@@ -100,7 +101,9 @@ def _nested(losses, alpha2: float, dphi: float):
     signal phase's excursion), which each row of :func:`_nested_snr` runs
     with its own amplifier fields, and ``inputs``, which a refusal names.
     """
-    l_is, l_ii, l_e = losses
+    l_is, l_ii, l_e = _reals(losses, 3, f"losses must be three real numbers (L_is, L_ii, L_e), got {losses!r}")
+    _check_real(alpha2, "bright-port photon number alpha2")
+    _check_real(dphi, "phase excursion dphi")
     params = SisniParams(alpha=_amplitude(alpha2), L_is=l_is, L_ii=l_ii, L_e=l_e)
     _require_bright(params)
     inputs = f"alpha2 = {float(alpha2)!r}, dphi = {float(dphi)!r}"
@@ -256,15 +259,13 @@ def _noise(z) -> list[float]:
 
 
 class _Objective:
-    """The fit's objective: the sum of squared sigma-weighted dB residuals of the advantage.
+    """The fit's objective: the sigma-weighted dB residuals of the advantage, and their sum of squares.
 
-    Calling it scores one point of the log10 search coordinates, and
-    :meth:`batch` scores many with the same bits.  A point for which some
-    data row's QNG is out of reach, or whose readout is refused, scores
-    :data:`_INFEASIBLE`.  The data's linear targets are formed once per
-    fit, and a pass solves every point's rows from them in one
-    :func:`~gicirc.noise_model._solve_kappa`, which forms each of the
-    amplifiers' terms once.
+    :meth:`residuals` scores many points of the log10 search coordinates in
+    one pass, each with the bits of its own evaluation (:meth:`residual`).
+    A point for which some data row's QNG is out of reach, or whose readout
+    is refused, is infeasible: its row is NaN and its sum of squares
+    infinite.  The data's linear targets are formed once per fit.
     """
 
     def __init__(self, rows, losses, alpha2: float, dphi: float):
@@ -272,9 +273,7 @@ class _Objective:
         self.qng1, self.qng2, self.measured, self.sigma = np.array(rows).T
         for qng in (self.qng1, self.qng2):  # refuse bad QNG data as a first evaluation would
             _check_qng(qng)
-        # A batch's rows, (amplifier, point, data row), broadcast from these
-        # linear targets, formed once per fit, and each point's
-        # (amplifier, point, 1) noise parameters.
+        # (amplifier, 1, data row), broadcast against each pass's (amplifier, point, 1) noise parameters
         self.targets = _linear_targets(np.stack([self.qng1, self.qng2])[:, None, :])
 
     def snr(self, z) -> np.ndarray:
@@ -282,185 +281,186 @@ class _Objective:
         rho1, rho2, eps1, eps2 = _noise(z)
         return _sisni_snr(self.qng1, self.qng2, self.nested, (rho1, eps1), (rho2, eps2))
 
-    def __call__(self, z) -> float:
+    def _weighted(self, snr) -> np.ndarray:
+        return (10.0 * np.log10(snr / self.base) - self.measured) / self.sigma
+
+    def residual(self, z) -> np.ndarray:
+        """The residuals at one point ``z``, NaN where it is infeasible."""
         try:
-            snr = self.snr(z)
+            return self._weighted(self.snr(z))
         except (NoSolutionError, InstabilityError):
-            return _INFEASIBLE
-        r = (10.0 * np.log10(snr / self.base) - self.measured) / self.sigma
-        return sum((r * r).tolist())
+            return np.full(len(self.measured), np.nan)
 
-    def batch(self, points) -> list[float]:
-        """The value of each row of ``points``: every point whose QNGs are in reach runs in one engine pass.
+    def __call__(self, z) -> float:
+        return _costs(self.residual(z)[None])[0]
 
-        A point with a refused :func:`_solve_kappa` row scores the penalty
-        without the engine; a pass that the engine refuses as a whole is
-        run again point by point.
+    def residuals(self, points) -> np.ndarray:
+        """The residuals of each row of ``points``, one row each: every point whose QNGs are in reach runs in one engine pass.
+
+        A point with a refused :func:`_solve_kappa` row is NaN without the
+        engine; a pass that the engine refuses as a whole is run again point
+        by point.
         """
         noise = np.array([_noise(z) for z in points]).T[:, :, None]
         eps2 = noise[2:]
         solution = _solve_kappa(self.targets, noise[:2], eps2)
         feasible = ~(solution.unreachable | solution.at_pole | solution.overflow).any(axis=(0, 2))
-        every = feasible.all()
-        if not (every or feasible.any()):
-            return [_INFEASIBLE] * len(points)
+        rows = np.full((len(points), len(self.measured)), np.nan)
+        if not feasible.any():
+            return rows
         coupling, stretch = solution.coupling, solution.stretch
-        if not every:
+        if not feasible.all():
             eps2, stretch, coupling = eps2[:, feasible], stretch[:, feasible], [v[:, feasible] for v in coupling]
         try:
-            snr = _nested_snr(self.nested, eps2, coupling, stretch)
+            rows[feasible] = self._weighted(_nested_snr(self.nested, eps2, coupling, stretch))
         except (NoSolutionError, InstabilityError):
-            scores = [self(z) for z in points[feasible]]
-        else:
-            r = (10.0 * np.log10(snr / self.base) - self.measured) / self.sigma
-            scores = [sum(row) for row in (r * r).tolist()]
-        if every:
-            return scores
-        values = [_INFEASIBLE] * len(points)
-        for i, score in zip(np.flatnonzero(feasible), scores):
-            values[i] = score
-        return values
+            rows[feasible] = [self.residual(z) for z in points[feasible]]
+        return rows
+
+    def batch(self, points) -> list[float]:
+        """The sum of squares of each row of ``points``, from one :meth:`residuals` pass."""
+        return _costs(self.residuals(points)).tolist()
+
+
+def _costs(rows) -> np.ndarray:
+    """Each residual row's sum of squares, infinite for an infeasible (NaN) row."""
+    costs = np.einsum("ij,ij->i", rows, rows)
+    return np.where(np.isnan(costs), np.inf, costs)
 
 
 def _evaluated(z, value) -> None:
-    """Called once for each objective value a simplex search reads, with its point; does nothing.
+    """Called with each point a search scores and its sum of squares; a hook for counting from outside."""
 
-    A hook for counting evaluations from outside: the points a batched step
-    evaluated in case a branch needed them, and did not read, are not
-    reported.
+
+_PROBE = 2.0**-26  # a forward-difference probe's step, relative to max(1, |z|)
+_RUNGS = 4  # points of the ladder that moves an infeasible start toward the rho floor
+_FTOL, _XTOL, _GTOL = 1e-12, 1e-10, 1e-10  # Moré's stop tests, see _Search._judge and _Search._step
+
+
+class _Search:
+    """One projected Levenberg-Marquardt search in the log10 box, advanced one batched pass at a time.
+
+    Moré's iteration (*LNM* 630, 1978): a trust region scaled by the
+    running maximum of the Jacobian's column norms, its radius updated from
+    the ratio of actual to predicted reduction.  The step leaves out the
+    coordinates that the gradient holds at a bound and is clipped into the
+    box (Kanzow, Yamashita & Fukushima, *J. Comput. Appl. Math.* 172, 375
+    (2004)).  ``points`` holds what the next pass scores (``None`` once the
+    search has ended): each proposed point and its 4 forward-difference
+    probes.  A trial point that is infeasible, or has an infeasible probe,
+    is a rejected step; such a start is replaced by the first good point of
+    a ladder toward the rho floor, where every ``kappa = 0`` floor is
+    lowest.  ``best`` is the proposed point of least sum of squares,
+    ``(cost, z)`` (``(inf, None)`` while none was feasible), and ``met``
+    tells whether a stop test ended the search.
     """
 
+    def __init__(self, z0, lo, hi, budget: int):
+        self.lo, self.hi, self.left = lo, hi, budget
+        self.best, self.met, self.z = (math.inf, None), False, None
+        self.rungs = z0 + np.arange(1, _RUNGS + 1)[:, None] / _RUNGS * np.array([1.0, 1.0, 0.0, 0.0]) * (lo - z0)
+        self._propose(z0[None])
 
-class _Spent(Exception):
-    """A search read past its evaluation budget (scipy's ``_MaxFuncCallError``)."""
+    def _propose(self, candidates) -> None:
+        """Ask for each candidate (a row) and its probes, each coordinate stepped toward the feasible corner where the box allows."""
+        steps = _PROBE * np.maximum(1.0, np.abs(candidates))
+        steps = np.where(candidates - steps >= self.lo, -steps, steps)
+        probes = candidates[:, None, :] + steps[:, None, :] * np.eye(4)
+        self.points = np.concatenate([candidates[:, None, :], probes], axis=1).reshape(-1, 4)[: self.left]
+        self.left -= len(self.points)
+
+    def take(self, rows, costs) -> None:
+        """Read the residual rows and sums of squares of :attr:`points`, and propose the next points."""
+        points, self.points = self.points, None
+        firsts = range(0, len(points), 5)
+        if costs[k := min(firsts, key=costs.__getitem__)] < self.best[0]:
+            self.best = (costs[k], points[k])
+        whole = next((k for k in firsts if (costs[k : k + 5] < math.inf).sum() == 5), None)
+        if self.z is not None:
+            self._judge(points, rows, costs, whole is not None)
+        elif whole is not None:
+            self._accept(points[whole : whole + 5], rows[whole : whole + 5], costs[whole])
+        elif self.rungs is not None and self.left:
+            rungs, self.rungs = self.rungs, None
+            return self._propose(rungs)
+        if self.z is not None and self.left and not self.met:
+            self._step()
+
+    def _accept(self, points, rows, cost) -> None:
+        """Move to ``points[0]``, with the Jacobian from its probes, ``points[1:]``."""
+        z, r = points[0], rows[0]
+        jac = (rows[1:] - r).T / (points[1:] - z).sum(axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+        if self.z is None:
+            self.scale = np.where(norms > 0.0, norms, 1.0)
+            self.radius = np.linalg.norm(self.scale * z) or 1.0
+        self.scale = np.maximum(self.scale, norms)
+        self.z, self.r, self.jac, self.norms, self.cost = z, r, jac, norms, cost
+
+    def _judge(self, points, rows, costs, whole: bool) -> None:
+        """Accept the trial point if it lowers the sum of squares enough, update the radius and test for a stop."""
+        actual = self.cost - costs[0] if whole else -math.inf
+        ratio = actual / self.predicted if self.predicted > 0.0 else -math.inf
+        if ratio < 0.25:
+            self.radius = 0.25 * self.norm
+        elif ratio > 0.75 and self.norm >= 0.95 * self.radius:
+            self.radius *= 2.0
+        size = np.linalg.norm(self.scale * self.z)
+        self.met = self.norm < _XTOL * (_XTOL + size) or (ratio > 0.25 and actual < _FTOL * self.cost)
+        if ratio >= 1e-4:
+            self._accept(points, rows, costs[0])
+
+    def _step(self) -> None:
+        """Propose the next trial point from the trust region, or stop where the gradient vanishes."""
+        z, r, jac = self.z, self.r, self.jac
+        grad = jac.T @ r
+        free = ~(((z <= self.lo) & (grad > 0.0)) | ((z >= self.hi) & (grad < 0.0)))
+        if not (np.abs(grad[free]) > _GTOL * self.norms[free] * math.sqrt(self.cost)).any():
+            self.met = True
+            return
+        scale = self.scale[free]
+        scaled = jac[:, free] / scale
+        step = np.zeros(4)
+        step[free] = _trust_step(scaled.T @ scaled, scaled.T @ r, self.radius) / scale
+        trial = np.clip(z + step, self.lo, self.hi)
+        taken = trial - z
+        moved = jac @ taken
+        self.predicted = -(2.0 * (r @ moved) + moved @ moved)
+        self.norm = np.linalg.norm(self.scale * taken)
+        self._propose(trial[None])
 
 
-class _Simplex(NamedTuple):
-    """The end of a search, in the fields of scipy's ``OptimizeResult``."""
+def _trust_step(gram, grad, radius: float) -> np.ndarray:
+    """The step ``p`` minimizing ``|r + J p|`` within ``|p| <= radius``, from ``gram = JᵀJ`` and ``grad = Jᵀr``.
 
-    x: np.ndarray
-    fun: np.float64
-    nfev: int
-    nit: int
-    success: bool
-    final_simplex: tuple[np.ndarray, np.ndarray]
-
-
-def _nelder_mead(x0, lower, upper, maxfev: int, xatol: float, fatol: float):
-    """Scipy 1.17's ``minimize(method="Nelder-Mead")`` with ``bounds`` and ``adaptive=True``, as a generator.
-
-    Follows ``scipy.optimize._optimize._minimize_neldermead`` with
-    ``maxfev`` (``maxiter`` unbounded) operation for operation, so a search
-    has scipy's bits.  Each step yields, as the rows of an array, every point
-    whose value it may read: the initial simplex, then per iteration the
-    reflection, expansion, outside and inside contraction, and after a
-    failed contraction the shrunk vertices, none past the budget.  It is
-    sent their values in that order and reads them in scipy's order; each
-    read counts against ``maxfev`` and goes to :func:`_evaluated`, and a
-    read past the budget ends the search as scipy's ``_MaxFuncCallError``
-    does, also inside the initial simplex.  Returns a :class:`_Simplex`.
+    The Gauss-Newton step if the region holds it, else ``(gram + λ I) p =
+    -grad`` with the ``λ`` that puts ``p`` on the region's edge, by Moré's
+    Newton iteration on ``1/|p(λ)|``.  One Cholesky factor a ``λ``, not an
+    SVD, whose LAPACK code adds about 0.9 MB to a fit's peak memory.
     """
-    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    n = len(x0)
-    dim = float(n)
-    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
-    nonzdelt, zdelt = 0.05, 0.00025
-    # The reflection, expansion, outside and inside contraction, as
-    # ``to_xbar * xbar - to_worst * sim[-1]``: products and a difference
-    # with scipy's bits (``x - (-c) y`` is ``x + c y`` exactly).
-    to_xbar = np.array([[1 + rho], [1 + rho * chi], [1 + psi * rho], [1 - psi]])
-    to_worst = np.array([[rho], [rho * chi], [psi * rho], [-psi]])
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
-        sim[k + 1] = y
-    # Vertices past an upper bound are reflected into the box, then clipped.
-    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = np.full(n + 1, np.inf)
-    nfev = 0
-
-    def read(values, i, x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _Spent
-        nfev += 1
-        _evaluated(x, values[i])
-        return values[i]
-
-    values = yield sim[: min(n + 1, maxfev)]
-    try:
-        for k in range(n + 1):
-            fsim[k] = read(values, k, sim[k])
-    except _Spent:
-        pass
-    for _ in range(2):  # scipy sorts twice here, and an argsort need not keep ties in order
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    iterations = 1
-    while nfev < maxfev:
+    eye, damping, step = np.eye(len(grad)), 0.0, np.zeros(len(grad))
+    for _ in range(10):
         try:
-            if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            steps = np.clip(to_xbar * xbar - to_worst * sim[-1], lower, upper)
-            xr, xe, xc, xcc = steps
-            values = yield steps if maxfev - nfev > 1 else steps[:1]
-            fxr = read(values, 0, xr)
-            doshrink = False
-            if fxr < fsim[0]:
-                fxe = read(values, 1, xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                fxc = read(values, 2, xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    doshrink = True
-            else:
-                fxcc = read(values, 3, xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    doshrink = True
-            if doshrink:
-                shrunk = np.clip(sim[0] + sigma * (sim[1:] - sim[0]), lower, upper)
-                left = maxfev - nfev
-                values = (yield shrunk[:left]) if left else ()
-                for j in range(1, n + 1):
-                    sim[j] = shrunk[j - 1]
-                    fsim[j] = read(values, j - 1, sim[j])
-            iterations += 1
-        except _Spent:
-            pass
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return _Simplex(sim[0], np.min(fsim), nfev, iterations, nfev < maxfev, (sim, fsim))
+            factor = np.linalg.cholesky(gram + damping * eye)
+        except np.linalg.LinAlgError:  # a singular gram: start from a small damping
+            damping = 10.0 * damping if damping else 1e-12 * np.trace(gram)
+            continue
+        # Lᵀ with its rows and columns reversed is lower-triangular too.
+        lower, upper = factor.tolist(), factor.T[::-1, ::-1].tolist()
+        step = _solve_lower(upper, _solve_lower(lower, (-grad).tolist())[::-1])[::-1]
+        length = math.hypot(*step)
+        if length <= radius * (1.1 if damping else 1.0):
+            break
+        damping += (length / math.hypot(*_solve_lower(lower, step))) ** 2 * (length - radius) / radius
+    return np.array(step)
 
 
-def _lockstep(searches, evaluate) -> list[_Simplex]:
-    """Run :func:`_nelder_mead` searches side by side and return their results in order.
-
-    Each round makes one ``evaluate`` call (points as rows, to a sequence
-    of their values) on the pending points of every live search.
-    """
-    results = [None] * len(searches)
-    pending = {i: next(search) for i, search in enumerate(searches)}
-    while pending:
-        values = evaluate(np.concatenate(list(pending.values())))
-        start = 0
-        for i, points in list(pending.items()):
-            stop = start + len(points)
-            try:
-                pending[i] = searches[i].send(values[start:stop])
-            except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
-            start = stop
-    return results
+def _solve_lower(lower, b) -> list:
+    """``L⁻¹ b`` by forward substitution, for a lower-triangular ``L`` given as a list of rows."""
+    x = []
+    for row, value in zip(lower, b):
+        x.append((value - sum(map(float.__mul__, row, x))) / row[len(x)])
+    return x
 
 
 def fit_noise_model(
@@ -477,13 +477,12 @@ def fit_noise_model(
     """Fit ``(rho1, rho2, eps1^2, eps2^2)`` to measured advantage data.
 
     Minimizes the sum of squared (optionally sigma-weighted) dB residuals of
-    :func:`advantage_vs_qng` with Nelder-Mead simplex searches started from
-    ``restarts`` seeded random points in log-transformed coordinates, run
-    side by side, then polishes the best candidate.  Deterministic for a
-    fixed seed.  Parameter proposals for which some data point's QNG is
-    unreachable score a ``1e12`` penalty, which the simplex contracts away
-    from; when the optimum is such a proposal, :class:`NoSolutionError`
-    quotes its refusal.
+    :func:`advantage_vs_qng` with projected Levenberg-Marquardt searches
+    (:class:`_Search`) from ``restarts`` seeded random points in log10
+    coordinates, run side by side.  Deterministic for a fixed seed.  When
+    no search finds a point where every data point's QNG is in reach and
+    the readout holds, :class:`NoSolutionError` quotes the first start's
+    refusal.
 
     Args:
         data: rows ``(qng1_db, qng2_db, advantage_db[, sigma_db])``; at
@@ -493,51 +492,51 @@ def fit_noise_model(
             both amplifiers.
         seed: RNG seed for the restart points, a non-negative integer.
         restarts: number of random starts.
-        max_evals: objective-evaluation budget per start (the polish stage
-            gets twice this).
+        max_evals: budget of scored points per start.
     """
     rows = _normalize_data(data)
-    (rho_lo, rho_hi), (eps_lo, eps_hi) = bounds
-    if not (0.0 <= rho_lo < rho_hi < math.inf and 1.0 <= eps_lo < eps_hi < math.inf):
-        raise ValueError(
-            f"unusable bounds {bounds}: need finite 0 <= rho_lo < rho_hi and 1 <= eps2_lo < eps2_hi"
-        )
+    try:
+        (rho_lo, rho_hi), (eps_lo, eps_hi) = bounds
+        _reals((rho_lo, rho_hi, eps_lo, eps_hi), 4, "")
+        usable = 0.0 <= rho_lo < rho_hi < math.inf and 1.0 <= eps_lo < eps_hi < math.inf
+    except (TypeError, ValueError):
+        usable = False
+    if not usable:
+        raise ValueError(f"unusable bounds {bounds!r}: need finite 0 <= rho_lo < rho_hi and 1 <= eps2_lo < eps2_hi")
     for name, value in (("restarts", restarts), ("max_evals", max_evals)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    w_lo, w_hi, v_lo, v_hi = np.log10([max(rho_lo, _RHO_FLOOR), rho_hi, eps_lo, eps_hi])
-    lo = np.array([w_lo, w_lo, v_lo, v_lo])
-    hi = np.array([w_hi, w_hi, v_hi, v_hi])
+    lo, hi = np.log10([[max(rho_lo, _RHO_FLOOR)] * 2 + [eps_lo] * 2, [rho_hi] * 2 + [eps_hi] * 2])
 
     objective = _Objective(rows, losses, alpha2, dphi)
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(lo, hi, size=(restarts, 4))
-    runs = _lockstep([_nelder_mead(z0, lo, hi, max_evals, 1e-4, 1e-10) for z0 in starts], objective.batch)
-    best = min(runs, key=lambda res: res.fun)  # the first of equal minima
-    (polish,) = _lockstep([_nelder_mead(best.x, lo, hi, 2 * max_evals, 1e-7, 1e-16)], objective.batch)
-    best = min(polish, best, key=lambda res: res.fun)  # the polish wins a tie
-    z = best.x
-    # A refused proposal scores the penalty, and a residual sum can reach it
-    # too: only the optimum's own readout tells them apart.
-    if best.fun >= _INFEASIBLE:
+    starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, 4))
+    searches = [_Search(z0, lo, hi, max_evals) for z0 in starts]
+    while live := [search for search in searches if search.points is not None]:
+        points = np.concatenate([search.points for search in live])
+        costs = _costs(residuals := objective.residuals(points))
+        for z, cost in zip(points, costs.tolist()):
+            _evaluated(z, cost)
+        ends = np.cumsum([len(search.points) for search in live])[:-1]
+        for search, part, values in zip(live, np.split(residuals, ends), np.split(costs, ends)):
+            search.take(part, values)
+    found = [search for search in searches if search.best[0] < math.inf]
+    if not found:
         try:
-            objective.snr(z)
+            objective.snr(starts[0])
         except (NoSolutionError, InstabilityError) as exc:
             raise NoSolutionError(f"the noise-model fit ends at a refused point: {exc}") from exc
+    best = min(found, key=lambda search: search.best[0])  # the first of equal minima
+    cost, z = best.best
     # rho = 0 (stood in for by the floor) and eps2 = 1 are physical limits
     # where the true minimum can lie, as it does for noise-free data; a point
     # on any other edge of the box is held there by the box, not the data.
     box_lo = np.array([rho_lo > 0.0] * 2 + [eps_lo > 1.0] * 2)
     pinned = np.any(box_lo & (z - lo <= _PINNED)) or np.any(hi - z <= _PINNED)
-    rho1, rho2, eps1_sq, eps2_sq = _noise(z)
     return FitResult(
-        rho1=rho1,
-        rho2=rho2,
-        eps1_sq=eps1_sq,
-        eps2_sq=eps2_sq,
-        residual_rms=math.sqrt(best.fun / len(rows)),
-        iterations=sum(res.nfev for res in runs) + polish.nfev,
-        converged=bool(best.success and not pinned),
+        *_noise(z),  # rho1, rho2, eps1_sq, eps2_sq
+        residual_rms=math.sqrt(cost / len(rows)),
+        iterations=sum(max_evals - search.left for search in searches),
+        converged=bool(best.met and not pinned),
     )

@@ -405,6 +405,31 @@ def nested_rows(draw):
     return topo, spec, vary
 
 
+@st.composite
+def noise_behind_the_shift(draw):
+    """A two-mode circuit with a loss, then ``vary`` rows of a lossy amplifier, then the shifted phase.
+
+    Returns the circuit, the phase's index and the rows.  The coherent
+    input is on mode 0, the thermal one on mode 1, and beamsplitters mix
+    the modes around each element.
+    """
+    T = [draw(_finite(0.05, 0.95)) for _ in range(3)]
+    elements = (
+        BsElement((0, 1), T[0]),
+        LossElement(draw(st.integers(0, 1)), draw(_finite(0.05, 0.9))),
+        NoisyPaElement((0, 1), 0.0, 0.0, 1.0),
+        BsElement((0, 1), T[1]),
+        PhaseElement(0, draw(_finite(0.0, 2.0 * math.pi))),
+        BsElement((0, 1), T[2]),
+    )
+    alpha = complex(draw(_finite(1.0, 6.0)), draw(_finite(-1.0, 1.0)))
+    inputs = (Coherent(alpha), Thermal(draw(_finite(1.0, 4.0))))
+    spec = CircuitSpec(2, inputs, elements, Detection(draw(st.integers(0, 1)), draw(_finite(-10.0, 10.0))))
+    rows = draw(st.integers(1, 4))
+    fields = {name: np.array([draw(NUMBERS[name]) for _ in range(rows)]) for name in ("rho", "kappa", "epsilon2")}
+    return spec, 4, {2: fields}
+
+
 def _dark_fringe_rows():
     """:func:`nested_rows`'s circuit, lossless and near the dark fringe, with one row of ideal amplifiers.
 
@@ -438,6 +463,27 @@ class TestBackwardReadout:
         signal = 0.5 * (means[..., 1] - means[..., 2])
         assert (np.abs(signal - 0.5 * (shifted[..., 0] - shifted[..., 1])) <= 1e-13 * scale).all()
         assert (np.abs(means[..., 1:] - shifted) <= 1e-13 * scale[..., None]).all()
+        assert (np.abs(var - variance) <= 1e-13 * variance).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(noise_behind_the_shift(), st.sampled_from([1e-4, 1e-3, 0.3]))
+    def test_a_folded_run_behind_the_shift_reads_the_first_row(self, case, dphi):
+        # The loss sits before the varied amplifier, which sits before the
+        # shifted phase: the walk meets the loss's folded run with the three
+        # rows of the shift, and its noise is read with the set point's row.
+        spec, phase, vary = case
+        phi0 = spec.elements[phase].phi
+        shift = (phase, {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])})
+        adjoint = _Adjoint(spec, vary, shift)
+        assert adjoint.rows.shape[-2] == 3 and adjoint.steps[-1][0] is None and adjoint.steps[-1][1][1] is not None
+        means, var = adjoint.run(_blocks(vary))
+        shifted, cov = _propagate(spec, vary, shift)
+        forward, variance = _quadrature(shifted, cov, spec.detect.mode, spec.detect.theta)
+        assert means.shape == forward.shape and var.shape == variance.shape
+        scale = 2.0 * abs(spec.inputs[0].alpha) * _amplification(spec, vary)
+        signal = 0.5 * (means[..., 1] - means[..., 2])
+        assert (np.abs(signal - 0.5 * (forward[..., 1] - forward[..., 2])) <= 1e-13 * scale).all()
+        assert (np.abs(means - forward) <= 1e-13 * scale[..., None]).all()
         assert (np.abs(var - variance) <= 1e-13 * variance).all()
 
     def test_a_row_has_the_same_bits_in_any_pass(self, rng):
