@@ -198,31 +198,38 @@ def load_fit_data(source) -> list[tuple[float, float, float, float]]:
 
     Expects a header row with columns ``qng1_db, qng2_db, advantage_db`` and
     an optional ``sigma_db`` column enabling weighted least squares (missing
-    or empty sigmas default to 1).
+    or empty sigmas default to 1).  ``source`` is a path, read as UTF-8 with
+    or without a byte-order mark, or a text file-like object.  A row with
+    more cells than the header, without one of the three required cells, or
+    with a cell that is not a number raises ``ValueError`` naming its line.
     """
     if hasattr(source, "read"):
-        text = source.read()
+        text = source.read().removeprefix("\ufeff")
     else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     reader = csv.DictReader(io.StringIO(text))
-    required = {"qng1_db", "qng2_db", "advantage_db"}
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
+    columns = ("qng1_db", "qng2_db", "advantage_db")
+    if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
         raise ValueError(
-            f"fit data needs columns {sorted(required)} (optional sigma_db); "
+            f"fit data needs columns {sorted(columns)} (optional sigma_db); "
             f"got {reader.fieldnames}"
         )
     rows = []
     for rec in reader:
-        sigma = rec.get("sigma_db")
-        rows.append(
-            (
-                float(rec["qng1_db"]),
-                float(rec["qng2_db"]),
-                float(rec["advantage_db"]),
-                float(sigma) if sigma not in (None, "") else 1.0,
-            )
-        )
+        line = f"fit data line {reader.line_num}"
+        if None in rec:  # DictReader's key for the cells past the header's
+            width = len(reader.fieldnames)
+            raise ValueError(f"{line}: {width + len(rec[None])} cells, but the header has {width}")
+        values = []
+        for name, cell in [(name, rec[name]) for name in columns] + [("sigma_db", rec.get("sigma_db") or "1")]:
+            if cell is None:  # DictReader's value for the cells a short row lacks
+                raise ValueError(f"{line}: no {name} cell")
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(f"{line}: {name} {cell!r} is not a number") from None
+        rows.append(tuple(values))
     return rows
 
 
@@ -333,6 +340,7 @@ def _evaluated(z, value) -> None:
 
 
 _PROBE = 2.0**-26  # a forward-difference probe's step, relative to max(1, |z|)
+_AXES = np.eye(4)  # each probe's coordinate
 _RUNGS = 4  # points of the ladder that moves an infeasible start toward the rho floor
 _FTOL, _XTOL, _GTOL = 1e-12, 1e-10, 1e-10  # Moré's stop tests, see _Search._judge and _Search._step
 
@@ -345,19 +353,23 @@ class _Search:
     the ratio of actual to predicted reduction.  The step leaves out the
     coordinates that the gradient holds at a bound and is clipped into the
     box (Kanzow, Yamashita & Fukushima, *J. Comput. Appl. Math.* 172, 375
-    (2004)).  ``points`` holds what the next pass scores (``None`` once the
-    search has ended): each proposed point and its 4 forward-difference
-    probes.  A trial point that is infeasible, or has an infeasible probe,
-    is a rejected step; such a start is replaced by the first good point of
-    a ladder toward the rho floor, where every ``kappa = 0`` floor is
-    lowest.  ``best`` is the proposed point of least sum of squares,
-    ``(cost, z)`` (``(inf, None)`` while none was feasible), and ``met``
-    tells whether a stop test ended the search.
+    (2004)).  The scaled gram of the free coordinates is decomposed once
+    per accepted point (:func:`_decompose`, kept in ``model``): that one
+    eigendecomposition serves every damping value of the step and every
+    retry after a rejected one, which moves only the radius.  ``points``
+    holds what the next pass scores (``None`` once the search has ended):
+    each proposed point and its 4 forward-difference probes.  A trial point
+    that is infeasible, or has an infeasible probe, is a rejected step; such
+    a start is replaced by the first good point of a ladder toward the rho
+    floor, where every ``kappa = 0`` floor is lowest.  ``best`` is the
+    proposed point of least sum of squares, ``(cost, z)`` (``(inf, None)``
+    while none was feasible), and ``met`` tells whether a stop test ended
+    the search.
     """
 
     def __init__(self, z0, lo, hi, budget: int):
         self.lo, self.hi, self.left = lo, hi, budget
-        self.best, self.met, self.z = (math.inf, None), False, None
+        self.best, self.met, self.z, self.model = (math.inf, None), False, None, None
         self.rungs = z0 + np.arange(1, _RUNGS + 1)[:, None] / _RUNGS * np.array([1.0, 1.0, 0.0, 0.0]) * (lo - z0)
         self._propose(z0[None])
 
@@ -365,19 +377,20 @@ class _Search:
         """Ask for each candidate (a row) and its probes, each coordinate stepped toward the feasible corner where the box allows."""
         steps = _PROBE * np.maximum(1.0, np.abs(candidates))
         steps = np.where(candidates - steps >= self.lo, -steps, steps)
-        probes = candidates[:, None, :] + steps[:, None, :] * np.eye(4)
+        probes = candidates[:, None, :] + steps[:, None, :] * _AXES
         self.points = np.concatenate([candidates[:, None, :], probes], axis=1).reshape(-1, 4)[: self.left]
         self.left -= len(self.points)
 
-    def take(self, rows, costs) -> None:
-        """Read the residual rows and sums of squares of :attr:`points`, and propose the next points."""
+    def take(self, rows, costs: list) -> None:
+        """Read the residual rows and sums of squares (a list) of :attr:`points`, and propose the next points."""
         points, self.points = self.points, None
         firsts = range(0, len(points), 5)
         if costs[k := min(firsts, key=costs.__getitem__)] < self.best[0]:
             self.best = (costs[k], points[k])
-        whole = next((k for k in firsts if (costs[k : k + 5] < math.inf).sum() == 5), None)
+        # 5 finite costs: a group that the budget cut short is not whole
+        whole = next((k for k in firsts if sum(cost < math.inf for cost in costs[k : k + 5]) == 5), None)
         if self.z is not None:
-            self._judge(points, rows, costs, whole is not None)
+            self._judge(points, rows, costs[0], whole is not None)
         elif whole is not None:
             self._accept(points[whole : whole + 5], rows[whole : whole + 5], costs[whole])
         elif self.rungs is not None and self.left:
@@ -386,81 +399,98 @@ class _Search:
         if self.z is not None and self.left and not self.met:
             self._step()
 
-    def _accept(self, points, rows, cost) -> None:
+    def _accept(self, points, rows, cost: float) -> None:
         """Move to ``points[0]``, with the Jacobian from its probes, ``points[1:]``."""
         z, r = points[0], rows[0]
         jac = (rows[1:] - r).T / (points[1:] - z).sum(axis=1)
         norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
         if self.z is None:
             self.scale = np.where(norms > 0.0, norms, 1.0)
-            self.radius = np.linalg.norm(self.scale * z) or 1.0
+            self.radius = math.hypot(*(self.scale * z).tolist()) or 1.0
         self.scale = np.maximum(self.scale, norms)
-        self.z, self.r, self.jac, self.norms, self.cost = z, r, jac, norms, cost
+        self.z, self.r, self.jac, self.norms, self.cost, self.model = z, r, jac, norms, cost, None
 
-    def _judge(self, points, rows, costs, whole: bool) -> None:
+    def _judge(self, points, rows, cost: float, whole: bool) -> None:
         """Accept the trial point if it lowers the sum of squares enough, update the radius and test for a stop."""
-        actual = self.cost - costs[0] if whole else -math.inf
+        actual = self.cost - cost if whole else -math.inf
         ratio = actual / self.predicted if self.predicted > 0.0 else -math.inf
         if ratio < 0.25:
             self.radius = 0.25 * self.norm
         elif ratio > 0.75 and self.norm >= 0.95 * self.radius:
             self.radius *= 2.0
-        size = np.linalg.norm(self.scale * self.z)
+        size = math.hypot(*(self.scale * self.z).tolist())
         self.met = self.norm < _XTOL * (_XTOL + size) or (ratio > 0.25 and actual < _FTOL * self.cost)
         if ratio >= 1e-4:
-            self._accept(points, rows, costs[0])
+            self._accept(points, rows, cost)
 
     def _step(self) -> None:
         """Propose the next trial point from the trust region, or stop where the gradient vanishes."""
         z, r, jac = self.z, self.r, self.jac
-        grad = jac.T @ r
-        free = ~(((z <= self.lo) & (grad > 0.0)) | ((z >= self.hi) & (grad < 0.0)))
-        if not (np.abs(grad[free]) > _GTOL * self.norms[free] * math.sqrt(self.cost)).any():
-            self.met = True
-            return
-        scale = self.scale[free]
-        scaled = jac[:, free] / scale
+        if self.model is None:  # the first step from this point
+            grad = jac.T @ r
+            free = ~(((z <= self.lo) & (grad > 0.0)) | ((z >= self.hi) & (grad < 0.0)))
+            if not (np.abs(grad[free]) > _GTOL * self.norms[free] * math.sqrt(self.cost)).any():
+                self.met = True
+                return
+            scale = self.scale[free]
+            scaled = jac[:, free] / scale
+            self.model = free, scale, _decompose(scaled.T @ scaled, scaled.T @ r)
+        free, scale, decomposition = self.model
         step = np.zeros(4)
-        step[free] = _trust_step(scaled.T @ scaled, scaled.T @ r, self.radius) / scale
+        step[free] = _trust_step(decomposition, self.radius) / scale
         trial = np.clip(z + step, self.lo, self.hi)
         taken = trial - z
         moved = jac @ taken
         self.predicted = -(2.0 * (r @ moved) + moved @ moved)
-        self.norm = np.linalg.norm(self.scale * taken)
+        self.norm = math.hypot(*(self.scale * taken).tolist())
         self._propose(trial[None])
 
 
-def _trust_step(gram, grad, radius: float) -> np.ndarray:
-    """The step ``p`` minimizing ``|r + J p|`` within ``|p| <= radius``, from ``gram = JᵀJ`` and ``grad = Jᵀr``.
+def _decompose(gram, grad) -> tuple:
+    """``gram = JᵀJ = V diag(s) Vᵀ`` and ``grad = Jᵀr`` as :func:`_trust_step` reads them: ``(s, V, c = Vᵀ(-grad))``.
 
-    The Gauss-Newton step if the region holds it, else ``(gram + λ I) p =
-    -grad`` with the ``λ`` that puts ``p`` on the region's edge, by Moré's
-    Newton iteration on ``1/|p(λ)|``.  One Cholesky factor a ``λ``, not an
-    SVD, whose LAPACK code adds about 0.9 MB to a fit's peak memory.
+    ``s`` (ascending) and ``c`` are lists of Python floats: a damping
+    value's sums run over at most 4 terms, which cost less in floats than
+    in numpy calls.  A zero column of ``J`` is left out of the
+    decomposition, so its coordinate's step is 0: ``eigh`` can give its
+    null direction a rounding-sized eigenvalue, and ``c / s`` would then
+    put an arbitrary step there.
     """
-    eye, damping, step = np.eye(len(grad)), 0.0, np.zeros(len(grad))
+    live = gram.diagonal() > 0.0
+    if live.all():
+        s, vectors = np.linalg.eigh(gram)
+    else:
+        s, part = np.linalg.eigh(gram[np.ix_(live, live)])
+        vectors = np.zeros((len(live), len(s)))
+        vectors[live] = part
+    return s.tolist(), vectors, (-grad @ vectors).tolist()
+
+
+def _trust_step(decomposition, radius: float) -> np.ndarray:
+    """The step ``p`` minimizing ``|r + J p|`` within ``|p| <= radius``, from :func:`_decompose`'s ``(s, V, c)``.
+
+    The Gauss-Newton step ``V (c / s)`` if the region holds it, else ``p(λ)
+    = V (c / (s + λ))``, the solution of ``(JᵀJ + λ I) p = -Jᵀr``, with the
+    ``λ`` that puts ``p`` on the region's edge (within 10 %), by Moré's
+    Newton iteration on ``1/|p(λ)|``: ``|p|² = Σ cᵢ²/(sᵢ+λ)²`` and the
+    derivative's ``|q|² = Σ cᵢ²/(sᵢ+λ)³``.  Each ``λ`` costs a few float
+    sums, with no factor: the eigenvectors are orthonormal, so ``|p|`` is
+    the length of ``c / (s + λ)``.  A singular gram (an eigenvalue ``<= 0``)
+    starts from ``λ = 1e-12`` times its trace.
+    """
+    s, vectors, c = decomposition
+    damping, coefficients = 0.0, [0.0] * len(s)
     for _ in range(10):
-        try:
-            factor = np.linalg.cholesky(gram + damping * eye)
-        except np.linalg.LinAlgError:  # a singular gram: start from a small damping
-            damping = 10.0 * damping if damping else 1e-12 * np.trace(gram)
+        if s[0] + damping <= 0.0:  # a singular gram: start from a small damping
+            damping = 10.0 * damping if damping else 1e-12 * sum(s)
             continue
-        # Lᵀ with its rows and columns reversed is lower-triangular too.
-        lower, upper = factor.tolist(), factor.T[::-1, ::-1].tolist()
-        step = _solve_lower(upper, _solve_lower(lower, (-grad).tolist())[::-1])[::-1]
-        length = math.hypot(*step)
+        coefficients = [ci / (si + damping) for si, ci in zip(s, c)]
+        length = math.hypot(*coefficients)
         if length <= radius * (1.1 if damping else 1.0):
             break
-        damping += (length / math.hypot(*_solve_lower(lower, step))) ** 2 * (length - radius) / radius
-    return np.array(step)
-
-
-def _solve_lower(lower, b) -> list:
-    """``L⁻¹ b`` by forward substitution, for a lower-triangular ``L`` given as a list of rows."""
-    x = []
-    for row, value in zip(lower, b):
-        x.append((value - sum(map(float.__mul__, row, x))) / row[len(x)])
-    return x
+        curvature = sum(x * x / (si + damping) for si, x in zip(s, coefficients))  # |q|²
+        damping += length * length / curvature * (length - radius) / radius
+    return vectors @ coefficients
 
 
 def fit_noise_model(
@@ -515,12 +545,14 @@ def fit_noise_model(
     searches = [_Search(z0, lo, hi, max_evals) for z0 in starts]
     while live := [search for search in searches if search.points is not None]:
         points = np.concatenate([search.points for search in live])
-        costs = _costs(residuals := objective.residuals(points))
-        for z, cost in zip(points, costs.tolist()):
+        costs = _costs(residuals := objective.residuals(points)).tolist()
+        for z, cost in zip(points, costs):
             _evaluated(z, cost)
-        ends = np.cumsum([len(search.points) for search in live])[:-1]
-        for search, part, values in zip(live, np.split(residuals, ends), np.split(costs, ends)):
-            search.take(part, values)
+        start = 0
+        for search in live:
+            end = start + len(search.points)
+            search.take(residuals[start:end], costs[start:end])
+            start = end
     found = [search for search in searches if search.best[0] < math.inf]
     if not found:
         try:

@@ -939,6 +939,19 @@ class TestArgumentErrors:
         assert error["type"] == "ValueError" and message in error["message"]
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("4,6", "fit data line 3: no advantage_db cell"),
+            ("4,abc,1.5", "fit data line 3: qng2_db 'abc' is not a number"),
+            ("4,6,1.5,9", "fit data line 3: 4 cells, but the header has 3"),
+        ],
+    )
+    def test_a_malformed_fit_csv_names_its_line(self, capsys, tmp_path, row, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"qng1_db,qng2_db,advantage_db\n4,3,1\n{row}\n8,3,0.8\n8,6,1.2\n")
+        assert run_error(capsys, "fit", "--data", str(path)) == {"type": "ValueError", "message": message}
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["snr", "--topology", "mzi"],

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gicirc
 from gicirc import (
@@ -84,6 +86,35 @@ class TestLoadFitData:
     def test_missing_columns_rejected(self):
         with pytest.raises(ValueError, match="columns"):
             load_fit_data(io.StringIO("a,b\n1,2\n"))
+
+    HEADER = "qng1_db,qng2_db,advantage_db\n"
+
+    @staticmethod
+    def load(text, source, tmp_path):
+        if source == "file-like":
+            return load_fit_data(io.StringIO(text))
+        path = tmp_path / "fit.csv"
+        path.write_text(text, encoding="utf-8")
+        return load_fit_data(str(path))
+
+    @pytest.mark.parametrize("source", ["path", "file-like"])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("4,7", "fit data line 3: no advantage_db cell"),
+            ("4,abc,1", "fit data line 3: qng2_db 'abc' is not a number"),
+            ("4,7,1.5,9", "fit data line 3: 4 cells, but the header has 3"),
+        ],
+    )
+    def test_a_malformed_row_names_its_line(self, tmp_path, source, row, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.load(f"{self.HEADER}4,3,1\n{row}\n8,3,0.8\n", source, tmp_path)
+
+    @pytest.mark.parametrize("source", ["path", "file-like"])
+    def test_a_byte_order_mark_is_read_past(self, tmp_path, source):
+        # Excel's "CSV UTF-8" starts the header with U+FEFF.
+        rows = self.load(f"\ufeff{self.HEADER}4,3,1.5\n8,6,0.5\n", source, tmp_path)
+        assert rows == [(4.0, 3.0, 1.5, 1.0), (8.0, 6.0, 0.5, 1.0)]
 
 
 class TestFitNoiseModel:
@@ -170,19 +201,26 @@ class TestFitNoiseModel:
             )
 
 
+def counter(counts):
+    """A wrapper maker that counts the calls of each wrapped function in ``counts`` under its name."""
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return counted
+
+    return counting
+
+
 class TestFitWork:
+    # The fit benchmark's data: criterion 7's truth at three downstream QNGs.
     DATA = TestFitNoiseModel().synthetic((5e-4, 2.0), (4e-4, 208.0), qng2s=(2.0, 7.0, 12.0))
 
     def test_builds_the_nested_circuit_once(self, monkeypatch):
         counts = collections.Counter()
-
-        def counting(name, func):
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return func(*args, **kwargs)
-
-            return counted
-
+        counting = counter(counts)
         for cls in (SisniParams, NoisyPaParams, CircuitSpec):
             monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
         monkeypatch.setattr(interferometers, "_assemble", counting("_assemble", interferometers._assemble))
@@ -217,6 +255,83 @@ class TestFitWork:
         result = fit_noise_model(self.DATA, PAPER_LOSSES, seed=3, restarts=3, max_evals=max_evals)
         assert not result.converged
         assert 0 < result.iterations <= 3 * max_evals
+
+    def test_a_rejected_step_reuses_the_decomposition(self, monkeypatch):
+        # Restart seed 3 rejects steps on these data.  Each accepted point's
+        # gram is decomposed at most once, however many damping values its
+        # step tries and however many of its trial points are rejected.
+        counts = collections.Counter()
+        counting = counter(counts)
+        for name in ("eigh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for name in ("_step", "_accept"):
+            monkeypatch.setattr(noise_fit._Search, name, counting(name, getattr(noise_fit._Search, name)))
+        fit_noise_model(self.DATA, PAPER_LOSSES, seed=3, restarts=1, max_evals=1000)
+        factors = counts["eigh"] + counts["cholesky"]
+        assert 0 < factors <= counts["_accept"] < counts["_step"]
+
+
+class TestTrustStep:
+    @staticmethod
+    def step(jac, r, radius):
+        return noise_fit._trust_step(noise_fit._decompose(jac.T @ jac, jac.T @ r), radius)
+
+    def test_the_gauss_newton_step_when_the_region_holds_it(self, rng):
+        for _ in range(20):
+            jac, r = rng.normal(size=(6, 4)), rng.normal(size=6)
+            newton = np.linalg.solve(jac.T @ jac, -jac.T @ r)
+            step = self.step(jac, r, 2.0 * np.linalg.norm(newton))
+            assert np.allclose(step, newton, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("shrink", [0.5, 0.1, 1e-3])
+    def test_on_the_edge_the_step_solves_the_damped_system(self, rng, shrink):
+        for _ in range(20):
+            jac, r = rng.normal(size=(6, 4)), rng.normal(size=6)
+            gram, grad = jac.T @ jac, jac.T @ r
+            radius = shrink * np.linalg.norm(np.linalg.solve(gram, -grad))
+            step = self.step(jac, r, radius)
+            length = np.linalg.norm(step)
+            assert radius <= length <= 1.1 * radius
+
+            def damped(damping):
+                return np.linalg.solve(gram + damping * np.eye(4), -grad)
+
+            # The reference damping, by bisection: |p(λ)| falls as λ grows.
+            lo, hi = 0.0, 1.0
+            while np.linalg.norm(damped(hi)) > length:
+                lo, hi = hi, 2.0 * hi
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if np.linalg.norm(damped(mid)) > length else (lo, mid)
+            assert np.allclose(step, damped(hi), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("radius", [1e3, 1e-3])
+    def test_a_zero_column_gives_a_finite_step_that_leaves_its_coordinate(self, rng, radius):
+        # eigh can give a zero column's null direction a rounding-sized
+        # eigenvalue; 200 draws meet that case.
+        for _ in range(200):
+            jac, r, dead = rng.normal(size=(6, 4)), rng.normal(size=6), rng.integers(4)
+            jac[:, dead] = 0.0
+            step = self.step(jac, r, radius)
+            assert np.isfinite(step).all() and step[dead] == 0.0
+            assert np.linalg.norm(step) <= 1.1 * radius
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        cells=st.lists(st.integers(-1000, 1000), min_size=30, max_size=30),
+        radius=st.floats(1e-4, 1e3),
+    )
+    def test_the_step_stays_in_the_region_and_predicts_no_rise(self, k, cells, radius):
+        values = np.array(cells) / 100.0
+        jac, r = values[: 6 * k].reshape(6, k), values[24:]
+        assume(jac.any())  # a zero Jacobian has a zero gradient, where the search stops before a step
+        step = self.step(jac, r, radius)
+        moved = jac @ step
+        assert np.linalg.norm(step) <= 1.1 * radius
+        # ≥ 0 up to the rounding of the two terms' sum
+        predicted = -(2.0 * (r @ moved) + moved @ moved)
+        assert predicted >= -4.0 * np.finfo(float).eps * np.linalg.norm(r) * np.linalg.norm(moved)
 
 
 class TestNoisyDraws:
