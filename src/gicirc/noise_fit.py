@@ -340,7 +340,6 @@ def _evaluated(z, value) -> None:
 
 
 _PROBE = 2.0**-26  # a forward-difference probe's step, relative to max(1, |z|)
-_AXES = np.eye(4)  # each probe's coordinate
 _RUNGS = 4  # points of the ladder that moves an infeasible start toward the rho floor
 _FTOL, _XTOL, _GTOL = 1e-12, 1e-10, 1e-10  # Moré's stop tests, see _Search._judge and _Search._step
 
@@ -361,29 +360,37 @@ class _Search:
     each proposed point and its 4 forward-difference probes.  A trial point
     that is infeasible, or has an infeasible probe, is a rejected step; such
     a start is replaced by the first good point of a ladder toward the rho
-    floor, where every ``kappa = 0`` floor is lowest.  ``best`` is the
-    proposed point of least sum of squares, ``(cost, z)`` (``(inf, None)``
-    while none was feasible), and ``met`` tells whether a stop test ended
-    the search.
+    floor, where every ``kappa = 0`` floor is lowest.  A clipped step whose
+    model predicts no reduction is rejected in :meth:`_step`, before it is
+    scored: it spends no budget, and ``iterations`` still counts every
+    point scored.  ``best`` is the proposed point of least sum of squares,
+    ``(cost, z)`` (``(inf, None)`` while none was feasible), and ``met``
+    tells whether a stop test ended the search.
     """
 
     def __init__(self, z0, lo, hi, budget: int):
-        self.lo, self.hi, self.left = lo, hi, budget
+        self.lo, self.hi, self.left = lo.tolist(), hi.tolist(), budget
         self.best, self.met, self.z, self.model = (math.inf, None), False, None, None
-        self.rungs = z0 + np.arange(1, _RUNGS + 1)[:, None] / _RUNGS * np.array([1.0, 1.0, 0.0, 0.0]) * (lo - z0)
-        self._propose(z0[None])
+        rungs = z0 + np.arange(1, _RUNGS + 1)[:, None] / _RUNGS * np.array([1.0, 1.0, 0.0, 0.0]) * (lo - z0)
+        self.rungs = rungs.tolist()
+        self._propose([z0.tolist()])
 
     def _propose(self, candidates) -> None:
-        """Ask for each candidate (a row) and its probes, each coordinate stepped toward the feasible corner where the box allows."""
-        steps = _PROBE * np.maximum(1.0, np.abs(candidates))
-        steps = np.where(candidates - steps >= self.lo, -steps, steps)
-        probes = candidates[:, None, :] + steps[:, None, :] * _AXES
-        self.points = np.concatenate([candidates[:, None, :], probes], axis=1).reshape(-1, 4)[: self.left]
+        """Ask for each candidate (a list of floats) and its probes, each coordinate stepped toward the feasible corner where the box allows."""
+        points = []
+        for z in candidates:
+            points.append(z)
+            for i, (v, lo) in enumerate(zip(z, self.lo)):
+                step = _PROBE * max(1.0, abs(v))
+                probe = z.copy()
+                probe[i] = v - step if v - step >= lo else v + step
+                points.append(probe)
+        self.points = points[: self.left]
         self.left -= len(self.points)
 
-    def take(self, rows, costs: list) -> None:
-        """Read the residual rows and sums of squares (a list) of :attr:`points`, and propose the next points."""
-        points, self.points = self.points, None
+    def take(self, points, rows, costs: list) -> None:
+        """Read the scored :attr:`points` (an array), their residual rows and sums of squares (a list), and propose the next points."""
+        self.points = None
         firsts = range(0, len(points), 5)
         if costs[k := min(firsts, key=costs.__getitem__)] < self.best[0]:
             self.best = (costs[k], points[k])
@@ -402,13 +409,14 @@ class _Search:
     def _accept(self, points, rows, cost: float) -> None:
         """Move to ``points[0]``, with the Jacobian from its probes, ``points[1:]``."""
         z, r = points[0], rows[0]
-        jac = (rows[1:] - r).T / (points[1:] - z).sum(axis=1)
+        jac = (rows[1:] - r).T / (points[1:].diagonal() - z)  # probe i moves coordinate i alone
         norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
-        if self.z is None:
-            self.scale = np.where(norms > 0.0, norms, 1.0)
-            self.radius = math.hypot(*(self.scale * z).tolist()) or 1.0
-        self.scale = np.maximum(self.scale, norms)
-        self.z, self.r, self.jac, self.norms, self.cost, self.model = z, r, jac, norms, cost, None
+        first = self.z is None
+        self.scale = np.maximum(np.where(norms > 0.0, norms, 1.0) if first else self.scale, norms)
+        self.size = math.hypot(*(self.scale * z).tolist())  # |D z|, for the step-length stop
+        if first:
+            self.radius = self.size or 1.0
+        self.z, self.r, self.jac, self.norms, self.cost, self.model = z, r, jac, norms.tolist(), cost, None
 
     def _judge(self, points, rows, cost: float, whole: bool) -> None:
         """Accept the trial point if it lowers the sum of squares enough, update the radius and test for a stop."""
@@ -418,32 +426,52 @@ class _Search:
             self.radius = 0.25 * self.norm
         elif ratio > 0.75 and self.norm >= 0.95 * self.radius:
             self.radius *= 2.0
-        size = math.hypot(*(self.scale * self.z).tolist())
-        self.met = self.norm < _XTOL * (_XTOL + size) or (ratio > 0.25 and actual < _FTOL * self.cost)
+        self.met = self.norm < _XTOL * (_XTOL + self.size) or (ratio > 0.25 and actual < _FTOL * self.cost)
         if ratio >= 1e-4:
             self._accept(points, rows, cost)
 
     def _step(self) -> None:
-        """Propose the next trial point from the trust region, or stop where the gradient vanishes."""
+        """Propose the next trial point from the trust region, or stop where the gradient vanishes.
+
+        A trial point whose clipped step the model predicts cannot lower the
+        sum of squares is rejected here, as :meth:`_judge` would reject it
+        after a pass, and the step is tried again from the smaller radius.
+        Each retry at least halves the radius, so the step-length stop ends
+        the retries.
+        """
         z, r, jac = self.z, self.r, self.jac
+        at = z.tolist()
         if self.model is None:  # the first step from this point
-            grad = jac.T @ r
-            free = ~(((z <= self.lo) & (grad > 0.0)) | ((z >= self.hi) & (grad < 0.0)))
-            if not (np.abs(grad[free]) > _GTOL * self.norms[free] * math.sqrt(self.cost)).any():
+            grad = (jac.T @ r).tolist()
+            free = [
+                not (x <= lo and g > 0.0 or x >= hi and g < 0.0) for x, lo, hi, g in zip(at, self.lo, self.hi, grad)
+            ]
+            root = math.sqrt(self.cost)
+            if not any(f and abs(g) > _GTOL * n * root for f, g, n in zip(free, grad, self.norms)):
                 self.met = True
                 return
+            free = slice(None) if all(free) else np.array(free)
             scale = self.scale[free]
             scaled = jac[:, free] / scale
             self.model = free, scale, _decompose(scaled.T @ scaled, scaled.T @ r)
         free, scale, decomposition = self.model
-        step = np.zeros(4)
-        step[free] = _trust_step(decomposition, self.radius) / scale
-        trial = np.clip(z + step, self.lo, self.hi)
-        taken = trial - z
-        moved = jac @ taken
-        self.predicted = -(2.0 * (r @ moved) + moved @ moved)
-        self.norm = math.hypot(*(self.scale * taken).tolist())
-        self._propose(trial[None])
+        while True:
+            step = np.zeros(4)
+            step[free] = _trust_step(decomposition, self.radius) / scale
+            trial = [min(max(x + d, lo), hi) for x, d, lo, hi in zip(at, step.tolist(), self.lo, self.hi)]
+            taken = np.array(trial) - z
+            moved = jac @ taken
+            self.predicted = -(2.0 * (r @ moved) + moved @ moved)
+            self.norm = math.hypot(*(self.scale * taken).tolist())
+            # A step that overran its region (Newton's iteration overflowed, or
+            # the step is NaN) would not shrink the radius: it is scored and
+            # judged, so the budget still ends a search that repeats it.
+            if self.predicted > 0.0 or not self.norm <= 2.0 * self.radius:
+                return self._propose([trial])
+            self.radius = 0.25 * self.norm
+            if self.norm < _XTOL * (_XTOL + self.size):
+                self.met = True
+                return
 
 
 def _decompose(gram, grad) -> tuple:
@@ -544,14 +572,14 @@ def fit_noise_model(
     starts = np.random.default_rng(seed).uniform(lo, hi, size=(restarts, 4))
     searches = [_Search(z0, lo, hi, max_evals) for z0 in starts]
     while live := [search for search in searches if search.points is not None]:
-        points = np.concatenate([search.points for search in live])
+        points = np.array([z for search in live for z in search.points])
         costs = _costs(residuals := objective.residuals(points)).tolist()
         for z, cost in zip(points, costs):
             _evaluated(z, cost)
         start = 0
         for search in live:
             end = start + len(search.points)
-            search.take(residuals[start:end], costs[start:end])
+            search.take(points[start:end], residuals[start:end], costs[start:end])
             start = end
     found = [search for search in searches if search.best[0] < math.inf]
     if not found:
@@ -559,6 +587,10 @@ def fit_noise_model(
             objective.snr(starts[0])
         except (NoSolutionError, InstabilityError) as exc:
             raise NoSolutionError(f"the noise-model fit ends at a refused point: {exc}") from exc
+        raise InstabilityError(
+            "the noise-model fit's weighted residuals overflow at every scored point: "
+            f"the smallest sigma_db is {min(row[3] for row in rows)!r}"
+        )
     best = min(found, key=lambda search: search.best[0])  # the first of equal minima
     cost, z = best.best
     # rho = 0 (stood in for by the floor) and eps2 = 1 are physical limits

@@ -951,6 +951,17 @@ class TestArgumentErrors:
         path.write_text(f"qng1_db,qng2_db,advantage_db\n4,3,1\n{row}\n8,3,0.8\n8,6,1.2\n")
         assert run_error(capsys, "fit", "--data", str(path)) == {"type": "ValueError", "message": message}
 
+    def test_a_fit_whose_residuals_overflow_everywhere_is_named(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("qng1_db,qng2_db,advantage_db,sigma_db\n" + "".join(
+            f"{row},1e-300\n" for row in ("4,3,0.9", "4,6,1.6", "8,3,1.1", "8,6,2.0")
+        ))
+        assert run_error(capsys, "fit", "--data", str(path), "--restarts", "2", "--max-evals", "50") == {
+            "type": "InstabilityError",
+            "message": "the noise-model fit's weighted residuals overflow at every scored point: "
+            "the smallest sigma_db is 1e-300",
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -188,6 +188,33 @@ class TestFitNoiseModel:
         assert np.isfinite(residuals).all() and 1e6 < result.residual_rms < np.inf
         assert result.residual_rms == pytest.approx(np.sqrt(np.mean(residuals * residuals)), rel=1e-12)
 
+    # Four rows whose weighted residuals, at sigma_db = 1e-300, overflow at every point.
+    FAR = [(4.0, 3.0, 0.9), (4.0, 6.0, 1.6), (8.0, 3.0, 1.1), (8.0, 6.0, 2.0)]
+
+    def test_residuals_that_overflow_at_every_point_are_named(self):
+        message = (
+            "^the noise-model fit's weighted residuals overflow at every scored point: "
+            "the smallest sigma_db is 1e-300$"
+        )
+        with pytest.raises(InstabilityError, match=message):
+            fit_noise_model([row + (1e-300,) for row in self.FAR], PAPER_LOSSES, restarts=2, max_evals=50)
+
+    def test_a_tiny_sigma_whose_sums_stay_finite_still_fits(self, monkeypatch):
+        # Some steps on these data overflow Moré's Newton iteration and
+        # overrun their region.  They are scored, not retried without end.
+        calls = 0
+        trust_step = noise_fit._trust_step
+
+        def bounded(*args):
+            nonlocal calls
+            calls += 1
+            assert calls < 10_000, "the step's retries do not end"
+            return trust_step(*args)
+
+        monkeypatch.setattr(noise_fit, "_trust_step", bounded)
+        result = fit_noise_model([row + (1e-150,) for row in self.FAR], PAPER_LOSSES, restarts=2, max_evals=200)
+        assert 1e149 < result.residual_rms < np.inf
+
     def test_data_validation(self):
         with pytest.raises(ValueError, match="at least 4"):
             fit_noise_model([(4, 6, 1.0)] * 3, PAPER_LOSSES)
@@ -269,6 +296,43 @@ class TestFitWork:
         fit_noise_model(self.DATA, PAPER_LOSSES, seed=3, restarts=1, max_evals=1000)
         factors = counts["eigh"] + counts["cholesky"]
         assert 0 < factors <= counts["_accept"] < counts["_step"]
+
+
+    def test_every_judged_trial_predicts_a_reduction(self, monkeypatch):
+        # A trial whose clipped step the model says cannot lower the sum of
+        # squares is rejected before a pass, so no pass scores one: on these
+        # data (restart seeds 3 and 5) and on a noisy draw of criterion 7.
+        predicted = []
+        judge = noise_fit._Search._judge
+
+        def spy(self, *args):
+            predicted.append(self.predicted)
+            return judge(self, *args)
+
+        monkeypatch.setattr(noise_fit._Search, "_judge", spy)
+        for seed in (3, 5):
+            fit_noise_model(self.DATA, PAPER_LOSSES, seed=seed, restarts=1, max_evals=1000)
+        data = TestFitNoiseModel().synthetic((5e-4, 2.0), (4e-4, 208.0), qng2s=(2.0, 4.0, 6.0, 8.0, 10.0, 12.0))
+        noise = np.random.default_rng(100).normal(0.0, 0.1, len(data))
+        fit_noise_model([(q1, q2, a + e, 0.1) for (q1, q2, a), e in zip(data, noise)], PAPER_LOSSES, seed=7)
+        assert len(predicted) > 100 and min(predicted) > 0.0
+
+    def test_a_step_too_short_to_move_ends_the_search_without_a_pass(self):
+        # A radius so small that z + step rounds to z: the step has zero
+        # length, so it meets the xtol stop and leaves the radius at 0, with
+        # no trial proposed and no budget spent.
+        objective = noise_fit._Objective(noise_fit._normalize_data(self.DATA), PAPER_LOSSES, 36.0, 1e-3)
+        lo = np.log10([noise_fit._RHO_FLOOR] * 2 + [1.0] * 2)
+        hi = np.log10([0.1] * 2 + [1e4] * 2)
+        search = noise_fit._Search(np.random.default_rng(3).uniform(lo, hi), lo, hi, 1000)
+        points = np.array(search.points)
+        rows = objective.residuals(points)
+        search.take(points, rows, noise_fit._costs(rows).tolist())
+        assert search.z is not None and search.points is not None  # the start accepted, a trial proposed
+        left = search.left
+        search.points, search.radius = None, 1e-20
+        search._step()
+        assert search.met and search.points is None and search.left == left and search.radius == 0.0
 
 
 class TestTrustStep:
