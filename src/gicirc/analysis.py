@@ -14,13 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import _amplification, _propagate
+from .circuits import _Adjoint, _amplification, _propagate
 from .errors import InstabilityError
 from .interferometers import (
     TopologyParams,
     _build,
+    _excursion_shift,
     _guard,
-    _phase_excursion,
     _phase_terms,
     _precise,
     _topology,
@@ -174,16 +174,19 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
     """Signal slope ``d<X(theta)>/dphi`` on the detected mode at each angle.
 
     Uses the symmetric finite difference of the detected-mode mean at the
-    phase set point ``+/- dphi``.  For lossless parameters the magnitude
-    peaks on the phase quadrature and vanishes a quarter turn away.
+    phase set point ``+/- dphi``, read backward from the mode's ``x`` and
+    ``p`` rows.  For lossless parameters the magnitude peaks on the phase
+    quadrature and vanishes a quarter turn away.
     """
     thetas = _finite(theta_grid, "local-oscillator angles theta")
     with _guard("engine", params):
-        excursion = _phase_excursion(*_build(params), dphi)
-        mode = excursion.spec.detect.mode
-        dx, dp = (excursion.shifted[0] - excursion.shifted[1])[2 * mode : 2 * mode + 2] / (2.0 * dphi)
+        topo, spec = _build(params)
+        mode = spec.detect.mode
+        shift = _excursion_shift(topo, spec, dphi)
+        means = _Adjoint(spec, (), shift, np.eye(2 * spec.n_modes)[2 * mode : 2 * mode + 2]).run({})[0]
+        dx, dp = (means[1::3] - means[2::3]) / (2.0 * dphi)
         slope = np.cos(thetas) * dx + np.sin(thetas) * dp
-        _precise(excursion.amplification)
+        _precise(_amplification(spec))
     return slope
 
 

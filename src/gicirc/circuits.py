@@ -20,16 +20,13 @@ Propagation is block-local and factored: the state is one array
 ``[A | mean]`` with leading grid axes, whose covariance is
 ``A diag(w) A^T`` (see :func:`_propagate`), and each element moves only the
 rows of its own modes, so one pass can run a whole grid of variants of the
-same circuit.  The means of variants that differ only in one lossless
-element's values (a phase excursion) need no grid: they are more mean
-columns of the same state, which that element's shifted blocks move apart
-and every other element carries along in the product it makes anyway.
+same circuit.  :func:`simulate` and the Wigner panels read that full state.
 
-A readout of one detected quadrature over many rows that vary only a few
-elements can run backward instead (:class:`_Adjoint`): the detected row
-walks the circuit from the detector to the inputs, and the runs of
-elements no row varies are folded into one row map and one noise factor
-each, once per circuit.
+Every phase-excursion readout runs backward instead (:class:`_Adjoint`):
+the detected quadrature's row walks the circuit from the detector to the
+inputs, the shifted element splits it into one row per excursion value, and
+the runs of elements that no row varies are folded into one row map and
+one noise factor each, once per circuit.
 """
 
 from __future__ import annotations
@@ -255,9 +252,7 @@ class CircuitSpec:
         self.__dict__.update(n_modes=n_modes, inputs=inputs, elements=elements)
 
 
-def _propagate(
-    spec: CircuitSpec, vary: dict | None = None, shift: tuple[int, dict] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Output means ``(*grid, 2n)`` and covariances ``(*grid, 2n, 2n)`` of a grid of circuits.
 
     ``vary`` maps an element index to ``{field: array}``; the arrays of all
@@ -268,45 +263,28 @@ def _propagate(
     once.  The values are not validated; callers pass only values that
     their element's dataclass would accept.
 
-    ``shift`` is ``(index, {field: values})`` with ``1 + k`` values a
-    field, which set element ``index``'s fields as ``vary`` would: the
-    first in the circuit, each other in a circuit of its own that differs
-    only there.  The means are then ``(*grid, 1 + k, 2n)``, one for each
-    value, and the covariance is the first circuit's alone.  The other
-    means are ``k`` more mean columns of the one state, so no element
-    widens the grid for them.  Element ``index`` must update by its block
-    product, add no noise and take no ``vary`` fields (as a phase does):
-    its blocks at the ``1 + k`` values, stacked, move its rows in one
-    matrix product, which gives each mean the bits of a grid pass over
-    those values.
-
     The state is one array ``[A | mean]`` of shape ``(*grid, 2n, m + 1)``
-    (``m + 1 + k`` with a shift) with the mean as its column ``m``, and the
-    covariance is ``A diag(w) A^T``.  ``A`` starts as the identity on the
-    ``2n`` input columns, weighted by the preparation variances ``w``; each
-    noisy element owns the next 2 (a loss) or 4 (a noisy amplifier) columns,
-    weighted by 1, where it writes its noise factor.  Each element's
-    ``update`` changes only its own modes' rows ``state[..., idx, :]``
-    (which moves the means too), and the covariance is formed from ``A``'s
-    columns and symmetrized once, at the end, so every variance is a sum of
-    non-negative terms.  Raises :class:`InstabilityError` naming the
-    element, or the covariance, where the state leaves the float range.
+    with the mean as its last column, and the covariance is
+    ``A diag(w) A^T``.  ``A`` starts as the identity on the ``2n`` input
+    columns, weighted by the preparation variances ``w``; each noisy element
+    owns the next 2 (a loss) or 4 (a noisy amplifier) columns, weighted by
+    1, where it writes its noise factor.  Each element's ``update`` changes
+    only its own modes' rows ``state[..., idx, :]`` (which moves the mean
+    too), and the covariance is formed from ``A``'s columns and symmetrized
+    once, at the end, so every variance is a sum of non-negative terms.
+    Raises :class:`InstabilityError` naming the element, or the covariance,
+    where the state leaves the float range.
     """
     vary = vary or {}
-    at, shifted = shift if shift is not None else (None, {})
-    shifts = np.broadcast(*shifted.values()).size - 1 if shifted else 0
     steps = [(_KIND_OF[type(el)], _block_index(_modes(el))) for el in spec.elements]
     col = 2 * spec.n_modes
     noise = sum(size for kind, (_, size) in steps if kind.noisy)
-    state, weights = _prepare(spec.n_modes, spec.inputs, noise, shifts)
+    state, weights = _prepare(spec.n_modes, spec.inputs, noise)
     state = state[None]
     with np.errstate(over="raise", invalid="raise"):
         try:
             for i, (el, (kind, (rows, size))) in enumerate(zip(spec.elements, steps)):
                 values = {n: getattr(el, n) for n in kind.params}
-                if i == at:
-                    _shift(state, rows, kind.block, values, shifted)
-                    continue
                 if i in vary:
                     values |= vary[i]
                     grid = np.broadcast(state[..., 0, 0], *vary[i].values()).shape
@@ -323,60 +301,55 @@ def _propagate(
             cov = 0.5 * (cov + cov.swapaxes(-1, -2))
         except FloatingPointError:
             raise InstabilityError("engine: the output covariance overflows") from None
-    return (state[..., col:].swapaxes(-1, -2) if shifts else state[..., col]), cov
+    return state[..., col], cov
 
 
-def _shift(state: np.ndarray, rows, block: Callable, values: dict, shifted: dict):
-    """Apply a lossless element's blocks at ``values | shifted`` to ``state`` in place, one block a mean column.
+def _quadrature_row(n_modes: int, mode: int, theta: float) -> np.ndarray:
+    """The row ``r``, one in a ``(1, 2n)`` stack, whose ``r·x`` is ``X(theta)`` on ``mode``.
 
-    The ``1 + k`` blocks are stacked into one matrix, which moves the
-    element's rows in one product; the rows of the first block go back
-    whole, and those of each other block only into its own mean column,
-    one of the last ``k``.
+    ``theta`` is reduced as :func:`~gicirc.states._quadrature` reduces it.
     """
-    blocks, _ = block(**values | shifted)
-    size, k = blocks.shape[-1], len(blocks) - 1
-    product = blocks.reshape(-1, size) @ state[..., rows, :]
-    state[..., rows, :] = product[..., :size, :]
-    for j in range(1, k + 1):
-        state[..., rows, j - k - 1] = product[..., j * size : (j + 1) * size, j - k - 1]
+    reduced = math.remainder(theta, 2.0 * math.pi)
+    row = np.zeros((1, 2 * n_modes))
+    row[0, 2 * mode], row[0, 2 * mode + 1] = math.cos(reduced), math.sin(reduced)
+    return row
 
 
 class _Adjoint:
-    """A circuit's detected quadrature read backward: its means at a shifted element's values, and its variance.
+    """Quadratures of a circuit's output read backward: their means at a shifted element's values, and a variance.
 
-    Compiled once for the elements ``varied`` names and a ``shift`` as
-    :func:`_propagate` takes it (``(index, {field: 1 + k values})``, an
-    element of neither kind).  The readout ``r·x`` of the detected
-    quadrature ``X(theta)`` has the row ``r`` (``theta`` reduced as
-    :func:`~gicirc.states._quadrature` reduces it); walking the elements
-    from last to first, each maps it as ``r[idx] <- r[idx]·S``, so the
-    output mean is ``r·mean_in`` and, the noise entering on the way as
-    ``sqrt(w) P`` factors, the variance is ``Σ w_in r²`` at the inputs plus
-    ``w Σ (r[idx]·P)²`` at each noisy element, read with the row at its
-    output: a sum of non-negative terms.  The walk carries one row until it
-    meets the shifted element, whose ``1 + k`` blocks make it ``1 + k``
-    rows, one per shift value; the variance reads the first.  This is
+    Compiled once for the elements ``varied`` names and a ``shift``
+    ``(index, {field: 1 + k values})``, which sets element ``index``'s
+    fields as a ``vary`` of :func:`_propagate` would: the first value in the
+    circuit, each other in a circuit of its own that differs only there.
+    That element must add no noise, and ``varied`` must not name it.  The
+    ``detected`` rows ``(q, 2n)`` are read at the output, by default the
+    detected quadrature's (:func:`_quadrature_row`).  A readout ``r·x`` is
+    walked from the last element to the first, each mapping it as
+    ``r[idx] <- r[idx]·S``, so the output mean is ``r·mean_in`` and, the
+    noise entering on the way as ``sqrt(w) P`` factors, the variance is
+    ``Σ w_in r²`` at the inputs plus ``w Σ (r[idx]·P)²`` at each noisy
+    element, read with the row at its output: a sum of non-negative terms.
+    The shifted element's ``1 + k`` blocks make each row ``1 + k`` rows, one
+    per value; the variance reads the first row at the first value.  This is
     reverse mode (Griewank & Walther, *Evaluating Derivatives*, 2008) over
     the forward pass of :func:`_propagate`.
 
-    Each maximal run of elements that ``varied`` does not name is folded
-    here into a row map (``(2n, 2n)``, or ``(2n, (1 + k) 2n)``, the ``1 + k``
+    The elements after the last varied one are walked here with the
+    detected rows themselves, and each other maximal run of elements that
+    ``varied`` does not name is walked with the identity rows, which folds
+    it into a row map (``(2n, 2n)``, or ``(2n, (1 + k) 2n)``, the ``1 + k``
     maps side by side, where the run holds the shifted element) and a noise
-    factor ``F``, whose noise adds ``Σ (r·F)²``; the run after the last
-    varied element is applied to the detected row here too.  So
-    :meth:`run` takes the varied elements' blocks, made by the caller, and
-    makes two products per varied element and two per folded run; neither
-    the compile nor a pass depends on the number of rows.  The values are
-    not validated, as in :func:`_propagate`.
+    factor ``F``, whose noise adds ``Σ (r·F)²``.  So :meth:`run` takes the
+    varied elements' blocks, made by the caller, and makes two products per
+    varied element and two per folded run; neither the compile nor a pass
+    depends on the number of rows.  The values are not validated, as in
+    :func:`_propagate`.
     """
 
-    def __init__(self, spec: CircuitSpec, varied, shift: tuple[int, dict]):
-        at, shifted = shift
-        dim = 2 * spec.n_modes
-        reduced = math.remainder(spec.detect.theta, 2.0 * math.pi)
-        detected = np.zeros((1, dim))
-        detected[0, _quadrature_indices((spec.detect.mode,))] = math.cos(reduced), math.sin(reduced)
+    def __init__(self, spec: CircuitSpec, varied, shift: tuple[int, dict], detected: np.ndarray | None = None):
+        if detected is None:
+            detected = _quadrature_row(spec.n_modes, spec.detect.mode, spec.detect.theta)
         state, self.weights = _prepare(spec.n_modes, spec.inputs)
         self.mean = state[:, -1]
         self.rows, self.var = detected, np.float64(0.0)
@@ -386,36 +359,25 @@ class _Adjoint:
             if i not in varied:
                 run.append(i)
                 continue
-            self._fold(spec, run, at, shifted)
+            self._fold(spec, run, shift)
             self.steps.append((i, _block_index(_modes(spec.elements[i]))[0]))
             run = []
-        self._fold(spec, run, at, shifted)
+        self._fold(spec, run, shift)
 
-    def _fold(self, spec: CircuitSpec, run: list, at: int, shifted: dict):
-        """Fold the elements ``run`` (last first) into one row map and one noise factor, and add them as a step.
-
-        Before the first varied element the step is applied to the rows at once.
-        """
+    def _fold(self, spec: CircuitSpec, run: list, shift: tuple[int, dict]):
+        """Walk the elements ``run`` (last first): with the detected rows before the first varied element, else as a step."""
         if not run:
             return
-        dim = 2 * spec.n_modes
-        count = np.broadcast(*shifted.values()).size if at in run else 1
-        maps = np.tile(np.eye(dim), (count, 1, 1))
-        factors = []
-        for i in run:
-            el = spec.elements[i]
-            kind = _KIND_OF[type(el)]
-            idx = _block_index(_modes(el))[0]
-            linear, noise = kind.block(**{n: getattr(el, n) for n in kind.params} | (shifted if i == at else {}))
-            if noise is not None:  # read with the variance row at the element's output
-                weight, pattern = noise
-                factors.append(maps[0][:, idx] @ (math.sqrt(weight) * pattern))
-            maps[..., idx] = maps[..., idx] @ linear
-        step = maps.transpose(1, 0, 2).reshape(dim, count * dim), np.concatenate(factors, axis=1) if factors else None
         if self.steps:
-            self.steps.append((None, step))
-        else:
-            self.rows, self.var = self._map(self.rows, self.var, *step)
+            dim = 2 * spec.n_modes
+            maps, factor = _walk(spec, run, shift, np.eye(dim))
+            self.steps.append((None, (maps.reshape(dim, -1), factor)))
+            return
+        rows, factor = _walk(spec, run, shift, self.rows)
+        self.rows = rows.reshape(-1, rows.shape[-1])
+        if factor is not None:
+            first = factor[0]
+            self.var = self.var + (first * first).sum()
 
     @staticmethod
     def _map(rows: np.ndarray, var, maps: np.ndarray, factor: np.ndarray | None):
@@ -427,11 +389,11 @@ class _Adjoint:
         return (rows @ maps).reshape(rows.shape[:-2] + (rows.shape[-2] * width // dim, dim)), var
 
     def run(self, blocks: dict) -> tuple[np.ndarray, np.ndarray]:
-        """The detected means ``(*rows, 1 + k)`` at the shift's values and the variance ``(*rows)`` at its first.
+        """The means ``(*batch, q (1 + k))``, each detected row's at the shift's values in turn, and the variance ``(*batch)``.
 
         ``blocks`` maps each varied element's index to its block ``(S, noise)``
-        as its kind's ``block`` gives it, a stack whose leading shape
-        broadcasts to the rows.
+        as its kind's ``block`` gives it, a stack whose leading shapes
+        broadcast to the batch.
         """
         rows, var = self.rows, self.var
         for i, step in self.steps:
@@ -448,6 +410,38 @@ class _Adjoint:
             rows[..., step] = moved
         first = rows[..., 0, :]
         return rows @ self.mean, var + (first * first * self.weights).sum(axis=-1)
+
+
+def _walk(spec: CircuitSpec, run: list, shift: tuple[int, dict], rows: np.ndarray):
+    """The rows ``(q, 2n)`` walked back through the elements ``run`` (last first), and the noise they read.
+
+    Returns the rows ``(q, 1 + k, 2n)`` where ``run`` holds the shifted
+    element (``(q, 1, 2n)`` elsewhere) and the noise factor ``(q, c)`` of
+    the run's noisy elements, each read with the rows at its output and the
+    shift's first value, or ``None`` for a run without noise.
+    """
+    at, shifted = shift
+    q = len(rows)
+    rows = rows.copy()  # (1 + k) q rows from the shifted element on, each value's q in turn
+    factors = []
+    for i in run:
+        el = spec.elements[i]
+        kind = _KIND_OF[type(el)]
+        idx = _block_index(_modes(el))[0]
+        if kind.update is _attenuate:  # a loss, without a product: the values of its block, as in _attenuate
+            factors.append(math.sqrt(el.L) * rows[:q, idx])
+            rows[:, idx] *= math.sqrt(1.0 - el.L)
+            continue
+        linear, noise = kind.block(**{n: getattr(el, n) for n in kind.params} | (shifted if i == at else {}))
+        if noise is not None:
+            weight, pattern = noise
+            factors.append(rows[:q, idx] @ (math.sqrt(weight) * pattern))
+        moved = rows[:, idx] @ linear
+        if moved.ndim == 3:  # the shifted element's 1 + k blocks
+            rows = _widen(rows, moved.shape[:1] + rows.shape).reshape(-1, rows.shape[-1])
+            moved = moved.reshape(-1, moved.shape[-1])
+        rows[:, idx] = moved
+    return rows.reshape(-1, q, rows.shape[-1]).swapaxes(0, 1), np.concatenate(factors, axis=1) if factors else None
 
 
 def _amplification(spec: CircuitSpec, vary: dict | None = None):

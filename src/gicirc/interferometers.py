@@ -14,9 +14,11 @@ Both builders mirror the element chains literally (beamsplitter sign
 convention ``second_minus``), lock to the dark fringe at ``phi = pi`` and
 detect the phase quadrature on the dark output.  Closed forms for SNR,
 mean signal, variance, and phase variance are first order in the phase
-excursion ``dphi``; engine reports propagate the full covariance and use a
-symmetric finite difference for the mean signal.  Each topology is one row
-of ``_TOPOLOGIES``, which every topology-dependent step reads.  The
+excursion ``dphi``.  Engine reports read the detected quadrature backward
+through the circuit (see :class:`~gicirc.circuits._Adjoint`): its means at
+the signal phase ``+/- dphi`` give the mean signal by a symmetric finite
+difference, and its variance the noise at the set point.  Each topology is
+one row of ``_TOPOLOGIES``, which every topology-dependent step reads.  The
 parameter dataclasses check every field once; the builders trust them and
 assemble the elements and the circuit without checking again.
 """
@@ -40,12 +42,13 @@ from .circuits import (
     PaElement,
     PhaseElement,
     SqueezerElement,
+    _Adjoint,
     _amplification,
     _assemble,
-    _propagate,
+    _quadrature_row,
 )
 from .noise_model import NoisyPaParams
-from .states import Coherent, Vacuum, _check_finite, _check_mode, _quadrature
+from .states import Coherent, Vacuum, _check_finite, _check_mode
 
 __all__ = [
     "DARK_FRINGE",
@@ -502,20 +505,8 @@ def _build(params: TopologyParams, *noisy: NoisyPaParams | None) -> tuple[_Topol
     return topo, spec
 
 
-class _Excursion(NamedTuple):
-    """A circuit's means at its signal phase ``phi0 +/- dphi`` (``(..., 2, 2n)``, ``+`` first) and
-    covariance at ``phi0`` (``(..., 2n, 2n)``), rows leading, and its amplification for
-    :func:`_precise`, a float or an array over the rows.
-    """
-
-    spec: CircuitSpec
-    shifted: np.ndarray
-    cov: np.ndarray
-    amplification: float | np.ndarray
-
-
 def _excursion_shift(topo: _Topology, spec: CircuitSpec, dphi: float) -> tuple[int, dict]:
-    """The ``shift`` (see :func:`~gicirc.circuits._propagate`) of a topology's signal phase to ``phi0, phi0 +/- dphi``."""
+    """The ``shift`` (see :class:`~gicirc.circuits._Adjoint`) of a topology's signal phase to ``phi0, phi0 +/- dphi``."""
     dphi = float(dphi)
     if dphi == 0.0 or not math.isfinite(dphi):
         raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
@@ -523,30 +514,16 @@ def _excursion_shift(topo: _Topology, spec: CircuitSpec, dphi: float) -> tuple[i
     return topo.phase, {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}
 
 
-def _phase_excursion(topo: _Topology, spec: CircuitSpec, dphi: float, vary: dict | None = None) -> _Excursion:
-    """A topology's circuit (see :func:`_build`) at its signal phase ``phi0`` and ``phi0 +/- dphi``, in one pass.
+def _excursion_readout(topo: _Topology, spec: CircuitSpec, dphi: float, mode: int, smallest: float = 0.0):
+    """Mean signal, set-point variance and SNR of a topology's circuit (see :func:`_build`) on ``mode``, by :func:`_judge`.
 
-    ``vary`` maps element indices to ``{field: value}`` rows, floats or
-    arrays that broadcast together (no rows without it; floats alone make
-    one row).  The state holds one circuit per row: the means at
-    ``phi0 +/- dphi`` are two more mean columns of it, which the signal
-    phase's blocks move apart (see :func:`~gicirc.circuits._propagate`'s
-    ``shift``), so every element runs once per row and the covariance is
-    formed once, at ``phi0``.
+    One backward readout of the quadrature ``X(theta)`` of ``mode``, at the
+    detection's ``theta``, gives its means at the signal phase ``phi0`` and
+    ``phi0 +/- dphi`` and its variance at ``phi0``.
     """
-    vary = vary or {}
-    means, cov = _propagate(spec, vary, _excursion_shift(topo, spec, dphi))
-    shifted = means[..., 1:, :]
-    if not vary:  # the pass's grid of one circuit is no row
-        shifted, cov = shifted[0], cov[0]
-    return _Excursion(spec, shifted, cov, _amplification(spec, vary))
-
-
-def _readout(excursion: _Excursion, mode: int, smallest: float = 0.0):
-    """Mean signal (half the ``+/- dphi`` difference), set-point variance and SNR per row, by :func:`_judge`."""
-    theta = excursion.spec.detect.theta
-    shifted, variance = _quadrature(excursion.shifted, excursion.cov, mode, theta)
-    return _judge(shifted[..., 0], shifted[..., 1], variance, excursion.amplification, smallest)
+    shift = _excursion_shift(topo, spec, dphi)
+    means, var = _Adjoint(spec, (), shift, _quadrature_row(spec.n_modes, mode, spec.detect.theta)).run({})
+    return _judge(means[1], means[2], var, _amplification(spec), smallest)
 
 
 def _judge(plus, minus, variance, amplification, smallest: float = 0.0):
@@ -574,7 +551,7 @@ def engine_report(
     noisy_pa2: NoisyPaParams | None = None,
     detect_mode: int | None = None,
 ) -> OutputReport:
-    """Covariance-propagation report at the parameterized set point.
+    """Engine report at the parameterized set point, read backward from the detected quadrature.
 
     The noise variance is evaluated at the set-point phase; the mean signal
     is the symmetric finite difference of the detected homodyne mean at
@@ -588,10 +565,9 @@ def engine_report(
     """
     _require_bright(params)
     with _guard("engine", params):
-        excursion = _phase_excursion(*_build(params, noisy_pa1, noisy_pa2), dphi)
-        spec = excursion.spec
+        topo, spec = _build(params, noisy_pa1, noisy_pa2)
         mode = spec.detect.mode if detect_mode is None else _check_mode(detect_mode, spec.n_modes)
-        signal, var, snr = _readout(excursion, mode)
+        signal, var, snr = _excursion_readout(topo, spec, dphi, mode)
         dphi = np.float64(dphi)
         phase_variance = dphi * dphi / snr
     return OutputReport(*(float(v) for v in (signal, var, snr, phase_variance)), detected_mode=mode)

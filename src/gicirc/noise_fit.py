@@ -32,11 +32,10 @@ from .interferometers import (
     SisniParams,
     _amplitude,
     _build,
+    _excursion_readout,
     _excursion_shift,
     _guard,
     _judge,
-    _phase_excursion,
-    _readout,
     _require_bright,
     sql_baseline,
 )
@@ -108,8 +107,8 @@ def _nested(losses, alpha2: float, dphi: float):
     _require_bright(params)
     inputs = f"alpha2 = {float(alpha2)!r}, dphi = {float(dphi)!r}"
     with _guard("SQL baseline", inputs):
-        excursion = _phase_excursion(*_build(sql_baseline(params)), dphi)
-        base = _readout(excursion, excursion.spec.detect.mode, _TINY)[2]
+        mzi, baseline = _build(sql_baseline(params))
+        base = _excursion_readout(mzi, baseline, dphi, baseline.detect.mode, _TINY)[2]
     topo, spec = _build(params, _UNSET, _UNSET)
     return base, (topo, spec, _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, dphi)), inputs)
 
@@ -145,9 +144,9 @@ def _nested_snr(nested, epsilon2, coupling, stretch) -> np.ndarray:
     product over the circuit's amplifiers, which are these two, from
     ``stretch``.  So the pass forms no term of the amplifiers again.  The
     compiled readout carries the detected row back through the blocks and
-    the folded runs between them, and the readout is judged as the forward
-    one is (see :func:`~gicirc.interferometers._judge`), with refusals that
-    name the inputs.
+    the folded runs between them, and the readout is judged as every
+    excursion readout is (see :func:`~gicirc.interferometers._judge`), with
+    refusals that name the inputs.
     """
     topo, _, adjoint, inputs = nested
     with _guard("noise model", inputs):
@@ -516,8 +515,9 @@ def _trust_step(decomposition, radius: float) -> np.ndarray:
         length = math.hypot(*coefficients)
         if length <= radius * (1.1 if damping else 1.0):
             break
-        curvature = sum(x * x / (si + damping) for si, x in zip(s, coefficients))  # |q|²
-        damping += length * length / curvature * (length - radius) / radius
+        # |q|²/|p|², formed from the unit coefficients so that no square overflows
+        curvature = sum((x / length) ** 2 / (si + damping) for si, x in zip(s, coefficients))
+        damping += (length - radius) / (curvature * radius)
     return vectors @ coefficients
 
 

@@ -223,27 +223,25 @@ def make_state(n_modes: int, inputs) -> GaussianState:
     return GaussianState(n_modes, state[:, -1], np.diag(weights))
 
 
-def _prepare(n_modes: int, inputs, noise: int = 0, shifts: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _prepare(n_modes: int, inputs, noise: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The factored product of ``inputs``: ``[A | mean]`` and the column weights ``w``.
 
     ``A`` is the identity on the ``2 n_modes`` input columns followed by
-    ``noise`` zero columns, the mean is the column after them, followed by
-    ``shifts`` more columns that hold the same mean (the engine moves each
-    of them by a shifted block, see ``circuits._propagate``), and ``w``
-    holds each input quadrature's variance (1 on the noise columns), so the
+    ``noise`` zero columns, the mean is the last column, and ``w`` holds
+    each input quadrature's variance (1 on the noise columns), so the
     covariance ``A diag(w) A^T`` is the preparations' exactly.
     """
     preps = list(inputs)
     if len(preps) != n_modes:
         raise ValueError(f"expected {n_modes} preparations, got {len(preps)}")
     dim = 2 * n_modes
-    width = dim + noise + 1 + shifts
+    width = dim + noise + 1
     state = np.zeros((dim, width))
     state.reshape(-1)[:: width + 1] = 1.0  # the diagonal: the identity on the input columns
     weights = np.ones(dim + noise)
     for k, prep in enumerate(preps):
         try:
-            state[2 * k, dim + noise :], state[2 * k + 1, dim + noise :] = prep.mode_mean
+            state[2 * k, -1], state[2 * k + 1, -1] = prep.mode_mean
             weights[2 * k] = weights[2 * k + 1] = prep.variance
         except AttributeError:
             raise TypeError(f"unknown preparation {prep!r} for mode {k}") from None

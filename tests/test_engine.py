@@ -33,6 +33,7 @@ from gicirc import (
     kappa_from_qng,
     make_state,
     simulate,
+    slope_vs_theta,
 )
 from gicirc import circuits, interferometers, noise_fit
 from gicirc.circuits import (
@@ -47,7 +48,7 @@ from gicirc.circuits import (
     _propagate,
     element_map,
 )
-from gicirc.interferometers import _TOPOLOGIES, _excursion_shift, _phase_excursion
+from gicirc.interferometers import _TOPOLOGIES, _excursion_shift
 from gicirc.noise_fit import _UNSET, _nested, _nested_snr, _sisni_snr
 from gicirc.noise_model import _coupling, _floor, _kappa, _linear_targets, _rho_terms, _solve_kappa, _stability, _stretch, _terms
 from gicirc.states import _quadrature
@@ -250,6 +251,35 @@ class TestPropagate:
         assert signal["phi"] is phis
         assert mean.shape == (3, 6) and cov.shape == (3, 6, 6)
 
+    def test_elements_after_the_signal_phase_run_once_per_row(self, rng, monkeypatch):
+        """The downstream amplifier and the external losses move ``(B,)`` states, and no state widens at the phase."""
+        seen, widened = [], []
+        for cls in (NoisyPaElement, LossElement):
+            kind = circuits._KIND_OF[cls]
+
+            def spy(state, rows, cols, block, values, _update=kind.update, _type=kind.type):
+                seen.append((_type, state.shape[:-2], {name: np.shape(v) for name, v in values.items()}))
+                return _update(state, rows, cols, block, values)
+
+            monkeypatch.setitem(circuits._KIND_OF, cls, kind._replace(update=spy))
+
+        def widen(state, shape, _widen=circuits._widen):
+            widened.append(shape[:-2])
+            return _widen(state, shape)
+
+        monkeypatch.setattr(circuits, "_widen", widen)
+        topo = _TOPOLOGIES[SisniParams]
+        spec, _ = topo.build(SisniParams(alpha=6.0, L_is=0.16, L_ii=0.1, L_e=0.15), _UNSET, _UNSET)
+        _propagate(spec, _noisy_rows(rng, 5))
+        assert widened == [(5,)]  # at the upstream amplifier, the first varied element
+        downstream = [entry for entry in seen if entry[0] == "noisy_pa"][1]
+        assert downstream == ("noisy_pa", (5,), dict.fromkeys(("rho", "kappa", "epsilon2"), (5,)))
+        assert [grid for _, grid, _ in seen[-2:]] == [(5,), (5,)]  # the external losses
+        seen.clear()
+        spec, _ = topo.build(SisniParams(alpha=6.0, g1=0.5, g2=0.8, L_e=0.2))
+        _propagate(spec)  # no rows: one circuit throughout
+        assert widened == [(5,)] and [grid for _, grid, _ in seen] == [(1,), (1,), (1,), (1,), (1,)]
+
     def test_simulate_is_the_batch_of_one(self):
         spec, _ = build_sq_mzi(SqMziParams(alpha=5.0, g=0.9, L_i=0.1, L_e=0.2))
         mean, cov = _propagate(spec)
@@ -278,12 +308,12 @@ class TestEngineReportExcursion:
             assert report.mean_X2 == pytest.approx(0.5 * (means[0] - means[1]), rel=1e-9, abs=1e-15)
 
 
-def _three_phase_grid(topo, spec, dphi, vary=None):
-    """The grid pass of the phases ``phi0`` and ``phi0 +/- dphi`` trailing the rows: ``shifted`` and ``cov`` at ``phi0``."""
+def _three_phase_grid(phase, spec, dphi, vary=None):
+    """The grid pass of element ``phase`` at ``phi0`` and ``phi0 +/- dphi`` trailing the rows: the three means, and ``cov`` at ``phi0``."""
     grid = {i: {name: np.asarray(v)[..., None] for name, v in row.items()} for i, row in (vary or {}).items()}
-    phi0 = spec.elements[topo.phase].phi
-    mean, cov = _propagate(spec, grid | {topo.phase: {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}})
-    return mean[..., 1:, :], cov[..., 0, :, :]
+    phi0 = spec.elements[phase].phi
+    mean, cov = _propagate(spec, grid | {phase: {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}})
+    return mean, cov[..., 0, :, :]
 
 
 def _random_params(rng, cls):
@@ -307,63 +337,6 @@ def _noisy_rows(rng, rows):
         }
         for i in _TOPOLOGIES[SisniParams].amplifiers
     }
-
-
-class TestPhaseExcursion:
-    """The excursion's shifted means are two more mean columns of one state, with the three-phase grid's bits."""
-
-    @pytest.mark.parametrize("cls", [SqMziParams, SisniParams])
-    def test_equals_the_three_phase_grid(self, rng, cls):
-        topo = _TOPOLOGIES[cls]
-        for _ in range(40):
-            params = _random_params(rng, cls)
-            spec, _ = topo.build(params)
-            dphi = float(rng.choice([1e-4, 1e-3, 0.3]))
-            excursion = _phase_excursion(topo, spec, dphi)
-            shifted, cov = _three_phase_grid(topo, spec, dphi)
-            assert excursion.shifted.shape == (2, 2 * spec.n_modes)
-            assert np.array_equal(excursion.shifted, shifted)
-            assert np.array_equal(excursion.cov, cov)
-
-    def test_noisy_amplifier_rows_equal_the_three_phase_grid(self, rng):
-        topo = _TOPOLOGIES[SisniParams]
-        for rows in (1, 2, 7):
-            spec, _ = topo.build(_random_params(rng, SisniParams), _UNSET, _UNSET)
-            vary = _noisy_rows(rng, rows)
-            excursion = _phase_excursion(topo, spec, 1e-3, vary)
-            shifted, cov = _three_phase_grid(topo, spec, 1e-3, vary)
-            assert excursion.shifted.shape == (rows, 2, 6) and excursion.cov.shape == (rows, 6, 6)
-            assert np.array_equal(excursion.shifted, shifted)
-            assert np.array_equal(excursion.cov, cov)
-
-    def test_elements_after_the_signal_phase_run_once_per_row(self, rng, monkeypatch):
-        """The downstream amplifier and the external losses move ``(B,)`` states, and no state widens at the phase."""
-        seen, widened = [], []
-        for cls in (NoisyPaElement, LossElement):
-            kind = circuits._KIND_OF[cls]
-
-            def spy(state, rows, cols, block, values, _update=kind.update, _type=kind.type):
-                seen.append((_type, state.shape[:-2], {name: np.shape(v) for name, v in values.items()}))
-                return _update(state, rows, cols, block, values)
-
-            monkeypatch.setitem(circuits._KIND_OF, cls, kind._replace(update=spy))
-
-        def widen(state, shape, _widen=circuits._widen):
-            widened.append(shape[:-2])
-            return _widen(state, shape)
-
-        monkeypatch.setattr(circuits, "_widen", widen)
-        topo = _TOPOLOGIES[SisniParams]
-        spec, _ = topo.build(SisniParams(alpha=6.0, L_is=0.16, L_ii=0.1, L_e=0.15), _UNSET, _UNSET)
-        _phase_excursion(topo, spec, 1e-3, _noisy_rows(rng, 5))
-        assert widened == [(5,)]  # at the upstream amplifier, the first varied element
-        downstream = [entry for entry in seen if entry[0] == "noisy_pa"][1]
-        assert downstream == ("noisy_pa", (5,), dict.fromkeys(("rho", "kappa", "epsilon2"), (5,)))
-        assert [grid for _, grid, _ in seen[-2:]] == [(5,), (5,)]  # the external losses
-        seen.clear()
-        spec, _ = topo.build(SisniParams(alpha=6.0, g1=0.5, g2=0.8, L_e=0.2))
-        _phase_excursion(topo, spec, 1e-3)  # no rows: one circuit throughout
-        assert widened == [(5,)] and [grid for _, grid, _ in seen] == [(1,), (1,), (1,), (1,), (1,)]
 
 
 def _blocks(vary):
@@ -444,7 +417,7 @@ def _dark_fringe_rows():
 
 
 class TestBackwardReadout:
-    """The detected row propagated backward, with the unvaried runs folded, reads what the forward excursion reads."""
+    """The detected row propagated backward, with the unvaried runs folded, reads what the forward three-phase grid reads."""
 
     @settings(max_examples=100, deadline=None)
     @given(nested_rows(), st.sampled_from([1e-4, 1e-3, 0.3]))
@@ -452,8 +425,8 @@ class TestBackwardReadout:
     def test_equals_the_forward_excursion(self, case, dphi):
         topo, spec, vary = case
         means, var = _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, dphi)).run(_blocks(vary))
-        excursion = _phase_excursion(topo, spec, dphi, vary)
-        shifted, variance = _quadrature(excursion.shifted, excursion.cov, spec.detect.mode, spec.detect.theta)
+        three, cov = _three_phase_grid(topo.phase, spec, dphi, vary)
+        shifted, variance = _quadrature(three[..., 1:, :], cov, spec.detect.mode, spec.detect.theta)
         assert means.shape == shifted.shape[:-1] + (3,) and var.shape == variance.shape
         # Both passes round the means on the scale of the coherent input's
         # mean quadrature times the circuit's amplification: near the dark
@@ -477,8 +450,8 @@ class TestBackwardReadout:
         adjoint = _Adjoint(spec, vary, shift)
         assert adjoint.rows.shape[-2] == 3 and adjoint.steps[-1][0] is None and adjoint.steps[-1][1][1] is not None
         means, var = adjoint.run(_blocks(vary))
-        shifted, cov = _propagate(spec, vary, shift)
-        forward, variance = _quadrature(shifted, cov, spec.detect.mode, spec.detect.theta)
+        three, cov = _three_phase_grid(phase, spec, dphi, vary)
+        forward, variance = _quadrature(three, cov, spec.detect.mode, spec.detect.theta)
         assert means.shape == forward.shape and var.shape == variance.shape
         scale = 2.0 * abs(spec.inputs[0].alpha) * _amplification(spec, vary)
         signal = 0.5 * (means[..., 1] - means[..., 2])
@@ -505,6 +478,46 @@ class TestBackwardReadout:
         for row in range(6):
             single = _fields_pass(nested, [tuple(float(v[row]) for v in amp) for amp in amps])
             assert single == snr[0][row] == snr[1][row]
+
+
+@st.composite
+def off_point_params(draw):
+    """Random parameters of either topology, off the closed-form point, and a detected mode (0 or 1 on the nested one)."""
+    cls = draw(st.sampled_from([SqMziParams, SisniParams]))
+    g1, g2 = draw(_finite(0.0, 2.0)), draw(_finite(0.0, 2.0))
+    l_is, l_ii, l_e = (draw(_finite(0.0, 0.9)) for _ in range(3))
+    alpha, T = draw(_finite(1.0, 10.0)), draw(_finite(0.05, 0.95))
+    phi, pump = draw(_finite(0.0, 2.0 * math.pi)), draw(_finite(0.0, 2.0 * math.pi))
+    if cls is SqMziParams:
+        return SqMziParams(alpha, g=g1, L_i=l_is, L_e=l_e, phi=phi, T=T), 0
+    mode = draw(st.integers(0, 1))
+    if mode == 1:  # the second output carries signal only through the downstream amplifier
+        g2 = draw(_finite(0.1, 2.0))
+    params = SisniParams(alpha, g1=g1, g2=g2, L_is=l_is, L_ii=l_ii, L_e=l_e, phi_signal=phi, phi_pump=pump, T=T)
+    return params, mode
+
+
+class TestBackwardReports:
+    """``engine_report`` and ``slope_vs_theta`` read backward what the forward three-phase grid reads."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(off_point_params(), st.sampled_from([1e-4, 1e-3, 0.3]))
+    def test_equal_the_three_phase_grid(self, case, dphi):
+        params, mode = case
+        topo = _TOPOLOGIES[type(params)]
+        spec, _ = topo.build(params)
+        three, cov = _three_phase_grid(topo.phase, spec, dphi)
+        forward, variance = _quadrature(three, cov, mode, spec.detect.theta)
+        # The scale on which both passes round the means (see TestBackwardReadout).
+        scale = 2.0 * abs(spec.inputs[-1].alpha) * _amplification(spec)
+        report = engine_report(params, dphi, detect_mode=mode)
+        assert report.detected_mode == mode
+        assert abs(report.mean_X2 - 0.5 * (forward[1] - forward[2])) <= 1e-13 * scale
+        assert abs(report.var_X2 - variance) <= 1e-13 * variance
+        x = 2 * spec.detect.mode
+        expected = (three[1, x : x + 2] - three[2, x : x + 2]) / (2.0 * dphi)
+        slope = slope_vs_theta(params, [0.0, math.pi / 2], dphi)
+        assert (np.abs(slope - expected) <= 1e-13 * scale / dphi).all()
 
 
 def _same_bits(actual, expected):

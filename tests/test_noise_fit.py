@@ -215,6 +215,13 @@ class TestFitNoiseModel:
         result = fit_noise_model([row + (1e-150,) for row in self.FAR], PAPER_LOSSES, restarts=2, max_evals=200)
         assert 1e149 < result.residual_rms < np.inf
 
+    def test_huge_residual_scales_converge_within_the_budget(self):
+        # Residuals near 1e140 put the step's coefficients near 1e151: Moré's
+        # Newton iteration must not square them, or the damping never moves.
+        result = fit_noise_model([row + (1e-140,) for row in self.FAR], PAPER_LOSSES)
+        assert result.converged and result.iterations < 4_000  # the budget is 8 x 2000 points
+        assert 1e139 < result.residual_rms < np.inf
+
     def test_data_validation(self):
         with pytest.raises(ValueError, match="at least 4"):
             fit_noise_model([(4, 6, 1.0)] * 3, PAPER_LOSSES)

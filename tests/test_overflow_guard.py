@@ -90,12 +90,21 @@ _IMPRECISE_PARAMS = (
     SisniParams(alpha=6.0, g1=0.5, g2=1e150),
     _BOTH[1e7],
 )
+# At g = 1.2e154 the readouts that read the detected rows backward never form the
+# anti-squeezed covariance entry (G + g)² ≈ 5.8e308, so these stay finite and are
+# refused by the precision bound.
+_UPSTREAM, _DOWNSTREAM = SisniParams(alpha=6.0, g1=1.2e154, g2=0.5), SisniParams(alpha=6.0, g1=0.5, g2=1.2e154)
+_FINITE_BACKWARD = {
+    ("engine_report", SqMziParams(alpha=6.0, g=1.2e154)),
+    *((name, params) for name in ("engine_report", "engine_report_mode_1", "slope_vs_theta") for params in (_UPSTREAM, _DOWNSTREAM)),
+}
 IMPRECISE = {
     *(
         (name, params)
         for name in ("engine_report", "engine_report_mode_1", "slope_vs_theta")
         for params in _IMPRECISE_PARAMS
     ),
+    *_FINITE_BACKWARD,
     ("wigner_panel", _BOTH[1e7]),
     (None, _BOTH[1e7]),
 }
