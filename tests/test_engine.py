@@ -481,9 +481,8 @@ class TestBackwardReadout:
 
 
 @st.composite
-def off_point_params(draw):
-    """Random parameters of either topology, off the closed-form point, and a detected mode (0 or 1 on the nested one)."""
-    cls = draw(st.sampled_from([SqMziParams, SisniParams]))
+def off_point_params(draw, cls):
+    """Random parameters of topology ``cls``, off the closed-form point, and a detected mode (0 or 1 on the nested one)."""
     g1, g2 = draw(_finite(0.0, 2.0)), draw(_finite(0.0, 2.0))
     l_is, l_ii, l_e = (draw(_finite(0.0, 0.9)) for _ in range(3))
     alpha, T = draw(_finite(1.0, 10.0)), draw(_finite(0.05, 0.95))
@@ -500,10 +499,11 @@ def off_point_params(draw):
 class TestBackwardReports:
     """``engine_report`` and ``slope_vs_theta`` read backward what the forward three-phase grid reads."""
 
+    @pytest.mark.parametrize("cls", [SqMziParams, SisniParams])
     @settings(max_examples=100, deadline=None)
-    @given(off_point_params(), st.sampled_from([1e-4, 1e-3, 0.3]))
-    def test_equal_the_three_phase_grid(self, case, dphi):
-        params, mode = case
+    @given(data=st.data(), dphi=st.sampled_from([1e-4, 1e-3, 0.3]))
+    def test_equal_the_three_phase_grid(self, cls, data, dphi):
+        params, mode = data.draw(off_point_params(cls))
         topo = _TOPOLOGIES[type(params)]
         spec, _ = topo.build(params)
         three, cov = _three_phase_grid(topo.phase, spec, dphi)
