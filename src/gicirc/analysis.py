@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import _Adjoint, _amplification, _propagate
+from .circuits import _amplification, _walk, simulate
 from .errors import InstabilityError
 from .interferometers import (
     TopologyParams,
@@ -27,7 +27,7 @@ from .interferometers import (
     phase_variance_closed,
     sql_baseline,
 )
-from .states import GaussianState, _check_index, wigner
+from .states import _check_index, _prepare, wigner
 
 __all__ = [
     "to_db",
@@ -175,15 +175,17 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
 
     Uses the symmetric finite difference of the detected-mode mean at the
     phase set point ``+/- dphi``, read backward from the mode's ``x`` and
-    ``p`` rows.  For lossless parameters the magnitude peaks on the phase
-    quadrature and vanishes a quarter turn away.
+    ``p`` rows; no variance is formed.  For lossless parameters the
+    magnitude peaks on the phase quadrature and vanishes a quarter turn away.
     """
     thetas = _finite(theta_grid, "local-oscillator angles theta")
     with _guard("engine", params):
         topo, spec = _build(params)
         mode = spec.detect.mode
         shift = _excursion_shift(topo, spec, dphi)
-        means = _Adjoint(spec, (), shift, np.eye(2 * spec.n_modes)[2 * mode : 2 * mode + 2]).run({})[0]
+        rows = np.eye(2 * spec.n_modes)[2 * mode : 2 * mode + 2]
+        walked = _walk(spec, reversed(range(len(spec.elements))), shift, rows)[0]
+        means = walked.reshape(-1, walked.shape[-1]) @ _prepare(spec.n_modes, spec.inputs)[0]
         dx, dp = (means[1::3] - means[2::3]) / (2.0 * dphi)
         slope = np.cos(thetas) * dx + np.sin(thetas) * dp
         _precise(_amplification(spec))
@@ -209,24 +211,22 @@ class WignerPanel:
 def wigner_panel(params: TopologyParams, phi_values, L_e_values, x, p) -> WignerPanel:
     """Detected-mode Wigner densities for each (phase, external loss) setting.
 
-    Settings are checked as the parameters check them, then run as one
-    (phase x external loss) grid pass of the topology's circuit.
+    Every setting's parameters are checked first, as the parameters check
+    them; then each setting's circuit gives its output state
+    (:func:`~gicirc.circuits.simulate`), and its detected mode the density.
     """
     phis = np.asarray(phi_values, dtype=float)
     les = np.asarray(L_e_values, dtype=float)
     xs = _finite(x, "Wigner coordinates x")
     ps = _finite(p, "Wigner coordinates p")
     topo, spec = _build(params)
-    for phi, le in itertools.product(phis, les):
-        replace(replace(params, **{topo.phase_field: phi}), L_e=le)
-    vary = {topo.phase: {"phi": phis[:, None]}} | {i: {"L": les} for i in topo.external}
+    settings = [replace(replace(params, **{topo.phase_field: phi}), L_e=le) for phi, le in itertools.product(phis, les)]
     with _guard("engine", params):
-        mean, cov = _propagate(spec, vary)
         density = np.empty((phis.size, les.size, xs.size, ps.size))
-        for i, j in np.ndindex(phis.size, les.size):
-            state = GaussianState(spec.n_modes, mean[i, j], cov[i, j])
-            density[i, j] = wigner(state, spec.detect.mode, xs[:, None], ps[None, :])
-        _precise(_amplification(spec, vary))
+        for (i, j), setting in zip(np.ndindex(phis.size, les.size), settings):
+            setting_spec = _build(setting)[1]
+            density[i, j] = wigner(simulate(setting_spec), setting_spec.detect.mode, xs[:, None], ps[None, :])
+        _precise(_amplification(spec))
     return WignerPanel(phis, les, xs, ps, density)
 
 

@@ -10,23 +10,21 @@ constraint.
 Every preparation and element kind is one row of a table below: its document
 ``type`` and its dataclass, whose fields and defaults give the required and
 optional document keys, whose ``check`` holds its range checks and, for
-elements, whose ``block`` is its local block function and whose ``update``
-applies it to the state.  Parsing, serialization and propagation are driven
-by those rows.  A document's values are checked once: its converters check
-their types, the kind's ``check`` their ranges, and the entries are
-assembled without running ``__post_init__`` again.
+elements, whose ``block`` is its local block function.  Parsing,
+serialization and propagation are driven by those rows.  A document's values
+are checked once: its converters check their types, the kind's ``check``
+their ranges, and the entries are assembled without running
+``__post_init__`` again.
 
-Propagation is block-local and factored: the state is one array
-``[A | mean]`` with leading grid axes, whose covariance is
-``A diag(w) A^T`` (see :func:`_propagate`), and each element moves only the
-rows of its own modes, so one pass can run a whole grid of variants of the
-same circuit.  :func:`simulate` and the Wigner panels read that full state.
-
-Every phase-excursion readout runs backward instead (:class:`_Adjoint`):
-the detected quadrature's row walks the circuit from the detector to the
-inputs, the shifted element splits it into one row per excursion value, and
-the runs of elements that no row varies are folded into one row map and
-one noise factor each, once per circuit.
+There is one propagation engine, and it runs backward (:func:`_walk`): a
+row ``r`` of the output, with ``r·x`` a quadrature, walks the circuit from
+the detector to the inputs, each element moving only the entries of its own
+modes.  :func:`simulate` walks the ``2n`` identity rows, which gives the
+output map and the noise factor of the whole circuit, so its output state
+(:func:`_readout`).  The phase-excursion readouts walk the detected
+quadrature's row (:class:`_Adjoint`): the shifted element splits it into one
+row per excursion value, and the runs of elements that no row varies are
+folded into one row map and one noise factor each, once per circuit.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -99,64 +97,26 @@ class _Kind(NamedTuple):
     members: tuple[tuple[str, str, Callable | None], ...]  # per field: name, key as JSON text, ``_TO_DOC`` converter
     block: Callable | None
     params: tuple[str, ...]  # the fields passed to ``block``: all but the modes
-    update: Callable | None  # (state, rows, noise columns, block, values): applies the element in place
-    noisy: bool  # the element adds noise, into columns of its own
     stretch: Callable | None  # (**values) -> G + g of an amplifier or a squeezer
-
-
-def _transform(state: np.ndarray, rows, cols: slice, block: Callable, values: dict):
-    """Apply the element's block ``block(**values)`` to ``state`` in place.
-
-    ``S`` moves the element's ``rows`` of ``[A | mean]`` in one matrix
-    product; the columns from ``cols.start`` on are still zero, so they stay
-    zero.  A noise ``(w, P)`` goes in as its factor ``sqrt(w) P`` on
-    ``rows`` of the element's own columns ``cols``.
-    """
-    linear, noise = block(**values)
-    state[..., rows, :] = linear @ state[..., rows, :]
-    if noise is not None:
-        weight, pattern = noise
-        root = np.sqrt(weight)
-        state[..., rows, cols] = (root[..., None, None] if isinstance(root, np.ndarray) else root) * pattern
-
-
-def _attenuate(state: np.ndarray, rows: slice, cols: slice, block: Callable, values: dict):
-    """A loss ``L`` in place, without a matrix product.
-
-    ``S = sqrt(1 - L) I`` scales the mode's rows (mean entries included),
-    and the noise factor ``sqrt(L) I`` goes on the diagonal of the loss's
-    own columns: the values of the block product, and its bits but for the
-    sign of an exact zero at a total loss (the product's zeros take their
-    sign from both of the mode's quadratures, a scaled entry keeps its own).
-    """
-    loss = values["L"]
-    scale = np.sqrt(1.0 - loss)
-    if isinstance(loss, np.ndarray):
-        scale = scale[..., None, None]
-    state[..., rows, :] *= scale
-    factor = state[..., rows, cols]
-    factor[..., 0, 0] = factor[..., 1, 1] = np.sqrt(loss)
 
 
 # Document form of field values that JSON cannot hold as they are.
 _TO_DOC = {"modes": list, "alpha": lambda a: a.real if a.imag == 0.0 else [a.real, a.imag]}
 
 
-def _kind(type_: str, cls: type, update: Callable | None = _transform, noisy: bool = False) -> _Kind:
+def _kind(type_: str, cls: type) -> _Kind:
     names = tuple(f.name for f in fields(cls))
     required = frozenset(f.name for f in fields(cls) if f.default is MISSING) | {"type"}
-    block = getattr(cls, "block", None)  # preparations have neither a block nor an update
-    update = update if block else None
     head = encode_basestring_ascii("type") + ": " + encode_basestring_ascii(type_)
     members = tuple((n, encode_basestring_ascii(n) + ": ", _TO_DOC.get(n)) for n in names)
     return _Kind(
         type_, cls, required, required | frozenset(names), getattr(cls, "check", None), head, members,
-        block, _block_params(cls), update, noisy, getattr(cls, "stretch", None),
+        getattr(cls, "block", None), _block_params(cls), getattr(cls, "stretch", None),
     )
 
 
-# document type -> kind; ``block(**params)`` gives the local ``(S, noise)``,
-# which ``update`` applies (a loss scales its rows instead).
+# document type -> kind; ``block(**params)`` gives an element's local
+# ``(S, noise)`` (preparations have none; a loss is walked as a scaling).
 _INPUTS = {
     k.type: k
     for k in (_kind("vacuum", Vacuum), _kind("coherent", Coherent), _kind("thermal", Thermal))
@@ -168,8 +128,8 @@ _ELEMENTS = {
         _kind("single_mode_squeezer", SqueezerElement),
         _kind("bs", BsElement),
         _kind("phase", PhaseElement),
-        _kind("loss", LossElement, _attenuate, noisy=True),
-        _kind("noisy_pa", NoisyPaElement, noisy=True),
+        _kind("loss", LossElement),
+        _kind("noisy_pa", NoisyPaElement),
     )
 }
 _KIND_OF = {k.cls: k for k in (*_INPUTS.values(), *_ELEMENTS.values())}
@@ -252,58 +212,6 @@ class CircuitSpec:
         self.__dict__.update(n_modes=n_modes, inputs=inputs, elements=elements)
 
 
-def _propagate(spec: CircuitSpec, vary: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Output means ``(*grid, 2n)`` and covariances ``(*grid, 2n, 2n)`` of a grid of circuits.
-
-    ``vary`` maps an element index to ``{field: array}``; the arrays of all
-    elements broadcast together to the grid shape (``(1,)`` without
-    ``vary``), and each grid point runs the circuit with those fields set to
-    its values.  The state widens only at a varied element whose values
-    need a larger grid, so the elements before the first varied one run
-    once.  The values are not validated; callers pass only values that
-    their element's dataclass would accept.
-
-    The state is one array ``[A | mean]`` of shape ``(*grid, 2n, m + 1)``
-    with the mean as its last column, and the covariance is
-    ``A diag(w) A^T``.  ``A`` starts as the identity on the ``2n`` input
-    columns, weighted by the preparation variances ``w``; each noisy element
-    owns the next 2 (a loss) or 4 (a noisy amplifier) columns, weighted by
-    1, where it writes its noise factor.  Each element's ``update`` changes
-    only its own modes' rows ``state[..., idx, :]`` (which moves the mean
-    too), and the covariance is formed from ``A``'s columns and symmetrized
-    once, at the end, so every variance is a sum of non-negative terms.
-    Raises :class:`InstabilityError` naming the element, or the covariance,
-    where the state leaves the float range.
-    """
-    vary = vary or {}
-    steps = [(_KIND_OF[type(el)], _block_index(_modes(el))) for el in spec.elements]
-    col = 2 * spec.n_modes
-    noise = sum(size for kind, (_, size) in steps if kind.noisy)
-    state, weights = _prepare(spec.n_modes, spec.inputs, noise)
-    state = state[None]
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            for i, (el, (kind, (rows, size))) in enumerate(zip(spec.elements, steps)):
-                values = {n: getattr(el, n) for n in kind.params}
-                if i in vary:
-                    values |= vary[i]
-                    grid = np.broadcast(state[..., 0, 0], *vary[i].values()).shape
-                    if grid != state.shape[:-2]:
-                        state = _widen(state, grid + state.shape[-2:])
-                width = size if kind.noisy else 0
-                kind.update(state, rows, slice(col, col + width), kind.block, values)
-                col += width
-        except FloatingPointError:
-            raise InstabilityError(f"engine: the state overflows at element {i} ({kind.type})") from None
-        try:
-            factor = state[..., :col]
-            cov = (factor * weights) @ factor.swapaxes(-1, -2)
-            cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-        except FloatingPointError:
-            raise InstabilityError("engine: the output covariance overflows") from None
-    return state[..., col], cov
-
-
 def _quadrature_row(n_modes: int, mode: int, theta: float) -> np.ndarray:
     """The row ``r``, one in a ``(1, 2n)`` stack, whose ``r·x`` is ``X(theta)`` on ``mode``.
 
@@ -320,11 +228,11 @@ class _Adjoint:
 
     Compiled once for the elements ``varied`` names and a ``shift``
     ``(index, {field: 1 + k values})``, which sets element ``index``'s
-    fields as a ``vary`` of :func:`_propagate` would: the first value in the
-    circuit, each other in a circuit of its own that differs only there.
-    That element must add no noise, and ``varied`` must not name it.  The
-    ``detected`` rows ``(q, 2n)`` are read at the output, by default the
-    detected quadrature's (:func:`_quadrature_row`).  A readout ``r·x`` is
+    fields to ``1 + k`` values: the first in the circuit, each other in a
+    circuit of its own that differs only there.  That element must add no
+    noise, and ``varied`` must not name it.  The ``detected`` rows
+    ``(q, 2n)`` are read at the output, by default the detected
+    quadrature's (:func:`_quadrature_row`).  A readout ``r·x`` is
     walked from the last element to the first, each mapping it as
     ``r[idx] <- r[idx]·S``, so the output mean is ``r·mean_in`` and, the
     noise entering on the way as ``sqrt(w) P`` factors, the variance is
@@ -332,8 +240,9 @@ class _Adjoint:
     element, read with the row at its output: a sum of non-negative terms.
     The shifted element's ``1 + k`` blocks make each row ``1 + k`` rows, one
     per value; the variance reads the first row at the first value.  This is
-    reverse mode (Griewank & Walther, *Evaluating Derivatives*, 2008) over
-    the forward pass of :func:`_propagate`.
+    reverse mode (Griewank & Walther, *Evaluating Derivatives*, 2008), the
+    walk that :func:`simulate` makes with the identity rows, here on the
+    detected ones.
 
     The elements after the last varied one are walked here with the
     detected rows themselves, and each other maximal run of elements that
@@ -343,15 +252,14 @@ class _Adjoint:
     factor ``F``, whose noise adds ``Σ (r·F)²``.  So :meth:`run` takes the
     varied elements' blocks, made by the caller, and makes two products per
     varied element and two per folded run; neither the compile nor a pass
-    depends on the number of rows.  The values are not validated, as in
-    :func:`_propagate`.
+    depends on the number of rows.  The values are not validated; callers
+    pass only values that their element's dataclass would accept.
     """
 
     def __init__(self, spec: CircuitSpec, varied, shift: tuple[int, dict], detected: np.ndarray | None = None):
         if detected is None:
             detected = _quadrature_row(spec.n_modes, spec.detect.mode, spec.detect.theta)
-        state, self.weights = _prepare(spec.n_modes, spec.inputs)
-        self.mean = state[:, -1]
+        self.mean, self.weights = _prepare(spec.n_modes, spec.inputs)
         self.rows, self.var = detected, np.float64(0.0)
         self.steps = []  # from the last element to the first: (index, idx) or (None, (maps, factor))
         run = []  # the unvaried elements met since the last varied one, last first
@@ -360,7 +268,7 @@ class _Adjoint:
                 run.append(i)
                 continue
             self._fold(spec, run, shift)
-            self.steps.append((i, _block_index(_modes(spec.elements[i]))[0]))
+            self.steps.append((i, _block_index(_modes(spec.elements[i]))))
             run = []
         self._fold(spec, run, shift)
 
@@ -412,40 +320,47 @@ class _Adjoint:
         return rows @ self.mean, var + (first * first * self.weights).sum(axis=-1)
 
 
-def _walk(spec: CircuitSpec, run: list, shift: tuple[int, dict], rows: np.ndarray):
+def _walk(spec: CircuitSpec, run: Iterable[int], shift: tuple, rows: np.ndarray):
     """The rows ``(q, 2n)`` walked back through the elements ``run`` (last first), and the noise they read.
 
     Returns the rows ``(q, 1 + k, 2n)`` where ``run`` holds the shifted
     element (``(q, 1, 2n)`` elsewhere) and the noise factor ``(q, c)`` of
     the run's noisy elements, each read with the rows at its output and the
-    shift's first value, or ``None`` for a run without noise.
+    shift's first value, or ``None`` for a run without noise.  A loss ``L``
+    is walked without a product: it scales the rows by ``sqrt(1 - L)`` and
+    reads its noise as ``sqrt(L)`` times them, the values of its block.
+    Where numpy raises on overflow, a walk that leaves the float range
+    raises :class:`InstabilityError` naming the element.
     """
     at, shifted = shift
     q = len(rows)
     rows = rows.copy()  # (1 + k) q rows from the shifted element on, each value's q in turn
     factors = []
-    for i in run:
-        el = spec.elements[i]
-        kind = _KIND_OF[type(el)]
-        idx = _block_index(_modes(el))[0]
-        if kind.update is _attenuate:  # a loss, without a product: the values of its block, as in _attenuate
-            factors.append(math.sqrt(el.L) * rows[:q, idx])
-            rows[:, idx] *= math.sqrt(1.0 - el.L)
-            continue
-        linear, noise = kind.block(**{n: getattr(el, n) for n in kind.params} | (shifted if i == at else {}))
-        if noise is not None:
-            weight, pattern = noise
-            factors.append(rows[:q, idx] @ (math.sqrt(weight) * pattern))
-        moved = rows[:, idx] @ linear
-        if moved.ndim == 3:  # the shifted element's 1 + k blocks
-            rows = _widen(rows, moved.shape[:1] + rows.shape).reshape(-1, rows.shape[-1])
-            moved = moved.reshape(-1, moved.shape[-1])
-        rows[:, idx] = moved
+    try:
+        for i in run:
+            el = spec.elements[i]
+            kind = _KIND_OF[type(el)]
+            idx = _block_index(_modes(el))
+            if kind.cls is LossElement:
+                factors.append(math.sqrt(el.L) * rows[:q, idx])
+                rows[:, idx] *= math.sqrt(1.0 - el.L)
+                continue
+            linear, noise = kind.block(**{n: getattr(el, n) for n in kind.params} | (shifted if i == at else {}))
+            if noise is not None:
+                weight, pattern = noise
+                factors.append(rows[:q, idx] @ (math.sqrt(weight) * pattern))
+            moved = rows[:, idx] @ linear
+            if moved.ndim == 3:  # the shifted element's 1 + k blocks
+                rows = _widen(rows, moved.shape[:1] + rows.shape).reshape(-1, rows.shape[-1])
+                moved = moved.reshape(-1, moved.shape[-1])
+            rows[:, idx] = moved
+    except FloatingPointError:
+        raise InstabilityError(f"engine: the state overflows at element {i} ({kind.type})") from None
     return rows.reshape(-1, q, rows.shape[-1]).swapaxes(0, 1), np.concatenate(factors, axis=1) if factors else None
 
 
 def _amplification(spec: CircuitSpec, vary: dict | None = None):
-    """The product of ``G + g`` over the circuit's amplifiers and squeezers, on ``vary``'s grid (see :func:`_propagate`)."""
+    """The product of ``G + g`` over the circuit's amplifiers and squeezers, with ``vary``'s ``{index: {field: array}}`` set."""
     vary = vary or {}
     product = 1.0
     for i, el in enumerate(spec.elements):
@@ -464,22 +379,53 @@ def _widen(state: np.ndarray, shape: tuple) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _block_index(modes: tuple[int, ...]):
-    """Index of the modes' quadratures along one axis, and their number.
+    """Index of the modes' quadratures along one axis.
 
     A slice where the quadratures are contiguous and in order (basic
     indexing is cheaper), an index array otherwise.
     """
     idx = _quadrature_indices(modes)
     if np.all(np.diff(idx) == 1):
-        return slice(int(idx[0]), int(idx[-1]) + 1), idx.size
+        return slice(int(idx[0]), int(idx[-1]) + 1)
     idx.setflags(write=False)  # shared by every caller through the cache
-    return idx, idx.size
+    return idx
+
+
+def _readout(spec: CircuitSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The means ``(q,)`` and the covariance ``(q, q)`` of the output quadratures ``rows·x``, for rows ``(q, 2n)``.
+
+    The rows walk back through every element (:func:`_walk`) to their map
+    ``M`` on the inputs and their noise factor ``F``.  The covariance
+    ``[M | F] diag(w, 1) [M | F]^T``, with ``w`` the preparation variances,
+    is formed once and symmetrized once, so every variance is a sum of
+    non-negative terms: for the identity rows it is the forward factored
+    covariance, transposed (reverse mode, Griewank & Walther, *Evaluating
+    Derivatives*, 2008).  Raises :class:`InstabilityError` naming the
+    element, the covariance or the means where they leave the float range.
+    """
+    mean_in, weights = _prepare(spec.n_modes, spec.inputs)
+    with np.errstate(over="raise", invalid="raise"):
+        maps, factor = _walk(spec, reversed(range(len(spec.elements))), (None, {}), rows)
+        maps = full = maps[:, 0]
+        if factor is not None:
+            full = np.concatenate((maps, factor), axis=1)
+            weights = np.concatenate((weights, np.ones(factor.shape[1])))
+        try:
+            cov = (full * weights) @ full.T
+            cov = 0.5 * (cov + cov.T)
+        except FloatingPointError:
+            raise InstabilityError("engine: the output covariance overflows") from None
+        try:
+            mean = maps @ mean_in
+        except FloatingPointError:
+            raise InstabilityError("engine: the output means overflow") from None
+    return mean, cov
 
 
 def simulate(spec: CircuitSpec) -> GaussianState:
-    """Run the circuit and return the output state."""
-    mean, cov = _propagate(spec)
-    return GaussianState(spec.n_modes, mean[0], cov[0])
+    """Run the circuit and return the output state: the walk of the ``2n`` identity rows."""
+    mean, cov = _readout(spec, np.eye(2 * spec.n_modes))
+    return GaussianState(spec.n_modes, mean, cov)
 
 
 def propagate_mean(spec: CircuitSpec) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Tests for the batched block-local propagation kernel and its batched callers.
+"""Tests for the backward propagation engine and its batched callers.
 
 The reference path is the full-register one: ``element_map`` of each
-element applied to the state with ``apply``.
+element applied to the state with ``apply``, or, for the three-phase
+oracle, to the factored state ``[A | mean]`` with each map's noise
+factored by ``eigh``.
 """
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from gicirc import (
     Vacuum,
     apply,
     build_sisni,
-    build_sq_mzi,
     detect_stats,
     engine_report,
     gain_from_qng,
@@ -45,7 +45,6 @@ from gicirc.circuits import (
     SqueezerElement,
     _Adjoint,
     _amplification,
-    _propagate,
     element_map,
 )
 from gicirc.interferometers import _TOPOLOGIES, _excursion_shift
@@ -129,34 +128,35 @@ def varied_circuits(draw):
     return spec, index, rows
 
 
-@settings(max_examples=80, deadline=None)
-@given(varied_circuits())
-def test_batch_equals_separate_runs(case):
-    spec, index, rows = case
-    vary = {index: {name: np.array([row[name] for row in rows]) for name in rows[0]}}
-    mean, cov = _propagate(spec, vary)
-    dim = 2 * spec.n_modes
-    assert mean.shape == (len(rows), dim) and cov.shape == (len(rows), dim, dim)
-    for b, row in enumerate(rows):
+def _row_circuits(spec, index, rows):
+    """The circuit with element ``index``'s fields set to each row in turn."""
+    for row in rows:
         elements = list(spec.elements)
         elements[index] = dataclasses.replace(elements[index], **row)
-        single = dataclasses.replace(spec, elements=tuple(elements))
-        one_mean, one_cov = _propagate(single)
-        assert_close(mean[b], one_mean[0])
-        assert_close(cov[b], one_cov[0])
-        reference, scale = reference_state(single)
-        assert_close(mean[b], reference.mean, scale=scale)
-        assert_close(cov[b], reference.cov, scale=scale)
+        yield dataclasses.replace(spec, elements=tuple(elements))
 
 
-def _by_block_product(spec, vary=None):
-    """``_propagate`` with the loss row updating through the generic block product."""
+@settings(max_examples=80, deadline=None)
+@given(varied_circuits())
+def test_simulate_equals_the_full_register_path(case):
+    dim = 2 * case[0].n_modes
+    for spec in _row_circuits(*case):
+        state = simulate(spec)
+        assert state.mean.shape == (dim,) and state.cov.shape == (dim, dim)
+        reference, scale = reference_state(spec)
+        assert_close(state.mean, reference.mean, scale=scale)
+        assert_close(state.cov, reference.cov, scale=scale)
+
+
+def _by_block_product(spec):
+    """``simulate`` with each loss walked through its block product: its kind's row names no class, so the walk does not take it for a loss."""
     kind = circuits._KIND_OF[LossElement]
-    circuits._KIND_OF[LossElement] = kind._replace(update=circuits._transform)
+    circuits._KIND_OF[LossElement] = kind._replace(cls=None)
     try:
-        return _propagate(spec, vary)
+        state = simulate(spec)
     finally:
         circuits._KIND_OF[LossElement] = kind
+    return state.mean, state.cov
 
 
 def assert_same_values(actual, expected):
@@ -168,124 +168,36 @@ def assert_same_values(actual, expected):
 @settings(max_examples=120, deadline=None)
 @given(varied_circuits())
 def test_loss_scaling_gives_the_values_of_the_block_product(case):
-    """For losses in [0, 1], total losses in a batch included."""
-    spec, index, rows = case
-    vary = {index: {name: np.array([row[name] for row in rows]) for name in rows[0]}}
-    assert_same_values(_propagate(spec), _by_block_product(spec))
-    assert_same_values(_propagate(spec, vary), _by_block_product(spec, vary))
-
-
-@st.composite
-def grid_circuits(draw):
-    """A circuit of ``varied_circuits`` with a second varied element: ``(R, 1)`` and ``(E,)`` values."""
-    spec, first, rows = draw(varied_circuits().filter(lambda case: len(case[0].elements) > 1))
-    second = draw(st.integers(0, len(spec.elements) - 2))
-    second += second >= first
-    _, numeric = KINDS[type(spec.elements[second])]
-    cols = [{name: draw(NUMBERS[name]) for name in numeric} for _ in range(draw(st.integers(1, 4)))]
-    return spec, (first, rows), (second, cols)
-
-
-@settings(max_examples=80, deadline=None)
-@given(grid_circuits())
-def test_grid_equals_pointwise_runs(case):
-    spec, (first, rows), (second, cols) = case
-    vary = {
-        first: {name: np.array([[row[name]] for row in rows]) for name in rows[0]},
-        second: {name: np.array([col[name] for col in cols]) for name in cols[0]},
-    }
-    mean, cov = _propagate(spec, vary)
-    dim = 2 * spec.n_modes
-    assert mean.shape == (len(rows), len(cols), dim) and cov.shape == (len(rows), len(cols), dim, dim)
-    for (r, row), (c, col) in itertools.product(enumerate(rows), enumerate(cols)):
-        elements = list(spec.elements)
-        elements[first] = dataclasses.replace(elements[first], **row)
-        elements[second] = dataclasses.replace(elements[second], **col)
-        point_mean, point_cov = _propagate(dataclasses.replace(spec, elements=tuple(elements)))
-        assert np.array_equal(mean[r, c], point_mean[0])
-        assert np.array_equal(cov[r, c], point_cov[0])
+    """For losses in [0, 1], total losses included."""
+    for spec in (case[0], *_row_circuits(*case)):
+        state = simulate(spec)
+        assert_same_values((state.mean, state.cov), _by_block_product(spec))
 
 
 def test_noisy_amplifier_row_equals_its_scalar_run():
-    """A squared field is a product, so an array row has the bits of its float run."""
+    """A squared field is a product, so the block of an array row has the bits of its float block."""
     rho = 0.004687347717978302  # (1 + rho) ** 2 on a float differs from numpy's array square
-    spec, _ = build_sisni(SisniParams(alpha=6.0, L_is=0.16, L_ii=0.1, L_e=0.15), NoisyPaParams(rho, 0.3, 2.0))
-    mean, cov = _propagate(spec, {0: {"rho": np.array([rho])}})
-    point_mean, point_cov = _propagate(spec)
-    assert np.array_equal(mean, point_mean)
-    assert np.array_equal(cov, point_cov)
+    (linear, (weight, pattern)), (point_linear, (point_weight, point_pattern)) = (
+        NoisyPaElement.block(r, 0.3, 2.0) for r in (np.array([rho]), rho)
+    )
+    assert _same_bits(linear, point_linear[None]) and _same_bits(pattern, point_pattern[None])
+    assert _same_bits(weight, point_weight)
 
 
-class TestPropagate:
-    def test_unvaried_batch_of_one(self):
+class TestSimulate:
+    def test_equals_the_full_register_path(self):
         spec, _ = build_sisni(SisniParams(alpha=6.0, g1=0.8, g2=1.2, L_is=0.16, L_ii=0.1, L_e=0.15))
-        mean, cov = _propagate(spec)
-        assert mean.shape == (1, 6) and cov.shape == (1, 6, 6)
+        state = simulate(spec)
+        assert state.mean.shape == (6,) and state.cov.shape == (6, 6)
         reference, scale = reference_state(spec)
-        assert_close(mean[0], reference.mean, scale=scale)
-        assert_close(cov[0], reference.cov, scale=scale)
+        assert_close(state.mean, reference.mean, scale=scale)
+        assert_close(state.cov, reference.cov, scale=scale)
 
     def test_covariance_stays_exactly_symmetric(self, rng):
-        spec, _ = build_sisni(SisniParams(alpha=3.0, g1=1.1, g2=0.7, L_is=0.2, L_ii=0.3, L_e=0.1))
-        phis = rng.uniform(0.0, 2.0 * math.pi, 5)
-        _, cov = _propagate(spec, {6: {"phi": phis}})
-        assert np.array_equal(cov, cov.swapaxes(1, 2))
-
-    def test_elements_before_the_first_varied_one_run_once(self, monkeypatch):
-        """Each block runs once: the prefix with its scalar fields, the varied element with the grid."""
-        calls = {PaElement: [], PhaseElement: []}
-        for cls in calls:
-            kind = circuits._KIND_OF[cls]
-
-            def spy(_block=kind.block, _calls=calls[cls], **values):
-                _calls.append(values)
-                return _block(**values)
-
-            monkeypatch.setitem(circuits._KIND_OF, cls, kind._replace(block=spy))
-        spec, _ = build_sisni(SisniParams(alpha=3.0, g1=0.9, g2=0.4, L_is=0.2, L_ii=0.1, L_e=0.3))
-        phis = np.array([3.0, 3.1, 3.2])
-        mean, cov = _propagate(spec, {6: {"phi": phis}})
-        upstream, pump, signal = calls[PaElement][0], calls[PhaseElement][0], calls[PhaseElement][1]
-        assert len(calls[PaElement]) == 2 and len(calls[PhaseElement]) == 2
-        assert upstream == {"g": 0.9} and pump == {"phi": math.pi}
-        assert signal["phi"] is phis
-        assert mean.shape == (3, 6) and cov.shape == (3, 6, 6)
-
-    def test_elements_after_the_signal_phase_run_once_per_row(self, rng, monkeypatch):
-        """The downstream amplifier and the external losses move ``(B,)`` states, and no state widens at the phase."""
-        seen, widened = [], []
-        for cls in (NoisyPaElement, LossElement):
-            kind = circuits._KIND_OF[cls]
-
-            def spy(state, rows, cols, block, values, _update=kind.update, _type=kind.type):
-                seen.append((_type, state.shape[:-2], {name: np.shape(v) for name, v in values.items()}))
-                return _update(state, rows, cols, block, values)
-
-            monkeypatch.setitem(circuits._KIND_OF, cls, kind._replace(update=spy))
-
-        def widen(state, shape, _widen=circuits._widen):
-            widened.append(shape[:-2])
-            return _widen(state, shape)
-
-        monkeypatch.setattr(circuits, "_widen", widen)
-        topo = _TOPOLOGIES[SisniParams]
-        spec, _ = topo.build(SisniParams(alpha=6.0, L_is=0.16, L_ii=0.1, L_e=0.15), _UNSET, _UNSET)
-        _propagate(spec, _noisy_rows(rng, 5))
-        assert widened == [(5,)]  # at the upstream amplifier, the first varied element
-        downstream = [entry for entry in seen if entry[0] == "noisy_pa"][1]
-        assert downstream == ("noisy_pa", (5,), dict.fromkeys(("rho", "kappa", "epsilon2"), (5,)))
-        assert [grid for _, grid, _ in seen[-2:]] == [(5,), (5,)]  # the external losses
-        seen.clear()
-        spec, _ = topo.build(SisniParams(alpha=6.0, g1=0.5, g2=0.8, L_e=0.2))
-        _propagate(spec)  # no rows: one circuit throughout
-        assert widened == [(5,)] and [grid for _, grid, _ in seen] == [(1,), (1,), (1,), (1,), (1,)]
-
-    def test_simulate_is_the_batch_of_one(self):
-        spec, _ = build_sq_mzi(SqMziParams(alpha=5.0, g=0.9, L_i=0.1, L_e=0.2))
-        mean, cov = _propagate(spec)
-        state = simulate(spec)
-        assert np.array_equal(state.mean, mean[0])
-        assert np.array_equal(state.cov, cov[0])
+        params = SisniParams(alpha=3.0, g1=1.1, g2=0.7, L_is=0.2, L_ii=0.3, L_e=0.1)
+        for phi in rng.uniform(0.0, 2.0 * math.pi, 5):
+            cov = simulate(build_sisni(dataclasses.replace(params, phi_signal=phi))[0]).cov
+            assert np.array_equal(cov, cov.T)
 
 
 class TestEngineReportExcursion:
@@ -308,12 +220,51 @@ class TestEngineReportExcursion:
             assert report.mean_X2 == pytest.approx(0.5 * (means[0] - means[1]), rel=1e-9, abs=1e-15)
 
 
+def factored_state(spec):
+    """Output mean and covariance by the full-register path on the factored state ``[A | mean]``.
+
+    Each ``element_map``'s ``S`` moves the whole state, and its noise ``N``
+    goes in as the new columns ``P sqrt(lambda)`` of its eigendecomposition,
+    so the covariance ``A diag(w) A^T`` is formed once, at the end, as a
+    sum of non-negative terms where ``S cov S^T + N`` would cancel.
+    """
+    prepared = make_state(spec.n_modes, spec.inputs)
+    state = np.column_stack((np.eye(2 * spec.n_modes), prepared.mean))
+    weights = [np.diag(prepared.cov)]
+    for el in spec.elements:
+        channel = element_map(el, spec.n_modes)
+        state = channel.linear @ state
+        values, vectors = np.linalg.eigh(channel.noise)
+        keep = values > 0.0
+        state = np.column_stack((state[:, :-1], vectors[:, keep] * np.sqrt(values[keep]), state[:, -1]))
+        weights.append(np.ones(keep.sum()))
+    factor = state[:, :-1]
+    cov = (factor * np.concatenate(weights)) @ factor.T
+    return state[:, -1], 0.5 * (cov + cov.T)
+
+
 def _three_phase_grid(phase, spec, dphi, vary=None):
-    """The grid pass of element ``phase`` at ``phi0`` and ``phi0 +/- dphi`` trailing the rows: the three means, and ``cov`` at ``phi0``."""
-    grid = {i: {name: np.asarray(v)[..., None] for name, v in row.items()} for i, row in (vary or {}).items()}
+    """Pointwise factored runs at element ``phase``'s ``phi0`` and ``phi0 +/- dphi`` per row of ``vary``: the three means, and the covariance at ``phi0``.
+
+    The means are ``(*rows, 3, 2n)`` and the covariance ``(*rows, 2n, 2n)``,
+    with no row axis without ``vary``.
+    """
     phi0 = spec.elements[phase].phi
-    mean, cov = _propagate(spec, grid | {phase: {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}})
-    return mean, cov[..., 0, :, :]
+    columns = [v for fields in (vary or {}).values() for v in fields.values()]
+    means, covs = [], []
+    for row in range(len(columns[0])) if columns else [None]:
+        elements = list(spec.elements)
+        for i, fields in (vary or {}).items():
+            elements[i] = dataclasses.replace(elements[i], **{name: float(v[row]) for name, v in fields.items()})
+        three = []
+        for phi in (phi0, phi0 + dphi, phi0 - dphi):
+            elements[phase] = dataclasses.replace(elements[phase], phi=phi)
+            three.append(factored_state(dataclasses.replace(spec, elements=tuple(elements))))
+        means.append([mean for mean, _ in three])
+        covs.append(three[0][1])
+    if vary is None:
+        return np.array(means[0]), covs[0]
+    return np.array(means), np.array(covs)
 
 
 def _random_params(rng, cls):
@@ -417,7 +368,7 @@ def _dark_fringe_rows():
 
 
 class TestBackwardReadout:
-    """The detected row propagated backward, with the unvaried runs folded, reads what the forward three-phase grid reads."""
+    """The detected row propagated backward, with the unvaried runs folded, reads what the forward three-phase runs read."""
 
     @settings(max_examples=100, deadline=None)
     @given(nested_rows(), st.sampled_from([1e-4, 1e-3, 0.3]))
@@ -497,7 +448,7 @@ def off_point_params(draw, cls):
 
 
 class TestBackwardReports:
-    """``engine_report`` and ``slope_vs_theta`` read backward what the forward three-phase grid reads."""
+    """``engine_report`` and ``slope_vs_theta`` read backward what the forward three-phase runs read."""
 
     @pytest.mark.parametrize("cls", [SqMziParams, SisniParams])
     @settings(max_examples=100, deadline=None)

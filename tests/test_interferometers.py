@@ -32,7 +32,7 @@ from gicirc import (
     sql_baseline,
     wigner_panel,
 )
-from gicirc.circuits import LossElement, NoisyPaElement, PaElement, PhaseElement, SqueezerElement
+from gicirc.circuits import BsElement, LossElement, NoisyPaElement, PaElement, PhaseElement, SqueezerElement
 from gicirc.interferometers import _TOPOLOGIES
 
 PAPER_LOSSES = dict(L_is=0.16, L_ii=0.10, L_e=0.15)
@@ -469,12 +469,28 @@ class TestGainOverflow:
             with pytest.raises(InstabilityError, match=r"^engine: the state overflows at element 0 \(pa\)$"):
                 simulate(spec)
 
+    def test_circuit_document_names_the_element_in_document_order(self):
+        # The walk meets the amplifier first, from the detector; it is the document's element 1.
+        spec = CircuitSpec(2, (Vacuum(), Coherent(1.0)), (BsElement((0, 1)), PaElement((0, 1), 1e200)), Detection(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=r"^engine: the state overflows at element 1 \(pa\)$"):
+                simulate(spec)
+
     def test_covariance_formed_past_the_float_range(self):
         # The factor's entries (G + g = 2.4e154) are finite; the covariance's square is not.
         spec = CircuitSpec(1, (Vacuum(),), (SqueezerElement(0, 1.2e154),), Detection(0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InstabilityError, match=r"^engine: the output covariance overflows$"):
+                simulate(spec)
+
+    def test_output_means_formed_past_the_float_range(self):
+        # The walked row (G + g = 2e110) and the covariance (4e220) are finite; the mean, times alpha = 1e200, is not.
+        spec = CircuitSpec(1, (Coherent(1e200),), (SqueezerElement(0, 1e110),), Detection(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=r"^engine: the output means overflow$"):
                 simulate(spec)
 
     def test_large_finite_gains_still_report(self):

@@ -92,11 +92,13 @@ _IMPRECISE_PARAMS = (
 )
 # At g = 1.2e154 the readouts that read the detected rows backward never form the
 # anti-squeezed covariance entry (G + g)² ≈ 5.8e308, so these stay finite and are
-# refused by the precision bound.
+# refused by the precision bound.  The slope forms no variance at all, so its means
+# stay finite at g1 = g2 = 1e150 too.
 _UPSTREAM, _DOWNSTREAM = SisniParams(alpha=6.0, g1=1.2e154, g2=0.5), SisniParams(alpha=6.0, g1=0.5, g2=1.2e154)
 _FINITE_BACKWARD = {
-    ("engine_report", SqMziParams(alpha=6.0, g=1.2e154)),
+    *((name, SqMziParams(alpha=6.0, g=1.2e154)) for name in ("engine_report", "slope_vs_theta")),
     *((name, params) for name in ("engine_report", "engine_report_mode_1", "slope_vs_theta") for params in (_UPSTREAM, _DOWNSTREAM)),
+    ("slope_vs_theta", SisniParams(alpha=6.0, g1=1e150, g2=1e150)),
 }
 IMPRECISE = {
     *(
