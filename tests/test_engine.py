@@ -7,6 +7,7 @@ factored by ``eigh``.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from gicirc import (
     Vacuum,
     apply,
     build_sisni,
+    build_sq_mzi,
     detect_stats,
     engine_report,
     gain_from_qng,
@@ -148,6 +150,70 @@ def test_simulate_equals_the_full_register_path(case):
         assert_close(state.cov, reference.cov, scale=scale)
 
 
+def _varied_blocks(spec, vary):
+    """Each varied element's block at ``vary``'s ``{index: {field: array}}``, its other fields the element's, as ``_Adjoint.run`` takes them."""
+    blocks = {}
+    for i, fields in vary.items():
+        el = spec.elements[i]
+        kind = circuits._KIND_OF[type(el)]
+        blocks[i] = kind.block(**{n: getattr(el, n) for n in kind.params} | fields)
+    return blocks
+
+
+def detected_reference(spec):
+    """The detected quadrature's mean and variance by the full-register path, and the largest entry met on the way."""
+    reference, scale = reference_state(spec)
+    return (*_quadrature(reference.mean, reference.cov, spec.detect.mode, spec.detect.theta), scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(varied_circuits())
+def test_batch_equals_separate_runs(case):
+    """One backward pass over a varied element's rows reads each row's circuit."""
+    spec, index, rows = case
+    vary = {index: {name: np.array([row[name] for row in rows]) for name in rows[0]}}
+    means, var = _Adjoint(spec, vary, (None, {})).run(_varied_blocks(spec, vary))
+    assert means.shape == (len(rows), 1) and var.shape == (len(rows),)
+    for b, single in enumerate(_row_circuits(spec, index, rows)):
+        mean, variance, scale = detected_reference(single)
+        assert_close(means[b, 0], mean, scale=scale)
+        assert_close(var[b], variance, scale=scale)
+
+
+@st.composite
+def grid_circuits(draw):
+    """A circuit of ``varied_circuits`` with a second varied element: ``(R, 1)`` and ``(E,)`` values."""
+    spec, first, rows = draw(varied_circuits().filter(lambda case: len(case[0].elements) > 1))
+    second = draw(st.integers(0, len(spec.elements) - 2))
+    second += second >= first
+    _, numeric = KINDS[type(spec.elements[second])]
+    cols = [{name: draw(NUMBERS[name]) for name in numeric} for _ in range(draw(st.integers(1, 4)))]
+    return spec, (first, rows), (second, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_circuits())
+def test_grid_equals_pointwise_runs(case):
+    """Two varied elements' values broadcast to a grid; each cell reads what its float run and its circuit read."""
+    spec, (first, rows), (second, cols) = case
+    vary = {
+        first: {name: np.array([[row[name]] for row in rows]) for name in rows[0]},
+        second: {name: np.array([col[name] for col in cols]) for name in cols[0]},
+    }
+    adjoint = _Adjoint(spec, vary, (None, {}))
+    means, var = adjoint.run(_varied_blocks(spec, vary))
+    assert means.shape == (len(rows), len(cols), 1) and var.shape == (len(rows), len(cols))
+    for (r, row), (c, col) in itertools.product(enumerate(rows), enumerate(cols)):
+        point_mean, point_var = adjoint.run(_varied_blocks(spec, {first: row, second: col}))
+        elements = list(spec.elements)
+        elements[first] = dataclasses.replace(elements[first], **row)
+        elements[second] = dataclasses.replace(elements[second], **col)
+        mean, variance, scale = detected_reference(dataclasses.replace(spec, elements=tuple(elements)))
+        for cell_mean, cell_var in ((means[r, c], var[r, c]), (point_mean, point_var)):
+            assert_close(cell_mean[0], mean, scale=scale)
+            assert_close(cell_var, variance, scale=scale)
+
+
 def _by_block_product(spec):
     """``simulate`` with each loss walked through its block product: its kind's row names no class, so the walk does not take it for a loss."""
     kind = circuits._KIND_OF[LossElement]
@@ -184,7 +250,9 @@ def test_noisy_amplifier_row_equals_its_scalar_run():
     assert _same_bits(weight, point_weight)
 
 
-class TestSimulate:
+class TestPropagate:
+    """The backward walk: :func:`simulate` with the identity rows, ``_Adjoint`` with the detected one."""
+
     def test_equals_the_full_register_path(self):
         spec, _ = build_sisni(SisniParams(alpha=6.0, g1=0.8, g2=1.2, L_is=0.16, L_ii=0.1, L_e=0.15))
         state = simulate(spec)
@@ -198,6 +266,49 @@ class TestSimulate:
         for phi in rng.uniform(0.0, 2.0 * math.pi, 5):
             cov = simulate(build_sisni(dataclasses.replace(params, phi_signal=phi))[0]).cov
             assert np.array_equal(cov, cov.T)
+
+    def test_unvaried_batch_of_one(self):
+        """With no element varied, a pass reads the one circuit: ``(1,)`` means and a scalar variance."""
+        spec, _ = build_sisni(SisniParams(alpha=6.0, g1=0.8, g2=1.2, L_is=0.16, L_ii=0.1, L_e=0.15))
+        means, var = _Adjoint(spec, (), (None, {})).run({})
+        assert means.shape == (1,) and var.shape == ()
+        mean, variance, scale = detected_reference(spec)
+        assert_close(means[0], mean, scale=scale)
+        assert_close(var, variance, scale=scale)
+
+    def test_elements_before_the_first_varied_one_run_once(self, monkeypatch):
+        """Each unvaried block runs once, at the compile, with its scalar fields; a pass runs none, whatever its rows."""
+        calls = {PaElement: [], PhaseElement: []}
+        for cls in calls:
+            kind = circuits._KIND_OF[cls]
+
+            def spy(_block=kind.block, _calls=calls[cls], **values):
+                _calls.append(values)
+                return _block(**values)
+
+            monkeypatch.setitem(circuits._KIND_OF, cls, kind._replace(block=spy))
+        spec, _ = build_sisni(SisniParams(alpha=3.0, g1=0.9, g2=0.4, L_is=0.2, L_ii=0.1, L_e=0.3))
+        adjoint = _Adjoint(spec, {6}, (None, {}))
+        assert calls[PaElement] == [{"g": 0.4}, {"g": 0.9}]  # walked last first: downstream, then upstream
+        assert calls[PhaseElement] == [{"phi": math.pi}]  # the pump phase; the signal phase is varied
+        for rows in (1, 3, 48):
+            phis = np.linspace(3.0, 3.3, rows)
+            means, var = adjoint.run({6: PhaseElement.block(phis)})
+            assert means.shape == (rows, 1) and var.shape == (rows,)
+        assert len(calls[PaElement]) == 2 and len(calls[PhaseElement]) == 1
+
+    def test_simulate_is_the_batch_of_one(self):
+        """A pass over one row of an element's own values reads the detected quadrature of :func:`simulate`'s state."""
+        spec, _ = build_sq_mzi(SqMziParams(alpha=5.0, g=0.9, L_i=0.1, L_e=0.2))
+        phase = next(i for i, el in enumerate(spec.elements) if isinstance(el, PhaseElement))
+        vary = {phase: {"phi": np.array([spec.elements[phase].phi])}}
+        means, var = _Adjoint(spec, vary, (None, {})).run(_varied_blocks(spec, vary))
+        assert means.shape == (1, 1) and var.shape == (1,)
+        state = simulate(spec)
+        stats = detect_stats(spec, state)
+        scale = max(1.0, float(np.abs(state.mean).max()), float(np.abs(state.cov).max()))
+        assert_close(means[0, 0], stats.mean, scale=scale)
+        assert_close(var[0], stats.variance, scale=scale)
 
 
 class TestEngineReportExcursion:
