@@ -19,7 +19,7 @@ from .errors import InstabilityError
 from .interferometers import (
     TopologyParams,
     _build,
-    _excursion_shift,
+    _excursion,
     _guard,
     _phase_terms,
     _precise,
@@ -182,11 +182,10 @@ def slope_vs_theta(params: TopologyParams, theta_grid, dphi: float = 1e-3) -> np
     with _guard("engine", params):
         topo, spec = _build(params)
         mode = spec.detect.mode
-        shift = _excursion_shift(topo, spec, dphi)
         rows = np.eye(2 * spec.n_modes)[2 * mode : 2 * mode + 2]
-        walked = _walk(spec, reversed(range(len(spec.elements))), shift, rows)[0]
-        means = walked.reshape(-1, walked.shape[-1]) @ _prepare(spec.n_modes, spec.inputs)[0]
-        dx, dp = (means[1::3] - means[2::3]) / (2.0 * dphi)
+        walked = _walk(_excursion(spec, topo.phase, dphi), reversed(range(len(spec.elements))), rows)[0]
+        means = walked @ _prepare(spec.n_modes, spec.inputs)[0]
+        dx, dp = (means[1] - means[2]) / (2.0 * dphi)
         slope = np.cos(thetas) * dx + np.sin(thetas) * dp
         _precise(_amplification(spec))
     return slope

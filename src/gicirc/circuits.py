@@ -16,15 +16,15 @@ are checked once: its converters check their types, the kind's ``check``
 their ranges, and the entries are assembled without running
 ``__post_init__`` again.
 
-There is one propagation engine, and it runs backward (:func:`_walk`): a
-row ``r`` of the output, with ``r·x`` a quadrature, walks the circuit from
-the detector to the inputs, each element moving only the entries of its own
-modes.  :func:`simulate` walks the ``2n`` identity rows, which gives the
-output map and the noise factor of the whole circuit, so its output state
-(:func:`_readout`).  The phase-excursion readouts walk the detected
-quadrature's row (:class:`_Adjoint`): the shifted element splits it into one
-row per excursion value, and the runs of elements that no row varies are
-folded into one row map and one noise factor each, once per circuit.
+There is one propagation engine, and one readout (:class:`_Adjoint`): a row
+``r`` of the output, with ``r·x`` a quadrature, walks the circuit backward
+from the detector to the inputs (:func:`_walk`), each element moving only
+the entries of its own modes, and gives, for each batch cell, the rows'
+means and covariance.  :func:`simulate` reads the ``2n`` identity rows,
+which gives the output state.  The phase-excursion readouts read the
+detected quadrature's row, the signal phase holding its three values as one
+more batch axis, and the runs of elements that no pass varies are folded
+into one row map and one noise factor each, once per circuit.
 """
 
 from __future__ import annotations
@@ -224,117 +224,136 @@ def _quadrature_row(n_modes: int, mode: int, theta: float) -> np.ndarray:
 
 
 class _Adjoint:
-    """Quadratures of a circuit's output read backward: their means at a shifted element's values, and a variance.
+    """Quadratures of a circuit's output read backward: for each batch cell, their means and covariance.
 
-    Compiled once for the elements ``varied`` names and a ``shift``
-    ``(index, {field: 1 + k values})``, which sets element ``index``'s
-    fields to ``1 + k`` values: the first in the circuit, each other in a
-    circuit of its own that differs only there.  That element must add no
-    noise, and ``varied`` must not name it.  The ``detected`` rows
-    ``(q, 2n)`` are read at the output, by default the detected
-    quadrature's (:func:`_quadrature_row`).  A readout ``r·x`` is
-    walked from the last element to the first, each mapping it as
+    Compiled once for the elements ``varied`` names, whose blocks each
+    :meth:`run` takes, and the rows ``detected`` ``(q, 2n)``, by default
+    the detected quadrature's (:func:`_quadrature_row`).  A readout ``r·x``
+    is walked from the last element to the first, each mapping it as
     ``r[idx] <- r[idx]·S``, so the output mean is ``r·mean_in`` and, the
-    noise entering on the way as ``sqrt(w) P`` factors, the variance is
-    ``Σ w_in r²`` at the inputs plus ``w Σ (r[idx]·P)²`` at each noisy
-    element, read with the row at its output: a sum of non-negative terms.
-    The shifted element's ``1 + k`` blocks make each row ``1 + k`` rows, one
-    per value; the variance reads the first row at the first value.  This is
-    reverse mode (Griewank & Walther, *Evaluating Derivatives*, 2008), the
-    walk that :func:`simulate` makes with the identity rows, here on the
-    detected ones.
+    noise entering on the way as ``sqrt(w) P`` factors, the covariance of
+    ``r·x`` and ``s·x`` is ``Σ w_in r s`` at the inputs plus
+    ``w Σ (r[idx]·P)(s[idx]·P)`` at each noisy element, read with the rows
+    at its output: a variance is a sum of non-negative terms (reverse mode,
+    Griewank & Walther, *Evaluating Derivatives*, 2008).
+
+    An element whose fields hold an array (see
+    :func:`~gicirc.interferometers._excursion`) is a stack of circuits that
+    differ only there, which ``varied`` must not name: its blocks broadcast
+    the rows to the stack's shape, the last batch axes of every pass, so
+    each value is a whole readout.
 
     The elements after the last varied one are walked here with the
-    detected rows themselves, and each other maximal run of elements that
-    ``varied`` does not name is walked with the identity rows, which folds
-    it into a row map (``(2n, 2n)``, or ``(2n, (1 + k) 2n)``, the ``1 + k``
-    maps side by side, where the run holds the shifted element) and a noise
-    factor ``F``, whose noise adds ``Σ (r·F)²``.  So :meth:`run` takes the
-    varied elements' blocks, made by the caller, and makes two products per
-    varied element and two per folded run; neither the compile nor a pass
-    depends on the number of rows.  The values are not validated; callers
-    pass only values that their element's dataclass would accept.
+    detected rows, and each other maximal run of unvaried elements with the
+    identity rows, which folds it into one matrix ``[M | F]``, its row map
+    and its noise factor, whose noise adds ``(r·F)(s·F)``.  So :meth:`run`
+    makes two products per varied element, whose rows are the stack's and
+    the detected ones of a batch cell, and one per folded run, whatever the
+    number of rows.  The values are not validated; callers pass only values
+    that their element's dataclass would accept.
     """
 
-    def __init__(self, spec: CircuitSpec, varied, shift: tuple[int, dict], detected: np.ndarray | None = None):
+    def __init__(self, spec: CircuitSpec, varied, detected: np.ndarray | None = None):
         if detected is None:
             detected = _quadrature_row(spec.n_modes, spec.detect.mode, spec.detect.theta)
         self.mean, self.weights = _prepare(spec.n_modes, spec.inputs)
-        self.rows, self.var = detected, np.float64(0.0)
-        self.steps = []  # from the last element to the first: (index, idx) or (None, (maps, factor))
+        self.rows, self.cov = detected, -0.0  # -0.0 + x is x, bit for bit
+        self.stack = 0  # the number of stack axes met
+        self.steps = []  # from the last element to the first: (index, idx) or (None, [M | F])
         run = []  # the unvaried elements met since the last varied one, last first
         for i in reversed(range(len(spec.elements))):
             if i not in varied:
                 run.append(i)
                 continue
-            self._fold(spec, run, shift)
+            self._fold(spec, run)
             self.steps.append((i, _block_index(_modes(spec.elements[i]))))
             run = []
-        self._fold(spec, run, shift)
+        self._fold(spec, run)
+        self.rows = self.rows.reshape((1,) * (self.stack + 2 - self.rows.ndim) + self.rows.shape)  # every stack axis
 
-    def _fold(self, spec: CircuitSpec, run: list, shift: tuple[int, dict]):
+    def _fold(self, spec: CircuitSpec, run: list):
         """Walk the elements ``run`` (last first): with the detected rows before the first varied element, else as a step."""
         if not run:
             return
+        maps, factor = _walk(spec, run, np.eye(2 * spec.n_modes) if self.steps else self.rows)
+        self.stack = max(self.stack, maps.ndim - 2)
         if self.steps:
-            dim = 2 * spec.n_modes
-            maps, factor = _walk(spec, run, shift, np.eye(dim))
-            self.steps.append((None, (maps.reshape(dim, -1), factor)))
+            self.steps.append((None, maps if factor is None else np.concatenate((maps, factor), axis=-1)))
             return
-        rows, factor = _walk(spec, run, shift, self.rows)
-        self.rows = rows.reshape(-1, rows.shape[-1])
+        self.rows = maps
         if factor is not None:
-            first = factor[0]
-            self.var = self.var + (first * first).sum()
-
-    @staticmethod
-    def _map(rows: np.ndarray, var, maps: np.ndarray, factor: np.ndarray | None):
-        """A folded run on ``rows``: its noise read with the first row, then its map(s)."""
-        if factor is not None:
-            first = rows[..., 0, :] @ factor
-            var = var + (first * first).sum(axis=-1)
-        dim, width = maps.shape
-        return (rows @ maps).reshape(rows.shape[:-2] + (rows.shape[-2] * width // dim, dim)), var
+            try:
+                self.cov = _covariance(factor)
+            except FloatingPointError:
+                raise InstabilityError("engine: the output covariance overflows") from None
 
     def run(self, blocks: dict) -> tuple[np.ndarray, np.ndarray]:
-        """The means ``(*batch, q (1 + k))``, each detected row's at the shift's values in turn, and the variance ``(*batch)``.
+        """The detected rows' means ``(*batch, q)`` and covariance ``(*batch, q, q)``, symmetrized once.
 
         ``blocks`` maps each varied element's index to its block ``(S, noise)``
-        as its kind's ``block`` gives it, a stack whose leading shapes
-        broadcast to the batch.
+        as its kind's ``block`` gives it, whose leading shapes broadcast to
+        the pass's batch axes; the stack's axes follow them.  Raises
+        :class:`InstabilityError` where numpy raises on overflow in the
+        covariance at the inputs or in the means.
         """
-        rows, var = self.rows, self.var
+        rows, cov = self.rows, self.cov
+        dim = len(self.mean)
         for i, step in self.steps:
-            if i is None:
-                rows, var = self._map(rows, var, *step)
+            if i is None:  # a folded run: the rows' product with its [map | noise factor]
+                rows = rows @ step
+                if rows.shape[-1] > dim:
+                    cov = cov + _covariance(rows[..., dim:])
+                    rows = rows[..., :dim]
                 continue
             linear, noise = blocks[i]
+            batch = rows.shape[: rows.ndim - 2 - self.stack]
+            inner = rows.shape[len(batch) : -1]  # the stack's axes (of size 1 before it) and the rows'
+            flat = rows.reshape(batch + (math.prod(inner), rows.shape[-1]))[..., step]
             if noise is not None:
                 weight, pattern = noise
-                first = rows[..., :1, step] @ pattern
-                var = var + weight * (first * first).sum(axis=-1)[..., 0]
-            moved = rows[..., step] @ linear
+                read = flat @ pattern
+                read = read.reshape(read.shape[:-2] + inner + read.shape[-1:])
+                cov = cov + np.reshape(weight, np.shape(weight) + (1,) * len(inner) + (1,)) * _covariance(read)
+            moved = flat @ linear
+            moved = moved.reshape(moved.shape[:-2] + inner + moved.shape[-1:])
             rows = _widen(rows, moved.shape[:-1] + rows.shape[-1:])
             rows[..., step] = moved
-        first = rows[..., 0, :]
-        return rows @ self.mean, var + (first * first * self.weights).sum(axis=-1)
+        try:
+            cov = cov + _covariance(rows, self.weights)
+            if cov.shape[-1] > 1:
+                cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+        except FloatingPointError:
+            raise InstabilityError("engine: the output covariance overflows") from None
+        try:
+            return rows @ self.mean, cov
+        except FloatingPointError:
+            raise InstabilityError("engine: the output means overflow") from None
 
 
-def _walk(spec: CircuitSpec, run: Iterable[int], shift: tuple, rows: np.ndarray):
+def _covariance(factor: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """``factor diag(weights) factorᵀ`` ``(..., q, q)`` of a factor ``(..., q, c)``, ``weights`` all 1 by default.
+
+    One row's is the sum of its weighted squares, each formed product first.
+    """
+    if factor.shape[-2] == 1:
+        square = factor * factor
+        return (square if weights is None else square * weights).sum(axis=-1)[..., None]
+    return (factor if weights is None else factor * weights) @ factor.swapaxes(-1, -2)
+
+
+def _walk(spec: CircuitSpec, run: Iterable[int], rows: np.ndarray):
     """The rows ``(q, 2n)`` walked back through the elements ``run`` (last first), and the noise they read.
 
-    Returns the rows ``(q, 1 + k, 2n)`` where ``run`` holds the shifted
-    element (``(q, 1, 2n)`` elsewhere) and the noise factor ``(q, c)`` of
-    the run's noisy elements, each read with the rows at its output and the
-    shift's first value, or ``None`` for a run without noise.  A loss ``L``
-    is walked without a product: it scales the rows by ``sqrt(1 - L)`` and
-    reads its noise as ``sqrt(L)`` times them, the values of its block.
-    Where numpy raises on overflow, a walk that leaves the float range
-    raises :class:`InstabilityError` naming the element.
+    Returns the rows ``(*stack, q, 2n)``, with the axes of the stacks met on
+    the way (none without one), and the noise factor ``(*stack, q, c)`` of
+    the run's noisy elements, each read with the rows at its output, or
+    ``None`` for a run without noise.  A loss ``L`` is walked without a
+    product: it scales the rows by ``sqrt(1 - L)`` and reads its noise as
+    ``sqrt(L)`` times them, the values of its block.  Where numpy raises on
+    overflow, a walk that leaves the float range raises
+    :class:`InstabilityError` naming the element.
     """
-    at, shifted = shift
-    q = len(rows)
-    rows = rows.copy()  # (1 + k) q rows from the shifted element on, each value's q in turn
+    rows = rows.copy()
     factors = []
     try:
         for i in run:
@@ -342,21 +361,23 @@ def _walk(spec: CircuitSpec, run: Iterable[int], shift: tuple, rows: np.ndarray)
             kind = _KIND_OF[type(el)]
             idx = _block_index(_modes(el))
             if kind.cls is LossElement:
-                factors.append(math.sqrt(el.L) * rows[:q, idx])
-                rows[:, idx] *= math.sqrt(1.0 - el.L)
+                factors.append(math.sqrt(el.L) * rows[..., idx])
+                rows[..., idx] *= math.sqrt(1.0 - el.L)
                 continue
-            linear, noise = kind.block(**{n: getattr(el, n) for n in kind.params} | (shifted if i == at else {}))
+            linear, noise = kind.block(**{n: getattr(el, n) for n in kind.params})
             if noise is not None:
                 weight, pattern = noise
-                factors.append(rows[:q, idx] @ (math.sqrt(weight) * pattern))
-            moved = rows[:, idx] @ linear
-            if moved.ndim == 3:  # the shifted element's 1 + k blocks
-                rows = _widen(rows, moved.shape[:1] + rows.shape).reshape(-1, rows.shape[-1])
-                moved = moved.reshape(-1, moved.shape[-1])
-            rows[:, idx] = moved
+                factors.append(rows[..., idx] @ (math.sqrt(weight) * pattern))
+            moved = rows[..., idx] @ linear
+            if moved.ndim > rows.ndim:  # a stack's blocks
+                rows = _widen(rows, moved.shape[:-1] + rows.shape[-1:])
+            rows[..., idx] = moved
     except FloatingPointError:
         raise InstabilityError(f"engine: the state overflows at element {i} ({kind.type})") from None
-    return rows.reshape(-1, q, rows.shape[-1]).swapaxes(0, 1), np.concatenate(factors, axis=1) if factors else None
+    if not factors:
+        return rows, None
+    lead = rows.shape[:-1]  # the factors read before a stack are widened to it
+    return rows, np.concatenate([f if f.shape[:-1] == lead else _widen(f, lead + f.shape[-1:]) for f in factors], axis=-1)
 
 
 def _amplification(spec: CircuitSpec, vary: dict | None = None):
@@ -391,40 +412,14 @@ def _block_index(modes: tuple[int, ...]):
     return idx
 
 
-def _readout(spec: CircuitSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The means ``(q,)`` and the covariance ``(q, q)`` of the output quadratures ``rows·x``, for rows ``(q, 2n)``.
-
-    The rows walk back through every element (:func:`_walk`) to their map
-    ``M`` on the inputs and their noise factor ``F``.  The covariance
-    ``[M | F] diag(w, 1) [M | F]^T``, with ``w`` the preparation variances,
-    is formed once and symmetrized once, so every variance is a sum of
-    non-negative terms: for the identity rows it is the forward factored
-    covariance, transposed (reverse mode, Griewank & Walther, *Evaluating
-    Derivatives*, 2008).  Raises :class:`InstabilityError` naming the
-    element, the covariance or the means where they leave the float range.
-    """
-    mean_in, weights = _prepare(spec.n_modes, spec.inputs)
-    with np.errstate(over="raise", invalid="raise"):
-        maps, factor = _walk(spec, reversed(range(len(spec.elements))), (None, {}), rows)
-        maps = full = maps[:, 0]
-        if factor is not None:
-            full = np.concatenate((maps, factor), axis=1)
-            weights = np.concatenate((weights, np.ones(factor.shape[1])))
-        try:
-            cov = (full * weights) @ full.T
-            cov = 0.5 * (cov + cov.T)
-        except FloatingPointError:
-            raise InstabilityError("engine: the output covariance overflows") from None
-        try:
-            mean = maps @ mean_in
-        except FloatingPointError:
-            raise InstabilityError("engine: the output means overflow") from None
-    return mean, cov
-
-
 def simulate(spec: CircuitSpec) -> GaussianState:
-    """Run the circuit and return the output state: the walk of the ``2n`` identity rows."""
-    mean, cov = _readout(spec, np.eye(2 * spec.n_modes))
+    """Run the circuit and return the output state: the ``2n`` identity rows read backward (:class:`_Adjoint`).
+
+    Raises :class:`InstabilityError` naming the element, the covariance or
+    the means where they leave the float range.
+    """
+    with np.errstate(over="raise", invalid="raise"):
+        mean, cov = _Adjoint(spec, (), np.eye(2 * spec.n_modes)).run({})
     return GaussianState(spec.n_modes, mean, cov)
 
 

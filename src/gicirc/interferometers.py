@@ -15,12 +15,13 @@ convention ``second_minus``), lock to the dark fringe at ``phi = pi`` and
 detect the phase quadrature on the dark output.  Closed forms for SNR,
 mean signal, variance, and phase variance are first order in the phase
 excursion ``dphi``.  Engine reports read the detected quadrature backward
-through the circuit (see :class:`~gicirc.circuits._Adjoint`): its means at
-the signal phase ``+/- dphi`` give the mean signal by a symmetric finite
-difference, and its variance the noise at the set point.  Each topology is
-one row of ``_TOPOLOGIES``, which every topology-dependent step reads.  The
-parameter dataclasses check every field once; the builders trust them and
-assemble the elements and the circuit without checking again.
+(:class:`~gicirc.circuits._Adjoint`) with the signal phase at ``phi0`` and
+``phi0 +/- dphi`` (:func:`_excursion`): the means at ``+/- dphi`` give the
+mean signal by a symmetric finite difference, the variance at ``phi0`` the
+noise at the set point.  Each topology is one row of ``_TOPOLOGIES``, which
+every topology-dependent step reads.  The parameter dataclasses check every
+field once; the builders trust them and assemble the elements and the
+circuit without checking again.
 """
 
 from __future__ import annotations
@@ -505,25 +506,27 @@ def _build(params: TopologyParams, *noisy: NoisyPaParams | None) -> tuple[_Topol
     return topo, spec
 
 
-def _excursion_shift(topo: _Topology, spec: CircuitSpec, dphi: float) -> tuple[int, dict]:
-    """The ``shift`` (see :class:`~gicirc.circuits._Adjoint`) of a topology's signal phase to ``phi0, phi0 +/- dphi``."""
+def _excursion(spec: CircuitSpec, phase: int, dphi: float) -> CircuitSpec:
+    """The circuit with its phase element ``phase`` at the stack ``[phi0, phi0 + dphi, phi0 - dphi]`` (see :class:`~gicirc.circuits._Adjoint`)."""
     dphi = float(dphi)
     if dphi == 0.0 or not math.isfinite(dphi):
         raise ValueError(f"phase excursion dphi must be finite and nonzero, got {dphi}")
-    phi0 = spec.elements[topo.phase].phi
-    return topo.phase, {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])}
+    elements = list(spec.elements)
+    el = elements[phase]
+    elements[phase] = _assemble(PhaseElement, mode=el.mode, phi=np.array([el.phi, el.phi + dphi, el.phi - dphi]))
+    return _assemble(CircuitSpec, **vars(spec) | {"elements": tuple(elements)})
 
 
 def _excursion_readout(topo: _Topology, spec: CircuitSpec, dphi: float, mode: int, smallest: float = 0.0):
     """Mean signal, set-point variance and SNR of a topology's circuit (see :func:`_build`) on ``mode``, by :func:`_judge`.
 
     One backward readout of the quadrature ``X(theta)`` of ``mode``, at the
-    detection's ``theta``, gives its means at the signal phase ``phi0`` and
-    ``phi0 +/- dphi`` and its variance at ``phi0``.
+    detection's ``theta``, gives its means and variances at the signal
+    phase ``phi0`` and ``phi0 +/- dphi`` (:func:`_excursion`).
     """
-    shift = _excursion_shift(topo, spec, dphi)
-    means, var = _Adjoint(spec, (), shift, _quadrature_row(spec.n_modes, mode, spec.detect.theta)).run({})
-    return _judge(means[1], means[2], var, _amplification(spec), smallest)
+    row = _quadrature_row(spec.n_modes, mode, spec.detect.theta)
+    means, cov = _Adjoint(_excursion(spec, topo.phase, dphi), (), row).run({})
+    return _judge(means[1, 0], means[2, 0], cov[0, 0, 0], _amplification(spec), smallest)
 
 
 def _judge(plus, minus, variance, amplification, smallest: float = 0.0):

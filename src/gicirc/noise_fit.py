@@ -4,12 +4,12 @@ The model ties the lossy-amplifier parameters ``(rho, epsilon2)`` of each
 amplifier to observable quantum noise gains: for a target QNG the gain
 ``kappa`` is recovered by inversion, the nested interferometer is run with
 both lossy amplifiers, and its SNR is divided by the equal-loss ``g = 0``
-MZI SNR at the same input power.  The nested circuit is built and its
-readout compiled once per curve or fit: the detected quadrature's row is
-propagated backward, and the runs of elements between and after the two
-amplifiers, the same in every row, are folded into one row map and one
-noise factor each (see :class:`~gicirc.circuits._Adjoint`), so a pass
-applies only the amplifiers' blocks per row.  Fitting
+MZI SNR at the same input power.  The nested circuit's backward readout
+(:class:`~gicirc.circuits._Adjoint`) is compiled once per curve or fit,
+with the signal phase at its three excursion values: the elements after the
+downstream amplifier are walked once, and those between the amplifiers
+folded into one matrix, so a pass applies only the amplifiers' blocks per
+row and reads each row's means and variances at all three phases.  Fitting
 minimizes the sum of squared dB residuals of that advantage by projected
 Levenberg-Marquardt searches in a log10 box from seeded random starts, with
 a forward-difference Jacobian: one engine pass scores the trial points and
@@ -32,8 +32,8 @@ from .interferometers import (
     SisniParams,
     _amplitude,
     _build,
+    _excursion,
     _excursion_readout,
-    _excursion_shift,
     _guard,
     _judge,
     _require_bright,
@@ -110,7 +110,7 @@ def _nested(losses, alpha2: float, dphi: float):
         mzi, baseline = _build(sql_baseline(params))
         base = _excursion_readout(mzi, baseline, dphi, baseline.detect.mode, _TINY)[2]
     topo, spec = _build(params, _UNSET, _UNSET)
-    return base, (topo, spec, _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, dphi)), inputs)
+    return base, (topo, spec, _Adjoint(_excursion(spec, topo.phase, dphi), topo.amplifiers), inputs)
 
 
 def _sisni_snr(qng1_db, qng2_db, nested, noise1, noise2) -> np.ndarray:
@@ -152,8 +152,8 @@ def _nested_snr(nested, epsilon2, coupling, stretch) -> np.ndarray:
     with _guard("noise model", inputs):
         linear, auxiliary = _pa_blocks(coupling)
         blocks = {i: (linear[amp], (epsilon2[amp], auxiliary[amp])) for amp, i in enumerate(topo.amplifiers)}
-        means, var = adjoint.run(blocks)
-        return _judge(means[..., 1], means[..., 2], var, stretch[0] * stretch[1], _TINY)[2]
+        means, cov = adjoint.run(blocks)
+        return _judge(means[..., 1, 0], means[..., 2, 0], cov[..., 0, 0, 0], stretch[0] * stretch[1], _TINY)[2]
 
 
 def advantage_vs_qng(

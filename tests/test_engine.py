@@ -8,6 +8,7 @@ factored by ``eigh``.
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gicirc import (
+    CircuitError,
     CircuitSpec,
     Coherent,
     Detection,
@@ -49,7 +51,7 @@ from gicirc.circuits import (
     _amplification,
     element_map,
 )
-from gicirc.interferometers import _TOPOLOGIES, _excursion_shift
+from gicirc.interferometers import _TOPOLOGIES, _excursion
 from gicirc.noise_fit import _UNSET, _nested, _nested_snr, _sisni_snr
 from gicirc.noise_model import _coupling, _floor, _kappa, _linear_targets, _rho_terms, _solve_kappa, _stability, _stretch, _terms
 from gicirc.states import _quadrature
@@ -172,12 +174,12 @@ def test_batch_equals_separate_runs(case):
     """One backward pass over a varied element's rows reads each row's circuit."""
     spec, index, rows = case
     vary = {index: {name: np.array([row[name] for row in rows]) for name in rows[0]}}
-    means, var = _Adjoint(spec, vary, (None, {})).run(_varied_blocks(spec, vary))
-    assert means.shape == (len(rows), 1) and var.shape == (len(rows),)
+    means, cov = _Adjoint(spec, vary).run(_varied_blocks(spec, vary))
+    assert means.shape == (len(rows), 1) and cov.shape == (len(rows), 1, 1)
     for b, single in enumerate(_row_circuits(spec, index, rows)):
         mean, variance, scale = detected_reference(single)
         assert_close(means[b, 0], mean, scale=scale)
-        assert_close(var[b], variance, scale=scale)
+        assert_close(cov[b, 0, 0], variance, scale=scale)
 
 
 @st.composite
@@ -191,27 +193,45 @@ def grid_circuits(draw):
     return spec, (first, rows), (second, cols)
 
 
+def _grid_vary(first, rows, second, cols):
+    """``vary`` of a grid: element ``first``'s rows as ``(R, 1)`` values, element ``second``'s as ``(E,)``."""
+    return {
+        first: {name: np.array([[row[name]] for row in rows]) for name in rows[0]},
+        second: {name: np.array([col[name] for col in cols]) for name in cols[0]},
+    }
+
+
 @settings(max_examples=80, deadline=None)
 @given(grid_circuits())
 def test_grid_equals_pointwise_runs(case):
     """Two varied elements' values broadcast to a grid; each cell reads what its float run and its circuit read."""
     spec, (first, rows), (second, cols) = case
-    vary = {
-        first: {name: np.array([[row[name]] for row in rows]) for name in rows[0]},
-        second: {name: np.array([col[name] for col in cols]) for name in cols[0]},
-    }
-    adjoint = _Adjoint(spec, vary, (None, {}))
-    means, var = adjoint.run(_varied_blocks(spec, vary))
-    assert means.shape == (len(rows), len(cols), 1) and var.shape == (len(rows), len(cols))
+    vary = _grid_vary(first, rows, second, cols)
+    adjoint = _Adjoint(spec, vary)
+    means, cov = adjoint.run(_varied_blocks(spec, vary))
+    assert means.shape == (len(rows), len(cols), 1) and cov.shape == (len(rows), len(cols), 1, 1)
     for (r, row), (c, col) in itertools.product(enumerate(rows), enumerate(cols)):
-        point_mean, point_var = adjoint.run(_varied_blocks(spec, {first: row, second: col}))
+        point_mean, point_cov = adjoint.run(_varied_blocks(spec, {first: row, second: col}))
         elements = list(spec.elements)
         elements[first] = dataclasses.replace(elements[first], **row)
         elements[second] = dataclasses.replace(elements[second], **col)
         mean, variance, scale = detected_reference(dataclasses.replace(spec, elements=tuple(elements)))
-        for cell_mean, cell_var in ((means[r, c], var[r, c]), (point_mean, point_var)):
+        for cell_mean, cell_var in ((means[r, c], cov[r, c, 0, 0]), (point_mean, point_cov[0, 0])):
             assert_close(cell_mean[0], mean, scale=scale)
             assert_close(cell_var, variance, scale=scale)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_circuits(), st.booleans())
+def test_a_grid_cell_has_the_bits_of_its_float_pass(case, identity):
+    """Each cell of a batched pass has the bits of its float pass, means and covariance both, for one row or ``2n``."""
+    spec, (first, rows), (second, cols) = case
+    vary = _grid_vary(first, rows, second, cols)
+    adjoint = _Adjoint(spec, vary, np.eye(2 * spec.n_modes) if identity else None)
+    means, cov = adjoint.run(_varied_blocks(spec, vary))
+    for (r, row), (c, col) in itertools.product(enumerate(rows), enumerate(cols)):
+        point_mean, point_cov = adjoint.run(_varied_blocks(spec, {first: row, second: col}))
+        assert _same_bits(means[r, c], point_mean) and _same_bits(cov[r, c], point_cov)
 
 
 def _by_block_product(spec):
@@ -270,11 +290,11 @@ class TestPropagate:
     def test_unvaried_batch_of_one(self):
         """With no element varied, a pass reads the one circuit: ``(1,)`` means and a scalar variance."""
         spec, _ = build_sisni(SisniParams(alpha=6.0, g1=0.8, g2=1.2, L_is=0.16, L_ii=0.1, L_e=0.15))
-        means, var = _Adjoint(spec, (), (None, {})).run({})
-        assert means.shape == (1,) and var.shape == ()
+        means, cov = _Adjoint(spec, ()).run({})
+        assert means.shape == (1,) and cov.shape == (1, 1)
         mean, variance, scale = detected_reference(spec)
         assert_close(means[0], mean, scale=scale)
-        assert_close(var, variance, scale=scale)
+        assert_close(cov[0, 0], variance, scale=scale)
 
     def test_elements_before_the_first_varied_one_run_once(self, monkeypatch):
         """Each unvaried block runs once, at the compile, with its scalar fields; a pass runs none, whatever its rows."""
@@ -288,13 +308,13 @@ class TestPropagate:
 
             monkeypatch.setitem(circuits._KIND_OF, cls, kind._replace(block=spy))
         spec, _ = build_sisni(SisniParams(alpha=3.0, g1=0.9, g2=0.4, L_is=0.2, L_ii=0.1, L_e=0.3))
-        adjoint = _Adjoint(spec, {6}, (None, {}))
+        adjoint = _Adjoint(spec, {6})
         assert calls[PaElement] == [{"g": 0.4}, {"g": 0.9}]  # walked last first: downstream, then upstream
         assert calls[PhaseElement] == [{"phi": math.pi}]  # the pump phase; the signal phase is varied
         for rows in (1, 3, 48):
             phis = np.linspace(3.0, 3.3, rows)
-            means, var = adjoint.run({6: PhaseElement.block(phis)})
-            assert means.shape == (rows, 1) and var.shape == (rows,)
+            means, cov = adjoint.run({6: PhaseElement.block(phis)})
+            assert means.shape == (rows, 1) and cov.shape == (rows, 1, 1)
         assert len(calls[PaElement]) == 2 and len(calls[PhaseElement]) == 1
 
     def test_simulate_is_the_batch_of_one(self):
@@ -302,13 +322,13 @@ class TestPropagate:
         spec, _ = build_sq_mzi(SqMziParams(alpha=5.0, g=0.9, L_i=0.1, L_e=0.2))
         phase = next(i for i, el in enumerate(spec.elements) if isinstance(el, PhaseElement))
         vary = {phase: {"phi": np.array([spec.elements[phase].phi])}}
-        means, var = _Adjoint(spec, vary, (None, {})).run(_varied_blocks(spec, vary))
-        assert means.shape == (1, 1) and var.shape == (1,)
+        means, cov = _Adjoint(spec, vary).run(_varied_blocks(spec, vary))
+        assert means.shape == (1, 1) and cov.shape == (1, 1, 1)
         state = simulate(spec)
         stats = detect_stats(spec, state)
         scale = max(1.0, float(np.abs(state.mean).max()), float(np.abs(state.cov).max()))
         assert_close(means[0, 0], stats.mean, scale=scale)
-        assert_close(var[0], stats.variance, scale=scale)
+        assert_close(cov[0, 0, 0], stats.variance, scale=scale)
 
 
 class TestEngineReportExcursion:
@@ -355,10 +375,10 @@ def factored_state(spec):
 
 
 def _three_phase_grid(phase, spec, dphi, vary=None):
-    """Pointwise factored runs at element ``phase``'s ``phi0`` and ``phi0 +/- dphi`` per row of ``vary``: the three means, and the covariance at ``phi0``.
+    """Pointwise factored runs at element ``phase``'s ``phi0`` and ``phi0 +/- dphi`` per row of ``vary``: the three means and covariances.
 
-    The means are ``(*rows, 3, 2n)`` and the covariance ``(*rows, 2n, 2n)``,
-    with no row axis without ``vary``.
+    The means are ``(*rows, 3, 2n)`` and the covariances
+    ``(*rows, 3, 2n, 2n)``, with no row axis without ``vary``.
     """
     phi0 = spec.elements[phase].phi
     columns = [v for fields in (vary or {}).values() for v in fields.values()]
@@ -372,9 +392,9 @@ def _three_phase_grid(phase, spec, dphi, vary=None):
             elements[phase] = dataclasses.replace(elements[phase], phi=phi)
             three.append(factored_state(dataclasses.replace(spec, elements=tuple(elements))))
         means.append([mean for mean, _ in three])
-        covs.append(three[0][1])
+        covs.append([cov for _, cov in three])
     if vary is None:
-        return np.array(means[0]), covs[0]
+        return np.array(means[0]), np.array(covs[0])
     return np.array(means), np.array(covs)
 
 
@@ -442,7 +462,7 @@ def nested_rows(draw):
 
 @st.composite
 def noise_behind_the_shift(draw):
-    """A two-mode circuit with a loss, then ``vary`` rows of a lossy amplifier, then the shifted phase.
+    """A two-mode circuit with a loss, then ``vary`` rows of a lossy amplifier, then the phase to stack.
 
     Returns the circuit, the phase's index and the rows.  The coherent
     input is on mode 0, the thermal one on mode 1, and beamsplitters mix
@@ -486,9 +506,11 @@ class TestBackwardReadout:
     @example(_dark_fringe_rows(), 1e-4)
     def test_equals_the_forward_excursion(self, case, dphi):
         topo, spec, vary = case
-        means, var = _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, dphi)).run(_blocks(vary))
-        three, cov = _three_phase_grid(topo.phase, spec, dphi, vary)
-        shifted, variance = _quadrature(three[..., 1:, :], cov, spec.detect.mode, spec.detect.theta)
+        means, cov = _Adjoint(_excursion(spec, topo.phase, dphi), topo.amplifiers).run(_blocks(vary))
+        assert means.shape[-2:] == (3, 1) and cov.shape == means.shape + (1,)
+        means, var = means[..., 0], cov[..., 0, 0, 0]
+        three, covs = _three_phase_grid(topo.phase, spec, dphi, vary)
+        shifted, variance = _quadrature(three[..., 1:, :], covs[..., 0, :, :], spec.detect.mode, spec.detect.theta)
         assert means.shape == shifted.shape[:-1] + (3,) and var.shape == variance.shape
         # Both passes round the means on the scale of the coherent input's
         # mean quadrature times the circuit's amplification: near the dark
@@ -504,16 +526,15 @@ class TestBackwardReadout:
     @given(noise_behind_the_shift(), st.sampled_from([1e-4, 1e-3, 0.3]))
     def test_a_folded_run_behind_the_shift_reads_the_first_row(self, case, dphi):
         # The loss sits before the varied amplifier, which sits before the
-        # shifted phase: the walk meets the loss's folded run with the three
-        # rows of the shift, and its noise is read with the set point's row.
+        # stacked phase: the walk meets the loss's folded run with the
+        # phase's three rows, and its noise is read with each value's row.
         spec, phase, vary = case
-        phi0 = spec.elements[phase].phi
-        shift = (phase, {"phi": np.array([phi0, phi0 + dphi, phi0 - dphi])})
-        adjoint = _Adjoint(spec, vary, shift)
-        assert adjoint.rows.shape[-2] == 3 and adjoint.steps[-1][0] is None and adjoint.steps[-1][1][1] is not None
-        means, var = adjoint.run(_blocks(vary))
-        three, cov = _three_phase_grid(phase, spec, dphi, vary)
-        forward, variance = _quadrature(three, cov, spec.detect.mode, spec.detect.theta)
+        adjoint = _Adjoint(_excursion(spec, phase, dphi), vary)
+        assert adjoint.rows.shape[:-2] == (3,) and adjoint.steps[-1][0] is None and adjoint.steps[-1][1][1] is not None
+        means, cov = adjoint.run(_blocks(vary))
+        means, var = means[..., 0], cov[..., 0, 0, 0]
+        three, covs = _three_phase_grid(phase, spec, dphi, vary)
+        forward, variance = _quadrature(three, covs[..., 0, :, :], spec.detect.mode, spec.detect.theta)
         assert means.shape == forward.shape and var.shape == variance.shape
         scale = 2.0 * abs(spec.inputs[0].alpha) * _amplification(spec, vary)
         signal = 0.5 * (means[..., 1] - means[..., 2])
@@ -526,20 +547,116 @@ class TestBackwardReadout:
         topo = _TOPOLOGIES[SisniParams]
         nested = _nested(PAPER_LOSSES, 36.0, 1e-3)[1]
         spec, _ = topo.build(_random_params(rng, SisniParams), _UNSET, _UNSET)
-        off_point = _Adjoint(spec, topo.amplifiers, _excursion_shift(topo, spec, 1e-3))
+        off_point = _Adjoint(_excursion(spec, topo.phase, 1e-3), topo.amplifiers)
         wide = _noisy_rows(rng, 48)
         amps = [tuple(wide[i][name] for name in ("rho", "kappa", "epsilon2")) for i in topo.amplifiers]
         for adjoint in (nested[2], off_point):
             passes = [adjoint.run(_blocks({i: {n: v[:rows] for n, v in row.items()} for i, row in wide.items()})) for rows in (6, 48)]
             for row in range(6):
                 floats = adjoint.run(_blocks({i: {n: float(v[row]) for n, v in fields.items()} for i, fields in wide.items()}))
-                assert floats[0].shape == (3,) and floats[1].shape == ()
+                assert floats[0].shape == (3, 1) and floats[1].shape == (3, 1, 1)
                 for means, var in passes:
                     assert np.array_equal(floats[0], means[row]) and np.array_equal(floats[1], var[row])
         snr = [_fields_pass(nested, [tuple(v[:rows] for v in amp) for amp in amps]) for rows in (6, 48)]
         for row in range(6):
             single = _fields_pass(nested, [tuple(float(v[row]) for v in amp) for amp in amps])
             assert single == snr[0][row] == snr[1][row]
+
+
+class TestEachExcursionValue:
+    """Each value of the signal phase's stack is a whole readout: its covariance is the forward variance at that phase."""
+
+    @pytest.mark.parametrize("cls", [SqMziParams, SisniParams])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dphi=st.sampled_from([1e-4, 1e-3, 0.3]))
+    def test_in_the_excursion_readout(self, cls, data, dphi):
+        params, mode = data.draw(off_point_params(cls))
+        topo = _TOPOLOGIES[type(params)]
+        spec, _ = topo.build(params)
+        passes = []
+
+        class Recording(_Adjoint):
+            def run(self, blocks):
+                passes.append(super().run(blocks))
+                return passes[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(interferometers, "_Adjoint", Recording)
+            interferometers._excursion_readout(topo, spec, dphi, mode)
+        ((means, cov),) = passes
+        three, covs = _three_phase_grid(topo.phase, spec, dphi)
+        variance = _quadrature(three, covs, mode, spec.detect.theta)[1]
+        assert means.shape == (3, 1) and cov.shape == (3, 1, 1)
+        assert (np.abs(cov[1:, 0, 0] - variance[1:]) <= 1e-13 * variance[1:]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        losses=st.tuples(_finite(0.0, 0.9), _finite(0.0, 0.9), _finite(0.0, 0.9)),
+        dphi=st.sampled_from([1e-4, 1e-3, 0.3]),
+        rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_the_fit_readout(self, losses, dphi, rows, seed):
+        topo, spec, adjoint, _ = _nested(losses, 36.0, dphi)[1]
+        vary = _noisy_rows(np.random.default_rng(seed), rows)
+        means, cov = adjoint.run(_blocks(vary))
+        three, covs = _three_phase_grid(topo.phase, spec, dphi, vary)
+        variance = _quadrature(three, covs, spec.detect.mode, spec.detect.theta)[1]
+        assert means.shape == (rows, 3, 1) and cov.shape == (rows, 3, 1, 1)
+        assert (np.abs(cov[:, 1:, 0, 0] - variance[:, 1:]) <= 1e-13 * variance[:, 1:]).all()
+        # The identity rows read each row's whole output state at each value.
+        identity = _Adjoint(_excursion(spec, topo.phase, dphi), topo.amplifiers, np.eye(2 * spec.n_modes))
+        means, cov = identity.run(_blocks(vary))
+        assert means.shape == three.shape and cov.shape == covs.shape and np.array_equal(cov, cov.swapaxes(-1, -2))
+        assert_close(means, three)
+        assert_close(cov, covs)
+
+
+# A valid value of each numeric element field.
+VALID = {"g": 0.5, "T": 0.3, "phi": 0.7, "L": 0.2, "rho": 0.004, "kappa": 0.1, "epsilon2": 2.0}
+
+
+class TestOnlyTheExcursionStacks:
+    """An element field holds an array only where ``_excursion`` puts one."""
+
+    @pytest.mark.parametrize("cls", list(KINDS))
+    def test_constructors_take_a_0d_array_as_a_float_and_refuse_a_1d_one(self, cls):
+        """The lossy amplifier takes real numbers only, so it refuses both."""
+        target, numeric = KINDS[cls]
+        where = (0, 1) if target == "modes" else 0
+        values = {name: VALID[name] for name in numeric}
+        for name in numeric:
+            if cls is NoisyPaElement:
+                with pytest.raises(ValueError, match="must be a real number"):
+                    cls(where, **values | {name: np.array(VALID[name])})
+            else:
+                element = cls(where, **values | {name: np.array(VALID[name])})
+                assert type(getattr(element, name)) is float and getattr(element, name) == VALID[name]
+            with pytest.raises(ValueError if cls is NoisyPaElement else TypeError):
+                cls(where, **values | {name: np.array([VALID[name], VALID[name]])})
+
+    @settings(max_examples=60, deadline=None)
+    @given(varied_circuits())
+    def test_parsed_documents_hold_no_array(self, case):
+        parsed = circuits.parse_circuit(circuits.serialize_circuit(case[0]))
+        for entry in (*parsed.inputs, *parsed.elements, parsed.detect):
+            assert not any(isinstance(value, np.ndarray) for value in vars(entry).values())
+
+    @pytest.mark.parametrize("cls", list(KINDS))
+    def test_a_list_for_a_number_is_refused(self, cls):
+        target, numeric = KINDS[cls]
+        kind = circuits._KIND_OF[cls]
+        entry = {"type": kind.type, target: [0, 1] if target == "modes" else 0} | {name: VALID[name] for name in numeric}
+        for name in numeric:
+            doc = {
+                "schema": circuits.SCHEMA,
+                "n_modes": 2,
+                "inputs": [{"type": "vacuum"}, {"type": "vacuum"}],
+                "elements": [entry | {name: [VALID[name], VALID[name]]}],
+                "detect": {"mode": 0},
+            }
+            with pytest.raises(CircuitError, match=f"^element 0: {name}: expected a number"):
+                circuits.parse_circuit(json.dumps(doc))
 
 
 @st.composite
@@ -568,8 +685,8 @@ class TestBackwardReports:
         params, mode = data.draw(off_point_params(cls))
         topo = _TOPOLOGIES[type(params)]
         spec, _ = topo.build(params)
-        three, cov = _three_phase_grid(topo.phase, spec, dphi)
-        forward, variance = _quadrature(three, cov, mode, spec.detect.theta)
+        three, covs = _three_phase_grid(topo.phase, spec, dphi)
+        forward, variance = _quadrature(three, covs[0], mode, spec.detect.theta)
         # The scale on which both passes round the means (see TestBackwardReadout).
         scale = 2.0 * abs(spec.inputs[-1].alpha) * _amplification(spec)
         report = engine_report(params, dphi, detect_mode=mode)

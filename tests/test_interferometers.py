@@ -485,6 +485,14 @@ class TestGainOverflow:
             with pytest.raises(InstabilityError, match=r"^engine: the output covariance overflows$"):
                 simulate(spec)
 
+    def test_noise_covariance_formed_past_the_float_range(self):
+        # The loss reads its noise with the row walked through the squeezer (G + g = 2.4e154); its square is not finite.
+        spec = CircuitSpec(1, (Vacuum(),), (SqueezerElement(0, 1.2e154), LossElement(0, 0.5)), Detection(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError, match=r"^engine: the output covariance overflows$"):
+                simulate(spec)
+
     def test_output_means_formed_past_the_float_range(self):
         # The walked row (G + g = 2e110) and the covariance (4e220) are finite; the mean, times alpha = 1e200, is not.
         spec = CircuitSpec(1, (Coherent(1e200),), (SqueezerElement(0, 1e110),), Detection(0))
