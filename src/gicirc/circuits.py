@@ -248,9 +248,11 @@ class _Adjoint:
     identity rows, which folds it into one matrix ``[M | F]``, its row map
     and its noise factor, whose noise adds ``(r·F)(s·F)``.  So :meth:`run`
     makes two products per varied element, whose rows are the stack's and
-    the detected ones of a batch cell, and one per folded run, whatever the
-    number of rows.  The values are not validated; callers pass only values
-    that their element's dataclass would accept.
+    the detected ones of a batch cell, and one per folded run for each
+    batch cell and stack value: a run that holds the stacked element or
+    comes before it in the circuit costs a cell as many products as the
+    stack has values.  The values are not validated; callers pass only
+    values that their element's dataclass would accept.
     """
 
     def __init__(self, spec: CircuitSpec, varied, detected: np.ndarray | None = None):

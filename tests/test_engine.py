@@ -8,7 +8,6 @@ factored by ``eigh``.
 
 import dataclasses
 import itertools
-import json
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gicirc import (
-    CircuitError,
     CircuitSpec,
     Coherent,
     Detection,
@@ -461,7 +459,7 @@ def nested_rows(draw):
 
 
 @st.composite
-def noise_behind_the_shift(draw):
+def noise_behind_the_stack(draw):
     """A two-mode circuit with a loss, then ``vary`` rows of a lossy amplifier, then the phase to stack.
 
     Returns the circuit, the phase's index and the rows.  The coherent
@@ -523,14 +521,16 @@ class TestBackwardReadout:
         assert (np.abs(var - variance) <= 1e-13 * variance).all()
 
     @settings(max_examples=100, deadline=None)
-    @given(noise_behind_the_shift(), st.sampled_from([1e-4, 1e-3, 0.3]))
-    def test_a_folded_run_behind_the_shift_reads_the_first_row(self, case, dphi):
+    @given(noise_behind_the_stack(), st.sampled_from([1e-4, 1e-3, 0.3]))
+    def test_a_folded_run_behind_the_stack_reads_each_value(self, case, dphi):
         # The loss sits before the varied amplifier, which sits before the
         # stacked phase: the walk meets the loss's folded run with the
         # phase's three rows, and its noise is read with each value's row.
+        # The run's step is [M | F], so its noise factor F widens it past 2n.
         spec, phase, vary = case
         adjoint = _Adjoint(_excursion(spec, phase, dphi), vary)
-        assert adjoint.rows.shape[:-2] == (3,) and adjoint.steps[-1][0] is None and adjoint.steps[-1][1][1] is not None
+        step = adjoint.steps[-1]
+        assert adjoint.rows.shape[:-2] == (3,) and step[0] is None and step[1].shape[-1] > 2 * spec.n_modes
         means, cov = adjoint.run(_blocks(vary))
         means, var = means[..., 0], cov[..., 0, 0, 0]
         three, covs = _three_phase_grid(phase, spec, dphi, vary)
@@ -641,22 +641,6 @@ class TestOnlyTheExcursionStacks:
         parsed = circuits.parse_circuit(circuits.serialize_circuit(case[0]))
         for entry in (*parsed.inputs, *parsed.elements, parsed.detect):
             assert not any(isinstance(value, np.ndarray) for value in vars(entry).values())
-
-    @pytest.mark.parametrize("cls", list(KINDS))
-    def test_a_list_for_a_number_is_refused(self, cls):
-        target, numeric = KINDS[cls]
-        kind = circuits._KIND_OF[cls]
-        entry = {"type": kind.type, target: [0, 1] if target == "modes" else 0} | {name: VALID[name] for name in numeric}
-        for name in numeric:
-            doc = {
-                "schema": circuits.SCHEMA,
-                "n_modes": 2,
-                "inputs": [{"type": "vacuum"}, {"type": "vacuum"}],
-                "elements": [entry | {name: [VALID[name], VALID[name]]}],
-                "detect": {"mode": 0},
-            }
-            with pytest.raises(CircuitError, match=f"^element 0: {name}: expected a number"):
-                circuits.parse_circuit(json.dumps(doc))
 
 
 @st.composite

@@ -47,6 +47,8 @@ class TestDocumentRefusals:
         [
             ({"elements": [{"type": "phase", "mode": 0, "phi": "0.1"}]},
              "element 0: phi: expected a number, got '0.1'"),
+            ({"elements": [{"type": "phase", "mode": 0, "phi": [0.1, 0.2]}]},
+             "element 0: phi: expected a number, got [0.1, 0.2]"),
             ({"elements": [{"type": "bs", "modes": "01"}]},
              "element 0: modes: expected a list of mode indices, got '01'"),
             ({"elements": [{"type": "bs", "modes": [0, 1], "convention": 3}]},
